@@ -4,8 +4,8 @@ Channels and Lindbladians are represented by an N^2 x N^2 Hermitian reshaped
 matrix whose rank equals the number of signed Kraus terms. The package
 simulates linear measurements of that matrix (random state/observable pairs
 or a shared-observable blockwise design), recovers it by alternating least
-squares with optional momentum, completes it from one block row
-deterministically, and benchmarks the whole pipeline reproducibly.
+squares with momentum (zero momentum is plain ALS), completes it from one
+block row deterministically, and benchmarks the whole pipeline reproducibly.
 """
 
 from .errors import (AssumptionViolationError, DegenerateSpectrumError,
@@ -15,10 +15,10 @@ from .harness import (ExperimentConfig, ExperimentResult, emit_results,
 from .linalg import (SvdResult, complex_gaussian, least_squares, load_cmx,
                      pseudo_inverse, randomized_svd, save_cmx, truncated_svd)
 from .measurements import (MeasurementSet, RipProbe, SensingDesign,
-                           build_blockwise_design, build_random_design,
+                           build_blockwise_design, build_design, build_random_design,
                            empirical_rip_probe, pauli_basis, sample_pauli,
                            simulate_measurements, synth_state_combination)
-from .models import (Lindbladian, Superoperator, apply_superop,
+from .models import (Lindbladian, Superoperator, apply_superop, ground_truth,
                      haar_low_rank_hermitian, lindblad_apply, lindblad_canonical,
                      random_channel, random_density, random_lindbladian,
                      random_observable, superop_from_reshaped)
@@ -26,8 +26,8 @@ from .reconstruction import reconstruct_full
 from .reshaping import (ReshapedMatrix, choi_reshape, hs_inner, kron, reshape_R,
                         superop_matrix, unvec, vec)
 from .solvers import (FactorPair, SolveReport, SolverConfig, StackedDesign,
-                      als_solve, nesterov_als_solve, sensing_loss,
-                      solve_first_row_joint, solve_first_row_parallel,
-                      solve_first_row_subset)
+                      nesterov_als_solve, sensing_loss, solve_first_row_joint,
+                      solve_first_row_parallel, solve_first_row_subset,
+                      solve_strategy)
 
 __version__ = "0.1.0"

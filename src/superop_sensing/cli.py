@@ -3,8 +3,9 @@
 Subcommands: generate (ground truth to disk), measure (design + data), solve
 (strategy on stored data), reconstruct (full matrix from stored blocks), run
 (full pipeline from a JSON config), rip-probe, report (aggregate stored
-results). Every subcommand accepts --seed, --out and --threads. Exit codes:
-0 success, 2 configuration error, 3 numerical failure.
+results). Every subcommand accepts --seed and --out; solve and run also take
+--threads, the worker-thread count of the per-block `als_p` solves. Exit
+codes: 0 success, 2 configuration error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -14,31 +15,24 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import harness, serialize
-from .errors import (AssumptionViolationError, DegenerateSpectrumError,
-                     DimensionError, DivergenceError, UndefinedMetricError)
+from .errors import NUMERICAL_ERRORS
 from .linalg import load_cmx, save_cmx
-from .measurements import (build_blockwise_design, build_random_design,
-                           empirical_rip_probe, simulate_measurements)
-from .models import (haar_low_rank_hermitian, lindblad_canonical, random_channel,
-                     random_lindbladian, superop_from_reshaped)
+from .measurements import (DESIGN_KINDS, SOURCES, build_design, empirical_rip_probe,
+                           simulate_measurements)
+from .models import TASKS, ground_truth
 from .reconstruction import reconstruct_full
-from .reshaping import choi_reshape
-from .solvers import (SolverConfig, nesterov_als_solve, solve_first_row_joint,
-                      solve_first_row_parallel, solve_first_row_subset)
+from .solvers import STRATEGY_DESIGNS, SolverConfig, solve_strategy
 
 _CONFIG_ERRORS = (ValueError, KeyError, FileNotFoundError, json.JSONDecodeError)
-_NUMERICAL_ERRORS = (DivergenceError, AssumptionViolationError,
-                     DegenerateSpectrumError, UndefinedMetricError,
-                     np.linalg.LinAlgError)
 
 
-def _common(parser):
+def _common(parser, threads: bool = False):
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--threads", type=int, default=1)
+    if threads:
+        parser.add_argument("--threads", type=int, default=1,
+                            help="worker threads for the per-block als_p solves")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -46,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="draw a ground-truth superoperator")
-    p.add_argument("--task", choices=["channel", "lindbladian", "haar"], required=True)
+    p.add_argument("--task", choices=TASKS, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--kraus-rank", type=int, default=2)
     p.add_argument("--n-jumps", type=int, default=1)
@@ -56,8 +50,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("measure", help="build a design and simulate data")
     p.add_argument("--truth", required=True, help="directory from `generate`")
-    p.add_argument("--design", choices=["random_pairs", "blockwise"], required=True)
-    p.add_argument("--source", choices=["pauli", "random"], default="random")
+    p.add_argument("--design", choices=DESIGN_KINDS, required=True)
+    p.add_argument("--source", choices=SOURCES, default="random")
     p.add_argument("--m", type=int, default=100,
                    help="pair count (random_pairs) or observable count (blockwise)")
     p.add_argument("--sigma", type=float, default=0.0)
@@ -67,15 +61,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="run a recovery strategy on stored data")
     p.add_argument("--data", required=True, help="directory from `measure`")
-    p.add_argument("--strategy", choices=["als_n2", "als_p", "als_n", "als_i"],
-                   required=True)
+    p.add_argument("--strategy", choices=list(STRATEGY_DESIGNS), required=True)
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--subset-ratio", type=float, default=0.5)
     p.add_argument("--max-iter", type=int, default=300)
     p.add_argument("--gamma", type=float, default=1e-8)
     p.add_argument("--eta", type=float, default=1.2)
-    p.add_argument("--beta", type=float, default=1.0)
-    _common(p)
+    p.add_argument("--beta", type=float, default=1.0,
+                   help="momentum; 0 runs plain ALS")
+    _common(p, threads=True)
 
     p = sub.add_parser("reconstruct", help="complete the matrix from stored blocks")
     p.add_argument("--blocks", required=True,
@@ -89,12 +83,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="full pipeline from a JSON config")
     p.add_argument("--config", required=True)
     p.add_argument("--formats", default="json,csv")
-    _common(p)
+    _common(p, threads=True)
 
     p = sub.add_parser("rip-probe", help="sampled frame bounds of a design")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--design", choices=["random_pairs", "blockwise"], required=True)
-    p.add_argument("--source", choices=["pauli", "random"], default="random")
+    p.add_argument("--design", choices=DESIGN_KINDS, required=True)
+    p.add_argument("--source", choices=SOURCES, default="random")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--rank", type=int, default=2)
     p.add_argument("--samples", type=int, default=1000)
@@ -110,17 +104,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_generate(args) -> int:
     extra = {"task": args.task, "seed": args.seed}
-    if args.task == "channel":
-        s = random_channel(args.n, args.kraus_rank, args.seed)
-    elif args.task == "lindbladian":
-        lind = random_lindbladian(args.n, args.n_jumps, args.seed)
-        s = lindblad_canonical(lind)
+    if args.task == "lindbladian":
         extra["n_jumps"] = args.n_jumps
-    else:
-        resh = haar_low_rank_hermitian(args.n, args.r_plus, args.r_minus, args.seed)
-        s = superop_from_reshaped(resh)
+    s, reshaped = ground_truth(args.task, args.n, args.seed, args.kraus_rank,
+                               args.n_jumps, args.r_plus, args.r_minus)
     serialize.save_superoperator(args.out, s, extra)
-    save_cmx(os.path.join(args.out, "reshaped.cmx"), choi_reshape(s).matrix)
+    save_cmx(os.path.join(args.out, "reshaped.cmx"), reshaped)
     print(f"wrote superoperator (n={s.dim_n}, r_+={len(s.plus_ops)}, "
           f"r_-={len(s.minus_ops)}) to {args.out}")
     return 0
@@ -128,11 +117,8 @@ def cmd_generate(args) -> int:
 
 def cmd_measure(args) -> int:
     s = serialize.load_superoperator(args.truth)
-    if args.design == "random_pairs":
-        design = build_random_design(s.dim_n, args.m, args.source, args.seed)
-    else:
-        design = build_blockwise_design(s.dim_n, args.m, args.source,
-                                        args.row_index, args.seed)
+    design = build_design(args.design, s.dim_n, args.m, args.source, args.seed,
+                          args.row_index)
     data = simulate_measurements(s, design, args.sigma, args.noise_mode, args.seed)
     serialize.save_design(args.out, design, seed=args.seed)
     serialize.save_measurements(args.out, data)
@@ -145,28 +131,13 @@ def cmd_solve(args) -> int:
     data = serialize.load_measurements(args.data)
     cfg = SolverConfig(rank=args.rank, max_iter=args.max_iter, gamma=args.gamma,
                        eta=args.eta, beta=args.beta, seed=args.seed)
-    n = design.dim_n
+    estimate, reports = solve_strategy(args.strategy, design, data.values, cfg,
+                                       args.subset_ratio, args.threads)
     os.makedirs(args.out, exist_ok=True)
     if args.strategy == "als_n2":
-        if design.kind != "random_pairs":
-            raise ValueError("als_n2 needs a random_pairs design")
-        report = nesterov_als_solve(design, data.values, n * n, n * n, cfg)
-        save_cmx(os.path.join(args.out, "estimate.cmx"), report.factors.product())
-        reports = [report]
+        save_cmx(os.path.join(args.out, "estimate.cmx"), estimate)
     else:
-        if design.kind != "blockwise":
-            raise ValueError(f"{args.strategy} needs a blockwise design")
-        if args.strategy == "als_p":
-            blocks, reports = solve_first_row_parallel(design.observables, data.values,
-                                                       n, cfg, workers=args.threads)
-        elif args.strategy == "als_n":
-            blocks, report = solve_first_row_joint(design.observables, data.values, n, cfg)
-            reports = [report]
-        else:
-            blocks, report = solve_first_row_subset(design.observables, data.values, n,
-                                                    args.subset_ratio, cfg)
-            reports = [report]
-        serialize.save_matrix_stack(os.path.join(args.out, "blocks.cmx"), blocks)
+        serialize.save_matrix_stack(os.path.join(args.out, "blocks.cmx"), estimate)
     save_cmx(os.path.join(args.out, "left.cmx"), reports[-1].factors.left)
     save_cmx(os.path.join(args.out, "right.cmx"), reports[-1].factors.right)
     serialize.save_json(os.path.join(args.out, "report.json"), {
@@ -220,11 +191,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_rip_probe(args) -> int:
-    if args.design == "random_pairs":
-        design = build_random_design(args.n, args.m, args.source, args.seed)
-    else:
-        design = build_blockwise_design(args.n, args.m, args.source,
-                                        args.row_index, args.seed)
+    design = build_design(args.design, args.n, args.m, args.source, args.seed,
+                          args.row_index)
     probe = empirical_rip_probe(design, args.rank, args.samples, args.seed)
     payload = {"c0": probe.c0, "c1": probe.c1, "c": probe.c, "delta": probe.delta,
                "design": design.ref(), "rank": args.rank, "samples": args.samples}
@@ -236,12 +204,8 @@ def cmd_rip_probe(args) -> int:
 
 
 def cmd_report(args) -> int:
-    paths = []
-    for item in args.inputs:
-        if os.path.isdir(item):
-            paths.append(os.path.join(item, "results.json"))
-        else:
-            paths.append(item)
+    paths = [os.path.join(item, "results.json") if os.path.isdir(item) else item
+             for item in args.inputs]
     combined = []
     for path in paths:
         payload = harness.load_result(path)
@@ -279,12 +243,9 @@ def main(argv=None) -> int:
         args.seed = 0
     try:
         return _COMMANDS[args.command](args)
-    except _NUMERICAL_ERRORS as exc:
+    except NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except DimensionError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import numpy as np
+
 
 class DimensionError(ValueError):
     """Input shapes are inconsistent or out of the allowed range."""
@@ -23,3 +25,9 @@ class DivergenceError(RuntimeError):
 
 class UndefinedMetricError(ValueError):
     """A metric is undefined for the given inputs (e.g. zero-norm reference)."""
+
+
+# Failures of the numerics on valid inputs, as opposed to programming errors.
+NUMERICAL_ERRORS = (DivergenceError, AssumptionViolationError,
+                    DegenerateSpectrumError, UndefinedMetricError,
+                    np.linalg.LinAlgError)

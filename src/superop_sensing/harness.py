@@ -21,19 +21,17 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .errors import DimensionError, UndefinedMetricError
-from .measurements import build_blockwise_design, build_random_design, simulate_measurements
-from .models import (haar_low_rank_hermitian, lindblad_canonical, random_channel,
-                     random_lindbladian, superop_from_reshaped)
+from .errors import NUMERICAL_ERRORS, DimensionError, UndefinedMetricError
+from .measurements import DESIGN_KINDS, SOURCES, build_design, simulate_measurements
+from .models import TASKS, ground_truth
 from .reconstruction import reconstruct_full
-from .reshaping import ReshapedMatrix, choi_reshape
-from .solvers import (SolverConfig, derive_seed, nesterov_als_solve,
-                      solve_first_row_joint, solve_first_row_parallel,
-                      solve_first_row_subset)
+from .reshaping import ReshapedMatrix
+from .serialize import load_json, save_json, write_text
+from .solvers import STRATEGY_DESIGNS, SolverConfig, derive_seed, solve_strategy
 
 __all__ = [
     "ExperimentConfig",
@@ -47,11 +45,6 @@ __all__ = [
     "load_result",
     "read_csv_records",
 ]
-
-_TASKS = ("channel", "lindbladian", "haar")
-_DESIGNS = ("random_pairs", "blockwise")
-_SOURCES = ("pauli", "random")
-_STRATEGIES = ("als_n2", "als_p", "als_n", "als_i")
 
 # seed-derivation roles
 _ROLE_TRUTH, _ROLE_DESIGN, _ROLE_NOISE, _ROLE_SOLVER = 0, 1, 2, 3
@@ -110,18 +103,17 @@ class ExperimentConfig:
     solver: dict = field(default_factory=dict)  # overrides for SolverConfig
 
     def __post_init__(self):
-        if self.task not in _TASKS:
-            raise ValueError(f"task must be one of {_TASKS}, got {self.task!r}")
-        if self.design not in _DESIGNS:
-            raise ValueError(f"design must be one of {_DESIGNS}")
-        if self.source not in _SOURCES:
-            raise ValueError(f"source must be one of {_SOURCES}")
-        if self.strategy not in _STRATEGIES:
-            raise ValueError(f"strategy must be one of {_STRATEGIES}")
-        if self.strategy == "als_n2" and self.design != "random_pairs":
-            raise ValueError("als_n2 needs the random_pairs design")
-        if self.strategy != "als_n2" and self.design != "blockwise":
-            raise ValueError(f"{self.strategy} needs the blockwise design")
+        if self.task not in TASKS:
+            raise ValueError(f"task must be one of {TASKS}, got {self.task!r}")
+        if self.design not in DESIGN_KINDS:
+            raise ValueError(f"design must be one of {DESIGN_KINDS}")
+        if self.source not in SOURCES:
+            raise ValueError(f"source must be one of {SOURCES}")
+        if self.strategy not in STRATEGY_DESIGNS:
+            raise ValueError(f"strategy must be one of {tuple(STRATEGY_DESIGNS)}")
+        if self.design != STRATEGY_DESIGNS[self.strategy]:
+            raise ValueError(
+                f"{self.strategy} needs the {STRATEGY_DESIGNS[self.strategy]} design")
         self.sweep = [int(v) for v in (self.sweep if isinstance(self.sweep, (list, tuple))
                                        else [self.sweep])]
         if not self.sweep or any(v < 1 for v in self.sweep):
@@ -136,6 +128,13 @@ class ExperimentConfig:
             raise ValueError("haar task needs r_plus + r_minus >= 1")
         if not 0 < self.subset_ratio <= 1:
             raise ValueError("subset_ratio must be in (0, 1]")
+        if "seed" in self.solver:
+            raise ValueError("solver seeds are derived from master_seed")
+        params = {k: v for k, v in self.solver.items() if k != "rank"}
+        try:
+            self._solver = SolverConfig(rank=self.rank, **params)
+        except TypeError as exc:
+            raise ValueError(f"bad solver settings: {exc}") from exc
 
     @property
     def rank(self) -> int:
@@ -148,8 +147,7 @@ class ExperimentConfig:
         return self.r_plus + self.r_minus
 
     def solver_config(self, seed: int) -> SolverConfig:
-        params = {k: v for k, v in self.solver.items() if k != "rank"}
-        return SolverConfig(rank=self.rank, seed=seed, **params)
+        return replace(self._solver, seed=seed)
 
     def manifest(self) -> dict:
         out = asdict(self)
@@ -194,7 +192,7 @@ class SweepPoint:
         errors = [r.error for r in self.records if r.error is not None
                   and math.isfinite(r.error)]
         times = [r.wall_time for r in self.records]
-        agg = {
+        return {
             "mean_error": float(np.mean(errors)) if errors else None,
             "std_error": float(np.std(errors, ddof=1)) if len(errors) > 1 else 0.0,
             "recovery_rate": recovery_rate([r.error for r in self.records], threshold),
@@ -203,7 +201,6 @@ class SweepPoint:
             "mean_iterations": float(np.mean([r.iterations for r in self.records])),
             "failed_trials": sum(1 for r in self.records if r.message),
         }
-        return agg
 
 
 @dataclass
@@ -220,69 +217,45 @@ class ExperimentResult:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _ground_truth(config: ExperimentConfig, seed: int):
-    """Returns (superoperator, reshaped truth matrix)."""
-    n = config.n
-    if config.task == "channel":
-        s = random_channel(n, config.kraus_rank, seed)
-        return s, choi_reshape(s).matrix
-    if config.task == "lindbladian":
-        lind = random_lindbladian(n, config.n_jumps, seed)
-        s = lindblad_canonical(lind)
-        return s, choi_reshape(s).matrix
-    resh = haar_low_rank_hermitian(n, config.r_plus, config.r_minus, seed)
-    return superop_from_reshaped(resh), resh.matrix
-
-
 def _run_trial(config: ExperimentConfig, point_idx: int, m: int, trial: int) -> TrialRecord:
     seed = lambda role: derive_seed(config.master_seed, role, point_idx, trial)  # noqa: E731
-    truth_op, truth = _ground_truth(config, seed(_ROLE_TRUTH))
-    n = config.n
-    if config.design == "random_pairs":
-        design = build_random_design(n, m, config.source, seed(_ROLE_DESIGN))
-    else:
-        design = build_blockwise_design(n, m, config.source, config.row_index,
-                                        seed(_ROLE_DESIGN))
+    truth_op, truth = ground_truth(config.task, config.n, seed(_ROLE_TRUTH),
+                                   config.kraus_rank, config.n_jumps,
+                                   config.r_plus, config.r_minus)
+    design = build_design(config.design, config.n, m, config.source, seed(_ROLE_DESIGN),
+                          config.row_index)
     data = simulate_measurements(truth_op, design, config.sigma, config.noise_mode,
                                  seed(_ROLE_NOISE))
     cfg = config.solver_config(seed(_ROLE_SOLVER))
 
     start = time.perf_counter()
-    if config.strategy == "als_n2":
-        report = nesterov_als_solve(design, data.values, n * n, n * n, cfg)
-        estimate = report.factors.product()
-        iterations, restarts = report.iterations, report.restarts
-    else:
-        if config.strategy == "als_p":
-            blocks, reports = solve_first_row_parallel(design.observables, data.values,
-                                                       n, cfg, workers=config.workers)
-            iterations = sum(r.iterations for r in reports)
-            restarts = sum(r.restarts for r in reports)
-        elif config.strategy == "als_n":
-            blocks, report = solve_first_row_joint(design.observables, data.values, n, cfg)
-            iterations, restarts = report.iterations, report.restarts
-        else:
-            blocks, report = solve_first_row_subset(design.observables, data.values, n,
-                                                    config.subset_ratio, cfg)
-            iterations, restarts = report.iterations, report.restarts
-        estimate = reconstruct_full(blocks, config.rank, anchor=config.row_index,
+    estimate, reports = solve_strategy(config.strategy, design, data.values, cfg,
+                                       config.subset_ratio, config.workers)
+    if config.strategy != "als_n2":
+        estimate = reconstruct_full(estimate, config.rank, anchor=config.row_index,
                                     hermitize=config.hermitize).matrix
     wall = time.perf_counter() - start
 
     error = relative_frobenius_error(estimate, truth)
-    return TrialRecord(trial, error, wall, iterations, restarts,
+    return TrialRecord(trial, error, wall, sum(r.iterations for r in reports),
+                       sum(r.restarts for r in reports),
                        error < config.recovery_threshold)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Run all sweep points and trials; failures become non-recovery records."""
+    """Run all sweep points and trials.
+
+    A numerical failure or an infeasible shape (DimensionError) becomes a
+    non-recovery record; any other exception is a programming error and
+    propagates.
+    """
     points = []
     for point_idx, m in enumerate(config.sweep):
         records = []
         for trial in range(config.trials):
             try:
                 records.append(_run_trial(config, point_idx, m, trial))
-            except Exception as exc:  # recorded, never dropped
+            except NUMERICAL_ERRORS + (DimensionError,) as exc:  # recorded, never dropped
                 records.append(TrialRecord(trial, None, 0.0, 0, 0, False,
                                            f"{type(exc).__name__}: {exc}"))
         points.append(SweepPoint(m, records))
@@ -291,13 +264,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
 # ---------------------------------------------------------------------------
 # emission
-
-
-def _atomic_write(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
 
 
 def _result_payload(result: ExperimentResult) -> tuple[dict, dict]:
@@ -339,7 +305,7 @@ def emit_results(result: ExperimentResult, out_dir: str, formats=("json", "csv")
         payload_with_times = dict(payload)
         payload_with_times["timings"] = timings
         path = os.path.join(out_dir, "results.json")
-        _atomic_write(path, json.dumps(payload_with_times, sort_keys=True, indent=1) + "\n")
+        save_json(path, payload_with_times)
         written.append(path)
     if "csv" in formats:
         threshold = result.threshold
@@ -354,7 +320,7 @@ def emit_results(result: ExperimentResult, out_dir: str, formats=("json", "csv")
             rows.append(["aggregate", _fmt(agg["mean_error"]), _fmt(agg["mean_time_s"]),
                          _fmt(agg["mean_iterations"]), _fmt(agg["recovery_rate"])])
             out = "\n".join(lines + [",".join(str(c) for c in row) for row in rows]) + "\n"
-            _atomic_write(path, out)
+            write_text(path, out)
             written.append(path)
         recipe = {
             "x": "m", "x_scale": "log", "y": "mean_error", "y_scale": "log",
@@ -367,7 +333,7 @@ def emit_results(result: ExperimentResult, out_dir: str, formats=("json", "csv")
             "manifest_hash": result.manifest_hash(),
         }
         path = os.path.join(out_dir, "figure_recipe.json")
-        _atomic_write(path, json.dumps(recipe, sort_keys=True, indent=1) + "\n")
+        save_json(path, recipe)
         written.append(path)
     return written
 
@@ -380,8 +346,7 @@ def _fmt(x) -> str:
 
 def load_result(path: str) -> dict:
     """Read back an emitted results.json."""
-    with open(path) as fh:
-        return json.load(fh)
+    return load_json(path)
 
 
 def read_csv_records(path: str) -> tuple[list, dict]:

@@ -29,6 +29,8 @@ from .linalg import complex_gaussian
 from .models import Superoperator, apply_superop, random_density, random_observable
 
 __all__ = [
+    "DESIGN_KINDS",
+    "SOURCES",
     "SensingDesign",
     "MeasurementSet",
     "RipProbe",
@@ -37,10 +39,15 @@ __all__ = [
     "pauli_basis",
     "build_random_design",
     "build_blockwise_design",
+    "build_design",
     "synth_state_combination",
     "simulate_measurements",
+    "pair_inner_products",
     "empirical_rip_probe",
 ]
+
+DESIGN_KINDS = ("random_pairs", "blockwise")
+SOURCES = ("pauli", "random")
 
 _I2 = np.eye(2, dtype=np.complex128)
 _SX = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -61,7 +68,7 @@ class SensingDesign:
     row_index: int = 0                                  # blockwise anchor row, 0-based
 
     def __post_init__(self):
-        if self.kind not in ("random_pairs", "blockwise"):
+        if self.kind not in DESIGN_KINDS:
             raise DimensionError(f"unknown design kind {self.kind!r}")
         n = self.dim_n
         if self.kind == "random_pairs":
@@ -177,13 +184,24 @@ def build_blockwise_design(n: int, m_o: int, source: str, row_index: int = 0,
     return SensingDesign("blockwise", n, observables=obs, row_index=row_index)
 
 
+def build_design(kind: str, n: int, m: int, source: str, seed: int,
+                 row_index: int = 0) -> SensingDesign:
+    """A `random_pairs` design of m pairs or a `blockwise` design of m
+    observables on anchor row row_index (ignored for random pairs)."""
+    if kind == "random_pairs":
+        return build_random_design(n, m, source, seed)
+    if kind == "blockwise":
+        return build_blockwise_design(n, m, source, row_index, seed)
+    raise DimensionError(f"unknown design kind {kind!r}")
+
+
 def _matrix_unit(n: int, i: int, j: int) -> np.ndarray:
     e = np.zeros((n, n), dtype=np.complex128)
     e[i, j] = 1.0
     return e
 
 
-def synth_state_combination(k: int, l: int, n: int, normalize: bool = False):
+def synth_state_combination(k: int, l: int, n: int):
     """Four density matrices and complex weights whose sum is E_lk exactly.
 
     For 0-based k != l the states are
@@ -192,9 +210,7 @@ def synth_state_combination(k: int, l: int, n: int, normalize: bool = False):
         E_kk,  E_ll
 
     with weights (1, i, -(1+i)/2, -(1+i)/2). All four are rank-one density
-    matrices (Hermitian, PSD, unit trace). normalize=True divides each state
-    by its trace and scales the weight to compensate; the states are already
-    unit trace, so this is an exact no-op kept for interface symmetry.
+    matrices (Hermitian, PSD, unit trace).
     """
     if k == l:
         raise DimensionError("k == l has a single direct state; no synthesis needed")
@@ -209,10 +225,6 @@ def synth_state_combination(k: int, l: int, n: int, normalize: bool = False):
         e_ll,
     ]
     coeffs = np.array([1.0, 1.0j, -(1 + 1j) / 2, -(1 + 1j) / 2], dtype=np.complex128)
-    if normalize:
-        traces = np.array([np.trace(s).real for s in states])
-        states = [s / t for s, t in zip(states, traces)]
-        coeffs = coeffs * traces
     return coeffs, states
 
 
@@ -274,10 +286,11 @@ def simulate_measurements(s: Superoperator, design: SensingDesign, sigma: float,
     return MeasurementSet(design.ref(), blocks, sigma, seed, noise_mode)
 
 
-def _block_trace_values(pairs, x4) -> np.ndarray:
-    """<A_m, X> for A_m = conj(rho_m) (x) O_m without forming Kronecker products."""
-    rhos = np.stack([p[0] for p in pairs])
-    obs = np.stack([p[1] for p in pairs])
+def pair_inner_products(rhos, obs, x) -> np.ndarray:
+    """<A_m, X> for A_m = conj(rho_m) (x) O_m, given the stacked M x N x N
+    states and observables, without forming Kronecker products."""
+    n = rhos.shape[1]
+    x4 = np.asarray(x, dtype=np.complex128).reshape(n, n, n, n)
     return np.einsum("mij,mkl,ikjl->m", rhos, obs.conj(), x4, optimize=True)
 
 
@@ -300,6 +313,9 @@ def empirical_rip_probe(design: SensingDesign, r: int, n_samples: int,
     d = n * n if design.kind == "random_pairs" else n
     if design.kind == "blockwise":
         obs_flat = np.stack(design.observables).conj().reshape(m, -1)
+    else:
+        rhos = np.stack([p[0] for p in design.pairs])
+        obs = np.stack([p[1] for p in design.pairs])
     energies = np.empty(n_samples)
     for i in range(n_samples):
         left = complex_gaussian(d, r, rng)
@@ -309,7 +325,7 @@ def empirical_rip_probe(design: SensingDesign, r: int, n_samples: int,
         if design.kind == "blockwise":
             vals = obs_flat @ x.reshape(-1)
         else:
-            vals = _block_trace_values(design.pairs, x.reshape(n, n, n, n))
+            vals = pair_inner_products(rhos, obs, x)
         energies[i] = float(np.sum(np.abs(vals) ** 2)) / m
     c0, c1 = float(energies.min()), float(energies.max())
     return RipProbe(c0, c1, (c0 + c1) / 2, (c1 - c0) / (c1 + c0))

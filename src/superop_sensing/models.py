@@ -23,6 +23,7 @@ from .linalg import complex_gaussian
 from .reshaping import ReshapedMatrix, choi_reshape, unvec, vec
 
 __all__ = [
+    "TASKS",
     "Superoperator",
     "Lindbladian",
     "apply_superop",
@@ -35,7 +36,10 @@ __all__ = [
     "random_observable",
     "haar_low_rank_hermitian",
     "haar_isometry",
+    "ground_truth",
 ]
+
+TASKS = ("channel", "lindbladian", "haar")
 
 # relative eigenvalue cutoff for counting signed Kraus terms
 _RANK_TOL = 1e-10
@@ -268,3 +272,22 @@ def haar_low_rank_hermitian(n: int, r_plus: int, r_minus: int, seed: int) -> Res
     d = mags * signs
     mat = (p * d) @ p.conj().T
     return ReshapedMatrix(n, mat)
+
+
+def ground_truth(task: str, n: int, seed: int, kraus_rank: int = 0, n_jumps: int = 0,
+                 r_plus: int = 0, r_minus: int = 0):
+    """(signed Kraus superoperator, reshaped N^2 x N^2 matrix) of a drawn truth.
+
+    `channel` reads kraus_rank, `lindbladian` n_jumps, `haar` r_plus and
+    r_minus; a `haar` truth is the drawn matrix, not its Kraus form reshaped.
+    """
+    if task == "channel":
+        s = random_channel(n, kraus_rank, seed)
+    elif task == "lindbladian":
+        s = lindblad_canonical(random_lindbladian(n, n_jumps, seed))
+    elif task == "haar":
+        resh = haar_low_rank_hermitian(n, r_plus, r_minus, seed)
+        return superop_from_reshaped(resh), resh.matrix
+    else:
+        raise DimensionError(f"unknown task {task!r}")
+    return s, choi_reshape(s).matrix

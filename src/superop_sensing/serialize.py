@@ -19,6 +19,7 @@ from .measurements import MeasurementSet, SensingDesign
 from .models import Superoperator
 
 __all__ = [
+    "write_text",
     "save_json",
     "load_json",
     "save_superoperator",
@@ -32,12 +33,17 @@ __all__ = [
 ]
 
 
-def save_json(path: str, payload: dict) -> None:
+def write_text(path: str, text: str) -> None:
+    """Write through a temporary file and rename, so readers never see a
+    partial file."""
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        fh.write(text)
     os.replace(tmp, path)
+
+
+def save_json(path: str, payload: dict) -> None:
+    write_text(path, json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
 def load_json(path: str) -> dict:

@@ -5,6 +5,8 @@ half-sweep solves an exact linear least-squares problem in one factor, so the
 loss is non-increasing across full sweeps. The accelerated variant
 extrapolates both factors with momentum beta before the sweep and falls back
 to a plain sweep whenever the loss grows by more than the restart factor eta.
+There is one ALS loop: at beta = 0 the extrapolated point is the current
+iterate, so every step is one exact sweep and the loop is plain ALS.
 
 Three problem shapes are handled:
 
@@ -20,6 +22,9 @@ Three problem shapes are handled:
 The least-squares subproblems use the SVD-backed solver, so rank-deficient
 assemblies yield minimum-norm solutions, and common rescaling of design and
 data leaves every iterate unchanged.
+
+`solve_strategy` is the one table from strategy name to solver: `als_n2`
+solves the full matrix, `als_p`, `als_n` and `als_i` the anchor block row.
 """
 
 from __future__ import annotations
@@ -32,24 +37,29 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DimensionError, DivergenceError
-from .linalg import complex_gaussian
-from .measurements import SensingDesign
+from .linalg import complex_gaussian, least_squares, truncated_svd
+from .measurements import SensingDesign, pair_inner_products
 
 __all__ = [
+    "STRATEGY_DESIGNS",
     "FactorPair",
     "SolverConfig",
     "SolveReport",
     "StackedDesign",
     "derive_seed",
     "sensing_loss",
-    "als_solve",
     "nesterov_als_solve",
     "solve_first_row_parallel",
     "solve_first_row_joint",
     "solve_first_row_subset",
+    "solve_strategy",
 ]
 
 _DIVERGENCE_FACTOR = 1e6
+
+# recovery strategy -> the design kind it reads
+STRATEGY_DESIGNS = {"als_n2": "random_pairs", "als_p": "blockwise",
+                    "als_n": "blockwise", "als_i": "blockwise"}
 
 
 def derive_seed(*parts) -> int:
@@ -74,7 +84,6 @@ class SolverConfig:
     eta: float = 1.2
     beta: float = 1.0
     seed: int = 0
-    lambda_reg: float = 0.0
     init: str = "spectral"   # or "random"
 
     def __post_init__(self):
@@ -161,7 +170,7 @@ class _PairProblem:
         w = self._rows_right(u)
         m = w.shape[0]
         g = w.transpose(0, 2, 1, 3).reshape(m, -1)  # (a,b)->b*N+a = col-major vec
-        y = np.linalg.lstsq(g, self.b, rcond=None)[0]
+        y = least_squares(g, self.b)
         r = u.shape[1]
         vt = y.conj().reshape(self.n, self.n, r).transpose(1, 0, 2)
         return self._unfold(vt)
@@ -172,7 +181,7 @@ class _PairProblem:
                       optimize=True)
         m = z.shape[0]
         h = z.conj().transpose(0, 2, 1, 3).reshape(m, -1)
-        u = np.linalg.lstsq(h, self.b, rcond=None)[0]
+        u = least_squares(h, self.b)
         r = v.shape[1]
         ut = u.reshape(self.n, self.n, r).transpose(1, 0, 2)
         return self._unfold(ut)
@@ -182,10 +191,7 @@ class _PairProblem:
         return float(np.sum(np.abs(resid) ** 2)) / (2 * self.m_total)
 
     def loss_of(self, x):
-        x4 = np.asarray(x, dtype=np.complex128).reshape(self.n, self.n,
-                                                        self.n, self.n)
-        vals = np.einsum("mij,mkl,ikjl->m", self.rho, self.obs.conj(), x4,
-                         optimize=True)
+        vals = pair_inner_products(self.rho, self.obs, x)
         return float(np.sum(np.abs(vals - self.b) ** 2)) / (2 * self.m_total)
 
     def backprojection(self):
@@ -218,7 +224,7 @@ class _StackedProblem:
     def solve_right(self, u):
         w = np.einsum("mxa,xc->mac", self.obs.conj(), u)
         g = w.reshape(w.shape[0], -1)
-        y = np.linalg.lstsq(g, self.b.T, rcond=None)[0]      # (N r, n_blocks)
+        y = least_squares(g, self.b.T)                      # (N r, n_blocks)
         r = u.shape[1]
         return y.T.conj().reshape(self.d2, r)
 
@@ -226,7 +232,7 @@ class _StackedProblem:
         vt = self._split(v)
         z = np.einsum("mxy,kyc->kmxc", self.obs, vt, optimize=True)
         h = z.conj().reshape(self.m_total, -1)
-        u = np.linalg.lstsq(h, self.b.reshape(-1), rcond=None)[0]
+        u = least_squares(h, self.b.reshape(-1))
         return u.reshape(self.n, v.shape[1])
 
     def loss(self, u, v):
@@ -265,26 +271,14 @@ def _make_problem(design, b, d1: int, d2: int):
 # loss
 
 
-def sensing_loss(design, b, x, factors: FactorPair | None = None,
-                 lambda_reg: float = 0.0) -> float:
-    """Quadratic sensing loss (1/2M) sum |<A_m, X> - b_m|^2.
-
-    With lambda_reg > 0 and factors given, adds the balance diagnostic
-    lambda * ||U^H U - V^H V||_F^2. The regularizer never enters the ALS
-    updates; it is reported for analysis only.
-    """
+def sensing_loss(design, b, x) -> float:
+    """Quadratic sensing loss (1/2M) sum |<A_m, X> - b_m|^2."""
     x = np.asarray(x, dtype=np.complex128)
-    prob = _make_problem(design, b, x.shape[0], x.shape[1])
-    value = prob.loss_of(x)
-    if lambda_reg > 0 and factors is not None:
-        u, v = factors.left, factors.right
-        gap = u.conj().T @ u - v.conj().T @ v
-        value += lambda_reg * float(np.linalg.norm(gap) ** 2)
-    return value
+    return _make_problem(design, b, x.shape[0], x.shape[1]).loss_of(x)
 
 
 # ---------------------------------------------------------------------------
-# core ALS loops
+# the ALS loop
 
 
 def _init_factors(prob, config: SolverConfig):
@@ -295,16 +289,9 @@ def _init_factors(prob, config: SolverConfig):
     if config.init == "random":
         rng = np.random.default_rng(config.seed)
         return complex_gaussian(prob.d1, rank, rng), complex_gaussian(prob.d2, rank, rng)
-    x0 = prob.backprojection()
-    u, s, vh = np.linalg.svd(x0, full_matrices=False)
-    scale = np.sqrt(s[:rank])
-    return u[:, :rank] * scale, vh[:rank].conj().T * scale
-
-
-def _check_rank(prob, config):
-    if config.rank > min(prob.d1, prob.d2):
-        raise DimensionError(
-            f"rank {config.rank} exceeds min dimension {min(prob.d1, prob.d2)}")
+    svd = truncated_svd(prob.backprojection(), rank)
+    scale = np.sqrt(svd.singular_values)
+    return svd.left * scale, svd.right * scale
 
 
 def _guard(loss: float, initial: float):
@@ -312,51 +299,26 @@ def _guard(loss: float, initial: float):
         raise DivergenceError(f"loss diverged to {loss!r}")
 
 
-def als_solve(design, b, d1: int, d2: int, config: SolverConfig) -> SolveReport:
-    """Plain alternating least squares.
-
-    Spectral initialization (see _init_factors), exact alternating solves,
-    stop when both factors move by at most gamma in relative norm or
-    max_iter is reached. The loss trace is recorded after every full sweep
-    and is non-increasing up to roundoff.
-    """
-    start = time.perf_counter()
-    prob = _make_problem(design, b, d1, d2)
-    _check_rank(prob, config)
-    u, v = _init_factors(prob, config)
-    initial = prob.loss(u, v)
-    trace = []
-    iterations = 0
-    for _ in range(config.max_iter):
-        v_new = prob.solve_right(u)
-        u_new = prob.solve_left(v_new)
-        loss = prob.loss(u_new, v_new)
-        iterations += 1
-        trace.append(loss)
-        _guard(loss, initial)
-        du = np.linalg.norm(u_new - u) <= config.gamma * np.linalg.norm(u)
-        dv = np.linalg.norm(v_new - v) <= config.gamma * np.linalg.norm(v)
-        u, v = u_new, v_new
-        if du and dv:
-            break
-    return SolveReport(FactorPair(u, v), trace[-1] if trace else initial,
-                       iterations, 0, trace, time.perf_counter() - start)
-
-
 def nesterov_als_solve(design, b, d1: int, d2: int,
                        config: SolverConfig) -> SolveReport:
     """ALS with factor-wise momentum extrapolation and loss-ratio restarts.
 
-    Factors are initialized once and a plain sweep produces the second
-    iterate. Each subsequent step extrapolates U and V by beta times the
-    last move, runs one sweep, and, if the loss exceeds eta times the
-    previous one, discards the step and re-sweeps from the previous iterate
-    (a plain ALS step). Terminates when the relative change of X = U V^H
-    falls below gamma. Returns the best iterate visited.
+    Factors are initialized once (see _init_factors) and a plain sweep
+    produces the second iterate. Each subsequent step extrapolates U and V
+    by beta times the last move, runs one sweep, and, if the loss exceeds
+    eta times the previous one, discards the step and re-sweeps from the
+    previous iterate (a plain ALS step). Terminates when the relative change
+    of X = U V^H falls below gamma or after max_iter sweeps. Returns the
+    best iterate visited; the loss trace holds one value per sweep.
+
+    beta = 0 is plain ALS: the extrapolated point is the current iterate,
+    every step is one exact sweep and the loss trace is non-increasing up
+    to roundoff.
     """
     start = time.perf_counter()
     prob = _make_problem(design, b, d1, d2)
-    _check_rank(prob, config)
+    if config.rank > min(d1, d2):
+        raise DimensionError(f"rank {config.rank} exceeds min dimension {min(d1, d2)}")
     u_prev, v_prev = _init_factors(prob, config)
     initial = prob.loss(u_prev, v_prev)
 
@@ -400,9 +362,13 @@ def nesterov_als_solve(design, b, d1: int, d2: int,
 # first-row strategies
 
 
-def _as_block_matrix(b_blocks) -> np.ndarray:
-    return np.stack([np.asarray(v, dtype=np.complex128).reshape(-1)
+def _as_block_matrix(b_blocks, n: int) -> np.ndarray:
+    """The anchor row's data vectors as an n x M_O matrix, one row per block."""
+    bmat = np.stack([np.asarray(v, dtype=np.complex128).reshape(-1)
                      for v in b_blocks])
+    if bmat.shape[0] != n:
+        raise DimensionError(f"expected {n} data vectors, got {bmat.shape[0]}")
+    return bmat
 
 
 def solve_first_row_parallel(observables, b_blocks, n: int, config: SolverConfig,
@@ -416,9 +382,7 @@ def solve_first_row_parallel(observables, b_blocks, n: int, config: SolverConfig
     block index, attempt), so the outcome does not depend on the worker
     count. Returns (blocks, reports).
     """
-    bmat = _as_block_matrix(b_blocks)
-    if bmat.shape[0] != n:
-        raise DimensionError(f"expected {n} data vectors, got {bmat.shape[0]}")
+    bmat = _as_block_matrix(b_blocks, n)
     design = StackedDesign(observables, 1, np.shape(observables[0])[0])
 
     def solve_block(k):
@@ -449,9 +413,7 @@ def solve_first_row_joint(observables, b_blocks, n: int, config: SolverConfig):
 
     Returns (blocks, report) where blocks are the N column blocks of U V^H.
     """
-    bmat = _as_block_matrix(b_blocks)
-    if bmat.shape[0] != n:
-        raise DimensionError(f"expected {n} data vectors, got {bmat.shape[0]}")
+    bmat = _as_block_matrix(b_blocks, n)
     dim = np.shape(observables[0])[0]
     design = StackedDesign(observables, n, dim)
     report = nesterov_als_solve(design, bmat, dim, dim * n, config)
@@ -467,14 +429,13 @@ def solve_first_row_subset(observables, b_blocks, n: int, subset_ratio: float,
     The subset always contains block 0 (the Hermitian diagonal block) plus
     ceil(ratio * N) - 1 indices sampled without replacement; it is kept in
     ascending order, so ratio 1 reproduces the joint solve exactly. Blocks
-    outside the subset are recovered by a single least-squares solve with
-    the shared left factor fixed. Returns (blocks, report).
+    outside the subset are recovered by one right-factor solve of the
+    stacked problem with the shared left factor fixed. Returns
+    (blocks, report).
     """
     if not 0 < subset_ratio <= 1:
         raise DimensionError("subset_ratio must be in (0, 1]")
-    bmat = _as_block_matrix(b_blocks)
-    if bmat.shape[0] != n:
-        raise DimensionError(f"expected {n} data vectors, got {bmat.shape[0]}")
+    bmat = _as_block_matrix(b_blocks, n)
     dim = np.shape(observables[0])[0]
     p = min(n, max(1, math.ceil(subset_ratio * n)))
     rng = np.random.default_rng(derive_seed(config.seed, 2))
@@ -482,17 +443,41 @@ def solve_first_row_subset(observables, b_blocks, n: int, subset_ratio: float,
     design = StackedDesign(observables, p, dim)
     report = nesterov_als_solve(design, bmat[chosen], dim, dim * p, config)
     u = report.factors.left
-    v = report.factors.right
-    blocks: list = [None] * n
-    for pos, k in enumerate(chosen):
-        blocks[k] = u @ v[pos * dim:(pos + 1) * dim].conj().T
-    rest = [k for k in range(n) if k not in set(chosen)]
+    parts = [(chosen, report.factors.right)]
+    rest = [k for k in range(n) if k not in chosen]
     if rest:
-        obs_stack = np.stack(observables).astype(np.complex128)
-        w = np.einsum("mxa,xc->mac", obs_stack.conj(), u)
-        g = w.reshape(w.shape[0], -1)
-        y = np.linalg.lstsq(g, bmat[rest].T, rcond=None)[0]
-        for j, k in enumerate(rest):
-            vk = y[:, j].conj().reshape(dim, u.shape[1])
-            blocks[k] = u @ vk.conj().T
+        parts.append((rest, _StackedProblem(observables, len(rest),
+                                            bmat[rest]).solve_right(u)))
+    blocks: list = [None] * n
+    for indices, v in parts:
+        for pos, k in enumerate(indices):
+            blocks[k] = u @ v[pos * dim:(pos + 1) * dim].conj().T
     return blocks, report
+
+
+def solve_strategy(strategy: str, design: SensingDesign, values, config: SolverConfig,
+                   subset_ratio: float = 1.0, workers: int = 1):
+    """Run one recovery strategy on a design and its measured values.
+
+    Returns (estimate, reports): the full N^2 x N^2 matrix for `als_n2`, the
+    N anchor-row blocks otherwise, and the list of solve reports behind it
+    (one per block for `als_p`, a single one otherwise). `subset_ratio` is
+    read by `als_i` only, `workers` by `als_p` only.
+    """
+    if strategy not in STRATEGY_DESIGNS:
+        raise DimensionError(f"unknown strategy {strategy!r}")
+    if design.kind != STRATEGY_DESIGNS[strategy]:
+        raise DimensionError(f"{strategy} needs a {STRATEGY_DESIGNS[strategy]} design")
+    n = design.dim_n
+    if strategy == "als_n2":
+        report = nesterov_als_solve(design, values, n * n, n * n, config)
+        return report.factors.product(), [report]
+    if strategy == "als_p":
+        return solve_first_row_parallel(design.observables, values, n, config,
+                                        workers=workers)
+    if strategy == "als_n":
+        blocks, report = solve_first_row_joint(design.observables, values, n, config)
+    else:
+        blocks, report = solve_first_row_subset(design.observables, values, n,
+                                                subset_ratio, config)
+    return blocks, [report]

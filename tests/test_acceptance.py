@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from superop_sensing import (ExperimentConfig, SensingDesign, SolverConfig,
-                             Superoperator, als_solve, apply_superop,
+                             Superoperator, apply_superop,
                              build_blockwise_design,
                              choi_reshape, complex_gaussian, empirical_rip_probe,
                              haar_low_rank_hermitian, hs_inner, kron,
@@ -221,8 +221,9 @@ def test_criterion_8_solver_invariants():
         data = simulate_measurements(s, design, sigma, seed=case)
         stacked = StackedDesign(design.observables, n, n)
         b = np.stack([np.asarray(v) for v in data.values])
-        cfg = SolverConfig(rank=r, seed=case, max_iter=25, init="random")
-        trace = np.asarray(als_solve(stacked, b, n, n * n, cfg).loss_trace)
+        # plain ALS: the momentum loop at beta = 0
+        cfg = SolverConfig(rank=r, seed=case, max_iter=25, init="random", beta=0.0)
+        trace = np.asarray(nesterov_als_solve(stacked, b, n, n * n, cfg).loss_trace)
         # 1e-12 slack relative to the data energy: noiseless runs bottom out
         # at the roundoff floor ~eps^2 * ||b||^2 where exact ordering of the
         # loss values is meaningless
@@ -274,10 +275,10 @@ def test_criterion_8_solver_invariants():
     # scale invariance under common (A, b) scaling, c a power of two
     c = 2.0
     scaled = StackedDesign([c * o for o in design.observables], 4, 4)
-    for solver in (als_solve, nesterov_als_solve):
-        cfg2 = SolverConfig(rank=2, seed=854, max_iter=20)
-        r1 = solver(stacked, b, 4, 16, cfg2)
-        r2 = solver(scaled, c * b, 4, 16, cfg2)
+    for beta in (0.0, 1.0):
+        cfg2 = SolverConfig(rank=2, seed=854, max_iter=20, beta=beta)
+        r1 = nesterov_als_solve(stacked, b, 4, 16, cfg2)
+        r2 = nesterov_als_solve(scaled, c * b, 4, 16, cfg2)
         ok = ok and np.array_equal(r1.factors.product(), r2.factors.product())
 
     # subset solver at ratio 1 reproduces the joint solver

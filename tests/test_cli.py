@@ -80,6 +80,22 @@ def test_run_exit_code_2_on_bad_config(tmp_path):
     assert run_cli("run", "--config", str(cfg_path), "--out", str(tmp_path)) == 2
 
 
+def test_run_exit_code_2_on_unknown_solver_key(tmp_path, capsys):
+    config = {"task": "channel", "n": 4, "design": "blockwise", "strategy": "als_n",
+              "m_o": [16], "kraus_rank": 2, "solver": {"betta": 0.5}}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    assert run_cli("run", "--config", str(cfg_path), "--out", str(tmp_path)) == 2
+    assert "betta" in capsys.readouterr().err
+
+
+def test_threads_only_on_solve_and_run(tmp_path):
+    with pytest.raises(SystemExit) as info:
+        run_cli("generate", "--task", "channel", "--n", "4", "--threads", "2",
+                "--out", str(tmp_path))
+    assert info.value.code == 2
+
+
 def test_run_exit_code_2_on_missing_file(tmp_path):
     assert run_cli("run", "--config", str(tmp_path / "none.json"),
                    "--out", str(tmp_path)) == 2

@@ -5,6 +5,7 @@ import pytest
 
 from superop_sensing import (ExperimentConfig, emit_results, recovery_rate,
                              relative_frobenius_error, run_experiment)
+from superop_sensing import harness
 from superop_sensing.errors import DimensionError, UndefinedMetricError
 from superop_sensing.harness import load_result, read_csv_records
 from superop_sensing.reshaping import ReshapedMatrix
@@ -55,6 +56,12 @@ def test_config_validation():
                                     "design": "blockwise", "strategy": "als_n",
                                     "sweep": [16], "kraus_rank": 2,
                                     "bogus_key": 1})
+    # solver settings are checked once, at construction, not per trial
+    for solver in ({"betta": 0.5}, {"lambda_reg": 0.1}, {"seed": 3}):
+        with pytest.raises(ValueError):
+            ExperimentConfig(task="channel", n=4, design="blockwise",
+                             strategy="als_n", sweep=[16], kraus_rank=2,
+                             solver=solver)
 
 
 def test_config_rank_inference():
@@ -102,6 +109,16 @@ def test_run_experiment_records_infeasible_trials():
     assert all(r.message for r in point.records)
     agg = point.aggregates(result.threshold)
     assert agg["recovery_rate"] == 0.0 and agg["failed_trials"] == 2
+
+
+def test_run_experiment_propagates_programming_errors(monkeypatch):
+    # only numerical and shape failures become records; a bug must surface
+    def broken(*args, **kwargs):
+        raise TypeError("broken strategy")
+
+    monkeypatch.setattr(harness, "solve_strategy", broken)
+    with pytest.raises(TypeError):
+        run_experiment(_small_config(trials=1))
 
 
 def test_run_experiment_deterministic_and_emission(tmp_path):

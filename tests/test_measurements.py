@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from superop_sensing import (SensingDesign, apply_superop, build_blockwise_design,
-                             build_random_design, choi_reshape,
+                             build_design, build_random_design, choi_reshape,
                              empirical_rip_probe, hs_inner, pauli_basis,
                              random_channel, sample_pauli, simulate_measurements,
                              synth_state_combination)
@@ -71,6 +71,17 @@ def test_build_blockwise_design():
                                                     d2.observables))
 
 
+def test_build_design_dispatch():
+    pairs = build_design("random_pairs", 4, 5, "random", seed=1)
+    assert pairs.kind == "random_pairs" and pairs.n_measurements == 5
+    blocks = build_design("blockwise", 4, 6, "pauli", seed=1, row_index=2)
+    assert blocks.kind == "blockwise" and blocks.row_index == 2
+    assert all(np.array_equal(a, b) for a, b in zip(
+        blocks.observables, build_blockwise_design(4, 6, "pauli", 2, 1).observables))
+    with pytest.raises(DimensionError):
+        build_design("nothing", 4, 5, "random", seed=1)
+
+
 def test_synth_state_combination_exact():
     n = 4
     for (k, l) in [(0, 1), (2, 3), (1, 0)]:
@@ -81,12 +92,6 @@ def test_synth_state_combination_exact():
             assert np.allclose(s, s.conj().T)
             assert np.isclose(np.trace(s).real, 1.0)
             assert np.linalg.eigvalsh(s).min() >= -1e-15
-
-
-def test_synth_state_combination_normalize_flag_noop():
-    coeffs, states = synth_state_combination(0, 2, 4, normalize=True)
-    combo = sum(c * s for c, s in zip(coeffs, states))
-    assert np.allclose(combo, _matrix_unit(4, 2, 0), atol=1e-15)
 
 
 def test_synth_state_combination_linearity_under_superop():

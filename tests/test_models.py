@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from superop_sensing import (Lindbladian, Superoperator, apply_superop,
-                             choi_reshape, complex_gaussian,
+                             choi_reshape, complex_gaussian, ground_truth,
                              haar_low_rank_hermitian, hs_inner, lindblad_apply,
                              lindblad_canonical, random_channel, random_density,
                              random_lindbladian, random_observable,
@@ -219,3 +219,16 @@ def test_superop_from_reshaped_roundtrip():
     resh = haar_low_rank_hermitian(3, 2, 1, seed=25)
     s = superop_from_reshaped(resh)
     assert np.allclose(choi_reshape(s).matrix, resh.matrix, atol=1e-10)
+
+
+def test_ground_truth_tasks():
+    s, k = ground_truth("channel", 3, 4, kraus_rank=2)
+    assert s.rank == 2 and np.array_equal(k, choi_reshape(s).matrix)
+    s, k = ground_truth("lindbladian", 3, 5, n_jumps=1)
+    assert (len(s.plus_ops), len(s.minus_ops)) == (2, 1)
+    # haar: the drawn matrix itself is the truth
+    s, k = ground_truth("haar", 3, 6, r_plus=2, r_minus=1)
+    assert np.array_equal(k, haar_low_rank_hermitian(3, 2, 1, 6).matrix)
+    assert np.allclose(choi_reshape(s).matrix, k, atol=1e-12)
+    with pytest.raises(DimensionError):
+        ground_truth("nothing", 3, 0)

@@ -1,15 +1,21 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from superop_sensing import (FactorPair, SolverConfig, StackedDesign, als_solve,
-                             build_blockwise_design, build_random_design,
+from superop_sensing import (SolverConfig, StackedDesign, build_blockwise_design, build_random_design,
                              choi_reshape, complex_gaussian, nesterov_als_solve,
                              pauli_basis, random_channel, sensing_loss,
                              simulate_measurements, solve_first_row_joint,
                              solve_first_row_parallel, solve_first_row_subset)
 from superop_sensing.errors import DimensionError
 from superop_sensing.models import haar_low_rank_hermitian, superop_from_reshaped
-from superop_sensing.solvers import _make_problem
+from superop_sensing.solvers import _make_problem, solve_strategy
+
+
+def plain_als(design, b, d1, d2, cfg):
+    # plain ALS is the momentum loop at beta = 0
+    return nesterov_als_solve(design, b, d1, d2, replace(cfg, beta=0.0))
 
 
 def _channel_case(n, r, seed, m_o=None, sigma=0.0):
@@ -72,18 +78,6 @@ def test_sensing_loss_matches_naive_oracle():
                       naive_loss(pair_design, pair_data.values, x2), rtol=1e-13)
 
 
-def test_sensing_loss_balance_diagnostic():
-    k, design, data = _channel_case(3, 1, seed=37, m_o=9)
-    single = StackedDesign(design.observables, 1, 3)
-    u = complex_gaussian(3, 1, seed=38)
-    v = complex_gaussian(3, 1, seed=39)
-    base = sensing_loss(single, data.values[0], u @ v.conj().T)
-    reg = sensing_loss(single, data.values[0], u @ v.conj().T,
-                       factors=FactorPair(u, v), lambda_reg=0.125)
-    gap = u.conj().T @ u - v.conj().T @ v
-    assert np.isclose(reg - base, 0.125 * np.linalg.norm(gap) ** 2)
-
-
 def test_als_exact_recovery_complete_basis():
     # rank-1 ground truth, complete orthonormal design, <= 5 sweeps
     truth = haar_low_rank_hermitian(2, 1, 0, seed=40)
@@ -93,7 +87,7 @@ def test_als_exact_recovery_complete_basis():
     data = simulate_measurements(s, design, 0.0, seed=42)
     single = StackedDesign(design.observables, 1, 2)
     cfg = SolverConfig(rank=1, seed=7, max_iter=5)
-    rep = als_solve(single, data.values[0], 2, 2, cfg)
+    rep = plain_als(single, data.values[0], 2, 2, cfg)
     assert np.linalg.norm(rep.factors.product() - truth.matrix[:2, :2]) <= 1e-10
     assert rep.iterations <= 5
 
@@ -103,9 +97,10 @@ def test_als_loss_trace_monotone():
     stacked = StackedDesign(design.observables, 4, 4)
     b = np.stack([np.asarray(v) for v in data.values])
     cfg = SolverConfig(rank=2, seed=8, max_iter=40, init="random")
-    rep = als_solve(stacked, b, 4, 16, cfg)
+    rep = plain_als(stacked, b, 4, 16, cfg)
     trace = np.asarray(rep.loss_trace)
     assert len(trace) == rep.iterations
+    assert rep.restarts == 0
     assert np.all(trace[1:] <= trace[:-1] * (1 + 1e-12))
 
 
@@ -114,7 +109,7 @@ def test_als_final_loss_consistent_with_sensing_loss():
     stacked = StackedDesign(design.observables, 4, 4)
     b = np.stack([np.asarray(v) for v in data.values])
     cfg = SolverConfig(rank=2, seed=9, max_iter=60)
-    for solver in (als_solve, nesterov_als_solve):
+    for solver in (plain_als, nesterov_als_solve):
         rep = solver(stacked, b, 4, 16, cfg)
         direct = sensing_loss(stacked, b, rep.factors.product())
         assert np.isclose(direct, rep.final_loss, rtol=1e-12, atol=1e-18)
@@ -125,7 +120,7 @@ def test_als_rank_deficient_subproblem_min_norm():
     k, design, data = _channel_case(4, 1, seed=45, m_o=3)
     single = StackedDesign(design.observables, 1, 4)
     cfg = SolverConfig(rank=1, seed=10, max_iter=5)
-    rep = als_solve(single, data.values[0], 4, 4, cfg)
+    rep = plain_als(single, data.values[0], 4, 4, cfg)
     assert np.isfinite(rep.final_loss)
 
 
@@ -133,7 +128,7 @@ def test_als_rank_exceeds_dimensions():
     k, design, data = _channel_case(3, 1, seed=46, m_o=9)
     single = StackedDesign(design.observables, 1, 3)
     with pytest.raises(DimensionError):
-        als_solve(single, data.values[0], 3, 3, SolverConfig(rank=4, seed=0))
+        plain_als(single, data.values[0], 3, 3, SolverConfig(rank=4, seed=0))
 
 
 def test_nesterov_exact_recovery_matches_plain_on_complete_basis():
@@ -145,7 +140,7 @@ def test_nesterov_exact_recovery_matches_plain_on_complete_basis():
     stacked = StackedDesign(design.observables, 2, 2)
     b = np.stack([np.asarray(v) for v in data.values])
     cfg = SolverConfig(rank=2, seed=11)
-    for solver in (als_solve, nesterov_als_solve):
+    for solver in (plain_als, nesterov_als_solve):
         rep = solver(stacked, b, 2, 4, cfg)
         assert np.linalg.norm(rep.factors.product() - truth.matrix[:2, :])\
             <= 1e-8 * np.linalg.norm(truth.matrix[:2, :])
@@ -202,7 +197,7 @@ def test_nesterov_not_slower_than_plain_on_average():
         design = build_random_design(n, 200, "random", seed=300 + seed)
         data = simulate_measurements(s, design, 0.0, seed=400 + seed)
         cfg = SolverConfig(rank=r, seed=seed, max_iter=400)
-        rp = als_solve(design, data.values, 16, 16, cfg)
+        rp = plain_als(design, data.values, 16, 16, cfg)
         ra = nesterov_als_solve(design, data.values, 16, 16, cfg)
         for rep in (rp, ra):
             err = np.linalg.norm(rep.factors.product() - k) / np.linalg.norm(k)
@@ -220,7 +215,7 @@ def test_scale_invariance_of_iterates():
     b = np.stack([np.asarray(v) for v in data.values])
     base = StackedDesign(design.observables, 4, 4)
     scaled = StackedDesign(scaled_obs, 4, 4)
-    for solver in (als_solve, nesterov_als_solve):
+    for solver in (plain_als, nesterov_als_solve):
         cfg = SolverConfig(rank=2, seed=13, max_iter=30)
         rep1 = solver(base, b, 4, 16, cfg)
         rep2 = solver(scaled, c * b, 4, 16, cfg)
@@ -297,3 +292,16 @@ def test_subset_ratio_validation():
     with pytest.raises(DimensionError):
         solve_first_row_subset([np.eye(2)], [np.zeros(1)] * 2, 2, 0.0,
                                SolverConfig(rank=1, seed=0))
+
+
+def test_solve_strategy_checks_design_kind():
+    k, design, data = _channel_case(3, 1, seed=86, m_o=9)
+    cfg = SolverConfig(rank=1, seed=19)
+    with pytest.raises(DimensionError):
+        solve_strategy("als_n2", design, data.values, cfg)
+    with pytest.raises(DimensionError):
+        solve_strategy("magic", design, data.values, cfg)
+    blocks, reports = solve_strategy("als_p", design, data.values, cfg)
+    assert len(blocks) == 3 and len(reports) == 3
+    blocks, reports = solve_strategy("als_n", design, data.values, cfg)
+    assert len(blocks) == 3 and len(reports) == 1
