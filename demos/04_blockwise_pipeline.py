@@ -43,8 +43,8 @@ for label, run in [
         design.observables, data.values, n, 0.4, cfg)),
 ]:
     t0 = time.perf_counter()
-    blocks, _ = run()
-    est = reconstruct_full(blocks, rank)
+    row, _ = run()
+    est = reconstruct_full(row, rank)
     dt = time.perf_counter() - t0
     err = relative_frobenius_error(est, truth)
     print(f"  {label}: error={err:.2e}  time={dt:.3f}s")

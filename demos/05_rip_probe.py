@@ -17,13 +17,13 @@ from superop_sensing import (SensingDesign, build_blockwise_design,
 n = 4
 
 print("complete scaled-Pauli basis (Parseval frame):")
-design = SensingDesign("blockwise", n, observables=pauli_basis(2))
+design = SensingDesign("blockwise", n, pauli_basis(2))
 probe = empirical_rip_probe(design, r=2, n_samples=500, seed=0)
 print(f"  c0={probe.c0:.6f} c1={probe.c1:.6f} c={probe.c:.6f} "
       f"delta={probe.delta:.2e}  (c = 1/M = {1 / 16:.6f})")
 
 print("\na single observable cannot be an isometry:")
-design = SensingDesign("blockwise", n, observables=[np.eye(n) / 2])
+design = SensingDesign("blockwise", n, np.eye(n)[None] / 2)
 probe = empirical_rip_probe(design, r=1, n_samples=500, seed=1)
 print(f"  delta={probe.delta:.3f}")
 

@@ -25,7 +25,7 @@ from .models import (Lindbladian, Superoperator, apply_superop, ground_truth,
 from .reconstruction import reconstruct_full
 from .reshaping import (ReshapedMatrix, choi_reshape, hs_inner, kron, reshape_R,
                         superop_matrix, unvec, vec)
-from .solvers import (FactorPair, SolveReport, SolverConfig, StackedDesign,
+from .solvers import (FactorPair, SolveReport, SolverConfig,
                       nesterov_als_solve, sensing_loss, solve_first_row_joint,
                       solve_first_row_parallel, solve_first_row_subset,
                       solve_strategy)

@@ -134,10 +134,8 @@ def cmd_solve(args) -> int:
     estimate, reports = solve_strategy(args.strategy, design, data.values, cfg,
                                        args.subset_ratio, args.threads)
     os.makedirs(args.out, exist_ok=True)
-    if args.strategy == "als_n2":
-        save_cmx(os.path.join(args.out, "estimate.cmx"), estimate)
-    else:
-        serialize.save_matrix_stack(os.path.join(args.out, "blocks.cmx"), estimate)
+    name = "estimate.cmx" if args.strategy == "als_n2" else "blocks.cmx"
+    save_cmx(os.path.join(args.out, name), estimate)
     save_cmx(os.path.join(args.out, "left.cmx"), reports[-1].factors.left)
     save_cmx(os.path.join(args.out, "right.cmx"), reports[-1].factors.right)
     serialize.save_json(os.path.join(args.out, "report.json"), {
@@ -155,19 +153,17 @@ def cmd_solve(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    stacked = load_cmx(args.blocks)
-    dim = stacked.shape[0]
-    count = stacked.shape[1] // dim
-    blocks = [stacked[:, k * dim:(k + 1) * dim] for k in range(count)]
-    resh = reconstruct_full(blocks, args.rank, rtol=args.rtol, anchor=args.anchor,
-                            hermitize=args.hermitize, svd_seed=args.seed)
+    resh = reconstruct_full(load_cmx(args.blocks), args.rank, rtol=args.rtol,
+                            anchor=args.anchor, hermitize=args.hermitize,
+                            svd_seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
     save_cmx(os.path.join(args.out, "k_est.cmx"), resh.matrix)
     serialize.save_json(os.path.join(args.out, "reconstruct.json"), {
         "rank": args.rank, "anchor": args.anchor, "hermitize": args.hermitize,
-        "dim_n": dim,
+        "dim_n": resh.dim_n,
     })
-    print(f"reconstructed {dim * count} x {dim * count} matrix at rank {args.rank}")
+    side = resh.dim_n ** 2
+    print(f"reconstructed {side} x {side} matrix at rank {args.rank}")
     return 0
 
 

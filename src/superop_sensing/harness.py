@@ -139,7 +139,7 @@ class ExperimentConfig:
     @property
     def rank(self) -> int:
         if "rank" in self.solver:
-            return int(self.solver["rank"])
+            return self.solver["rank"]
         if self.task == "channel":
             return self.kraus_rank
         if self.task == "lindbladian":
@@ -266,12 +266,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 # emission
 
 
-def _result_payload(result: ExperimentResult) -> tuple[dict, dict]:
-    """Split into a deterministic payload and the volatile timing section."""
-    threshold = result.threshold
+def _result_payload(result: ExperimentResult, aggregates: list) -> tuple[dict, dict]:
+    """Split into a deterministic payload and the volatile timing section,
+    given each point's aggregates."""
     points_out, timings = [], []
-    for point in result.points:
-        agg = point.aggregates(threshold)
+    for point, agg in zip(result.points, aggregates):
+        agg = dict(agg)
         times = {"per_trial_s": [r.wall_time for r in point.records],
                  "mean_time_s": agg.pop("mean_time_s"),
                  "std_time_s": agg.pop("std_time_s")}
@@ -299,7 +299,8 @@ def emit_results(result: ExperimentResult, out_dir: str, formats=("json", "csv")
     if unknown:
         raise ValueError(f"unknown formats: {sorted(unknown)}")
     os.makedirs(out_dir, exist_ok=True)
-    payload, timings = _result_payload(result)
+    aggregates = [point.aggregates(result.threshold) for point in result.points]
+    payload, timings = _result_payload(result, aggregates)
     written = []
     if "json" in formats:
         payload_with_times = dict(payload)
@@ -308,10 +309,8 @@ def emit_results(result: ExperimentResult, out_dir: str, formats=("json", "csv")
         save_json(path, payload_with_times)
         written.append(path)
     if "csv" in formats:
-        threshold = result.threshold
-        for point in result.points:
+        for point, agg in zip(result.points, aggregates):
             path = os.path.join(out_dir, f"results_m{point.m}.csv")
-            agg = point.aggregates(threshold)
             lines = [f"# manifest {result.manifest_hash()}"]
             rows = [["trial", "error", "time_s", "iterations", "recovered"]]
             for r in point.records:
@@ -325,10 +324,9 @@ def emit_results(result: ExperimentResult, out_dir: str, formats=("json", "csv")
         recipe = {
             "x": "m", "x_scale": "log", "y": "mean_error", "y_scale": "log",
             "series": [{"label": result.manifest["strategy"],
-                        "points": [{"m": p.m,
-                                    "mean_error": p.aggregates(threshold)["mean_error"],
-                                    "recovery_rate": p.aggregates(threshold)["recovery_rate"]}
-                                   for p in result.points]}],
+                        "points": [{"m": p.m, "mean_error": agg["mean_error"],
+                                    "recovery_rate": agg["recovery_rate"]}
+                                   for p, agg in zip(result.points, aggregates)]}],
             "csv_files": [f"results_m{p.m}.csv" for p in result.points],
             "manifest_hash": result.manifest_hash(),
         }

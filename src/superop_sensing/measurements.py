@@ -2,7 +2,7 @@
 
 Two designs are supported. The random-pairs design draws M independent
 (initial state, observable) pairs and records the real scalars
-tr[(S rho_0)^H O]. The blockwise design shares one observable list across
+tr[(S rho_0)^H O]. The blockwise design shares one observable array across
 synthesized initial states so each data vector probes a single N x N block
 of the reshaped matrix: with E_lk the matrix unit carrying a one at (l, k),
 tr[(S E_lk)^H O] equals the inner product of O with block (k, l).
@@ -19,7 +19,7 @@ All indices are 0-based: the first block row is row_index=0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -59,45 +59,58 @@ PAULIS = (_I2, _SX, _SY, _SZ)
 @dataclass
 class SensingDesign:
     """Either `random_pairs` (state/observable pairs) or `blockwise`
-    (shared observables probing one block row)."""
+    (shared observables probing one block row).
+
+    `observables` is one C-contiguous complex (M, N, N) array; `states`
+    holds the M initial states of a `random_pairs` design in the same
+    layout (unused by `blockwise`).
+    """
 
     kind: str
     dim_n: int
-    pairs: list = field(default_factory=list)           # random_pairs: (rho0, obs)
-    observables: list = field(default_factory=list)     # blockwise
+    observables: np.ndarray
+    states: np.ndarray | None = None
     row_index: int = 0                                  # blockwise anchor row, 0-based
 
     def __post_init__(self):
         if self.kind not in DESIGN_KINDS:
             raise DimensionError(f"unknown design kind {self.kind!r}")
         n = self.dim_n
+        self.observables = _matrix_stack(self.observables, n, "observables")
         if self.kind == "random_pairs":
-            for rho, obs in self.pairs:
-                if np.shape(rho) != (n, n) or np.shape(obs) != (n, n):
-                    raise DimensionError("design matrices must be N x N")
-        else:
-            if not 0 <= self.row_index < n:
-                raise DimensionError(f"row_index {self.row_index} out of [0, {n})")
-            for obs in self.observables:
-                if np.shape(obs) != (n, n):
-                    raise DimensionError("observables must be N x N")
+            self.states = _matrix_stack(self.states, n, "states")
+            if self.states.shape != self.observables.shape:
+                raise DimensionError("need one state per observable")
+        elif not 0 <= self.row_index < n:
+            raise DimensionError(f"row_index {self.row_index} out of [0, {n})")
 
     @property
     def n_measurements(self) -> int:
         """Rows of the sensing operator: M for pairs, M_O per block otherwise."""
-        return len(self.pairs) if self.kind == "random_pairs" else len(self.observables)
+        return len(self.observables)
 
     def ref(self) -> str:
         return f"{self.kind}:n={self.dim_n}:m={self.n_measurements}"
 
 
+def _matrix_stack(mats, n: int, name: str) -> np.ndarray:
+    """mats as a finite, C-contiguous complex (M, N, N) array."""
+    arr = np.ascontiguousarray(mats, dtype=np.complex128)
+    if arr.ndim != 3 or arr.shape[1:] != (n, n):
+        raise DimensionError(f"{name} must be an (M, {n}, {n}) stack, got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise DimensionError(f"{name} hold non-finite entries")
+    return arr
+
+
 @dataclass
 class MeasurementSet:
-    """Simulated data: one real vector (random_pairs) or N complex vectors,
-    one per column block of the anchor row (blockwise)."""
+    """Simulated data: a real (M,) vector for `random_pairs`; for
+    `blockwise`, a complex (N, M_O) array whose row l holds the M_O values of
+    column block l of the anchor row."""
 
     design_ref: str
-    values: object
+    values: np.ndarray
     sigma: float
     seed: int
     noise_mode: str = "synthetic"
@@ -110,11 +123,12 @@ class RipProbe(NamedTuple):
     delta: float
 
 
-def sample_pauli(n_qubits: int, count: int, scaled: bool, seed: int) -> list:
-    """`count` iid uniform tensor products of the four one-qubit Paulis.
+def sample_pauli(n_qubits: int, count: int, scaled: bool, seed: int) -> np.ndarray:
+    """`count` iid uniform tensor products of the four one-qubit Paulis, as a
+    (count, d, d) array with d = 2**n_qubits.
 
-    With scaled=True each product is divided by sqrt(d), d = 2**n_qubits,
-    giving unit Frobenius norm and operator norm 1/sqrt(d).
+    With scaled=True each product is divided by sqrt(d), giving unit
+    Frobenius norm and operator norm 1/sqrt(d).
     """
     if n_qubits < 1:
         raise DimensionError("n_qubits must be >= 1")
@@ -127,11 +141,12 @@ def sample_pauli(n_qubits: int, count: int, scaled: bool, seed: int) -> list:
         for idx in row[1:]:
             p = np.kron(p, PAULIS[idx])
         out.append(p / math.sqrt(d) if scaled else p)
-    return out
+    return np.array(out)
 
 
-def pauli_basis(n_qubits: int, scaled: bool = True) -> list:
-    """All 4**n_qubits Pauli products, in lexicographic label order."""
+def pauli_basis(n_qubits: int, scaled: bool = True) -> np.ndarray:
+    """All 4**n_qubits Pauli products, in lexicographic label order, as a
+    (4**n_qubits, d, d) array."""
     if n_qubits < 1:
         raise DimensionError("n_qubits must be >= 1")
     d = 2 ** n_qubits
@@ -140,7 +155,7 @@ def pauli_basis(n_qubits: int, scaled: bool = True) -> list:
         basis = [np.kron(b, p) for b in basis for p in PAULIS]
     if scaled:
         basis = [b / math.sqrt(d) for b in basis]
-    return basis
+    return np.array(basis)
 
 
 def _qubits_for(n: int) -> int:
@@ -162,12 +177,12 @@ def build_random_design(n: int, m: int, source: str, seed: int) -> SensingDesign
         q = _qubits_for(n)
         states = sample_pauli(q, m, True, rng.integers(2 ** 63))
         obs = sample_pauli(q, m, True, rng.integers(2 ** 63))
-        pairs = list(zip(states, obs))
     elif source == "random":
         pairs = [(random_density(n, rng), random_observable(n, rng)) for _ in range(m)]
+        states, obs = np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
     else:
         raise DimensionError(f"unknown source {source!r}")
-    return SensingDesign("random_pairs", n, pairs=pairs)
+    return SensingDesign("random_pairs", n, obs, states=states)
 
 
 def build_blockwise_design(n: int, m_o: int, source: str, row_index: int = 0,
@@ -178,10 +193,10 @@ def build_blockwise_design(n: int, m_o: int, source: str, row_index: int = 0,
         q = _qubits_for(n)
         obs = sample_pauli(q, m_o, True, rng.integers(2 ** 63))
     elif source == "random":
-        obs = [random_observable(n, rng) for _ in range(m_o)]
+        obs = np.array([random_observable(n, rng) for _ in range(m_o)])
     else:
         raise DimensionError(f"unknown source {source!r}")
-    return SensingDesign("blockwise", n, observables=obs, row_index=row_index)
+    return SensingDesign("blockwise", n, obs, row_index=row_index)
 
 
 def build_design(kind: str, n: int, m: int, source: str, seed: int,
@@ -232,12 +247,14 @@ def simulate_measurements(s: Superoperator, design: SensingDesign, sigma: float,
                           noise_mode: str = "synthetic", seed: int = 0) -> MeasurementSet:
     """Simulate the (noisy) measurement data for a design.
 
-    random_pairs: values[m] = Re tr[(S rho_m)^H O_m] + N(0, sigma^2).
+    random_pairs: a real (M,) vector, values[m] = Re tr[(S rho_m)^H O_m]
+    + N(0, sigma^2).
 
-    blockwise: for each column block l of the anchor row, a complex vector
-    over observables. noise_mode='synthetic' adds independent N(0, sigma^2)
-    to real and imaginary parts of each combined value; 'physical' perturbs
-    each underlying real single-state measurement before combining. Noise is
+    blockwise: a complex (N, M_O) array whose row l holds the values of the
+    M_O observables on column block l of the anchor row.
+    noise_mode='synthetic' adds independent N(0, sigma^2) to real and
+    imaginary parts of each combined value; 'physical' perturbs each
+    underlying real single-state measurement before combining. Noise is
     drawn from one generator in block order, so results are deterministic
     per seed.
     """
@@ -252,16 +269,16 @@ def simulate_measurements(s: Superoperator, design: SensingDesign, sigma: float,
 
     if design.kind == "random_pairs":
         exact = np.array([
-            np.vdot(apply_superop(s, rho), obs).real for rho, obs in design.pairs
+            np.vdot(apply_superop(s, rho), obs).real
+            for rho, obs in zip(design.states, design.observables)
         ])
         values = exact + sigma * rng.standard_normal(exact.size)
         return MeasurementSet(design.ref(), values, sigma, seed, noise_mode)
 
-    obs_stack = np.stack(design.observables) if design.observables else \
-        np.zeros((0, n, n), dtype=np.complex128)
-    obs_flat = obs_stack.conj().reshape(len(design.observables), -1)
+    m_o = design.n_measurements
+    obs_flat = design.observables.conj().reshape(m_o, -1)
     k0 = design.row_index
-    blocks = []
+    values = np.empty((n, m_o), dtype=np.complex128)
     for l in range(n):
         if noise_mode == "synthetic" or sigma == 0 or l == k0:
             e_lk = _matrix_unit(n, l, k0)
@@ -276,14 +293,14 @@ def simulate_measurements(s: Superoperator, design: SensingDesign, sigma: float,
                     vals = vals + sigma * (noise[:, 0] + 1j * noise[:, 1])
         else:
             coeffs, states = synth_state_combination(k0, l, n)
-            vals = np.zeros(len(design.observables), dtype=np.complex128)
+            vals = np.zeros(m_o, dtype=np.complex128)
             for c, rho in zip(coeffs, states):
                 out = apply_superop(s, rho)
                 raw = (obs_flat @ out.reshape(-1)).conj().real
                 raw = raw + sigma * rng.standard_normal(raw.size)
                 vals = vals + np.conj(c) * raw
-        blocks.append(vals)
-    return MeasurementSet(design.ref(), blocks, sigma, seed, noise_mode)
+        values[l] = vals
+    return MeasurementSet(design.ref(), values, sigma, seed, noise_mode)
 
 
 def pair_inner_products(rhos, obs, x) -> np.ndarray:
@@ -312,10 +329,7 @@ def empirical_rip_probe(design: SensingDesign, r: int, n_samples: int,
     n = design.dim_n
     d = n * n if design.kind == "random_pairs" else n
     if design.kind == "blockwise":
-        obs_flat = np.stack(design.observables).conj().reshape(m, -1)
-    else:
-        rhos = np.stack([p[0] for p in design.pairs])
-        obs = np.stack([p[1] for p in design.pairs])
+        obs_flat = design.observables.conj().reshape(m, -1)
     energies = np.empty(n_samples)
     for i in range(n_samples):
         left = complex_gaussian(d, r, rng)
@@ -325,7 +339,7 @@ def empirical_rip_probe(design: SensingDesign, r: int, n_samples: int,
         if design.kind == "blockwise":
             vals = obs_flat @ x.reshape(-1)
         else:
-            vals = pair_inner_products(rhos, obs, x)
+            vals = pair_inner_products(design.states, design.observables, x)
         energies[i] = float(np.sum(np.abs(vals) ** 2)) / m
     c0, c1 = float(energies.min()), float(energies.max())
     return RipProbe(c0, c1, (c0 + c1) / 2, (c1 - c0) / (c1 + c0))

@@ -1,7 +1,9 @@
 """On-disk formats: JSON manifests plus CMX1 matrix payloads.
 
-Matrix collections are stored as one CMX1 file with the members horizontally
-concatenated (an N x N*count matrix); the manifest records the count. JSON
+Matrix collections are held in memory as one C-contiguous (count, N, N)
+array and stored as one CMX1 file with the members horizontally concatenated
+(an N x N*count matrix); the manifest records the count. Blockwise data, an
+(N, M_O) array in memory, are stored transposed, one column per block. JSON
 manifests are written with sorted keys so identical objects serialize to
 identical bytes.
 """
@@ -52,18 +54,22 @@ def load_json(path: str) -> dict:
 
 
 def save_matrix_stack(path: str, mats) -> None:
-    """Store a list of equally sized matrices as one horizontal concatenation."""
-    if not mats:
-        raise DimensionError("empty matrix list")
-    save_cmx(path, np.hstack([np.asarray(m, dtype=np.complex128) for m in mats]))
+    """Store a (count, N, N) stack as one horizontal concatenation."""
+    mats = np.asarray(mats, dtype=np.complex128)
+    if mats.ndim != 3 or len(mats) == 0:
+        raise DimensionError(f"need a non-empty (count, N, N) stack, got {mats.shape}")
+    save_cmx(path, mats.transpose(1, 0, 2).reshape(mats.shape[1], -1))
 
 
-def load_matrix_stack(path: str, count: int) -> list:
+def load_matrix_stack(path: str, count: int) -> np.ndarray:
+    """Read a stack written by save_matrix_stack as a C-contiguous
+    (count, N, N) array."""
     block = load_cmx(path)
     width = block.shape[1] // count
     if width * count != block.shape[1]:
         raise DimensionError(f"{path}: width {block.shape[1]} not divisible by {count}")
-    return [block[:, i * width:(i + 1) * width] for i in range(count)]
+    return np.ascontiguousarray(block.reshape(block.shape[0], count, width)
+                                .transpose(1, 0, 2))
 
 
 def save_superoperator(out_dir: str, s: Superoperator, extra: dict | None = None) -> None:
@@ -106,13 +112,8 @@ def save_design(out_dir: str, design: SensingDesign, seed: int | None = None) ->
     if seed is not None:
         manifest["seed"] = seed
     if design.kind == "random_pairs":
-        save_matrix_stack(os.path.join(out_dir, "states.cmx"),
-                          [p[0] for p in design.pairs])
-        save_matrix_stack(os.path.join(out_dir, "observables.cmx"),
-                          [p[1] for p in design.pairs])
-    else:
-        save_matrix_stack(os.path.join(out_dir, "observables.cmx"),
-                          design.observables)
+        save_matrix_stack(os.path.join(out_dir, "states.cmx"), design.states)
+    save_matrix_stack(os.path.join(out_dir, "observables.cmx"), design.observables)
     save_json(os.path.join(out_dir, "design.json"), manifest)
 
 
@@ -122,16 +123,15 @@ def load_design(in_dir: str) -> SensingDesign:
     obs = load_matrix_stack(os.path.join(in_dir, "observables.cmx"), count)
     if manifest["kind"] == "random_pairs":
         states = load_matrix_stack(os.path.join(in_dir, "states.cmx"), count)
-        return SensingDesign("random_pairs", manifest["dim_n"],
-                             pairs=list(zip(states, obs)))
-    return SensingDesign("blockwise", manifest["dim_n"], observables=obs,
+        return SensingDesign("random_pairs", manifest["dim_n"], obs, states=states)
+    return SensingDesign("blockwise", manifest["dim_n"], obs,
                          row_index=manifest["row_index"])
 
 
 def save_measurements(out_dir: str, data: MeasurementSet) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    if isinstance(data.values, list):
-        values = np.stack([np.asarray(v) for v in data.values]).T  # M_O x N
+    if np.ndim(data.values) == 2:
+        values = data.values.T                                  # M_O x N
         kind = "blockwise"
     else:
         values = np.asarray(data.values, dtype=np.complex128).reshape(-1, 1)
@@ -151,7 +151,7 @@ def load_measurements(in_dir: str) -> MeasurementSet:
     manifest = load_json(os.path.join(in_dir, "measurements.json"))
     values = load_cmx(os.path.join(in_dir, "values.cmx"))
     if manifest["kind"] == "blockwise":
-        payload = [values[:, k].copy() for k in range(values.shape[1])]
+        payload = np.ascontiguousarray(values.T)                # N x M_O
     else:
         payload = values[:, 0].real.copy()
     return MeasurementSet(manifest["design_ref"], payload, manifest["sigma"],

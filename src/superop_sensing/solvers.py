@@ -8,16 +8,18 @@ to a plain sweep whenever the loss grows by more than the restart factor eta.
 There is one ALS loop: at beta = 0 the extrapolated point is the current
 iterate, so every step is one exact sweep and the loop is plain ALS.
 
-Three problem shapes are handled:
+Two problem shapes are handled, one per design kind:
 
 * random pairs: X is the full N^2 x N^2 reshaped matrix, sensed by
-  tr[(conj(rho) x O)^H X]; the Kronecker products are never formed, the
-  design rows are assembled through O^H (.) rho products on the unvectorized
-  factor columns.
-* one block: X is a single N x N block sensed by a shared observable list.
-* stacked blocks: X = [X_1, ..., X_p] shares the left factor U across
-  blocks; the right-factor update decouples into one shared-design solve
-  with p right-hand sides, the left-factor update couples all blocks.
+  tr[(conj(rho) x O)^H X] with data a length-M vector; the Kronecker
+  products are never formed, the design rows are assembled through
+  O^H (.) rho products on the unvectorized factor columns.
+* blockwise: X = [X_1, ..., X_p] is an N x pN row of blocks, p = d2 / N,
+  sensed by the shared (M_O, N, N) observables with data the (p, M_O)
+  matrix whose row k belongs to X_k (p = 1 is a single block). The blocks
+  share the left factor U; the right-factor update decouples into one
+  shared-design solve with p right-hand sides, the left-factor update
+  couples all blocks.
 
 The least-squares subproblems use the SVD-backed solver, so rank-deficient
 assemblies yield minimum-norm solutions, and common rescaling of design and
@@ -30,6 +32,7 @@ solves the full matrix, `als_p`, `als_n` and `als_i` the anchor block row.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -45,7 +48,6 @@ __all__ = [
     "FactorPair",
     "SolverConfig",
     "SolveReport",
-    "StackedDesign",
     "derive_seed",
     "sensing_loss",
     "nesterov_als_solve",
@@ -87,8 +89,18 @@ class SolverConfig:
     init: str = "spectral"   # or "random"
 
     def __post_init__(self):
+        for name, kind in (("rank", numbers.Integral), ("max_iter", numbers.Integral),
+                           ("gamma", numbers.Real), ("eta", numbers.Real),
+                           ("beta", numbers.Real)):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, kind)
+                    or not math.isfinite(value)):
+                raise DimensionError(f"{name} must be a finite {kind.__name__}, "
+                                     f"got {value!r}")
         if self.rank < 1:
             raise DimensionError("rank must be >= 1")
+        if self.max_iter < 1:
+            raise DimensionError("max_iter must be >= 1")
         if self.gamma <= 0:
             raise DimensionError("gamma must be positive")
         if self.eta <= 1:
@@ -107,27 +119,6 @@ class SolveReport:
     wall_time: float = 0.0
 
 
-@dataclass
-class StackedDesign:
-    """Shared observables sensing a row of n_blocks horizontally stacked
-    N x N blocks with a common left factor."""
-
-    observables: list
-    n_blocks: int
-    dim_n: int
-
-    def __post_init__(self):
-        if self.n_blocks < 1:
-            raise DimensionError("n_blocks must be >= 1")
-        for obs in self.observables:
-            if np.shape(obs) != (self.dim_n, self.dim_n):
-                raise DimensionError("observables must be N x N")
-
-    @property
-    def n_measurements(self) -> int:
-        return len(self.observables) * self.n_blocks
-
-
 # ---------------------------------------------------------------------------
 # problem back ends
 
@@ -138,12 +129,11 @@ class _PairProblem:
     def __init__(self, design: SensingDesign, b):
         self.n = design.dim_n
         self.d1 = self.d2 = self.n * self.n
-        self.rho = np.stack([p[0] for p in design.pairs]).astype(np.complex128)
-        self.obs = np.stack([p[1] for p in design.pairs]).astype(np.complex128)
+        self.rho = design.states
+        self.obs = design.observables
         self.b = np.asarray(b, dtype=np.complex128).reshape(-1)
-        if self.b.size != len(design.pairs):
-            raise DimensionError(
-                f"{self.b.size} data values for {len(design.pairs)} pairs")
+        if self.b.size != len(self.obs):
+            raise DimensionError(f"{self.b.size} data values for {len(self.obs)} pairs")
         self.m_total = self.b.size
 
     def _fold(self, factor):
@@ -204,14 +194,13 @@ class _PairProblem:
 class _StackedProblem:
     """Shared-observable sensing of stacked blocks with a common left factor."""
 
-    def __init__(self, observables, n_blocks: int, b):
-        self.obs = np.stack(observables).astype(np.complex128)
-        self.n = self.obs.shape[1]
+    def __init__(self, design: SensingDesign, n_blocks: int, b):
+        self.obs = design.observables
+        self.n = design.dim_n
         self.n_blocks = n_blocks
         self.d1 = self.n
         self.d2 = self.n * n_blocks
-        b = np.asarray(b, dtype=np.complex128)
-        self.b = b.reshape(n_blocks, len(observables))
+        self.b = np.asarray(b, dtype=np.complex128).reshape(n_blocks, len(self.obs))
         self.m_total = self.b.size
 
     def _split(self, v):
@@ -247,18 +236,18 @@ class _StackedProblem:
 
     def backprojection(self):
         blocks = np.einsum("km,mxy->kxy", self.b, self.obs, optimize=True)
-        return np.hstack(list(blocks)) / len(self.obs)
+        return blocks.transpose(1, 0, 2).reshape(self.d1, self.d2) / len(self.obs)
 
 
-def _make_problem(design, b, d1: int, d2: int):
-    if isinstance(design, StackedDesign):
-        prob = _StackedProblem(design.observables, design.n_blocks, b)
-    elif isinstance(design, SensingDesign) and design.kind == "random_pairs":
+def _make_problem(design: SensingDesign, b, d1: int, d2: int):
+    """The back end of a design: a random-pairs design senses the full
+    N^2 x N^2 matrix, a blockwise one the d2 // N blocks of an N x d2 row."""
+    if design.kind == "random_pairs":
         prob = _PairProblem(design, b)
-    elif isinstance(design, SensingDesign) and design.kind == "blockwise":
-        prob = _StackedProblem(design.observables, 1, b)
     else:
-        raise DimensionError(f"unsupported design {type(design).__name__}")
+        prob = _StackedProblem(design, max(1, d2 // design.dim_n), b)
+    if not np.all(np.isfinite(prob.b)):
+        raise DimensionError("data values hold non-finite entries")
     if (prob.d1, prob.d2) != (d1, d2):
         raise DimensionError(
             f"design implies dimensions ({prob.d1}, {prob.d2}), got ({d1}, {d2})")
@@ -362,28 +351,31 @@ def nesterov_als_solve(design, b, d1: int, d2: int,
 # first-row strategies
 
 
-def _as_block_matrix(b_blocks, n: int) -> np.ndarray:
-    """The anchor row's data vectors as an n x M_O matrix, one row per block."""
-    bmat = np.stack([np.asarray(v, dtype=np.complex128).reshape(-1)
-                     for v in b_blocks])
-    if bmat.shape[0] != n:
-        raise DimensionError(f"expected {n} data vectors, got {bmat.shape[0]}")
-    return bmat
+def _row_design(observables, values, n: int) -> SensingDesign:
+    """The blockwise design of the shared observables, after checking that
+    values is the (n, M_O) data matrix of an n-block anchor row."""
+    design = SensingDesign("blockwise", np.shape(observables)[-1], observables)
+    if np.shape(values) != (n, design.n_measurements):
+        raise DimensionError(f"values of shape {np.shape(values)}, expected "
+                             f"({n}, {design.n_measurements})")
+    return design
 
 
-def solve_first_row_parallel(observables, b_blocks, n: int, config: SolverConfig,
+def solve_first_row_parallel(observables, values, n: int, config: SolverConfig,
                              workers: int = 1, n_inits: int = 3):
     """Recover each anchor-row block independently (one solve per block).
 
-    The per-block problems run near the identifiability limit, where a
-    single start can land in a spurious basin, so each block races n_inits
-    accelerated solves (the configured init plus random restarts) and keeps
-    the lowest-loss result. Per-block seeds are derived from (config.seed,
-    block index, attempt), so the outcome does not depend on the worker
-    count. Returns (blocks, reports).
+    observables is the (M_O, N, N) array of the design and values the
+    (n, M_O) data matrix, one row per column block. The per-block problems
+    run near the identifiability limit, where a single start can land in a
+    spurious basin, so each block races n_inits accelerated solves (the
+    configured init plus random restarts) and keeps the lowest-loss result.
+    Per-block seeds are derived from (config.seed, block index, attempt), so
+    the outcome does not depend on the worker count. Returns (row, reports)
+    with row the N x nN anchor row.
     """
-    bmat = _as_block_matrix(b_blocks, n)
-    design = StackedDesign(observables, 1, np.shape(observables[0])[0])
+    design = _row_design(observables, values, n)
+    dim = design.dim_n
 
     def solve_block(k):
         best = None
@@ -391,8 +383,7 @@ def solve_first_row_parallel(observables, b_blocks, n: int, config: SolverConfig
             cfg = replace(config, seed=derive_seed(config.seed, 1, k, attempt),
                           init=config.init if attempt == 0 else "random")
             try:
-                rep = nesterov_als_solve(design, bmat[k], design.dim_n,
-                                         design.dim_n, cfg)
+                rep = nesterov_als_solve(design, values[k], dim, dim, cfg)
             except Exception as exc:
                 raise type(exc)(f"block {k}: {exc}") from exc
             if best is None or rep.final_loss < best.final_loss:
@@ -404,63 +395,62 @@ def solve_first_row_parallel(observables, b_blocks, n: int, config: SolverConfig
             reports = list(pool.map(solve_block, range(n)))
     else:
         reports = [solve_block(k) for k in range(n)]
-    blocks = [r.factors.product() for r in reports]
-    return blocks, reports
+    row = np.empty((dim, n * dim), dtype=np.complex128)
+    for k, rep in enumerate(reports):
+        row[:, k * dim:(k + 1) * dim] = rep.factors.product()
+    return row, reports
 
 
-def solve_first_row_joint(observables, b_blocks, n: int, config: SolverConfig):
+def solve_first_row_joint(observables, values, n: int, config: SolverConfig):
     """Recover the whole anchor row at once with a shared left factor.
 
-    Returns (blocks, report) where blocks are the N column blocks of U V^H.
+    observables is the (M_O, N, N) array of the design and values the
+    (n, M_O) data matrix. Returns (row, report) with row = U V^H, the
+    N x nN anchor row.
     """
-    bmat = _as_block_matrix(b_blocks, n)
-    dim = np.shape(observables[0])[0]
-    design = StackedDesign(observables, n, dim)
-    report = nesterov_als_solve(design, bmat, dim, dim * n, config)
-    x = report.factors.product()
-    blocks = [x[:, k * dim:(k + 1) * dim] for k in range(n)]
-    return blocks, report
+    design = _row_design(observables, values, n)
+    dim = design.dim_n
+    report = nesterov_als_solve(design, values, dim, dim * n, config)
+    return report.factors.product(), report
 
 
-def solve_first_row_subset(observables, b_blocks, n: int, subset_ratio: float,
+def solve_first_row_subset(observables, values, n: int, subset_ratio: float,
                            config: SolverConfig):
     """Joint solve on a random subset of the anchor row, then fill the rest.
 
-    The subset always contains block 0 (the Hermitian diagonal block) plus
+    observables and values are laid out as for solve_first_row_joint. The
+    subset always contains block 0 (the Hermitian diagonal block) plus
     ceil(ratio * N) - 1 indices sampled without replacement; it is kept in
     ascending order, so ratio 1 reproduces the joint solve exactly. Blocks
     outside the subset are recovered by one right-factor solve of the
     stacked problem with the shared left factor fixed. Returns
-    (blocks, report).
+    (row, report) with row the N x nN anchor row.
     """
     if not 0 < subset_ratio <= 1:
         raise DimensionError("subset_ratio must be in (0, 1]")
-    bmat = _as_block_matrix(b_blocks, n)
-    dim = np.shape(observables[0])[0]
+    design = _row_design(observables, values, n)
+    dim = design.dim_n
     p = min(n, max(1, math.ceil(subset_ratio * n)))
     rng = np.random.default_rng(derive_seed(config.seed, 2))
     chosen = [0] + sorted(rng.choice(np.arange(1, n), size=p - 1, replace=False).tolist())
-    design = StackedDesign(observables, p, dim)
-    report = nesterov_als_solve(design, bmat[chosen], dim, dim * p, config)
+    report = nesterov_als_solve(design, values[chosen], dim, dim * p, config)
     u = report.factors.left
-    parts = [(chosen, report.factors.right)]
+    v = np.empty((n, dim, config.rank), dtype=np.complex128)   # right factor by block
+    v[chosen] = report.factors.right.reshape(p, dim, -1)
     rest = [k for k in range(n) if k not in chosen]
     if rest:
-        parts.append((rest, _StackedProblem(observables, len(rest),
-                                            bmat[rest]).solve_right(u)))
-    blocks: list = [None] * n
-    for indices, v in parts:
-        for pos, k in enumerate(indices):
-            blocks[k] = u @ v[pos * dim:(pos + 1) * dim].conj().T
-    return blocks, report
+        fill = _make_problem(design, values[rest], dim, dim * len(rest))
+        v[rest] = fill.solve_right(u).reshape(len(rest), dim, -1)
+    return u @ v.reshape(n * dim, -1).conj().T, report
 
 
 def solve_strategy(strategy: str, design: SensingDesign, values, config: SolverConfig,
                    subset_ratio: float = 1.0, workers: int = 1):
     """Run one recovery strategy on a design and its measured values.
 
-    Returns (estimate, reports): the full N^2 x N^2 matrix for `als_n2`, the
-    N anchor-row blocks otherwise, and the list of solve reports behind it
+    values is laid out as `MeasurementSet.values`. Returns
+    (estimate, reports): the full N^2 x N^2 matrix for `als_n2`, the
+    N x N^2 anchor row otherwise, and the list of solve reports behind it
     (one per block for `als_p`, a single one otherwise). `subset_ratio` is
     read by `als_i` only, `workers` by `als_p` only.
     """
@@ -476,8 +466,8 @@ def solve_strategy(strategy: str, design: SensingDesign, values, config: SolverC
         return solve_first_row_parallel(design.observables, values, n, config,
                                         workers=workers)
     if strategy == "als_n":
-        blocks, report = solve_first_row_joint(design.observables, values, n, config)
+        row, report = solve_first_row_joint(design.observables, values, n, config)
     else:
-        blocks, report = solve_first_row_subset(design.observables, values, n,
-                                                subset_ratio, config)
-    return blocks, [report]
+        row, report = solve_first_row_subset(design.observables, values, n,
+                                             subset_ratio, config)
+    return row, [report]

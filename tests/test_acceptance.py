@@ -22,7 +22,7 @@ from superop_sensing import (ExperimentConfig, SensingDesign, SolverConfig,
                              relative_frobenius_error, reshape_R, run_experiment,
                              simulate_measurements, solve_first_row_joint,
                              solve_first_row_subset, vec)
-from superop_sensing.solvers import StackedDesign, _make_problem, derive_seed
+from superop_sensing.solvers import _make_problem, derive_seed
 
 
 def _report(num, ok, detail=""):
@@ -82,8 +82,7 @@ def test_criterion_3_deterministic_reconstruction():
         n, r = cases[count % len(cases)]
         r_minus = 0 if r == 1 else 1
         truth = haar_low_rank_hermitian(n, r - r_minus, r_minus, seed=seed)
-        blocks = [truth.matrix[:n, k * n:(k + 1) * n] for k in range(n)]
-        est = reconstruct_full(blocks, r)
+        est = reconstruct_full(truth.matrix[:n, :], r)
         worst = max(worst, relative_frobenius_error(est, truth))
         count += 1
         seed += 1
@@ -179,10 +178,10 @@ def _recovery_threshold(n, r, grid, trials=10):
                                          seed=derive_seed(72, n, r, m_o, trial))
             cfg = SolverConfig(rank=r, seed=derive_seed(73, n, r, m_o, trial))
             try:
-                blocks, _ = solve_first_row_subset(design.observables,
-                                                   data.values, n, 0.5, cfg)
+                row, _ = solve_first_row_subset(design.observables,
+                                                data.values, n, 0.5, cfg)
                 err = relative_frobenius_error(
-                    reconstruct_full(blocks, r).matrix, k)
+                    reconstruct_full(row, r).matrix, k)
             except Exception:
                 err = 1.0
             hits += err < 1e-5
@@ -219,11 +218,10 @@ def test_criterion_8_solver_invariants():
                                         "random", 0, 900 + case)
         sigma = float(rng.choice([0.0, 1e-4, 1e-2]))
         data = simulate_measurements(s, design, sigma, seed=case)
-        stacked = StackedDesign(design.observables, n, n)
-        b = np.stack([np.asarray(v) for v in data.values])
+        b = data.values
         # plain ALS: the momentum loop at beta = 0
         cfg = SolverConfig(rank=r, seed=case, max_iter=25, init="random", beta=0.0)
-        trace = np.asarray(nesterov_als_solve(stacked, b, n, n * n, cfg).loss_trace)
+        trace = np.asarray(nesterov_als_solve(design, b, n, n * n, cfg).loss_trace)
         # 1e-12 slack relative to the data energy: noiseless runs bottom out
         # at the roundoff floor ~eps^2 * ||b||^2 where exact ordering of the
         # loss values is meaningless
@@ -234,12 +232,11 @@ def test_criterion_8_solver_invariants():
     s = random_channel(4, 2, seed=850)
     design = build_blockwise_design(4, 24, "random", 0, 851)
     data = simulate_measurements(s, design, 1e-3, seed=852)
-    stacked = StackedDesign(design.observables, 4, 4)
-    b = np.stack([np.asarray(v) for v in data.values])
+    b = data.values
     cfg = SolverConfig(rank=2, seed=853, max_iter=25, eta=1 + 1e-12,
                        init="random")
-    rep = nesterov_als_solve(stacked, b, 4, 16, cfg)
-    prob = _make_problem(stacked, b, 4, 16)
+    rep = nesterov_als_solve(design, b, 4, 16, cfg)
+    prob = _make_problem(design, b, 4, 16)
     rng2 = np.random.default_rng(cfg.seed)
     u_prev = complex_gaussian(4, 2, rng2)
     v_prev = complex_gaussian(16, 2, rng2)
@@ -274,10 +271,10 @@ def test_criterion_8_solver_invariants():
 
     # scale invariance under common (A, b) scaling, c a power of two
     c = 2.0
-    scaled = StackedDesign([c * o for o in design.observables], 4, 4)
+    scaled = SensingDesign("blockwise", 4, c * design.observables)
     for beta in (0.0, 1.0):
         cfg2 = SolverConfig(rank=2, seed=854, max_iter=20, beta=beta)
-        r1 = nesterov_als_solve(stacked, b, 4, 16, cfg2)
+        r1 = nesterov_als_solve(design, b, 4, 16, cfg2)
         r2 = nesterov_als_solve(scaled, c * b, 4, 16, cfg2)
         ok = ok and np.array_equal(r1.factors.product(), r2.factors.product())
 
@@ -286,7 +283,7 @@ def test_criterion_8_solver_invariants():
     joint, _ = solve_first_row_joint(design.observables, data.values, 4, cfg3)
     subset, _ = solve_first_row_subset(design.observables, data.values, 4, 1.0,
                                        cfg3)
-    ok = ok and all(np.array_equal(a, bb) for a, bb in zip(joint, subset))
+    ok = ok and np.array_equal(joint, subset)
 
     elapsed = time.time() - start
     _report(8, ok and elapsed < 120,

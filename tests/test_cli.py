@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from superop_sensing import choi_reshape, load_cmx
+from superop_sensing import choi_reshape, load_cmx, save_cmx
 from superop_sensing.cli import main
 from superop_sensing.serialize import load_superoperator
 
@@ -102,13 +102,65 @@ def test_run_exit_code_2_on_missing_file(tmp_path):
 
 
 def test_reconstruct_exit_code_3_on_rank_violation(tmp_path):
-    from superop_sensing import save_cmx
     blocks = np.zeros((3, 9), dtype=complex)
     blocks[:, 3:6] = np.eye(3)  # anchor diagonal block is zero
     path = tmp_path / "blocks.cmx"
     save_cmx(path, blocks)
     assert run_cli("reconstruct", "--blocks", str(path), "--rank", "2",
                    "--out", str(tmp_path)) == 3
+
+
+@pytest.mark.parametrize("solver", [{"max_iter": "5"}, {"max_iter": 0},
+                                    {"gamma": "1e-8"}, {"rank": True}])
+def test_run_exit_code_2_on_bad_solver_value(tmp_path, solver):
+    config = {"task": "channel", "n": 4, "design": "blockwise", "strategy": "als_n",
+              "m_o": [16], "kraus_rank": 2, "solver": solver}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    assert run_cli("run", "--config", str(cfg_path), "--out", str(tmp_path)) == 2
+
+
+def _stored_blockwise_data(tmp_path):
+    truth_dir, data_dir = tmp_path / "truth", tmp_path / "data"
+    assert run_cli("generate", "--task", "channel", "--n", "3", "--kraus-rank", "1",
+                   "--seed", "1", "--out", str(truth_dir)) == 0
+    assert run_cli("measure", "--truth", str(truth_dir), "--design", "blockwise",
+                   "--m", "12", "--seed", "2", "--out", str(data_dir)) == 0
+    return data_dir
+
+
+def test_solve_exit_code_2_on_zero_max_iter(tmp_path):
+    data_dir = _stored_blockwise_data(tmp_path)
+    assert run_cli("solve", "--data", str(data_dir), "--strategy", "als_n",
+                   "--rank", "1", "--max-iter", "0", "--out", str(tmp_path / "s")) == 2
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_solve_exit_code_2_on_non_finite_data(tmp_path, bad):
+    data_dir = _stored_blockwise_data(tmp_path)
+    values = load_cmx(data_dir / "values.cmx")
+    values[3, 1] = bad
+    save_cmx(data_dir / "values.cmx", values)
+    for strategy in ("als_p", "als_n", "als_i"):
+        assert run_cli("solve", "--data", str(data_dir), "--strategy", strategy,
+                       "--rank", "1", "--out", str(tmp_path / "s")) == 2
+
+
+def test_reconstruct_exit_code_2_on_partial_block(tmp_path):
+    # 18 columns are four 4 x 4 blocks plus two stray columns
+    path = tmp_path / "blocks.cmx"
+    save_cmx(path, np.ones((4, 18), dtype=complex))
+    assert run_cli("reconstruct", "--blocks", str(path), "--rank", "1",
+                   "--out", str(tmp_path)) == 2
+
+
+def test_reconstruct_exit_code_2_on_non_finite_row(tmp_path):
+    row = np.ones((3, 9), dtype=complex)
+    row[0, 7] = np.nan
+    path = tmp_path / "blocks.cmx"
+    save_cmx(path, row)
+    assert run_cli("reconstruct", "--blocks", str(path), "--rank", "1",
+                   "--out", str(tmp_path)) == 2
 
 
 def test_rip_probe_subcommand(tmp_path, capsys):

@@ -57,7 +57,8 @@ def test_config_validation():
                                     "sweep": [16], "kraus_rank": 2,
                                     "bogus_key": 1})
     # solver settings are checked once, at construction, not per trial
-    for solver in ({"betta": 0.5}, {"lambda_reg": 0.1}, {"seed": 3}):
+    for solver in ({"betta": 0.5}, {"lambda_reg": 0.1}, {"seed": 3},
+                   {"max_iter": "5"}, {"max_iter": 0}, {"rank": 2.5}, {"eta": None}):
         with pytest.raises(ValueError):
             ExperimentConfig(task="channel", n=4, design="blockwise",
                              strategy="als_n", sweep=[16], kraus_rank=2,

@@ -38,13 +38,14 @@ def test_pauli_basis_orthonormal():
 
 def test_build_random_design_pauli():
     design = build_random_design(4, 30, "pauli", seed=2)
-    for rho, obs in design.pairs:
+    assert design.states.shape == design.observables.shape == (30, 4, 4)
+    for rho, obs in zip(design.states, design.observables):
         assert np.isclose(np.linalg.norm(np.kron(rho.conj(), obs)), 1.0)
 
 
 def test_build_random_design_random_source():
     design = build_random_design(4, 50, "random", seed=3)
-    for rho, obs in design.pairs:
+    for rho, obs in zip(design.states, design.observables):
         assert abs(np.trace(rho) - 1) < 1e-12
         assert np.linalg.eigvalsh(rho).min() >= -1e-12
         assert np.linalg.norm(obs - obs.conj().T) < 1e-12
@@ -53,8 +54,8 @@ def test_build_random_design_random_source():
 def test_build_random_design_reproducible():
     d1 = build_random_design(4, 10, "random", seed=4)
     d2 = build_random_design(4, 10, "random", seed=4)
-    assert all(np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
-               for a, b in zip(d1.pairs, d2.pairs))
+    assert np.array_equal(d1.states, d2.states)
+    assert np.array_equal(d1.observables, d2.observables)
 
 
 def test_build_random_design_pauli_needs_power_of_two():
@@ -65,10 +66,10 @@ def test_build_random_design_pauli_needs_power_of_two():
 def test_build_blockwise_design():
     design = build_blockwise_design(4, 12, "random", row_index=1, seed=5)
     assert design.kind == "blockwise" and design.row_index == 1
-    assert len(design.observables) == 12
+    assert design.observables.shape == (12, 4, 4) and design.states is None
+    assert design.observables.flags.c_contiguous
     d2 = build_blockwise_design(4, 12, "random", row_index=1, seed=5)
-    assert all(np.array_equal(a, b) for a, b in zip(design.observables,
-                                                    d2.observables))
+    assert np.array_equal(design.observables, d2.observables)
 
 
 def test_build_design_dispatch():
@@ -76,8 +77,8 @@ def test_build_design_dispatch():
     assert pairs.kind == "random_pairs" and pairs.n_measurements == 5
     blocks = build_design("blockwise", 4, 6, "pauli", seed=1, row_index=2)
     assert blocks.kind == "blockwise" and blocks.row_index == 2
-    assert all(np.array_equal(a, b) for a, b in zip(
-        blocks.observables, build_blockwise_design(4, 6, "pauli", 2, 1).observables))
+    assert np.array_equal(blocks.observables,
+                          build_blockwise_design(4, 6, "pauli", 2, 1).observables)
     with pytest.raises(DimensionError):
         build_design("nothing", 4, 5, "random", seed=1)
 
@@ -112,7 +113,7 @@ def test_simulate_random_pairs_matches_choi_formula():
     k = choi_reshape(s).matrix
     design = build_random_design(4, 40, "random", seed=8)
     data = simulate_measurements(s, design, 0.0, seed=9)
-    for m, (rho, obs) in enumerate(design.pairs):
+    for m, (rho, obs) in enumerate(zip(design.states, design.observables)):
         expected = hs_inner(np.kron(rho.conj(), obs), k)
         assert abs(expected.imag) <= 1e-12
         assert abs(data.values[m] - expected.real) <= 1e-12
@@ -124,6 +125,7 @@ def test_simulate_blockwise_block_extraction():
     k = choi_reshape(s).matrix
     design = build_blockwise_design(n, 25, "random", 0, seed=11)
     data = simulate_measurements(s, design, 0.0, seed=12)
+    assert data.values.shape == (n, 25)
     for l in range(n):
         block = k[0:n, l * n:(l + 1) * n]
         expected = np.array([np.trace(obs @ block) for obs in design.observables])
@@ -156,7 +158,7 @@ def test_simulate_noise_modes_agree_at_zero_sigma():
     design = build_blockwise_design(4, 15, "random", 0, seed=20)
     a = simulate_measurements(s, design, 0.0, "synthetic", seed=21)
     b = simulate_measurements(s, design, 0.0, "physical", seed=21)
-    assert all(np.allclose(x, y, atol=1e-15) for x, y in zip(a.values, b.values))
+    assert np.allclose(a.values, b.values, atol=1e-15)
 
 
 def test_simulate_physical_combination_is_exact():
@@ -166,8 +168,7 @@ def test_simulate_physical_combination_is_exact():
     design = build_blockwise_design(4, 10, "random", 0, seed=31)
     exact = simulate_measurements(s, design, 0.0, "synthetic", seed=32)
     tiny = simulate_measurements(s, design, 1e-13, "physical", seed=32)
-    for a, b in zip(exact.values, tiny.values):
-        assert np.allclose(a, b, atol=1e-11)
+    assert np.allclose(exact.values, tiny.values, atol=1e-11)
 
 
 def test_simulate_physical_noise_statistics():
@@ -178,11 +179,10 @@ def test_simulate_physical_noise_statistics():
     design = build_blockwise_design(4, 4000, "random", 0, seed=23)
     clean = simulate_measurements(s, design, 0.0, "physical", seed=24)
     noisy = simulate_measurements(s, design, 1e-4, "physical", seed=24)
-    diff = np.concatenate([np.asarray(noisy.values[l]) - np.asarray(clean.values[l])
-                           for l in range(1, 4)])
-    var = np.var(diff.real)
+    diff = noisy.values - clean.values
+    var = np.var(diff[1:].real)
     assert 1.2e-8 <= var <= 1.8e-8
-    diag = np.asarray(noisy.values[0]) - np.asarray(clean.values[0])
+    diag = diff[0]
     assert np.allclose(diag.imag, 0)
 
 
@@ -195,7 +195,7 @@ def test_simulate_dimension_mismatch():
 
 def test_rip_probe_parseval_frame():
     n = 4
-    design = SensingDesign("blockwise", n, observables=pauli_basis(2))
+    design = SensingDesign("blockwise", n, pauli_basis(2))
     probe = empirical_rip_probe(design, r=2, n_samples=200, seed=0)
     m = n * n
     assert abs(probe.delta) <= 1e-12
@@ -203,8 +203,7 @@ def test_rip_probe_parseval_frame():
 
 
 def test_rip_probe_single_measurement():
-    design = SensingDesign("blockwise", 4,
-                           observables=[np.eye(4) / 2])
+    design = SensingDesign("blockwise", 4, np.eye(4)[None] / 2)
     probe = empirical_rip_probe(design, r=1, n_samples=500, seed=1)
     assert probe.delta > 0.5
 
@@ -232,6 +231,24 @@ def test_noiseless_random_design_values_real():
     # independently recompute the complex trace and check its imaginary part
     s = random_channel(4, 3, seed=28)
     design = build_random_design(4, 50, "random", seed=29)
-    for rho, obs in design.pairs:
+    for rho, obs in zip(design.states, design.observables):
         val = hs_inner(apply_superop(s, rho), obs)
         assert abs(val.imag) <= 1e-12
+
+
+def test_design_validation():
+    obs = pauli_basis(1)
+    with pytest.raises(DimensionError):
+        SensingDesign("blockwise", 3, obs)                  # N mismatch
+    with pytest.raises(DimensionError):
+        SensingDesign("random_pairs", 2, obs)               # no states
+    with pytest.raises(DimensionError):
+        SensingDesign("random_pairs", 2, obs, states=obs[:3])
+    bad = obs.copy()
+    bad[1, 0, 0] = np.nan
+    with pytest.raises(DimensionError):
+        SensingDesign("blockwise", 2, bad)
+    # a list of matrices is accepted and stored as one C-contiguous array
+    design = SensingDesign("blockwise", 2, list(obs))
+    assert design.observables.flags.c_contiguous
+    assert np.array_equal(design.observables, obs)

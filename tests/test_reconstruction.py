@@ -6,14 +6,19 @@ from superop_sensing import (complex_gaussian, haar_low_rank_hermitian,
 from superop_sensing.errors import AssumptionViolationError, DimensionError
 
 
-def _row_blocks(matrix, n, row=0):
-    return [matrix[row * n:(row + 1) * n, k * n:(k + 1) * n] for k in range(n)]
+def _row(matrix, n, row=0):
+    return matrix[row * n:(row + 1) * n, :]
+
+
+def _noise(n, scale, seed):
+    # independent complex Gaussian noise per N x N block of an N x N^2 row
+    return scale * np.hstack([complex_gaussian(n, n, seed=seed + k) for k in range(n)])
 
 
 @pytest.mark.parametrize("n,r_plus,r_minus", [(3, 1, 1), (4, 2, 1), (4, 1, 2)])
 def test_exact_reconstruction(n, r_plus, r_minus):
     truth = haar_low_rank_hermitian(n, r_plus, r_minus, seed=n + r_plus)
-    est = reconstruct_full(_row_blocks(truth.matrix, n), r_plus + r_minus)
+    est = reconstruct_full(_row(truth.matrix, n), r_plus + r_minus)
     err = np.linalg.norm(est.matrix - truth.matrix) / np.linalg.norm(truth.matrix)
     assert err <= 1e-10
 
@@ -23,14 +28,13 @@ def test_rank_one_psd_case():
     v = complex_gaussian(9, 1, rng)
     v[0] += 1.0  # keep the anchor block nonzero
     truth = np.outer(v[:, 0], v[:, 0].conj())
-    est = reconstruct_full(_row_blocks(truth, 3), 1)
+    est = reconstruct_full(_row(truth, 3), 1)
     assert np.linalg.norm(est.matrix - truth) <= 1e-10 * np.linalg.norm(truth)
 
 
 def test_output_rank_is_exactly_r():
     truth = haar_low_rank_hermitian(4, 2, 1, seed=5)
-    noisy = [b + 1e-5 * complex_gaussian(4, 4, seed=10 + k)
-             for k, b in enumerate(_row_blocks(truth.matrix, 4))]
+    noisy = _row(truth.matrix, 4) + _noise(4, 1e-5, seed=10)
     est = reconstruct_full(noisy, 3)
     sv = np.linalg.svd(est.matrix, compute_uv=False)
     assert sv[3] <= 1e-10 * sv[0]
@@ -38,40 +42,36 @@ def test_output_rank_is_exactly_r():
 
 def test_first_row_projection_property():
     truth = haar_low_rank_hermitian(4, 2, 1, seed=6)
-    blocks = _row_blocks(truth.matrix, 4)
-    est = reconstruct_full(blocks, 3)
-    row = np.hstack(blocks)
+    row = _row(truth.matrix, 4)
+    est = reconstruct_full(row, 3)
     assert np.linalg.norm(est.matrix[:4, :] - row) <= 1e-10 * np.linalg.norm(row)
 
 
 def test_anchor_row_other_than_first():
     truth = haar_low_rank_hermitian(4, 2, 1, seed=7)
-    blocks = _row_blocks(truth.matrix, 4, row=2)
-    est = reconstruct_full(blocks, 3, anchor=2)
+    est = reconstruct_full(_row(truth.matrix, 4, row=2), 3, anchor=2)
     err = np.linalg.norm(est.matrix - truth.matrix) / np.linalg.norm(truth.matrix)
     assert err <= 1e-10
 
 
 def test_assumption_violation_zero_anchor_block():
-    blocks = [np.zeros((3, 3), dtype=complex) for _ in range(3)]
-    blocks[1] = complex_gaussian(3, 3, seed=8)
+    row = np.zeros((3, 9), dtype=complex)
+    row[:, 3:6] = complex_gaussian(3, 3, seed=8)
     with pytest.raises(AssumptionViolationError) as info:
-        reconstruct_full(blocks, 2)
+        reconstruct_full(row, 2)
     assert info.value.observed_rank == 0
 
 
 def test_assumption_violation_reports_observed_rank():
     truth = haar_low_rank_hermitian(3, 1, 0, seed=9)  # rank 1
-    blocks = _row_blocks(truth.matrix, 3)
     with pytest.raises(AssumptionViolationError) as info:
-        reconstruct_full(blocks, 2, rtol=1e-8)
+        reconstruct_full(_row(truth.matrix, 3), 2, rtol=1e-8)
     assert info.value.observed_rank == 1
 
 
 def test_hermitize_flag():
     truth = haar_low_rank_hermitian(3, 2, 0, seed=10)
-    noisy = [b + 1e-4 * complex_gaussian(3, 3, seed=20 + k)
-             for k, b in enumerate(_row_blocks(truth.matrix, 3))]
+    noisy = _row(truth.matrix, 3) + _noise(3, 1e-4, seed=20)
     est = reconstruct_full(noisy, 2, hermitize=True)
     assert np.linalg.norm(est.matrix - est.matrix.conj().T) <= 1e-14
 
@@ -80,10 +80,9 @@ def test_noise_stability_is_measured_not_asserted():
     # perturbing the row by eps changes the output by kappa * eps; kappa is
     # finite and reported here as a smoke check, not bounded
     truth = haar_low_rank_hermitian(4, 2, 1, seed=11)
-    blocks = _row_blocks(truth.matrix, 4)
+    row = _row(truth.matrix, 4)
     eps = 1e-6
-    noisy = [b + eps * np.linalg.norm(b) * complex_gaussian(4, 4, seed=30 + k)
-             for k, b in enumerate(blocks)]
+    noisy = row + eps * np.linalg.norm(row) * _noise(4, 1.0, seed=30)
     est = reconstruct_full(noisy, 3)
     delta = np.linalg.norm(est.matrix - truth.matrix) / np.linalg.norm(truth.matrix)
     kappa = delta / eps
@@ -92,8 +91,24 @@ def test_noise_stability_is_measured_not_asserted():
 
 def test_input_validation():
     with pytest.raises(DimensionError):
-        reconstruct_full([], 1)
+        reconstruct_full(np.zeros((0, 0)), 1)
     with pytest.raises(DimensionError):
-        reconstruct_full([np.eye(3), np.eye(2)], 1)
+        reconstruct_full(np.zeros(9), 1)
     with pytest.raises(DimensionError):
-        reconstruct_full([np.eye(3)] * 3, 1, anchor=5)
+        reconstruct_full(np.hstack([np.eye(3)] * 2), 1)
+    with pytest.raises(DimensionError):
+        reconstruct_full(np.hstack([np.eye(3)] * 3), 1, anchor=5)
+
+
+def test_rejects_width_not_a_multiple_of_height():
+    # a 4 x 18 row used to lose its last two columns silently
+    with pytest.raises(DimensionError):
+        reconstruct_full(np.ones((4, 18)), 1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_rejects_non_finite_row(bad):
+    row = _row(haar_low_rank_hermitian(3, 1, 0, seed=12).matrix, 3)
+    row[1, 4] = bad
+    with pytest.raises(DimensionError):
+        reconstruct_full(row, 1)
