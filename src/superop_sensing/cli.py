@@ -3,9 +3,10 @@
 Subcommands: generate (ground truth to disk), measure (design + data), solve
 (strategy on stored data), reconstruct (full matrix from stored blocks), run
 (full pipeline from a JSON config), rip-probe, report (aggregate stored
-results). Every subcommand accepts --seed and --out; solve and run also take
---threads, the worker-thread count of the per-block `als_p` solves. Exit
-codes: 0 success, 2 configuration error, 3 numerical failure.
+results). Every subcommand accepts --seed and --out. `run` writes
+results.json, one CSV per sweep point and figure_recipe.json. `als_p` solves
+its blocks on up to one thread per CPU and gives the same result at any
+count. Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -14,12 +15,13 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 from . import harness, serialize
 from .errors import NUMERICAL_ERRORS
 from .linalg import load_cmx, save_cmx
-from .measurements import (DESIGN_KINDS, SOURCES, build_design, empirical_rip_probe,
-                           simulate_measurements)
+from .measurements import (DESIGN_KINDS, NOISE_MODES, SOURCES, build_design,
+                           empirical_rip_probe, simulate_measurements)
 from .models import TASKS, ground_truth
 from .reconstruction import reconstruct_full
 from .solvers import STRATEGY_DESIGNS, SolverConfig, solve_strategy
@@ -27,12 +29,9 @@ from .solvers import STRATEGY_DESIGNS, SolverConfig, solve_strategy
 _CONFIG_ERRORS = (ValueError, KeyError, FileNotFoundError, json.JSONDecodeError)
 
 
-def _common(parser, threads: bool = False):
+def _common(parser):
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out", default=".", help="output directory")
-    if threads:
-        parser.add_argument("--threads", type=int, default=1,
-                            help="worker threads for the per-block als_p solves")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -55,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=100,
                    help="pair count (random_pairs) or observable count (blockwise)")
     p.add_argument("--sigma", type=float, default=0.0)
-    p.add_argument("--noise-mode", choices=["synthetic", "physical"], default="synthetic")
+    p.add_argument("--noise-mode", choices=NOISE_MODES, default="synthetic")
     p.add_argument("--row-index", type=int, default=0)
     _common(p)
 
@@ -69,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=float, default=1.2)
     p.add_argument("--beta", type=float, default=1.0,
                    help="momentum; 0 runs plain ALS")
-    _common(p, threads=True)
+    _common(p)
 
     p = sub.add_parser("reconstruct", help="complete the matrix from stored blocks")
     p.add_argument("--blocks", required=True,
@@ -82,8 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="full pipeline from a JSON config")
     p.add_argument("--config", required=True)
-    p.add_argument("--formats", default="json,csv")
-    _common(p, threads=True)
+    _common(p)
 
     p = sub.add_parser("rip-probe", help="sampled frame bounds of a design")
     p.add_argument("--n", type=int, required=True)
@@ -132,7 +130,7 @@ def cmd_solve(args) -> int:
     cfg = SolverConfig(rank=args.rank, max_iter=args.max_iter, gamma=args.gamma,
                        eta=args.eta, beta=args.beta, seed=args.seed)
     estimate, reports = solve_strategy(args.strategy, design, data.values, cfg,
-                                       args.subset_ratio, args.threads)
+                                       args.subset_ratio)
     os.makedirs(args.out, exist_ok=True)
     name = "estimate.cmx" if args.strategy == "als_n2" else "blocks.cmx"
     save_cmx(os.path.join(args.out, name), estimate)
@@ -169,14 +167,11 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_run(args) -> int:
     with open(args.config) as fh:
-        raw = json.load(fh)
+        config = harness.ExperimentConfig.from_dict(json.load(fh))
     if args.seed_explicit:
-        raw["master_seed"] = args.seed
-    raw.setdefault("workers", args.threads)
-    config = harness.ExperimentConfig.from_dict(raw)
+        config = replace(config, master_seed=args.seed)
     result = harness.run_experiment(config)
-    formats = [f.strip() for f in args.formats.split(",") if f.strip()]
-    written = harness.emit_results(result, args.out, formats)
+    written = harness.emit_results(result, args.out)
     for point in result.points:
         agg = point.aggregates(config.recovery_threshold)
         err = "n/a" if agg["mean_error"] is None else f"{agg['mean_error']:.3e}"

@@ -19,6 +19,7 @@ import csv
 import hashlib
 import json
 import math
+import numbers
 import os
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -26,7 +27,8 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .errors import NUMERICAL_ERRORS, DimensionError, UndefinedMetricError
-from .measurements import DESIGN_KINDS, SOURCES, build_design, simulate_measurements
+from .measurements import (DESIGN_KINDS, NOISE_MODES, SOURCES, build_design,
+                           simulate_measurements)
 from .models import TASKS, ground_truth
 from .reconstruction import reconstruct_full
 from .reshaping import ReshapedMatrix
@@ -77,6 +79,12 @@ def recovery_rate(errors, threshold: float) -> float:
     return hits / len(errors)
 
 
+def _nonnegative_int(name: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+    return int(value)
+
+
 @dataclass
 class ExperimentConfig:
     """Knobs of one experiment; see module docstring for the pipeline."""
@@ -99,10 +107,31 @@ class ExperimentConfig:
     recovery_threshold: float = 1e-5
     row_index: int = 0
     hermitize: bool = False
-    workers: int = 1
     solver: dict = field(default_factory=dict)  # overrides for SolverConfig
 
     def __post_init__(self):
+        for name in ("n", "trials", "master_seed", "kraus_rank", "n_jumps", "r_plus",
+                     "r_minus", "row_index"):
+            setattr(self, name, _nonnegative_int(name, getattr(self, name)))
+        for name in ("sigma", "subset_ratio", "recovery_threshold"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite real, got {value!r}")
+        if self.n < 1:
+            raise ValueError("n must be >= 1")
+        if not 0 <= self.row_index < self.n:
+            raise ValueError(f"row_index must be in [0, {self.n}), got {self.row_index}")
+        if self.sigma < 0:
+            raise ValueError("sigma must be nonnegative")
+        if self.noise_mode not in NOISE_MODES:
+            raise ValueError(f"noise_mode must be one of {NOISE_MODES}")
+        if self.recovery_threshold <= 0:
+            raise ValueError("recovery_threshold must be positive")
+        if not isinstance(self.hermitize, bool):
+            raise ValueError(f"hermitize must be a bool, got {self.hermitize!r}")
+        if not isinstance(self.solver, dict):
+            raise ValueError(f"solver must be an object, got {self.solver!r}")
         if self.task not in TASKS:
             raise ValueError(f"task must be one of {TASKS}, got {self.task!r}")
         if self.design not in DESIGN_KINDS:
@@ -114,8 +143,8 @@ class ExperimentConfig:
         if self.design != STRATEGY_DESIGNS[self.strategy]:
             raise ValueError(
                 f"{self.strategy} needs the {STRATEGY_DESIGNS[self.strategy]} design")
-        self.sweep = [int(v) for v in (self.sweep if isinstance(self.sweep, (list, tuple))
-                                       else [self.sweep])]
+        self.sweep = [_nonnegative_int("sweep", v) for v in
+                      (self.sweep if isinstance(self.sweep, (list, tuple)) else [self.sweep])]
         if not self.sweep or any(v < 1 for v in self.sweep):
             raise ValueError("sweep values must be positive")
         if self.trials < 1:
@@ -156,6 +185,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        if not isinstance(data, dict):
+            raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
         data = dict(data)
         data.pop("rank", None)
         if "m" in data:
@@ -230,7 +261,7 @@ def _run_trial(config: ExperimentConfig, point_idx: int, m: int, trial: int) -> 
 
     start = time.perf_counter()
     estimate, reports = solve_strategy(config.strategy, design, data.values, cfg,
-                                       config.subset_ratio, config.workers)
+                                       config.subset_ratio)
     if config.strategy != "als_n2":
         estimate = reconstruct_full(estimate, config.rank, anchor=config.row_index,
                                     hermitize=config.hermitize).matrix
@@ -285,7 +316,7 @@ def _result_payload(result: ExperimentResult, aggregates: list) -> tuple[dict, d
     return payload, {"points": timings}
 
 
-def emit_results(result: ExperimentResult, out_dir: str, formats=("json", "csv")) -> list:
+def emit_results(result: ExperimentResult, out_dir: str) -> list:
     """Write results.json, one CSV per sweep point, and a figure recipe.
 
     The JSON is emitted with sorted keys and shortest round-trip floats; all
@@ -294,45 +325,37 @@ def emit_results(result: ExperimentResult, out_dir: str, formats=("json", "csv")
     `# manifest <hash>` comment, then one row per trial and a final
     aggregate row over the same columns. Returns the written paths.
     """
-    formats = set(formats)
-    unknown = formats - {"json", "csv"}
-    if unknown:
-        raise ValueError(f"unknown formats: {sorted(unknown)}")
     os.makedirs(out_dir, exist_ok=True)
     aggregates = [point.aggregates(result.threshold) for point in result.points]
     payload, timings = _result_payload(result, aggregates)
-    written = []
-    if "json" in formats:
-        payload_with_times = dict(payload)
-        payload_with_times["timings"] = timings
-        path = os.path.join(out_dir, "results.json")
-        save_json(path, payload_with_times)
+    payload["timings"] = timings
+    path = os.path.join(out_dir, "results.json")
+    save_json(path, payload)
+    written = [path]
+    for point, agg in zip(result.points, aggregates):
+        path = os.path.join(out_dir, f"results_m{point.m}.csv")
+        lines = [f"# manifest {result.manifest_hash()}"]
+        rows = [["trial", "error", "time_s", "iterations", "recovered"]]
+        for r in point.records:
+            rows.append([r.trial, _fmt(r.error), _fmt(r.wall_time),
+                         r.iterations, int(r.recovered)])
+        rows.append(["aggregate", _fmt(agg["mean_error"]), _fmt(agg["mean_time_s"]),
+                     _fmt(agg["mean_iterations"]), _fmt(agg["recovery_rate"])])
+        out = "\n".join(lines + [",".join(str(c) for c in row) for row in rows]) + "\n"
+        write_text(path, out)
         written.append(path)
-    if "csv" in formats:
-        for point, agg in zip(result.points, aggregates):
-            path = os.path.join(out_dir, f"results_m{point.m}.csv")
-            lines = [f"# manifest {result.manifest_hash()}"]
-            rows = [["trial", "error", "time_s", "iterations", "recovered"]]
-            for r in point.records:
-                rows.append([r.trial, _fmt(r.error), _fmt(r.wall_time),
-                             r.iterations, int(r.recovered)])
-            rows.append(["aggregate", _fmt(agg["mean_error"]), _fmt(agg["mean_time_s"]),
-                         _fmt(agg["mean_iterations"]), _fmt(agg["recovery_rate"])])
-            out = "\n".join(lines + [",".join(str(c) for c in row) for row in rows]) + "\n"
-            write_text(path, out)
-            written.append(path)
-        recipe = {
-            "x": "m", "x_scale": "log", "y": "mean_error", "y_scale": "log",
-            "series": [{"label": result.manifest["strategy"],
-                        "points": [{"m": p.m, "mean_error": agg["mean_error"],
-                                    "recovery_rate": agg["recovery_rate"]}
-                                   for p, agg in zip(result.points, aggregates)]}],
-            "csv_files": [f"results_m{p.m}.csv" for p in result.points],
-            "manifest_hash": result.manifest_hash(),
-        }
-        path = os.path.join(out_dir, "figure_recipe.json")
-        save_json(path, recipe)
-        written.append(path)
+    recipe = {
+        "x": "m", "x_scale": "log", "y": "mean_error", "y_scale": "log",
+        "series": [{"label": result.manifest["strategy"],
+                    "points": [{"m": p.m, "mean_error": agg["mean_error"],
+                                "recovery_rate": agg["recovery_rate"]}
+                               for p, agg in zip(result.points, aggregates)]}],
+        "csv_files": [f"results_m{p.m}.csv" for p in result.points],
+        "manifest_hash": result.manifest_hash(),
+    }
+    path = os.path.join(out_dir, "figure_recipe.json")
+    save_json(path, recipe)
+    written.append(path)
     return written
 
 

@@ -7,6 +7,7 @@ Gaussian sampling, plus the CMX1 on-disk matrix format.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -26,6 +27,9 @@ __all__ = [
 ]
 
 _CMX_MAGIC = b"CMX1"
+
+_SVD_OVERSAMPLE = 10    # randomized_svd sketch columns beyond k
+_SVD_POWER_ITERS = 2
 
 
 @dataclass
@@ -62,25 +66,22 @@ def truncated_svd(a, k: int) -> SvdResult:
     return SvdResult(u[:, :k].copy(), s[:k].copy(), vh[:k].conj().T.copy())
 
 
-def randomized_svd(a, k: int, oversample: int = 10, power_iters: int = 2,
-                   seed: int = 0) -> SvdResult:
+def randomized_svd(a, k: int, seed: int = 0) -> SvdResult:
     """Approximate top-k SVD via a Gaussian range sketch with power iterations.
 
-    Deterministic for a fixed seed. The sketch width k + oversample is capped
-    at min(a.shape); for matrices of exact rank <= k the result matches
-    truncated_svd to roundoff.
+    Deterministic for a fixed seed. The sketch width k + _SVD_OVERSAMPLE is
+    capped at min(a.shape); for matrices of exact rank <= k the result
+    matches truncated_svd to roundoff.
     """
     a = _as_matrix(a)
     m, n = a.shape
     if not 1 <= k <= min(m, n):
         raise DimensionError(f"k={k} out of range for shape {a.shape}")
-    if oversample < 0 or power_iters < 0:
-        raise DimensionError("oversample and power_iters must be nonnegative")
-    ell = min(k + oversample, min(m, n))
+    ell = min(k + _SVD_OVERSAMPLE, min(m, n))
     omega = complex_gaussian(n, ell, seed)
     y = a @ omega
     q = np.linalg.qr(y)[0]
-    for _ in range(power_iters):
+    for _ in range(_SVD_POWER_ITERS):
         q = np.linalg.qr(a.conj().T @ q)[0]
         q = np.linalg.qr(a @ q)[0]
     b = q.conj().T @ a
@@ -147,7 +148,8 @@ def save_cmx(path, a) -> None:
 
 
 def load_cmx(path) -> np.ndarray:
-    """Read a matrix written by save_cmx."""
+    """Read a matrix written by save_cmx; a header whose nonempty size does
+    not match the rest of the file raises DimensionError before any read."""
     with open(path, "rb") as fh:
         header = fh.read(20)
         if len(header) != 20:
@@ -155,8 +157,12 @@ def load_cmx(path) -> np.ndarray:
         magic, rows, cols = struct.unpack("<4sQQ", header)
         if magic != _CMX_MAGIC:
             raise DimensionError(f"{path}: bad magic {magic!r}")
-        data = fh.read(16 * rows * cols)
-    if len(data) != 16 * rows * cols:
+        size, held = 16 * rows * cols, os.fstat(fh.fileno()).st_size - 20
+        if size == 0 or size != held:
+            raise DimensionError(f"{path}: header declares {rows} x {cols} "
+                                 f"({size} payload bytes), file holds {held}")
+        data = fh.read(size)
+    if len(data) != size:
         raise DimensionError(f"{path}: truncated CMX1 payload")
     flat = np.frombuffer(data, dtype="<c16")
     return flat.reshape((rows, cols), order="F").astype(np.complex128)

@@ -31,6 +31,7 @@ from .models import Superoperator, apply_superop, random_density, random_observa
 __all__ = [
     "DESIGN_KINDS",
     "SOURCES",
+    "NOISE_MODES",
     "SensingDesign",
     "MeasurementSet",
     "RipProbe",
@@ -48,6 +49,7 @@ __all__ = [
 
 DESIGN_KINDS = ("random_pairs", "blockwise")
 SOURCES = ("pauli", "random")
+NOISE_MODES = ("synthetic", "physical")
 
 _I2 = np.eye(2, dtype=np.complex128)
 _SX = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -260,7 +262,7 @@ def simulate_measurements(s: Superoperator, design: SensingDesign, sigma: float,
     """
     if sigma < 0:
         raise DimensionError("sigma must be nonnegative")
-    if noise_mode not in ("synthetic", "physical"):
+    if noise_mode not in NOISE_MODES:
         raise DimensionError(f"unknown noise_mode {noise_mode!r}")
     if design.dim_n != s.dim_n:
         raise DimensionError(f"design dim {design.dim_n} != superoperator dim {s.dim_n}")

@@ -142,17 +142,17 @@ def lindblad_reshaped(lind: Lindbladian) -> ReshapedMatrix:
     return ReshapedMatrix(n, mat)
 
 
-def _signed_kraus_from_hermitian(resh: ReshapedMatrix, expected_rank: int | None = None,
-                                 tol: float = _RANK_TOL) -> Superoperator:
+def _signed_kraus_from_hermitian(resh: ReshapedMatrix,
+                                 expected_rank: int | None = None) -> Superoperator:
     """Split a Hermitian reshaped matrix into orthogonal signed Kraus operators.
 
-    Eigenvectors with |eigenvalue| above tol * max|eigenvalue| become
+    Eigenvectors with |eigenvalue| above _RANK_TOL * max|eigenvalue| become
     operators scaled by sqrt(|eigenvalue|), positive eigenvalues in the plus
     set and negative ones in the minus set.
     """
     evals, evecs = np.linalg.eigh(resh.matrix)
     scale = np.max(np.abs(evals)) if evals.size else 0.0
-    keep = np.abs(evals) > tol * scale
+    keep = np.abs(evals) > _RANK_TOL * scale
     if expected_rank is not None and int(np.count_nonzero(keep)) < expected_rank:
         raise DegenerateSpectrumError(
             f"reshaped matrix has numerical rank {int(np.count_nonzero(keep))}, "
@@ -177,9 +177,9 @@ def lindblad_canonical(lind: Lindbladian) -> Superoperator:
                                         expected_rank=len(lind.jumps) + 2)
 
 
-def superop_from_reshaped(resh: ReshapedMatrix, tol: float = _RANK_TOL) -> Superoperator:
+def superop_from_reshaped(resh: ReshapedMatrix) -> Superoperator:
     """Signed Kraus form of an arbitrary Hermitian reshaped matrix."""
-    return _signed_kraus_from_hermitian(resh, expected_rank=None, tol=tol)
+    return _signed_kraus_from_hermitian(resh)
 
 
 def random_channel(n: int, kraus_rank: int, seed: int) -> Superoperator:

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -58,6 +59,8 @@ __all__ = [
 ]
 
 _DIVERGENCE_FACTOR = 1e6
+
+_BLOCK_INITS = 3   # solves raced per als_p block
 
 # recovery strategy -> the design kind it reads
 STRATEGY_DESIGNS = {"als_n2": "random_pairs", "als_p": "blockwise",
@@ -361,25 +364,25 @@ def _row_design(observables, values, n: int) -> SensingDesign:
     return design
 
 
-def solve_first_row_parallel(observables, values, n: int, config: SolverConfig,
-                             workers: int = 1, n_inits: int = 3):
+def solve_first_row_parallel(observables, values, n: int, config: SolverConfig):
     """Recover each anchor-row block independently (one solve per block).
 
     observables is the (M_O, N, N) array of the design and values the
     (n, M_O) data matrix, one row per column block. The per-block problems
     run near the identifiability limit, where a single start can land in a
-    spurious basin, so each block races n_inits accelerated solves (the
+    spurious basin, so each block races three accelerated solves (the
     configured init plus random restarts) and keeps the lowest-loss result.
-    Per-block seeds are derived from (config.seed, block index, attempt), so
-    the outcome does not depend on the worker count. Returns (row, reports)
-    with row the N x nN anchor row.
+    The blocks run on a pool of up to one thread per CPU; per-block seeds
+    are derived from (config.seed, block index, attempt), so the row is the
+    same at any thread count. Returns (row, reports) with row the N x nN
+    anchor row.
     """
     design = _row_design(observables, values, n)
     dim = design.dim_n
 
     def solve_block(k):
         best = None
-        for attempt in range(max(1, n_inits)):
+        for attempt in range(_BLOCK_INITS):
             cfg = replace(config, seed=derive_seed(config.seed, 1, k, attempt),
                           init=config.init if attempt == 0 else "random")
             try:
@@ -390,11 +393,8 @@ def solve_first_row_parallel(observables, values, n: int, config: SolverConfig,
                 best = rep
         return best
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(solve_block, range(n)))
-    else:
-        reports = [solve_block(k) for k in range(n)]
+    with ThreadPoolExecutor(max_workers=min(n, os.cpu_count() or 1)) as pool:
+        reports = list(pool.map(solve_block, range(n)))
     row = np.empty((dim, n * dim), dtype=np.complex128)
     for k, rep in enumerate(reports):
         row[:, k * dim:(k + 1) * dim] = rep.factors.product()
@@ -445,14 +445,15 @@ def solve_first_row_subset(observables, values, n: int, subset_ratio: float,
 
 
 def solve_strategy(strategy: str, design: SensingDesign, values, config: SolverConfig,
-                   subset_ratio: float = 1.0, workers: int = 1):
+                   subset_ratio: float = 1.0):
     """Run one recovery strategy on a design and its measured values.
 
     values is laid out as `MeasurementSet.values`. Returns
     (estimate, reports): the full N^2 x N^2 matrix for `als_n2`, the
     N x N^2 anchor row otherwise, and the list of solve reports behind it
     (one per block for `als_p`, a single one otherwise). `subset_ratio` is
-    read by `als_i` only, `workers` by `als_p` only.
+    read by `als_i` only. `als_p` runs its blocks on up to one thread per
+    CPU and returns the same row at any thread count.
     """
     if strategy not in STRATEGY_DESIGNS:
         raise DimensionError(f"unknown strategy {strategy!r}")
@@ -463,8 +464,7 @@ def solve_strategy(strategy: str, design: SensingDesign, values, config: SolverC
         report = nesterov_als_solve(design, values, n * n, n * n, config)
         return report.factors.product(), [report]
     if strategy == "als_p":
-        return solve_first_row_parallel(design.observables, values, n, config,
-                                        workers=workers)
+        return solve_first_row_parallel(design.observables, values, n, config)
     if strategy == "als_n":
         row, report = solve_first_row_joint(design.observables, values, n, config)
     else:

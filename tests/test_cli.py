@@ -1,10 +1,11 @@
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from superop_sensing import choi_reshape, load_cmx, save_cmx
-from superop_sensing.cli import main
+from superop_sensing.cli import build_parser, main
 from superop_sensing.serialize import load_superoperator
 
 
@@ -89,11 +90,21 @@ def test_run_exit_code_2_on_unknown_solver_key(tmp_path, capsys):
     assert "betta" in capsys.readouterr().err
 
 
-def test_threads_only_on_solve_and_run(tmp_path):
-    with pytest.raises(SystemExit) as info:
-        run_cli("generate", "--task", "channel", "--n", "4", "--threads", "2",
-                "--out", str(tmp_path))
-    assert info.value.code == 2
+def test_threads_and_formats_rejected_on_every_subcommand():
+    parser = build_parser()
+    commands = [["generate", "--task", "channel", "--n", "4"],
+                ["measure", "--truth", "t", "--design", "blockwise"],
+                ["solve", "--data", "d", "--strategy", "als_p", "--rank", "1"],
+                ["reconstruct", "--blocks", "b.cmx", "--rank", "1"],
+                ["run", "--config", "c.json"],
+                ["rip-probe", "--n", "4", "--design", "blockwise", "--m", "4"],
+                ["report", "--inputs", "r"]]
+    for argv in commands:
+        parser.parse_args(argv)
+        for flag in (["--threads", "2"], ["--formats", "json"]):
+            with pytest.raises(SystemExit) as info:
+                parser.parse_args(argv + flag)
+            assert info.value.code == 2
 
 
 def test_run_exit_code_2_on_missing_file(tmp_path):
@@ -118,6 +129,42 @@ def test_run_exit_code_2_on_bad_solver_value(tmp_path, solver):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(config))
     assert run_cli("run", "--config", str(cfg_path), "--out", str(tmp_path)) == 2
+
+
+@pytest.mark.parametrize("override", [
+    {"n": "4"}, {"n": True}, {"n": 0}, {"trials": 2.0}, {"master_seed": "1"},
+    {"master_seed": -1}, {"kraus_rank": 2.5}, {"r_minus": -1}, {"row_index": 4},
+    {"row_index": -1}, {"sigma": -1},
+    {"sigma": float("nan")}, {"sigma": "0"}, {"subset_ratio": True},
+    {"noise_mode": "bogus"}, {"recovery_threshold": -1}, {"recovery_threshold": 0},
+    {"sweep": [16.5]}, {"sweep": [True]}, {"hermitize": "no"}, {"solver": [1]},
+    {"workers": 2}], ids=lambda o: ",".join(f"{k}={v!r}" for k, v in o.items()))
+def test_run_exit_code_2_on_bad_config_value(tmp_path, capsys, override):
+    config = {"task": "channel", "n": 4, "design": "blockwise", "strategy": "als_n",
+              "sweep": [16], "kraus_rank": 2, **override}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    assert run_cli("run", "--config", str(cfg_path), "--out", str(tmp_path)) == 2
+    assert next(iter(override)) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("payload", [[1, 2], "config", 3])
+def test_run_exit_code_2_on_config_not_an_object(tmp_path, payload):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(payload))
+    assert run_cli("run", "--config", str(cfg_path), "--out", str(tmp_path)) == 2
+
+
+def test_solve_and_reconstruct_exit_code_2_on_oversized_cmx_header(tmp_path):
+    data_dir = _stored_blockwise_data(tmp_path)
+    huge = struct.pack("<4sQQ", b"CMX1", 2 ** 32, 2 ** 32)
+    (data_dir / "values.cmx").write_bytes(huge)
+    assert run_cli("solve", "--data", str(data_dir), "--strategy", "als_n",
+                   "--rank", "1", "--out", str(tmp_path / "s")) == 2
+    blocks = tmp_path / "blocks.cmx"
+    blocks.write_bytes(huge)
+    assert run_cli("reconstruct", "--blocks", str(blocks), "--rank", "1",
+                   "--out", str(tmp_path / "r")) == 2
 
 
 def _stored_blockwise_data(tmp_path):

@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from superop_sensing import (complex_gaussian, least_squares, load_cmx,
                              pseudo_inverse, randomized_svd, save_cmx,
@@ -58,7 +60,7 @@ def test_randomized_svd_exact_rank():
     u = complex_gaussian(8, 2, seed=3)
     v = complex_gaussian(8, 2, seed=4)
     a = u @ v.conj().T
-    res = randomized_svd(a, 2, oversample=10, power_iters=2, seed=0)
+    res = randomized_svd(a, 2, seed=0)
     assert np.linalg.norm(a - res.reconstruct()) <= 1e-8 * np.linalg.norm(a)
 
 
@@ -171,3 +173,42 @@ def test_cmx_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + b"\0" * 16)
     with pytest.raises(DimensionError):
         load_cmx(path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(1, 4), cols=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_cmx_every_truncation_raises(tmp_path_factory, rows, cols, seed):
+    a = complex_gaussian(rows, cols, seed)
+    path = tmp_path_factory.mktemp("cmx") / "m.cmx"
+    save_cmx(path, a)
+    raw = path.read_bytes()
+    assert np.array_equal(load_cmx(path), a)
+    for cut in range(len(raw)):
+        path.write_bytes(raw[:cut])
+        with pytest.raises(DimensionError):
+            load_cmx(path)
+
+
+_CMX_HEADERS = st.one_of(
+    st.binary(max_size=24),
+    st.builds(lambda r, c: struct.pack("<4sQQ", b"CMX1", r, c),
+              st.integers(0, 2 ** 64 - 1) | st.integers(0, 4),
+              st.integers(0, 2 ** 64 - 1) | st.integers(0, 4)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(header=_CMX_HEADERS, payload=st.binary(max_size=300))
+@example(header=struct.pack("<4sQQ", b"CMX1", 2 ** 32, 2 ** 32), payload=b"")
+@example(header=struct.pack("<4sQQ", b"CMX1", 1, 2), payload=bytes(32))
+def test_cmx_arbitrary_header_returns_file_contents_or_raises(tmp_path_factory, header,
+                                                              payload):
+    path = tmp_path_factory.mktemp("cmx") / "m.cmx"
+    raw = header + payload
+    path.write_bytes(raw)
+    try:
+        a = load_cmx(path)
+    except DimensionError:
+        return
+    _, rows, cols = struct.unpack("<4sQQ", raw[:20])
+    assert a.shape == (rows, cols)
+    assert a.astype("<c16").tobytes(order="F") == raw[20:]
