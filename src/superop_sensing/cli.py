@@ -4,9 +4,8 @@ Subcommands: generate (ground truth to disk), measure (design + data), solve
 (strategy on stored data), reconstruct (full matrix from stored blocks), run
 (full pipeline from a JSON config), rip-probe, report (aggregate stored
 results). Every subcommand accepts --seed and --out. `run` writes
-results.json, one CSV per sweep point and figure_recipe.json. `als_p` solves
-its blocks on up to one thread per CPU and gives the same result at any
-count. Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+results.json, one CSV per sweep point and figure_recipe.json. Exit codes:
+0 success, 2 configuration error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -134,16 +133,19 @@ def cmd_solve(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     name = "estimate.cmx" if args.strategy == "als_n2" else "blocks.cmx"
     save_cmx(os.path.join(args.out, name), estimate)
-    save_cmx(os.path.join(args.out, "left.cmx"), reports[-1].factors.left)
-    save_cmx(os.path.join(args.out, "right.cmx"), reports[-1].factors.right)
+    if len(reports) == 1:   # als_p's per-block factors are only in blocks.cmx
+        save_cmx(os.path.join(args.out, "left.cmx"), reports[0].factors.left)
+        save_cmx(os.path.join(args.out, "right.cmx"), reports[0].factors.right)
     serialize.save_json(os.path.join(args.out, "report.json"), {
         "strategy": args.strategy,
         "rank": args.rank,
         "final_loss": sum(r.final_loss for r in reports),
         "iterations": sum(r.iterations for r in reports),
         "restarts": sum(r.restarts for r in reports),
+        "fallbacks": sum(r.fallbacks for r in reports),
         "wall_time_s": sum(r.wall_time for r in reports),
-        "loss_trace": reports[-1].loss_trace,
+        "loss_trace": (reports[0].loss_trace if len(reports) == 1
+                       else [r.loss_trace for r in reports]),
     })
     print(f"solved with {args.strategy}: loss={sum(r.final_loss for r in reports):.3e}, "
           f"iterations={sum(r.iterations for r in reports)}")

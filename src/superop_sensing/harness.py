@@ -189,10 +189,11 @@ class ExperimentConfig:
             raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
         data = dict(data)
         data.pop("rank", None)
-        if "m" in data:
-            data["sweep"] = data.pop("m")
-        if "m_o" in data:
-            data["sweep"] = data.pop("m_o")
+        given = sorted(key for key in ("sweep", "m", "m_o") if key in data)
+        if len(given) > 1:
+            raise ValueError(f"give one of sweep, m and m_o, got {given}")
+        if given:
+            data["sweep"] = data.pop(given[0])
         fields = {f for f in cls.__dataclass_fields__}
         unknown = set(data) - fields
         if unknown:

@@ -1,8 +1,9 @@
 """Dense complex linear algebra used by every other module.
 
 Thin wrappers around numpy's LAPACK bindings: truncated and randomized SVD,
-Moore-Penrose pseudo-inverse, minimum-norm least squares, and seeded complex
-Gaussian sampling, plus the CMX1 on-disk matrix format.
+Moore-Penrose pseudo-inverse, minimum-norm least squares, a checked
+Cholesky solve, and seeded complex Gaussian sampling, plus the CMX1 on-disk
+matrix format.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ __all__ = [
     "randomized_svd",
     "pseudo_inverse",
     "least_squares",
+    "cholesky_solve",
     "complex_gaussian",
     "save_cmx",
     "load_cmx",
@@ -30,6 +32,9 @@ _CMX_MAGIC = b"CMX1"
 
 _SVD_OVERSAMPLE = 10    # randomized_svd sketch columns beyond k
 _SVD_POWER_ITERS = 2
+
+# cholesky_solve's bound on max/min of the Cholesky diagonal; see there
+_CHOLESKY_MAX_DIAG_RATIO = 1e4
 
 
 @dataclass
@@ -119,6 +124,32 @@ def least_squares(a, b) -> np.ndarray:
         raise DimensionError(f"row mismatch: A has {a.shape[0]}, B has {b.shape[0]}")
     x = np.linalg.lstsq(a, b, rcond=None)[0]
     return x[:, 0] if squeeze else x
+
+
+def cholesky_solve(a, b):
+    """Solve A X = B for Hermitian positive-definite A, or return None.
+
+    A is factored as L L^H (only its lower triangle is read) and X comes
+    from the two triangular solves. None means "not valid": the
+    factorization failed, or the ratio of the largest to the smallest
+    diagonal entry of L exceeds _CHOLESKY_MAX_DIAG_RATIO = 1e4. When A is
+    the normal matrix G^H G of a least-squares problem in G, that ratio is
+    a lower bound on cond(G), and solving through A instead of G loses
+    about eps * cond(G)^2 in relative accuracy. A ratio above 1e4 thus
+    flags a system where that loss would pass ~1e-8, still far under every
+    noise floor the solvers meet, and sends rank-deficient or nearly
+    collinear systems, where the normal equations are meaningless, to the
+    caller's minimum-norm fallback. The check costs nothing beyond the
+    factorization; it is not an estimate of cond(G).
+    """
+    try:
+        chol = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return None
+    diag = chol.diagonal().real
+    if not diag.max() <= _CHOLESKY_MAX_DIAG_RATIO * diag.min():   # NaN fails too
+        return None
+    return np.linalg.solve(chol.conj().T, np.linalg.solve(chol, b))
 
 
 def complex_gaussian(rows: int, cols: int, seed) -> np.ndarray:

@@ -13,7 +13,8 @@ Two problem shapes are handled, one per design kind:
 * random pairs: X is the full N^2 x N^2 reshaped matrix, sensed by
   tr[(conj(rho) x O)^H X] with data a length-M vector; the Kronecker
   products are never formed, the design rows are assembled through
-  O^H (.) rho products on the unvectorized factor columns.
+  O^H (.) rho products on the unvectorized factor columns, and each
+  half-sweep is an SVD-backed least-squares solve of those M rows.
 * blockwise: X = [X_1, ..., X_p] is an N x pN row of blocks, p = d2 / N,
   sensed by the shared (M_O, N, N) observables with data the (p, M_O)
   matrix whose row k belongs to X_k (p = 1 is a single block). The blocks
@@ -21,9 +22,33 @@ Two problem shapes are handled, one per design kind:
   shared-design solve with p right-hand sides, the left-factor update
   couples all blocks.
 
-The least-squares subproblems use the SVD-backed solver, so rank-deficient
-assemblies yield minimum-norm solutions, and common rescaling of design and
-data leaves every iterate unchanged.
+Blockwise half-sweeps solve normal equations. A half-sweep minimises a
+quadratic in one factor, so it needs the design only through its second
+moments: the N^2 x N^2 Gram matrix G[x,y,x',y'] = sum_m O_m[x,y]
+conj(O_m[x',y']) and the backprojections B_k = sum_m b_km O_m, both built
+once per problem. The left update is then one (N r) x (N r) Hermitian
+positive-definite solve with normal matrix sum G[x,y,x',y'] W[y,c,y',c'],
+W = sum_k V_k (x) conj(V_k), and right-hand side sum_k B_k V_k; the right
+update is one such solve with normal matrix sum G[x,a,x',a'] conj(U[x,c])
+U[x',c'] and one right-hand side sum_x B_k[x,a] conj(U[x,c]) per block.
+Neither costs anything that grows with M.
+
+Validity: normal equations square the condition number. A Cholesky solve
+is used only when the factorization succeeds and its diagonal's max/min
+ratio stays under the bound of `linalg.cholesky_solve`. Otherwise (for
+instance M_O < N r, where the normal matrix is singular) the half-sweep
+assembles the M-row system and solves it by SVD-backed least squares,
+which gives minimum-norm solutions on rank-deficient systems, and
+`SolveReport.fallbacks` counts it.
+
+The loss stays the direct residual over all M data. The quadratic form
+||b||^2 - 2 Re<B, X> + <X, G X> would also be independent of M, but it
+cancels down to roundoff at noiseless floors, where the restart test and
+the choice of the best iterate read it.
+
+On both back ends a common power-of-two rescaling of design and data
+leaves every iterate unchanged bitwise: G, B and the normal matrices scale
+by exact powers of four, their Cholesky factors by powers of two.
 
 `solve_strategy` is the one table from strategy name to solver: `als_n2`
 solves the full matrix, `als_p`, `als_n` and `als_i` the anchor block row.
@@ -33,15 +58,14 @@ from __future__ import annotations
 
 import math
 import numbers
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionError, DivergenceError
-from .linalg import complex_gaussian, least_squares, truncated_svd
+from .linalg import cholesky_solve, complex_gaussian, least_squares, truncated_svd
 from .measurements import SensingDesign, pair_inner_products
 
 __all__ = [
@@ -120,6 +144,7 @@ class SolveReport:
     restarts: int
     loss_trace: list = field(default_factory=list)
     wall_time: float = 0.0
+    fallbacks: int = 0      # half-sweeps that fell back from Cholesky to least squares
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +153,8 @@ class SolveReport:
 
 class _PairProblem:
     """Full reshaped-matrix sensing from (state, observable) pairs."""
+
+    fallbacks = 0   # no normal-equation path to fall back from
 
     def __init__(self, design: SensingDesign, b):
         self.n = design.dim_n
@@ -194,8 +221,21 @@ class _PairProblem:
         return x4.reshape(d, d) / self.m_total
 
 
+def _regroup(t, shape):
+    """Matrix with rows (i, j) and columns (k, l), of index ranges shape,
+    as the matrix with rows (i, k) and columns (j, l)."""
+    a, b, c, d = shape
+    return t.reshape(shape).transpose(0, 2, 1, 3).reshape(a * c, b * d)
+
+
 class _StackedProblem:
-    """Shared-observable sensing of stacked blocks with a common left factor."""
+    """Shared-observable sensing of stacked blocks with a common left factor.
+
+    The half-sweeps solve normal equations built from G and B (see the
+    module docstring), which are computed on first use, so after
+    _make_problem's checks; `fallbacks` counts the half-sweeps that went to
+    the least-squares assembly instead.
+    """
 
     def __init__(self, design: SensingDesign, n_blocks: int, b):
         self.obs = design.observables
@@ -205,27 +245,60 @@ class _StackedProblem:
         self.d2 = self.n * n_blocks
         self.b = np.asarray(b, dtype=np.complex128).reshape(n_blocks, len(self.obs))
         self.m_total = self.b.size
+        self.fallbacks = 0
+        self._flat = self.obs.reshape(len(self.obs), -1)    # (M, N^2), col x*N+y
+
+    @cached_property
+    def _gram(self):
+        """G as the N^2 x N^2 matrix with rows (x, x') and columns (y, y')."""
+        n = self.n
+        g = (self._flat.T @ self._flat.conj()).reshape(n, n, n, n)
+        return g.transpose(0, 2, 1, 3).reshape(n * n, n * n)
+
+    @cached_property
+    def _brow(self):
+        """[B_1, ..., B_p] side by side: N x pN, column (k, y)."""
+        bsum = (self.b @ self._flat).reshape(self.n_blocks, self.n, self.n)
+        return bsum.transpose(1, 0, 2).reshape(self.d1, self.d2)
 
     def _split(self, v):
         return v.reshape(self.n_blocks, self.n, v.shape[1])
 
     def measure(self, u, v):
-        w = np.einsum("mxa,xc->mac", self.obs.conj(), u)
-        return np.einsum("mac,kac->km", w, self._split(v).conj(), optimize=True)
+        # w[m,c,a] = sum_x conj(O_m[x,a]) U[x,c]; value (k, m) = sum w conj(V_k[a,c])
+        n, r, m = self.n, u.shape[1], len(self.obs)
+        w = np.matmul(u.conj().T, self.obs).conj().reshape(m, r * n)
+        vt = self._split(v).conj().transpose(0, 2, 1).reshape(self.n_blocks, r * n)
+        return vt @ w.T
 
     def solve_right(self, u):
-        w = np.einsum("mxa,xc->mac", self.obs.conj(), u)
-        g = w.reshape(w.shape[0], -1)
-        y = least_squares(g, self.b.T)                      # (N r, n_blocks)
-        r = u.shape[1]
+        n, r = self.n, u.shape[1]
+        # normal matrix sum_{x,x'} conj(U[x,c]) G[x,a,x',a'] U[x',c'], contracted
+        # over x (the leading row index of _gram), then over x'
+        t = (u.conj().T @ self._gram.reshape(n, -1)).reshape(r, n, n * n)
+        t = np.matmul(u.T, t).reshape(r, r, n, n)          # [c, c', a, a']
+        normal = t.transpose(2, 0, 3, 1).reshape(n * r, n * r)
+        # one right-hand side per block: sum_x B_k[x,a] conj(U[x,c])
+        rhs = (self._brow.T @ u.conj()).reshape(self.n_blocks, n * r).T
+        y = cholesky_solve(normal, rhs)                     # (N r, n_blocks)
+        if y is None:
+            self.fallbacks += 1
+            w = np.einsum("mxa,xc->mac", self.obs.conj(), u)
+            y = least_squares(w.reshape(w.shape[0], -1), self.b.T)
         return y.T.conj().reshape(self.d2, r)
 
     def solve_left(self, v):
-        vt = self._split(v)
-        z = np.einsum("mxy,kyc->kmxc", self.obs, vt, optimize=True)
-        h = z.conj().reshape(self.m_total, -1)
-        u = least_squares(h, self.b.reshape(-1))
-        return u.reshape(self.n, v.shape[1])
+        n, r = self.n, v.shape[1]
+        # normal matrix sum_{y,y'} G[x,y,x',y'] W[y,c,y',c'], W = sum_k V_k (x) conj(V_k)
+        vf = v.reshape(self.n_blocks, n * r)
+        w = _regroup(vf.T @ vf.conj(), (n, r, n, r))
+        normal = _regroup(self._gram @ w, (n, n, r, r))
+        u = cholesky_solve(normal, (self._brow @ v).reshape(-1))   # sum_k B_k V_k
+        if u is None:
+            self.fallbacks += 1
+            z = np.einsum("mxy,kyc->kmxc", self.obs, self._split(v), optimize=True)
+            u = least_squares(z.conj().reshape(self.m_total, -1), self.b.reshape(-1))
+        return u.reshape(n, r)
 
     def loss(self, u, v):
         resid = self.measure(u, v) - self.b
@@ -238,8 +311,7 @@ class _StackedProblem:
         return float(np.sum(np.abs(vals - self.b) ** 2)) / (2 * self.m_total)
 
     def backprojection(self):
-        blocks = np.einsum("km,mxy->kxy", self.b, self.obs, optimize=True)
-        return blocks.transpose(1, 0, 2).reshape(self.d1, self.d2) / len(self.obs)
+        return self._brow / len(self.obs)
 
 
 def _make_problem(design: SensingDesign, b, d1: int, d2: int):
@@ -347,7 +419,7 @@ def nesterov_als_solve(design, b, d1: int, d2: int,
         if converged:
             break
     return SolveReport(FactorPair(best[0], best[1]), best[2], iterations,
-                       restarts, trace, time.perf_counter() - start)
+                       restarts, trace, time.perf_counter() - start, prob.fallbacks)
 
 
 # ---------------------------------------------------------------------------
@@ -371,16 +443,16 @@ def solve_first_row_parallel(observables, values, n: int, config: SolverConfig):
     (n, M_O) data matrix, one row per column block. The per-block problems
     run near the identifiability limit, where a single start can land in a
     spurious basin, so each block races three accelerated solves (the
-    configured init plus random restarts) and keeps the lowest-loss result.
-    The blocks run on a pool of up to one thread per CPU; per-block seeds
-    are derived from (config.seed, block index, attempt), so the row is the
-    same at any thread count. Returns (row, reports) with row the N x nN
-    anchor row.
+    configured init plus random restarts) and keeps the lowest-loss result;
+    per-block seeds are derived from (config.seed, block index, attempt).
+    Returns (row, reports) with row the N x nN anchor row and one winning
+    report per block.
     """
     design = _row_design(observables, values, n)
     dim = design.dim_n
-
-    def solve_block(k):
+    row = np.empty((dim, n * dim), dtype=np.complex128)
+    reports = []
+    for k in range(n):
         best = None
         for attempt in range(_BLOCK_INITS):
             cfg = replace(config, seed=derive_seed(config.seed, 1, k, attempt),
@@ -391,13 +463,8 @@ def solve_first_row_parallel(observables, values, n: int, config: SolverConfig):
                 raise type(exc)(f"block {k}: {exc}") from exc
             if best is None or rep.final_loss < best.final_loss:
                 best = rep
-        return best
-
-    with ThreadPoolExecutor(max_workers=min(n, os.cpu_count() or 1)) as pool:
-        reports = list(pool.map(solve_block, range(n)))
-    row = np.empty((dim, n * dim), dtype=np.complex128)
-    for k, rep in enumerate(reports):
-        row[:, k * dim:(k + 1) * dim] = rep.factors.product()
+        row[:, k * dim:(k + 1) * dim] = best.factors.product()
+        reports.append(best)
     return row, reports
 
 
@@ -423,8 +490,9 @@ def solve_first_row_subset(observables, values, n: int, subset_ratio: float,
     ceil(ratio * N) - 1 indices sampled without replacement; it is kept in
     ascending order, so ratio 1 reproduces the joint solve exactly. Blocks
     outside the subset are recovered by one right-factor solve of the
-    stacked problem with the shared left factor fixed. Returns
-    (row, report) with row the N x nN anchor row.
+    stacked problem with the shared left factor fixed; its fallback, if
+    any, is added to the report's count. Returns (row, report) with row the
+    N x nN anchor row.
     """
     if not 0 < subset_ratio <= 1:
         raise DimensionError("subset_ratio must be in (0, 1]")
@@ -441,6 +509,7 @@ def solve_first_row_subset(observables, values, n: int, subset_ratio: float,
     if rest:
         fill = _make_problem(design, values[rest], dim, dim * len(rest))
         v[rest] = fill.solve_right(u).reshape(len(rest), dim, -1)
+        report.fallbacks += fill.fallbacks
     return u @ v.reshape(n * dim, -1).conj().T, report
 
 
@@ -452,8 +521,7 @@ def solve_strategy(strategy: str, design: SensingDesign, values, config: SolverC
     (estimate, reports): the full N^2 x N^2 matrix for `als_n2`, the
     N x N^2 anchor row otherwise, and the list of solve reports behind it
     (one per block for `als_p`, a single one otherwise). `subset_ratio` is
-    read by `als_i` only. `als_p` runs its blocks on up to one thread per
-    CPU and returns the same row at any thread count.
+    read by `als_i` only.
     """
     if strategy not in STRATEGY_DESIGNS:
         raise DimensionError(f"unknown strategy {strategy!r}")

@@ -57,6 +57,23 @@ def test_solve_als_n2_pipeline(tmp_path):
     assert np.linalg.norm(k_est - k_truth) <= 1e-5 * np.linalg.norm(k_truth)
 
 
+def test_solve_als_p_writes_per_block_traces(tmp_path):
+    truth_dir, data_dir, solve_dir = (tmp_path / x for x in ("t", "d", "s"))
+    run_cli("generate", "--task", "channel", "--n", "4", "--kraus-rank", "2",
+            "--seed", "3", "--out", str(truth_dir))
+    run_cli("measure", "--truth", str(truth_dir), "--design", "blockwise",
+            "--m", "20", "--sigma", "1e-4", "--seed", "4", "--out", str(data_dir))
+    assert run_cli("solve", "--data", str(data_dir), "--strategy", "als_p",
+                   "--rank", "2", "--seed", "6", "--out", str(solve_dir)) == 0
+    report = json.loads((solve_dir / "report.json").read_text())
+    assert len(report["loss_trace"]) == 4
+    assert sum(len(trace) for trace in report["loss_trace"]) == report["iterations"]
+    assert report["fallbacks"] == 0
+    assert (solve_dir / "blocks.cmx").exists()
+    assert not (solve_dir / "left.cmx").exists()
+    assert not (solve_dir / "right.cmx").exists()
+
+
 def test_run_subcommand_and_report(tmp_path, capsys):
     config = {
         "task": "channel", "n": 4, "design": "blockwise", "strategy": "als_i",
@@ -138,7 +155,7 @@ def test_run_exit_code_2_on_bad_solver_value(tmp_path, solver):
     {"sigma": float("nan")}, {"sigma": "0"}, {"subset_ratio": True},
     {"noise_mode": "bogus"}, {"recovery_threshold": -1}, {"recovery_threshold": 0},
     {"sweep": [16.5]}, {"sweep": [True]}, {"hermitize": "no"}, {"solver": [1]},
-    {"workers": 2}], ids=lambda o: ",".join(f"{k}={v!r}" for k, v in o.items()))
+    {"workers": 2}, {"m_o": [20], "m": [30]}], ids=lambda o: ",".join(f"{k}={v!r}" for k, v in o.items()))
 def test_run_exit_code_2_on_bad_config_value(tmp_path, capsys, override):
     config = {"task": "channel", "n": 4, "design": "blockwise", "strategy": "als_n",
               "sweep": [16], "kraus_rank": 2, **override}

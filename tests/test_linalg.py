@@ -9,6 +9,7 @@ from superop_sensing import (complex_gaussian, least_squares, load_cmx,
                              pseudo_inverse, randomized_svd, save_cmx,
                              truncated_svd)
 from superop_sensing.errors import DimensionError
+from superop_sensing.linalg import cholesky_solve
 
 
 def test_truncated_svd_identity():
@@ -133,6 +134,25 @@ def test_least_squares_matches_normal_equations():
 def test_least_squares_shape_mismatch():
     with pytest.raises(DimensionError):
         least_squares(np.eye(3), np.ones((4, 1)))
+
+
+def test_cholesky_solve_normal_equations():
+    a = complex_gaussian(20, 5, seed=19)
+    b = complex_gaussian(20, 3, seed=20)
+    x = cholesky_solve(a.conj().T @ a, a.conj().T @ b)
+    assert np.linalg.norm(x - least_squares(a, b)) <= 1e-12 * np.linalg.norm(x)
+    vec = cholesky_solve(a.conj().T @ a, a.conj().T @ b[:, 0])
+    assert vec.shape == (5,) and np.allclose(vec, x[:, 0], rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("a", [
+    np.diag([1.0, 1.0, 0.0]),               # singular
+    np.diag([1.0, -1.0, 1.0]),              # indefinite
+    np.diag([1.0, 1.0, 1e-9]),              # diagonal ratio sqrt(1e9) > 1e4
+    np.diag([1.0, np.nan, 1.0]),
+])
+def test_cholesky_solve_rejects_invalid_systems(a):
+    assert cholesky_solve(a, np.ones(3)) is None
 
 
 def test_complex_gaussian_deterministic_and_seed_sensitive():
