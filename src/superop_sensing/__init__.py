@@ -13,7 +13,7 @@ from .errors import (AssumptionViolationError, DegenerateSpectrumError,
 from .harness import (ExperimentConfig, ExperimentResult, emit_results,
                       recovery_rate, relative_frobenius_error, run_experiment)
 from .linalg import (SvdResult, complex_gaussian, least_squares, load_cmx,
-                     pseudo_inverse, randomized_svd, save_cmx, truncated_svd)
+                     pseudo_inverse, save_cmx, truncated_svd)
 from .measurements import (MeasurementSet, RipProbe, SensingDesign,
                            build_blockwise_design, build_design, build_random_design,
                            empirical_rip_probe, pauli_basis, sample_pauli,

@@ -3,7 +3,8 @@
 Subcommands: generate (ground truth to disk), measure (design + data), solve
 (strategy on stored data), reconstruct (full matrix from stored blocks), run
 (full pipeline from a JSON config), rip-probe, report (aggregate stored
-results). Every subcommand accepts --seed and --out. `run` writes
+results). Every subcommand accepts --out; those that draw at random
+(generate, measure, solve, run, rip-probe) also accept --seed. `run` writes
 results.json, one CSV per sweep point and figure_recipe.json. Exit codes:
 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -28,8 +29,9 @@ from .solvers import STRATEGY_DESIGNS, SolverConfig, solve_strategy
 _CONFIG_ERRORS = (ValueError, KeyError, FileNotFoundError, json.JSONDecodeError)
 
 
-def _common(parser):
-    parser.add_argument("--seed", type=int, default=None)
+def _common(parser, seed: bool = True):
+    if seed:
+        parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out", default=".", help="output directory")
 
 
@@ -76,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rtol", type=float, default=None)
     p.add_argument("--anchor", type=int, default=0)
     p.add_argument("--hermitize", action="store_true")
-    _common(p)
+    _common(p, seed=False)
 
     p = sub.add_parser("run", help="full pipeline from a JSON config")
     p.add_argument("--config", required=True)
@@ -95,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="aggregate stored results")
     p.add_argument("--inputs", nargs="+", required=True,
                    help="results.json files or directories containing them")
-    _common(p)
+    _common(p, seed=False)
     return parser
 
 
@@ -154,8 +156,7 @@ def cmd_solve(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     resh = reconstruct_full(load_cmx(args.blocks), args.rank, rtol=args.rtol,
-                            anchor=args.anchor, hermitize=args.hermitize,
-                            svd_seed=args.seed)
+                            anchor=args.anchor, hermitize=args.hermitize)
     os.makedirs(args.out, exist_ok=True)
     save_cmx(os.path.join(args.out, "k_est.cmx"), resh.matrix)
     serialize.save_json(os.path.join(args.out, "reconstruct.json"), {
@@ -201,7 +202,7 @@ def cmd_report(args) -> int:
              for item in args.inputs]
     combined = []
     for path in paths:
-        payload = harness.load_result(path)
+        payload = serialize.load_json(path)
         strategy = payload["config"]["strategy"]
         for point in payload["points"]:
             agg = point["aggregates"]
@@ -231,8 +232,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    args.seed_explicit = args.seed is not None
-    if args.seed is None:
+    args.seed_explicit = getattr(args, "seed", None) is not None
+    if not args.seed_explicit:
         args.seed = 0
     try:
         return _COMMANDS[args.command](args)

@@ -32,7 +32,7 @@ from .measurements import (DESIGN_KINDS, NOISE_MODES, SOURCES, build_design,
 from .models import TASKS, ground_truth
 from .reconstruction import reconstruct_full
 from .reshaping import ReshapedMatrix
-from .serialize import load_json, save_json, write_text
+from .serialize import save_json, write_text
 from .solvers import STRATEGY_DESIGNS, SolverConfig, derive_seed, solve_strategy
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "recovery_rate",
     "run_experiment",
     "emit_results",
-    "load_result",
     "read_csv_records",
 ]
 
@@ -364,11 +363,6 @@ def _fmt(x) -> str:
     if x is None:
         return "nan"
     return repr(float(x))
-
-
-def load_result(path: str) -> dict:
-    """Read back an emitted results.json."""
-    return load_json(path)
 
 
 def read_csv_records(path: str) -> tuple[list, dict]:

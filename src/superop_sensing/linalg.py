@@ -1,6 +1,6 @@
 """Dense complex linear algebra used by every other module.
 
-Thin wrappers around numpy's LAPACK bindings: truncated and randomized SVD,
+Thin wrappers around numpy's LAPACK bindings: an exact truncated SVD,
 Moore-Penrose pseudo-inverse, minimum-norm least squares, a checked
 Cholesky solve, and seeded complex Gaussian sampling, plus the CMX1 on-disk
 matrix format.
@@ -19,7 +19,6 @@ from .errors import DimensionError
 __all__ = [
     "SvdResult",
     "truncated_svd",
-    "randomized_svd",
     "pseudo_inverse",
     "least_squares",
     "cholesky_solve",
@@ -29,9 +28,6 @@ __all__ = [
 ]
 
 _CMX_MAGIC = b"CMX1"
-
-_SVD_OVERSAMPLE = 10    # randomized_svd sketch columns beyond k
-_SVD_POWER_ITERS = 2
 
 # cholesky_solve's bound on max/min of the Cholesky diagonal; see there
 _CHOLESKY_MAX_DIAG_RATIO = 1e4
@@ -68,30 +64,6 @@ def truncated_svd(a, k: int) -> SvdResult:
     if not 1 <= k <= min(a.shape):
         raise DimensionError(f"k={k} out of range for shape {a.shape}")
     u, s, vh = np.linalg.svd(a, full_matrices=False)
-    return SvdResult(u[:, :k].copy(), s[:k].copy(), vh[:k].conj().T.copy())
-
-
-def randomized_svd(a, k: int, seed: int = 0) -> SvdResult:
-    """Approximate top-k SVD via a Gaussian range sketch with power iterations.
-
-    Deterministic for a fixed seed. The sketch width k + _SVD_OVERSAMPLE is
-    capped at min(a.shape); for matrices of exact rank <= k the result
-    matches truncated_svd to roundoff.
-    """
-    a = _as_matrix(a)
-    m, n = a.shape
-    if not 1 <= k <= min(m, n):
-        raise DimensionError(f"k={k} out of range for shape {a.shape}")
-    ell = min(k + _SVD_OVERSAMPLE, min(m, n))
-    omega = complex_gaussian(n, ell, seed)
-    y = a @ omega
-    q = np.linalg.qr(y)[0]
-    for _ in range(_SVD_POWER_ITERS):
-        q = np.linalg.qr(a.conj().T @ q)[0]
-        q = np.linalg.qr(a @ q)[0]
-    b = q.conj().T @ a
-    ub, s, vh = np.linalg.svd(b, full_matrices=False)
-    u = q @ ub
     return SvdResult(u[:, :k].copy(), s[:k].copy(), vh[:k].conj().T.copy())
 
 

@@ -260,8 +260,8 @@ def simulate_measurements(s: Superoperator, design: SensingDesign, sigma: float,
     drawn from one generator in block order, so results are deterministic
     per seed.
     """
-    if sigma < 0:
-        raise DimensionError("sigma must be nonnegative")
+    if not 0 <= sigma < np.inf:                          # NaN fails too
+        raise DimensionError(f"sigma must be finite and nonnegative, got {sigma}")
     if noise_mode not in NOISE_MODES:
         raise DimensionError(f"unknown noise_mode {noise_mode!r}")
     if design.dim_n != s.dim_n:

@@ -6,10 +6,13 @@ A superoperator is kept in signed Kraus form,
 
 with the combined operator set orthogonal in the Hilbert-Schmidt inner
 product, so the reshaped matrix has rank r_+ + r_- with eigenvalue signs
-matching the split. Lindbladians are stored as (H, jump operators) and
-converted to the signed form through the eigendecomposition of their
-reshaped matrix, which generically has N_J + 1 positive and one negative
-eigenvalue.
+matching the split. A truth given as a few vectors (a Lindbladian's vec Q,
+vec I and vec J_k, a channel's Kraus operators) is split from a thin QR of
+those vectors and the eigendecomposition of a small core matrix, without
+forming its N^2 x N^2 reshaped matrix; only a reshaped matrix given densely
+(superop_from_reshaped) is eigendecomposed as such. Lindbladians are stored
+as (H, jump operators); their reshaped matrix generically has N_J + 1
+positive and one negative eigenvalue.
 """
 
 from __future__ import annotations
@@ -126,31 +129,21 @@ def _q_operator(lind: Lindbladian) -> np.ndarray:
     return q
 
 
-def lindblad_reshaped(lind: Lindbladian) -> ReshapedMatrix:
-    """Reshaped matrix of the generator, assembled from rank-one terms.
+def _signed_kraus(n: int, vecs, core, expected_rank: int | None = None) -> Superoperator:
+    """Split the Hermitian reshaped matrix K = vecs core vecs^H into
+    orthogonal signed Kraus operators.
 
-    vec(Q)vec(I)^H + vec(I)vec(Q)^H + sum vec(J_k)vec(J_k)^H; Hermitian with
-    at most N_J + 2 nonzero eigenvalues.
+    vecs is N^2 x k and core a Hermitian k x k matrix. A thin QR vecs = Q R
+    gives K = Q (R core R^H) Q^H, so the eigenpairs of K are those of the
+    k x k matrix R core R^H with eigenvectors mapped through Q, and K itself
+    is never formed. Eigenvectors with |eigenvalue| above
+    _RANK_TOL * max|eigenvalue| become operators scaled by sqrt(|eigenvalue|),
+    in descending |eigenvalue| order, positive eigenvalues in the plus set and
+    negative ones in the minus set.
     """
-    n = lind.dim_n
-    q = vec(_q_operator(lind))
-    ident = vec(np.eye(n))
-    mat = np.outer(q, ident.conj()) + np.outer(ident, q.conj())
-    for j in lind.jumps:
-        w = vec(j)
-        mat += np.outer(w, w.conj())
-    return ReshapedMatrix(n, mat)
-
-
-def _signed_kraus_from_hermitian(resh: ReshapedMatrix,
-                                 expected_rank: int | None = None) -> Superoperator:
-    """Split a Hermitian reshaped matrix into orthogonal signed Kraus operators.
-
-    Eigenvectors with |eigenvalue| above _RANK_TOL * max|eigenvalue| become
-    operators scaled by sqrt(|eigenvalue|), positive eigenvalues in the plus
-    set and negative ones in the minus set.
-    """
-    evals, evecs = np.linalg.eigh(resh.matrix)
+    q, rmat = np.linalg.qr(vecs)
+    evals, evecs = np.linalg.eigh(rmat @ core @ rmat.conj().T)
+    evecs = q @ evecs
     scale = np.max(np.abs(evals)) if evals.size else 0.0
     keep = np.abs(evals) > _RANK_TOL * scale
     if expected_rank is not None and int(np.count_nonzero(keep)) < expected_rank:
@@ -164,22 +157,28 @@ def _signed_kraus_from_hermitian(resh: ReshapedMatrix,
             continue
         op = unvec(np.sqrt(abs(evals[idx])) * evecs[:, idx])
         (plus if evals[idx] > 0 else minus).append(op)
-    return Superoperator(resh.dim_n, plus, minus)
+    return Superoperator(n, plus, minus)
 
 
 def lindblad_canonical(lind: Lindbladian) -> Superoperator:
     """Signed Kraus form of a Lindbladian, r_+ = N_J + 1 and r_- = 1 generically.
 
-    Raises DegenerateSpectrumError when the jump set is degenerate enough to
-    drop the numerical rank of the reshaped matrix below N_J + 2.
+    The reshaped matrix is vec(Q)vec(I)^H + vec(I)vec(Q)^H
+    + sum vec(J_k)vec(J_k)^H, split from its N_J + 2 vectors. Raises
+    DegenerateSpectrumError when the jump set is degenerate enough to drop
+    its numerical rank below N_J + 2.
     """
-    return _signed_kraus_from_hermitian(lindblad_reshaped(lind),
-                                        expected_rank=len(lind.jumps) + 2)
+    n, n_jumps = lind.dim_n, len(lind.jumps)
+    vecs = np.column_stack([vec(_q_operator(lind)), vec(np.eye(n))]
+                           + [vec(j) for j in lind.jumps])
+    core = np.eye(n_jumps + 2)
+    core[:2, :2] = [[0, 1], [1, 0]]
+    return _signed_kraus(n, vecs, core, expected_rank=n_jumps + 2)
 
 
 def superop_from_reshaped(resh: ReshapedMatrix) -> Superoperator:
     """Signed Kraus form of an arbitrary Hermitian reshaped matrix."""
-    return _signed_kraus_from_hermitian(resh)
+    return _signed_kraus(resh.dim_n, np.eye(resh.dim_n ** 2), resh.matrix)
 
 
 def random_channel(n: int, kraus_rank: int, seed: int) -> Superoperator:
@@ -187,9 +186,8 @@ def random_channel(n: int, kraus_rank: int, seed: int) -> Superoperator:
 
     Stacks kraus_rank blocks of the polar factor of an (r*n) x n complex
     Gaussian matrix, which makes sum V_k^H V_k the identity exactly, then
-    re-extracts a Hilbert-Schmidt-orthogonal Kraus set from the
-    eigendecomposition of the reshaped matrix (same channel, orthogonal
-    operators).
+    re-extracts a Hilbert-Schmidt-orthogonal Kraus set from those operators
+    (same channel, orthogonal operators).
     """
     if not 1 <= kraus_rank <= n * n:
         raise DimensionError(f"kraus_rank={kraus_rank} out of range for n={n}")
@@ -199,9 +197,8 @@ def random_channel(n: int, kraus_rank: int, seed: int) -> Superoperator:
     evals, evecs = np.linalg.eigh(g.conj().T @ g)
     inv_sqrt = (evecs / np.sqrt(evals)) @ evecs.conj().T
     w = g @ inv_sqrt
-    ops = [w[k * n:(k + 1) * n, :] for k in range(kraus_rank)]
-    raw = Superoperator(n, ops, [])
-    return _signed_kraus_from_hermitian(choi_reshape(raw), expected_rank=kraus_rank)
+    vecs = np.column_stack([vec(w[k * n:(k + 1) * n, :]) for k in range(kraus_rank)])
+    return _signed_kraus(n, vecs, np.eye(kraus_rank), expected_rank=kraus_rank)
 
 
 def random_lindbladian(n: int, n_jumps: int, seed: int) -> Lindbladian:

@@ -122,6 +122,11 @@ def test_threads_and_formats_rejected_on_every_subcommand():
             with pytest.raises(SystemExit) as info:
                 parser.parse_args(argv + flag)
             assert info.value.code == 2
+    # reconstruct and report draw nothing at random, so take no --seed
+    for argv in (commands[3], commands[6]):
+        with pytest.raises(SystemExit) as info:
+            parser.parse_args(argv + ["--seed", "1"])
+        assert info.value.code == 2
 
 
 def test_run_exit_code_2_on_missing_file(tmp_path):
@@ -216,6 +221,28 @@ def test_reconstruct_exit_code_2_on_partial_block(tmp_path):
     save_cmx(path, np.ones((4, 18), dtype=complex))
     assert run_cli("reconstruct", "--blocks", str(path), "--rank", "1",
                    "--out", str(tmp_path)) == 2
+
+
+@pytest.mark.parametrize("rtol", ["nan", "inf", "-1"])
+def test_reconstruct_exit_code_2_on_bad_rtol(tmp_path, capsys, rtol):
+    path = tmp_path / "blocks.cmx"
+    save_cmx(path, np.hstack([np.eye(3)] * 3))
+    assert run_cli("reconstruct", "--blocks", str(path), "--rank", "1",
+                   "--rtol", rtol, "--out", str(tmp_path / "r")) == 2
+    assert "rtol" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("sigma", ["nan", "inf"])
+def test_measure_exit_code_2_on_non_finite_sigma(tmp_path, capsys, sigma):
+    truth_dir, data_dir = tmp_path / "truth", tmp_path / "data"
+    assert run_cli("generate", "--task", "channel", "--n", "3", "--kraus-rank", "1",
+                   "--seed", "1", "--out", str(truth_dir)) == 0
+    for design in ("blockwise", "random_pairs"):
+        assert run_cli("measure", "--truth", str(truth_dir), "--design", design,
+                       "--m", "12", "--sigma", sigma, "--out", str(data_dir)) == 2
+        assert "sigma" in capsys.readouterr().err
+        assert not data_dir.exists()
 
 
 def test_reconstruct_exit_code_2_on_non_finite_row(tmp_path):

@@ -7,7 +7,8 @@ from superop_sensing import (ExperimentConfig, emit_results, recovery_rate,
                              relative_frobenius_error, run_experiment)
 from superop_sensing import harness
 from superop_sensing.errors import DimensionError, UndefinedMetricError
-from superop_sensing.harness import load_result, read_csv_records
+from superop_sensing.harness import read_csv_records
+from superop_sensing.serialize import load_json
 from superop_sensing.reshaping import ReshapedMatrix
 
 
@@ -147,7 +148,7 @@ def test_emit_results_roundtrip_and_csv(tmp_path):
     result = run_experiment(cfg)
     out = tmp_path / "out"
     written = emit_results(result, str(out))
-    payload = load_result(str(out / "results.json"))
+    payload = load_json(str(out / "results.json"))
     assert payload["config"]["task"] == "channel"
     assert len(payload["points"][0]["records"]) == 4
 

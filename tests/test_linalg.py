@@ -6,8 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from superop_sensing import (complex_gaussian, least_squares, load_cmx,
-                             pseudo_inverse, randomized_svd, save_cmx,
-                             truncated_svd)
+                             pseudo_inverse, save_cmx, truncated_svd)
 from superop_sensing.errors import DimensionError
 from superop_sensing.linalg import cholesky_solve
 
@@ -55,30 +54,6 @@ def test_truncated_svd_k_out_of_range():
         truncated_svd(np.eye(3), 4)
     with pytest.raises(DimensionError):
         truncated_svd(np.eye(3), 0)
-
-
-def test_randomized_svd_exact_rank():
-    u = complex_gaussian(8, 2, seed=3)
-    v = complex_gaussian(8, 2, seed=4)
-    a = u @ v.conj().T
-    res = randomized_svd(a, 2, seed=0)
-    assert np.linalg.norm(a - res.reconstruct()) <= 1e-8 * np.linalg.norm(a)
-
-
-def test_randomized_svd_zero_matrix():
-    res = randomized_svd(np.zeros((4, 4)), 1, seed=0)
-    assert np.allclose(res.singular_values, [0.0])
-
-
-def test_randomized_svd_matches_truncated_on_decaying_spectrum():
-    rng = np.random.default_rng(5)
-    u, _ = np.linalg.qr(complex_gaussian(16, 16, rng))
-    v, _ = np.linalg.qr(complex_gaussian(64, 16, rng))
-    s = 2.0 ** -np.arange(16)
-    a = (u * s) @ v[:, :16].conj().T
-    top = truncated_svd(a, 4).singular_values
-    approx = randomized_svd(a, 4, seed=1).singular_values
-    assert np.allclose(approx, top, rtol=1e-6)
 
 
 def test_pseudo_inverse_invertible():

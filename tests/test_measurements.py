@@ -193,6 +193,15 @@ def test_simulate_dimension_mismatch():
         simulate_measurements(s, design, 0.0, seed=27)
 
 
+@pytest.mark.parametrize("sigma", [np.nan, np.inf, -1e-3])
+@pytest.mark.parametrize("kind", ["blockwise", "random_pairs"])
+def test_simulate_rejects_bad_sigma(kind, sigma):
+    s = random_channel(3, 1, seed=28)
+    design = build_design(kind, 3, 6, "random", seed=29)
+    with pytest.raises(DimensionError):
+        simulate_measurements(s, design, sigma, seed=30)
+
+
 def test_rip_probe_parseval_frame():
     n = 4
     design = SensingDesign("blockwise", n, pauli_basis(2))

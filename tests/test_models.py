@@ -6,7 +6,7 @@ from superop_sensing import (Lindbladian, Superoperator, apply_superop,
                              haar_low_rank_hermitian, hs_inner, lindblad_apply,
                              lindblad_canonical, random_channel, random_density,
                              random_lindbladian, random_observable,
-                             superop_from_reshaped)
+                             superop_from_reshaped, vec)
 from superop_sensing.errors import DegenerateSpectrumError, DimensionError
 
 
@@ -107,6 +107,47 @@ def test_lindblad_canonical_degenerate_jumps():
     lind = Lindbladian(np.zeros((3, 3)), [j, j])
     with pytest.raises(DegenerateSpectrumError):
         lindblad_canonical(lind)
+
+
+def lindblad_dense_oracle(lind):
+    # the N^2 x N^2 reshaped matrix assembled term by term
+    n = lind.dim_n
+    q = -1j * lind.hamiltonian - 0.5 * sum(j.conj().T @ j for j in lind.jumps)
+    mat = np.outer(vec(q), vec(np.eye(n)).conj()) + np.outer(vec(np.eye(n)), vec(q).conj())
+    for j in lind.jumps:
+        mat += np.outer(vec(j), vec(j).conj())
+    return mat
+
+
+def _assert_hs_orthogonal(ops):
+    gram = np.array([[hs_inner(a, b) for b in ops] for a in ops])
+    off = gram - np.diag(np.diag(gram))
+    assert np.abs(off).max() <= 1e-12 * np.abs(np.diag(gram)).max()
+
+
+def test_factored_truth_matches_dense_split():
+    for n in (2, 3, 5, 8):
+        for n_jumps in (1, 2, 3):
+            lind = random_lindbladian(n, n_jumps, seed=10 * n + n_jumps)
+            if n_jumps + 2 > n * n:   # more vectors than the space holds
+                with pytest.raises(DegenerateSpectrumError):
+                    lindblad_canonical(lind)
+                continue
+            s = lindblad_canonical(lind)
+            dense = lindblad_dense_oracle(lind)
+            diff = choi_reshape(s).matrix - dense
+            assert np.linalg.norm(diff) <= 1e-12 * np.linalg.norm(dense)
+            assert (len(s.plus_ops), len(s.minus_ops)) == (n_jumps + 1, 1)
+            _assert_hs_orthogonal(s.plus_ops + s.minus_ops)
+    # a channel's split reproduces the sum over its polar-factor Kraus vectors
+    n, kraus_rank, seed = 5, 3, 31
+    g = complex_gaussian(kraus_rank * n, n, np.random.default_rng(seed))
+    u, _, vh = np.linalg.svd(g, full_matrices=False)
+    w = u @ vh                                  # polar factor of g
+    dense = sum(np.outer(vec(v), vec(v).conj()) for v in np.split(w, kraus_rank))
+    s = random_channel(n, kraus_rank, seed)
+    assert np.linalg.norm(choi_reshape(s).matrix - dense) <= 1e-12 * np.linalg.norm(dense)
+    _assert_hs_orthogonal(s.plus_ops)
 
 
 def test_random_channel_rank_one_is_unitary():

@@ -98,6 +98,9 @@ def test_input_validation():
         reconstruct_full(np.hstack([np.eye(3)] * 2), 1)
     with pytest.raises(DimensionError):
         reconstruct_full(np.hstack([np.eye(3)] * 3), 1, anchor=5)
+    for rtol in (np.nan, np.inf, -1.0):   # rejected before the rank count
+        with pytest.raises(DimensionError):
+            reconstruct_full(np.hstack([np.eye(3)] * 3), 1, rtol=rtol)
 
 
 def test_rejects_width_not_a_multiple_of_height():
