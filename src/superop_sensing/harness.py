@@ -154,6 +154,14 @@ class ExperimentConfig:
             raise ValueError("lindbladian task needs n_jumps >= 1")
         if self.task == "haar" and self.r_plus + self.r_minus < 1:
             raise ValueError("haar task needs r_plus + r_minus >= 1")
+        # the truth's reshaped matrix is n^2 x n^2, so its rank is at most n^2
+        truth_rank = {"channel": ("kraus_rank", self.kraus_rank),
+                      "lindbladian": ("n_jumps + 2", self.n_jumps + 2),
+                      "haar": ("r_plus + r_minus", self.r_plus + self.r_minus)}
+        name, value = truth_rank[self.task]
+        if value > self.n ** 2:
+            raise ValueError(f"{self.task} task needs {name} <= n**2 = {self.n ** 2}, "
+                             f"got {value}")
         if not 0 < self.subset_ratio <= 1:
             raise ValueError("subset_ratio must be in (0, 1]")
         if "seed" in self.solver:
@@ -212,6 +220,7 @@ class TrialRecord:
     restarts: int
     recovered: bool
     message: str = ""
+    fallbacks: int = 0      # half-sweeps of the trial's solves that left Cholesky
 
 
 @dataclass
@@ -270,7 +279,8 @@ def _run_trial(config: ExperimentConfig, point_idx: int, m: int, trial: int) -> 
     error = relative_frobenius_error(estimate, truth)
     return TrialRecord(trial, error, wall, sum(r.iterations for r in reports),
                        sum(r.restarts for r in reports),
-                       error < config.recovery_threshold)
+                       error < config.recovery_threshold,
+                       fallbacks=sum(r.fallbacks for r in reports))
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -307,8 +317,9 @@ def _result_payload(result: ExperimentResult, aggregates: list) -> tuple[dict, d
                  "mean_time_s": agg.pop("mean_time_s"),
                  "std_time_s": agg.pop("std_time_s")}
         records = [{"trial": r.trial, "error": r.error, "iterations": r.iterations,
-                    "restarts": r.restarts, "recovered": r.recovered,
-                    "message": r.message} for r in point.records]
+                    "restarts": r.restarts, "fallbacks": r.fallbacks,
+                    "recovered": r.recovered, "message": r.message}
+                   for r in point.records]
         points_out.append({"m": point.m, "records": records, "aggregates": agg})
         timings.append(times)
     payload = {"config": result.manifest, "manifest_hash": result.manifest_hash(),

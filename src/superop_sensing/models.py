@@ -277,10 +277,14 @@ def ground_truth(task: str, n: int, seed: int, kraus_rank: int = 0, n_jumps: int
 
     `channel` reads kraus_rank, `lindbladian` n_jumps, `haar` r_plus and
     r_minus; a `haar` truth is the drawn matrix, not its Kraus form reshaped.
+    A rank the N^2 x N^2 matrix cannot have (kraus_rank, n_jumps + 2 or
+    r_plus + r_minus above N^2) raises DimensionError.
     """
     if task == "channel":
         s = random_channel(n, kraus_rank, seed)
     elif task == "lindbladian":
+        if n_jumps + 2 > n * n:
+            raise DimensionError(f"n_jumps + 2 = {n_jumps + 2} exceeds n**2 = {n * n}")
         s = lindblad_canonical(random_lindbladian(n, n_jumps, seed))
     elif task == "haar":
         resh = haar_low_rank_hermitian(n, r_plus, r_minus, seed)

@@ -14,7 +14,7 @@ Two problem shapes are handled, one per design kind:
   tr[(conj(rho) x O)^H X] with data a length-M vector; the Kronecker
   products are never formed, the design rows are assembled through
   O^H (.) rho products on the unvectorized factor columns, and each
-  half-sweep is an SVD-backed least-squares solve of those M rows.
+  half-sweep solves the normal equations of those M rows.
 * blockwise: X = [X_1, ..., X_p] is an N x pN row of blocks, p = d2 / N,
   sensed by the shared (M_O, N, N) observables with data the (p, M_O)
   matrix whose row k belongs to X_k (p = 1 is a single block). The blocks
@@ -22,33 +22,39 @@ Two problem shapes are handled, one per design kind:
   shared-design solve with p right-hand sides, the left-factor update
   couples all blocks.
 
-Blockwise half-sweeps solve normal equations. A half-sweep minimises a
-quadratic in one factor, so it needs the design only through its second
-moments: the N^2 x N^2 Gram matrix G[x,y,x',y'] = sum_m O_m[x,y]
-conj(O_m[x',y']) and the backprojections B_k = sum_m b_km O_m, both built
-once per problem. The left update is then one (N r) x (N r) Hermitian
-positive-definite solve with normal matrix sum G[x,y,x',y'] W[y,c,y',c'],
-W = sum_k V_k (x) conj(V_k), and right-hand side sum_k B_k V_k; the right
-update is one such solve with normal matrix sum G[x,a,x',a'] conj(U[x,c])
-U[x',c'] and one right-hand side sum_x B_k[x,a] conj(U[x,c]) per block.
-Neither costs anything that grows with M.
+Every half-sweep solves normal equations. On random pairs the M x (N^2 r)
+row matrix g of a half-sweep changes with the other factor, and the
+whole-design Gram matrix would be N^4 x N^4, so the half-sweep forms
+g^H g and g^H b from its own rows and solves that N^2 r x N^2 r system.
 
-Validity: normal equations square the condition number. A Cholesky solve
-is used only when the factorization succeeds and its diagonal's max/min
-ratio stays under the bound of `linalg.cholesky_solve`. Otherwise (for
-instance M_O < N r, where the normal matrix is singular) the half-sweep
-assembles the M-row system and solves it by SVD-backed least squares,
-which gives minimum-norm solutions on rank-deficient systems, and
-`SolveReport.fallbacks` counts it.
+Blockwise, a half-sweep minimises a quadratic in one factor, so it needs
+the design only through its second moments: the N^2 x N^2 Gram matrix
+G[x,y,x',y'] = sum_m O_m[x,y] conj(O_m[x',y']) and the backprojections
+B_k = sum_m b_km O_m, both built once per problem. The left update is
+then one (N r) x (N r) Hermitian positive-definite solve with normal
+matrix sum G[x,y,x',y'] W[y,c,y',c'], W = sum_k V_k (x) conj(V_k), and
+right-hand side sum_k B_k V_k; the right update is one such solve with
+normal matrix sum G[x,a,x',a'] conj(U[x,c]) U[x',c'] and one right-hand
+side sum_x B_k[x,a] conj(U[x,c]) per block. Neither costs anything that
+grows with M.
 
-The loss stays the direct residual over all M data. The quadratic form
-||b||^2 - 2 Re<B, X> + <X, G X> would also be independent of M, but it
-cancels down to roundoff at noiseless floors, where the restart test and
-the choice of the best iterate read it.
+Validity, on both back ends: normal equations square the condition number.
+A Cholesky solve is used only when the factorization succeeds and its
+diagonal's max/min ratio stays under the bound of `linalg.cholesky_solve`.
+Otherwise (for instance fewer pairs M than the N^2 r unknowns, or
+M_O < N r blockwise, where the normal matrix is singular; or a square,
+badly conditioned pair system) the half-sweep solves its M-row system by
+SVD-backed least squares, which gives minimum-norm solutions on
+rank-deficient systems, and `SolveReport.fallbacks` counts it.
+
+The loss stays the direct residual over all M data. The blockwise
+quadratic form ||b||^2 - 2 Re<B, X> + <X, G X> would also be independent
+of M, but it cancels down to roundoff at noiseless floors, where the
+restart test and the choice of the best iterate read it.
 
 On both back ends a common power-of-two rescaling of design and data
-leaves every iterate unchanged bitwise: G, B and the normal matrices scale
-by exact powers of four, their Cholesky factors by powers of two.
+leaves every iterate unchanged bitwise: the design rows, G, B, the normal
+matrices and their Cholesky factors all scale by exact powers of two.
 
 `solve_strategy` is the one table from strategy name to solver: `als_n2`
 solves the full matrix, `als_p`, `als_n` and `als_i` the anchor block row.
@@ -152,9 +158,12 @@ class SolveReport:
 
 
 class _PairProblem:
-    """Full reshaped-matrix sensing from (state, observable) pairs."""
+    """Full reshaped-matrix sensing from (state, observable) pairs.
 
-    fallbacks = 0   # no normal-equation path to fall back from
+    Each half-sweep assembles its M design rows and solves their normal
+    equations (see the module docstring); `fallbacks` counts the half-sweeps
+    that went to least squares on those rows instead.
+    """
 
     def __init__(self, design: SensingDesign, b):
         self.n = design.dim_n
@@ -165,6 +174,7 @@ class _PairProblem:
         if self.b.size != len(self.obs):
             raise DimensionError(f"{self.b.size} data values for {len(self.obs)} pairs")
         self.m_total = self.b.size
+        self.fallbacks = 0
 
     def _fold(self, factor):
         # columns viewed as N x N matrices, column-major vec convention
@@ -186,11 +196,20 @@ class _PairProblem:
         w = self._rows_right(u)
         return np.einsum("mabc,abc->m", w, self._fold(v).conj(), optimize=True)
 
+    def _solve_rows(self, g):
+        # min ||g y - b|| through g^H g y = g^H b, least squares when invalid
+        gh = g.conj().T
+        y = cholesky_solve(gh @ g, gh @ self.b)
+        if y is None:
+            self.fallbacks += 1
+            y = least_squares(g, self.b)
+        return y
+
     def solve_right(self, u):
         w = self._rows_right(u)
         m = w.shape[0]
         g = w.transpose(0, 2, 1, 3).reshape(m, -1)  # (a,b)->b*N+a = col-major vec
-        y = least_squares(g, self.b)
+        y = self._solve_rows(g)
         r = u.shape[1]
         vt = y.conj().reshape(self.n, self.n, r).transpose(1, 0, 2)
         return self._unfold(vt)
@@ -201,7 +220,7 @@ class _PairProblem:
                       optimize=True)
         m = z.shape[0]
         h = z.conj().transpose(0, 2, 1, 3).reshape(m, -1)
-        u = least_squares(h, self.b)
+        u = self._solve_rows(h)
         r = v.shape[1]
         ut = u.reshape(self.n, self.n, r).transpose(1, 0, 2)
         return self._unfold(ut)

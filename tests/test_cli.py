@@ -55,6 +55,31 @@ def test_solve_als_n2_pipeline(tmp_path):
     k_est = load_cmx(solve_dir / "estimate.cmx")
     k_truth = load_cmx(truth_dir / "reshaped.cmx")
     assert np.linalg.norm(k_est - k_truth) <= 1e-5 * np.linalg.norm(k_truth)
+    assert json.loads((solve_dir / "report.json").read_text())["fallbacks"] == 0
+
+
+def test_solve_als_n2_reports_fallbacks(tmp_path):
+    # 12 pairs against 18 unknowns per half-sweep: the normal equations are
+    # singular and every half-sweep falls back to least squares
+    truth_dir, data_dir, solve_dir = (tmp_path / x for x in ("t", "d", "s"))
+    run_cli("generate", "--task", "haar", "--n", "3", "--r-plus", "1",
+            "--r-minus", "1", "--seed", "1", "--out", str(truth_dir))
+    run_cli("measure", "--truth", str(truth_dir), "--design", "random_pairs",
+            "--m", "12", "--sigma", "1e-4", "--seed", "2", "--out", str(data_dir))
+    assert run_cli("solve", "--data", str(data_dir), "--strategy", "als_n2",
+                   "--rank", "2", "--max-iter", "5", "--seed", "3",
+                   "--out", str(solve_dir)) == 0
+    report = json.loads((solve_dir / "report.json").read_text())
+    assert report["fallbacks"] == 2 * (report["iterations"] + report["restarts"]) > 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["--task", "lindbladian", "--n", "2", "--n-jumps", "3"],
+    ["--task", "haar", "--n", "2", "--r-plus", "3", "--r-minus", "2"],
+    ["--task", "channel", "--n", "2", "--kraus-rank", "5"]])
+def test_generate_exit_code_2_on_truth_rank_above_n_squared(tmp_path, argv):
+    assert run_cli("generate", *argv, "--out", str(tmp_path)) == 2
+    assert not (tmp_path / "reshaped.cmx").exists()
 
 
 def test_solve_als_p_writes_per_block_traces(tmp_path):
@@ -160,7 +185,9 @@ def test_run_exit_code_2_on_bad_solver_value(tmp_path, solver):
     {"sigma": float("nan")}, {"sigma": "0"}, {"subset_ratio": True},
     {"noise_mode": "bogus"}, {"recovery_threshold": -1}, {"recovery_threshold": 0},
     {"sweep": [16.5]}, {"sweep": [True]}, {"hermitize": "no"}, {"solver": [1]},
-    {"workers": 2}, {"m_o": [20], "m": [30]}], ids=lambda o: ",".join(f"{k}={v!r}" for k, v in o.items()))
+    {"workers": 2}, {"m_o": [20], "m": [30]}, {"kraus_rank": 17},
+    {"n_jumps": 3, "task": "lindbladian", "n": 2},
+    {"r_plus": 3, "r_minus": 2, "task": "haar", "n": 2}], ids=lambda o: ",".join(f"{k}={v!r}" for k, v in o.items()))
 def test_run_exit_code_2_on_bad_config_value(tmp_path, capsys, override):
     config = {"task": "channel", "n": 4, "design": "blockwise", "strategy": "als_n",
               "sweep": [16], "kraus_rank": 2, **override}

@@ -80,6 +80,10 @@ def test_config_rank_inference():
     cfg = ExperimentConfig(task="haar", n=4, design="blockwise",
                            strategy="als_n", sweep=[16], r_plus=2, r_minus=1)
     assert cfg.rank == 3
+    # rank n**2 is the largest a truth can have
+    cfg = ExperimentConfig(task="lindbladian", n=2, design="blockwise",
+                           strategy="als_n", sweep=[8], n_jumps=2)
+    assert cfg.rank == 4
 
 
 def _small_config(**overrides):
@@ -118,6 +122,20 @@ def test_run_experiment_records_infeasible_trials():
     assert all(r.message for r in point.records)
     agg = point.aggregates(result.threshold)
     assert agg["recovery_rate"] == 0.0 and agg["failed_trials"] == 2
+
+
+def test_run_experiment_records_fallbacks(tmp_path):
+    # 12 pairs against 18 unknowns per half-sweep: every half-sweep of the
+    # als_n2 solve falls back to least squares
+    cfg = _small_config(task="haar", r_plus=1, r_minus=1, kraus_rank=0, n=3,
+                        design="random_pairs", strategy="als_n2", sweep=[12],
+                        sigma=1e-4, trials=2, solver={"max_iter": 5})
+    result = run_experiment(cfg)
+    emit_results(result, str(tmp_path))
+    records = result.points[0].records
+    assert all(r.fallbacks == 2 * (r.iterations + r.restarts) > 0 for r in records)
+    emitted = load_json(str(tmp_path / "results.json"))["points"][0]["records"]
+    assert [r["fallbacks"] for r in emitted] == [r.fallbacks for r in records]
 
 
 def test_run_experiment_propagates_programming_errors(monkeypatch):

@@ -273,3 +273,10 @@ def test_ground_truth_tasks():
     assert np.allclose(choi_reshape(s).matrix, k, atol=1e-12)
     with pytest.raises(DimensionError):
         ground_truth("nothing", 3, 0)
+    # a rank the 4 x 4 reshaped matrix of n = 2 cannot have
+    for kwargs in ({"task": "channel", "kraus_rank": 5},
+                   {"task": "lindbladian", "n_jumps": 3},
+                   {"task": "haar", "r_plus": 3, "r_minus": 2}):
+        with pytest.raises(DimensionError):
+            ground_truth(n=2, seed=0, **kwargs)
+    assert ground_truth("lindbladian", 2, 7, n_jumps=2)[0].rank == 4

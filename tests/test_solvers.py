@@ -369,3 +369,51 @@ def test_fallback_when_fewer_observables_than_unknowns():
     rep = nesterov_als_solve(design, b, n, n, SolverConfig(rank=r, seed=20, max_iter=5))
     assert rep.fallbacks > 0
     assert rep.fallbacks <= 2 * (rep.iterations + rep.restarts)
+
+
+def _pair_lstsq_half_sweeps(design, b, u, v):
+    # the M-row least-squares solves of both pair half-sweeps, assembled as
+    # the solver assembles them
+    n, r = design.dim_n, u.shape[1]
+    rho, obs = design.states, design.observables
+    w = np.einsum("mxa,xyc,myb->mabc", obs.conj(), u.reshape(n, n, r, order="F"),
+                  rho, optimize=True)
+    y = least_squares(w.transpose(0, 2, 1, 3).reshape(len(obs), -1), b)
+    right = y.conj().reshape(n, n, r).transpose(1, 0, 2).reshape(n * n, r, order="F")
+    z = np.einsum("mxa,abc,myb->mxyc", obs, v.reshape(n, n, r, order="F"),
+                  rho.conj(), optimize=True)
+    x = least_squares(z.conj().transpose(0, 2, 1, 3).reshape(len(obs), -1), b)
+    left = x.reshape(n, n, r).transpose(1, 0, 2).reshape(n * n, r, order="F")
+    return right, left
+
+
+@pytest.mark.parametrize("n", [3, 4, 8])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_pair_half_sweeps_match_least_squares(n, r):
+    rng = np.random.default_rng(10 * n + r)
+    design = build_random_design(n, 3 * n * n * r, "random", seed=n + r)
+    b = complex_gaussian(design.n_measurements, 1, rng)[:, 0]
+    u, v = complex_gaussian(n * n, r, rng), complex_gaussian(n * n, r, rng)
+    prob = _make_problem(design, b, n * n, n * n)
+    right, left = _pair_lstsq_half_sweeps(design, b, u, v)
+    for got, want in ((prob.solve_right(u), right), (prob.solve_left(v), left)):
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    assert prob.fallbacks == 0
+
+
+def test_pair_fallback_when_fewer_pairs_than_unknowns():
+    # M = 12 pairs against N^2 r = 18 unknowns: both normal matrices are singular
+    n, r = 3, 2
+    design = build_random_design(n, 12, "random", seed=91)
+    s = superop_from_reshaped(haar_low_rank_hermitian(n, 1, 1, seed=92))
+    b = simulate_measurements(s, design, 1e-4, seed=93).values
+    rng = np.random.default_rng(94)
+    u, v = complex_gaussian(n * n, r, rng), complex_gaussian(n * n, r, rng)
+    prob = _make_problem(design, b, n * n, n * n)
+    right, left = _pair_lstsq_half_sweeps(design, b, u, v)
+    assert np.array_equal(prob.solve_right(u), right)
+    assert np.array_equal(prob.solve_left(v), left)
+    assert prob.fallbacks == 2
+    rep = nesterov_als_solve(design, b, n * n, n * n,
+                             SolverConfig(rank=r, seed=21, max_iter=5))
+    assert rep.fallbacks == 2 * (rep.iterations + rep.restarts) > 0
