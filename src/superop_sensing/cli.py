@@ -146,6 +146,7 @@ def cmd_solve(args) -> int:
         "restarts": sum(r.restarts for r in reports),
         "fallbacks": sum(r.fallbacks for r in reports),
         "wall_time_s": sum(r.wall_time for r in reports),
+        "stop": reports[0].stop if len(reports) == 1 else [r.stop for r in reports],
         "loss_trace": (reports[0].loss_trace if len(reports) == 1
                        else [r.loss_trace for r in reports]),
     })

@@ -2,9 +2,10 @@
 
 The unknown is factored as X = U V^H with U (d1 x r) and V (d2 x r). Each
 half-sweep solves an exact linear least-squares problem in one factor, so the
-loss is non-increasing across full sweeps. The accelerated variant
-extrapolates both factors with momentum beta before the sweep and falls back
-to a plain sweep whenever the loss grows by more than the restart factor eta.
+loss is non-increasing across full sweeps. A sweep solves for V given U, then
+for U given V, so it reads U only. The accelerated variant extrapolates U
+with momentum beta before the sweep and falls back to a plain sweep whenever
+the loss grows by more than the restart factor eta.
 There is one ALS loop: at beta = 0 the extrapolated point is the current
 iterate, so every step is one exact sweep and the loop is plain ALS.
 
@@ -12,9 +13,13 @@ Two problem shapes are handled, one per design kind:
 
 * random pairs: X is the full N^2 x N^2 reshaped matrix, sensed by
   tr[(conj(rho) x O)^H X] with data a length-M vector; the Kronecker
-  products are never formed, the design rows are assembled through
-  O^H (.) rho products on the unvectorized factor columns, and each
-  half-sweep solves the normal equations of those M rows.
+  products are never formed. A half-sweep assembles its M rows from the
+  other factor's columns viewed as N x N matrices: one 2-D GEMM over the
+  observable index (conj(O_m)^T stacked as an (M N) x N matrix for the
+  right rows, O_m stacked as is for the left rows) and one matmul batched
+  over the pairs with rho_m (rho_m^T for the left rows), whose output is
+  already the M x (N^2 r) row matrix. It then solves the normal equations
+  of those rows.
 * blockwise: X = [X_1, ..., X_p] is an N x pN row of blocks, p = d2 / N,
   sensed by the shared (M_O, N, N) observables with data the (p, M_O)
   matrix whose row k belongs to X_k (p = 1 is a single block). The blocks
@@ -47,10 +52,15 @@ badly conditioned pair system) the half-sweep solves its M-row system by
 SVD-backed least squares, which gives minimum-norm solutions on
 rank-deficient systems, and `SolveReport.fallbacks` counts it.
 
-The loss stays the direct residual over all M data. The blockwise
-quadratic form ||b||^2 - 2 Re<B, X> + <X, G X> would also be independent
-of M, but it cancels down to roundoff at noiseless floors, where the
-restart test and the choice of the best iterate read it.
+The loss stays the direct residual over all M data. On random pairs the
+left half-sweep has just built the rows h that map U to the data at the
+new V, and solved min ||h y - b|| for y = U, so the loss after a sweep is
+||h y - b||^2 / 2M, read off those rows without a second assembly; the
+initial loss assembles the same left rows. The blockwise quadratic form
+||b||^2 - 2 Re<B, X> + <X, G X> would also be independent of M, but it
+cancels down to roundoff at noiseless floors, where the restart test and
+the choice of the best iterate read it, so blockwise loss evaluates the
+residual of both factors directly.
 
 On both back ends a common power-of-two rescaling of design and data
 leaves every iterate unchanged bitwise: the design rows, G, B, the normal
@@ -151,6 +161,7 @@ class SolveReport:
     loss_trace: list = field(default_factory=list)
     wall_time: float = 0.0
     fallbacks: int = 0      # half-sweeps that fell back from Cholesky to least squares
+    stop: str = "max_iter"  # or "converged": why the loop ended
 
 
 # ---------------------------------------------------------------------------
@@ -160,9 +171,14 @@ class SolveReport:
 class _PairProblem:
     """Full reshaped-matrix sensing from (state, observable) pairs.
 
-    Each half-sweep assembles its M design rows and solves their normal
-    equations (see the module docstring); `fallbacks` counts the half-sweeps
-    that went to least squares on those rows instead.
+    Each half-sweep assembles its M design rows as one GEMM over the
+    observable index and one matmul batched over the pairs, then solves
+    their normal equations (see the module docstring); `fallbacks` counts
+    the half-sweeps that went to least squares on those rows instead. A
+    factor F enters the rows as its columns viewed as N x N matrices,
+    F[i + N j, c] -> [i, (c, j)], so the right rows have columns (a, c, b)
+    and solve for conj(V), the left rows columns (x, c, y) and solve for U.
+    `sweep` reads the loss off the left rows it has just solved.
     """
 
     def __init__(self, design: SensingDesign, b):
@@ -176,25 +192,35 @@ class _PairProblem:
         self.m_total = self.b.size
         self.fallbacks = 0
 
-    def _fold(self, factor):
-        # columns viewed as N x N matrices, column-major vec convention
+    def _cols(self, factor):
+        # F[i + N j, c] as the N x (r N) matrix [i, (c, j)]
         n, r = self.n, factor.shape[1]
-        return factor.reshape(n, n, r, order="F")
+        return factor.reshape(n, n, r, order="F").transpose(0, 2, 1).reshape(n, r * n)
 
-    def _unfold(self, tensor):
-        n, r = self.n, tensor.shape[2]
-        return tensor.reshape(n * n, r, order="F")
+    def _uncols(self, flat, r):
+        # inverse of _cols on the flattened (i, c, j) vector
+        n = self.n
+        return flat.reshape(n, r, n).transpose(0, 2, 1).reshape(n * n, r, order="F")
 
     def _rows_right(self, u):
-        # row m = vec(A_m^H U) over conj(vec(V)); A_m^H U cols = O^H (.) rho
-        t = self._fold(u)
-        w = np.einsum("mxa,xyc,myb->mabc", self.obs.conj(), t, self.rho,
-                      optimize=True)
-        return w
+        # row m, column (a, c, b): sum_{x,y} conj(O_m[x,a]) U[x + N y, c] rho_m[y,b]
+        m, n, r = self.m_total, self.n, u.shape[1]
+        obs_h = np.conjugate(self.obs.transpose(0, 2, 1), order="C").reshape(m * n, n)
+        q = (obs_h @ self._cols(u)).reshape(m, n * r, n)
+        return np.matmul(q, self.rho).reshape(m, -1)
+
+    def _rows_left(self, v):
+        # row m, column (x, c, y): sum_{a,b} conj(O_m[x,a] V[a + N b, c]) rho_m[y,b]
+        m, n, r = self.m_total, self.n, v.shape[1]
+        q = self.obs.reshape(m * n, n) @ self._cols(v)
+        np.conjugate(q, out=q)
+        return np.matmul(q.reshape(m, n * r, n), self.rho.transpose(0, 2, 1)).reshape(m, -1)
+
+    def _loss_of_values(self, values):
+        return float(np.sum(np.abs(values - self.b) ** 2)) / (2 * self.m_total)
 
     def measure(self, u, v):
-        w = self._rows_right(u)
-        return np.einsum("mabc,abc->m", w, self._fold(v).conj(), optimize=True)
+        return self._rows_left(v) @ self._cols(u).reshape(-1)
 
     def _solve_rows(self, g):
         # min ||g y - b|| through g^H g y = g^H b, least squares when invalid
@@ -206,32 +232,23 @@ class _PairProblem:
         return y
 
     def solve_right(self, u):
-        w = self._rows_right(u)
-        m = w.shape[0]
-        g = w.transpose(0, 2, 1, 3).reshape(m, -1)  # (a,b)->b*N+a = col-major vec
-        y = self._solve_rows(g)
-        r = u.shape[1]
-        vt = y.conj().reshape(self.n, self.n, r).transpose(1, 0, 2)
-        return self._unfold(vt)
+        y = self._solve_rows(self._rows_right(u))
+        return self._uncols(y.conj(), u.shape[1])
 
     def solve_left(self, v):
-        tv = self._fold(v)
-        z = np.einsum("mxa,abc,myb->mxyc", self.obs, tv, self.rho.conj(),
-                      optimize=True)
-        m = z.shape[0]
-        h = z.conj().transpose(0, 2, 1, 3).reshape(m, -1)
-        u = self._solve_rows(h)
-        r = v.shape[1]
-        ut = u.reshape(self.n, self.n, r).transpose(1, 0, 2)
-        return self._unfold(ut)
+        return self._uncols(self._solve_rows(self._rows_left(v)), v.shape[1])
+
+    def sweep(self, u):
+        v = self.solve_right(u)
+        h = self._rows_left(v)
+        y = self._solve_rows(h)
+        return v, self._uncols(y, v.shape[1]), self._loss_of_values(h @ y)
 
     def loss(self, u, v):
-        resid = self.measure(u, v) - self.b
-        return float(np.sum(np.abs(resid) ** 2)) / (2 * self.m_total)
+        return self._loss_of_values(self.measure(u, v))
 
     def loss_of(self, x):
-        vals = pair_inner_products(self.rho, self.obs, x)
-        return float(np.sum(np.abs(vals - self.b) ** 2)) / (2 * self.m_total)
+        return self._loss_of_values(pair_inner_products(self.rho, self.obs, x))
 
     def backprojection(self):
         x4 = np.einsum("m,mij,mkl->ikjl", self.b, self.rho.conj(), self.obs,
@@ -319,6 +336,11 @@ class _StackedProblem:
             u = least_squares(z.conj().reshape(self.m_total, -1), self.b.reshape(-1))
         return u.reshape(n, r)
 
+    def sweep(self, u):
+        v = self.solve_right(u)
+        u_new = self.solve_left(v)
+        return v, u_new, self.loss(u_new, v)
+
     def loss(self, u, v):
         resid = self.measure(u, v) - self.b
         return float(np.sum(np.abs(resid) ** 2)) / (2 * self.m_total)
@@ -387,12 +409,13 @@ def nesterov_als_solve(design, b, d1: int, d2: int,
     """ALS with factor-wise momentum extrapolation and loss-ratio restarts.
 
     Factors are initialized once (see _init_factors) and a plain sweep
-    produces the second iterate. Each subsequent step extrapolates U and V
-    by beta times the last move, runs one sweep, and, if the loss exceeds
-    eta times the previous one, discards the step and re-sweeps from the
-    previous iterate (a plain ALS step). Terminates when the relative change
-    of X = U V^H falls below gamma or after max_iter sweeps. Returns the
-    best iterate visited; the loss trace holds one value per sweep.
+    produces the second iterate. Each subsequent step extrapolates U by beta
+    times its last move, runs one sweep (`prob.sweep`, which reads U only),
+    and, if the loss exceeds eta times the previous one, discards the step
+    and re-sweeps from the previous iterate (a plain ALS step). Terminates
+    when the relative change of X = U V^H falls below gamma (`stop` is
+    "converged") or after max_iter sweeps ("max_iter"). Returns the best
+    iterate visited; the loss trace holds one value per sweep.
 
     beta = 0 is plain ALS: the extrapolated point is the current iterate,
     every step is one exact sweep and the loss trace is non-increasing up
@@ -405,27 +428,20 @@ def nesterov_als_solve(design, b, d1: int, d2: int,
     u_prev, v_prev = _init_factors(prob, config)
     initial = prob.loss(u_prev, v_prev)
 
-    v_curr = prob.solve_right(u_prev)
-    u_curr = prob.solve_left(v_curr)
-    f_curr = prob.loss(u_curr, v_curr)
+    v_curr, u_curr, f_curr = prob.sweep(u_prev)
     trace = [f_curr]
     _guard(f_curr, initial)
     best = (u_curr, v_curr, f_curr)
     x_curr = u_curr @ v_curr.conj().T
     restarts = 0
     iterations = 1
+    stop = "max_iter"
 
     for _ in range(1, config.max_iter):
-        u_ext = u_curr + config.beta * (u_curr - u_prev)
-        v_ext = v_curr + config.beta * (v_curr - v_prev)
-        v_new = prob.solve_right(u_ext)
-        u_new = prob.solve_left(v_new)
-        f_new = prob.loss(u_new, v_new)
+        v_new, u_new, f_new = prob.sweep(u_curr + config.beta * (u_curr - u_prev))
         if f_new >= config.eta * f_curr:
             restarts += 1
-            v_new = prob.solve_right(u_curr)
-            u_new = prob.solve_left(v_new)
-            f_new = prob.loss(u_new, v_new)
+            v_new, u_new, f_new = prob.sweep(u_curr)
         iterations += 1
         trace.append(f_new)
         _guard(f_new, initial)
@@ -433,12 +449,14 @@ def nesterov_als_solve(design, b, d1: int, d2: int,
             best = (u_new, v_new, f_new)
         x_new = u_new @ v_new.conj().T
         converged = np.linalg.norm(x_new - x_curr) <= config.gamma * np.linalg.norm(x_curr)
-        u_prev, v_prev = u_curr, v_curr
-        u_curr, v_curr, f_curr, x_curr = u_new, v_new, f_new, x_new
+        u_prev = u_curr
+        u_curr, f_curr, x_curr = u_new, f_new, x_new
         if converged:
+            stop = "converged"
             break
     return SolveReport(FactorPair(best[0], best[1]), best[2], iterations,
-                       restarts, trace, time.perf_counter() - start, prob.fallbacks)
+                       restarts, trace, time.perf_counter() - start, prob.fallbacks,
+                       stop)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ def test_generate_measure_solve_reconstruct_pipeline(tmp_path):
                    "--rank", "2", "--seed", "5", "--out", str(solve_dir)) == 0
     report = json.loads((solve_dir / "report.json").read_text())
     assert report["final_loss"] <= 1e-12
+    assert report["stop"] == "converged"
 
     assert run_cli("reconstruct", "--blocks", str(solve_dir / "blocks.cmx"),
                    "--rank", "2", "--out", str(recon_dir)) == 0
@@ -71,6 +72,11 @@ def test_solve_als_n2_reports_fallbacks(tmp_path):
                    "--out", str(solve_dir)) == 0
     report = json.loads((solve_dir / "report.json").read_text())
     assert report["fallbacks"] == 2 * (report["iterations"] + report["restarts"]) > 0
+    assert run_cli("solve", "--data", str(data_dir), "--strategy", "als_n2",
+                   "--rank", "2", "--max-iter", "1", "--seed", "3",
+                   "--out", str(solve_dir)) == 0
+    report = json.loads((solve_dir / "report.json").read_text())
+    assert (report["stop"], report["iterations"]) == ("max_iter", 1)
 
 
 @pytest.mark.parametrize("argv", [
@@ -94,6 +100,8 @@ def test_solve_als_p_writes_per_block_traces(tmp_path):
     assert len(report["loss_trace"]) == 4
     assert sum(len(trace) for trace in report["loss_trace"]) == report["iterations"]
     assert report["fallbacks"] == 0
+    assert len(report["stop"]) == 4
+    assert set(report["stop"]) <= {"converged", "max_iter"}
     assert (solve_dir / "blocks.cmx").exists()
     assert not (solve_dir / "left.cmx").exists()
     assert not (solve_dir / "right.cmx").exists()

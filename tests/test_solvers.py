@@ -11,6 +11,7 @@ from superop_sensing import (SensingDesign, SolverConfig, build_blockwise_design
                              solve_first_row_parallel, solve_first_row_subset)
 from superop_sensing.errors import DimensionError
 from superop_sensing.linalg import least_squares
+from superop_sensing.measurements import pair_inner_products
 from superop_sensing.models import haar_low_rank_hermitian, superop_from_reshaped
 from superop_sensing.solvers import _make_problem, derive_seed, solve_strategy
 
@@ -88,6 +89,9 @@ def test_als_exact_recovery_complete_basis():
     rep = plain_als(design, data.values[0], 2, 2, cfg)
     assert np.linalg.norm(rep.factors.product() - truth.matrix[:2, :2]) <= 1e-10
     assert rep.iterations <= 5
+    assert rep.stop == "converged"
+    rep = plain_als(design, data.values[0], 2, 2, replace(cfg, max_iter=1))
+    assert (rep.stop, rep.iterations) == ("max_iter", 1)
 
 
 def test_als_loss_trace_monotone():
@@ -109,6 +113,27 @@ def test_als_final_loss_consistent_with_sensing_loss():
         rep = solver(design, b, 4, 16, cfg)
         direct = sensing_loss(design, b, rep.factors.product())
         assert np.isclose(direct, rep.final_loss, rtol=1e-12, atol=1e-18)
+
+
+def test_als_final_loss_consistent_with_sensing_loss_pairs():
+    # final_loss is read off the left half-sweep's rows and must still be the
+    # direct residual of the returned factors
+    n, r = 3, 2
+    s = random_channel(n, r, seed=95)
+    wide = build_random_design(n, 60, "random", seed=96)          # M >= N^2 r = 18
+    # 6 pairs, each twice: M = 12 < N^2 r, so every half-sweep takes the
+    # least-squares fallback, and the repeats' noise keeps the residual nonzero
+    few = build_random_design(n, 6, "random", seed=97)
+    repeated = SensingDesign("random_pairs", n, np.concatenate([few.observables] * 2),
+                             np.concatenate([few.states] * 2))
+    for design, fallback in ((wide, False), (repeated, True)):
+        b = simulate_measurements(s, design, 1e-2, seed=98).values
+        for solver in (plain_als, nesterov_als_solve):
+            rep = solver(design, b, n * n, n * n, SolverConfig(rank=r, seed=22, max_iter=40))
+            assert (rep.fallbacks > 0) == fallback
+            direct = sensing_loss(design, b, rep.factors.product())
+            assert direct > 1e-8 * float(np.sum(b ** 2)) / (2 * b.size)
+            assert np.isclose(direct, rep.final_loss, rtol=1e-12, atol=0)
 
 
 def test_als_rank_deficient_subproblem_min_norm():
@@ -401,6 +426,45 @@ def test_pair_half_sweeps_match_least_squares(n, r):
     assert prob.fallbacks == 0
 
 
+def _pair_rows_oracle(design, u, v):
+    # both pair half-sweeps' design rows by einsum, in the solver's column
+    # layouts: right (a, c, b) for conj(V), left (x, c, y) for U
+    n, r = design.dim_n, u.shape[1]
+    rho, obs = design.states, design.observables
+    w = np.einsum("mxa,xyc,myb->macb", obs.conj(), u.reshape(n, n, r, order="F"),
+                  rho, optimize=True)
+    z = np.einsum("mxa,abc,myb->mxcy", obs.conj(), v.reshape(n, n, r, order="F").conj(),
+                  rho, optimize=True)
+    return w.reshape(len(obs), -1), z.reshape(len(obs), -1)
+
+
+def _pair_flat(factor, n):
+    # an N^2 x r factor in the rows' (i, c, j) column layout
+    return factor.reshape(n, n, -1, order="F").transpose(0, 2, 1).reshape(-1)
+
+
+def _pair_factor(flat, n, r):
+    # inverse of _pair_flat
+    return flat.reshape(n, r, n).transpose(0, 2, 1).reshape(n * n, r, order="F")
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_pair_rows_match_einsum_oracle(n, r):
+    rng = np.random.default_rng(20 * n + r)
+    design = build_random_design(n, 2 * n * n * r + 5, "random", seed=30 + n + r)
+    u, v = complex_gaussian(n * n, r, rng), complex_gaussian(n * n, r, rng)
+    prob = _make_problem(design, np.zeros(design.n_measurements), n * n, n * n)
+    right, left = _pair_rows_oracle(design, u, v)
+    for got, want in ((prob._rows_right(u), right), (prob._rows_left(v), left)):
+        assert got.shape == want.shape
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+    # the oracle's rows applied to the factor they solve for give <A_m, U V^H>
+    values = pair_inner_products(design.states, design.observables, u @ v.conj().T)
+    for got in (right @ _pair_flat(v.conj(), n), left @ _pair_flat(u, n)):
+        assert np.linalg.norm(got - values) <= 1e-13 * np.linalg.norm(values)
+
+
 def test_pair_fallback_when_fewer_pairs_than_unknowns():
     # M = 12 pairs against N^2 r = 18 unknowns: both normal matrices are singular
     n, r = 3, 2
@@ -410,7 +474,9 @@ def test_pair_fallback_when_fewer_pairs_than_unknowns():
     rng = np.random.default_rng(94)
     u, v = complex_gaussian(n * n, r, rng), complex_gaussian(n * n, r, rng)
     prob = _make_problem(design, b, n * n, n * n)
-    right, left = _pair_lstsq_half_sweeps(design, b, u, v)
+    # least squares on the problem's own rows, mapped to factors by hand
+    right = _pair_factor(least_squares(prob._rows_right(u), b).conj(), n, r)
+    left = _pair_factor(least_squares(prob._rows_left(v), b), n, r)
     assert np.array_equal(prob.solve_right(u), right)
     assert np.array_equal(prob.solve_left(v), left)
     assert prob.fallbacks == 2
