@@ -221,6 +221,8 @@ class TrialRecord:
     recovered: bool
     message: str = ""
     fallbacks: int = 0      # half-sweeps of the trial's solves that left Cholesky
+    stop: str = ""          # "converged" if every solve converged, else "max_iter"
+    final_loss: float | None = None   # mean of the solves' final losses
 
 
 @dataclass
@@ -280,7 +282,10 @@ def _run_trial(config: ExperimentConfig, point_idx: int, m: int, trial: int) -> 
     return TrialRecord(trial, error, wall, sum(r.iterations for r in reports),
                        sum(r.restarts for r in reports),
                        error < config.recovery_threshold,
-                       fallbacks=sum(r.fallbacks for r in reports))
+                       fallbacks=sum(r.fallbacks for r in reports),
+                       stop=("converged" if all(r.stop == "converged" for r in reports)
+                             else "max_iter"),
+                       final_loss=float(np.mean([r.final_loss for r in reports])))
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -318,6 +323,7 @@ def _result_payload(result: ExperimentResult, aggregates: list) -> tuple[dict, d
                  "std_time_s": agg.pop("std_time_s")}
         records = [{"trial": r.trial, "error": r.error, "iterations": r.iterations,
                     "restarts": r.restarts, "fallbacks": r.fallbacks,
+                    "stop": r.stop, "final_loss": r.final_loss,
                     "recovered": r.recovered, "message": r.message}
                    for r in point.records]
         points_out.append({"m": point.m, "records": records, "aggregates": agg})

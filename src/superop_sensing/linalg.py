@@ -32,6 +32,9 @@ _CMX_MAGIC = b"CMX1"
 # cholesky_solve's bound on max/min of the Cholesky diagonal; see there
 _CHOLESKY_MAX_DIAG_RATIO = 1e4
 
+# largest triangular block _lower_solve hands to an LU solve
+_TRIANGULAR_LEAF = 48
+
 
 @dataclass
 class SvdResult:
@@ -98,11 +101,28 @@ def least_squares(a, b) -> np.ndarray:
     return x[:, 0] if squeeze else x
 
 
+def _lower_solve(low, b):
+    """Solve L X = B for square lower-triangular L by forward substitution on
+    halves: X_1 from the leading block, then X_2 from the trailing block and
+    B_2 - L_21 X_1. Blocks of at most _TRIANGULAR_LEAF rows are solved by LU
+    (np.linalg.solve), so the work above a leaf is matrix products."""
+    n = low.shape[0]
+    if n <= _TRIANGULAR_LEAF:
+        return np.linalg.solve(low, b)
+    h = n // 2
+    x1 = _lower_solve(low[:h, :h], b[:h])
+    x2 = _lower_solve(low[h:, h:], b[h:] - low[h:, :h] @ x1)
+    return np.concatenate((x1, x2))
+
+
 def cholesky_solve(a, b):
     """Solve A X = B for Hermitian positive-definite A, or return None.
 
     A is factored as L L^H (only its lower triangle is read) and X comes
-    from the two triangular solves. None means "not valid": the
+    from two triangular solves, L Y = B and L^H X = Y; the second is the
+    same forward substitution on L^H with rows and columns reversed, which
+    is lower triangular and is read as a view of the factor conjugated in
+    place, so no second N x N matrix is made. None means "not valid": the
     factorization failed, or the ratio of the largest to the smallest
     diagonal entry of L exceeds _CHOLESKY_MAX_DIAG_RATIO = 1e4. When A is
     the normal matrix G^H G of a least-squares problem in G, that ratio is
@@ -112,7 +132,8 @@ def cholesky_solve(a, b):
     noise floor the solvers meet, and sends rank-deficient or nearly
     collinear systems, where the normal equations are meaningless, to the
     caller's minimum-norm fallback. The check costs nothing beyond the
-    factorization; it is not an estimate of cond(G).
+    factorization; it is not an estimate of cond(G). Scaling A by 4 and B
+    by 2 halves X exactly: every step scales by a power of two.
     """
     try:
         chol = np.linalg.cholesky(a)
@@ -121,7 +142,9 @@ def cholesky_solve(a, b):
     diag = chol.diagonal().real
     if not diag.max() <= _CHOLESKY_MAX_DIAG_RATIO * diag.min():   # NaN fails too
         return None
-    return np.linalg.solve(chol.conj().T, np.linalg.solve(chol, b))
+    y = _lower_solve(chol, b)
+    np.conjugate(chol, out=chol)   # L^H reversed is conj(L) reversed, transposed
+    return _lower_solve(chol[::-1, ::-1].T, y[::-1])[::-1].copy()
 
 
 def complex_gaussian(rows: int, cols: int, seed) -> np.ndarray:

@@ -14,12 +14,13 @@ Two problem shapes are handled, one per design kind:
 * random pairs: X is the full N^2 x N^2 reshaped matrix, sensed by
   tr[(conj(rho) x O)^H X] with data a length-M vector; the Kronecker
   products are never formed. A half-sweep assembles its M rows from the
-  other factor's columns viewed as N x N matrices: one 2-D GEMM over the
-  observable index (conj(O_m)^T stacked as an (M N) x N matrix for the
-  right rows, O_m stacked as is for the left rows) and one matmul batched
-  over the pairs with rho_m (rho_m^T for the left rows), whose output is
-  already the M x (N^2 r) row matrix. It then solves the normal equations
-  of those rows.
+  other factor's columns viewed as N x N matrices: one product over the
+  observable index (O_m^T against the conjugated columns, batched over
+  the pairs, for the right rows; O_m stacked as an (M N) x N matrix for
+  the left rows), conjugated in place, and one matmul batched over the
+  pairs with rho_m (rho_m^T for the left rows), whose output is already
+  the M x (N^2 r) row matrix. It then solves the normal equations of
+  those rows.
 * blockwise: X = [X_1, ..., X_p] is an N x pN row of blocks, p = d2 / N,
   sensed by the shared (M_O, N, N) observables with data the (p, M_O)
   matrix whose row k belongs to X_k (p = 1 is a single block). The blocks
@@ -31,6 +32,22 @@ Every half-sweep solves normal equations. On random pairs the M x (N^2 r)
 row matrix g of a half-sweep changes with the other factor, and the
 whole-design Gram matrix would be N^4 x N^4, so the half-sweep forms
 g^H g and g^H b from its own rows and solves that N^2 r x N^2 r system.
+g^H g comes from the real view rv of g, an M x 2N^2 r float64 matrix with
+columns (re, im): s = rv^T rv is a symmetric rank-k update, half the
+multiplies of a complex product, and g^H g = s[re, re] + s[im, im] +
+i (s[re, im] - s[im, re]). g^H b is computed as conj(b^H g), so no
+conjugate copy of g is made.
+
+The rows, a scratch array and the normal matrix live in a workspace of
+the problem, allocated on its first row assembly and kept while the rank
+stays the same. The scratch array holds the intermediate of a row
+assembly and then, once the rows are built, s. A sweep thus allocates
+nothing the size of the rows, and each assembly returns a view of the
+workspace that is valid until the next one. A pair problem holds two M x N^2 r
+complex arrays plus one N^2 r x N^2 r complex array (3.4 MB, 3.4 MB and
+0.6 MB at N = 8, M = 1100, r = 3); the scratch array is longer only when
+M < 2 N^2 r, where s would not fit. A problem used only for its loss
+allocates no workspace.
 
 Blockwise, a half-sweep minimises a quadratic in one factor, so it needs
 the design only through its second moments: the N^2 x N^2 Gram matrix
@@ -171,14 +188,15 @@ class SolveReport:
 class _PairProblem:
     """Full reshaped-matrix sensing from (state, observable) pairs.
 
-    Each half-sweep assembles its M design rows as one GEMM over the
-    observable index and one matmul batched over the pairs, then solves
-    their normal equations (see the module docstring); `fallbacks` counts
-    the half-sweeps that went to least squares on those rows instead. A
-    factor F enters the rows as its columns viewed as N x N matrices,
-    F[i + N j, c] -> [i, (c, j)], so the right rows have columns (a, c, b)
-    and solve for conj(V), the left rows columns (x, c, y) and solve for U.
-    `sweep` reads the loss off the left rows it has just solved.
+    Each half-sweep assembles its M design rows as one product over the
+    observable index and one matmul batched over the pairs, into the
+    problem's workspace, then solves their normal equations (see the
+    module docstring); `fallbacks` counts the half-sweeps that went to
+    least squares on those rows instead. A factor F enters the rows as its
+    columns viewed as N x N matrices, F[i + N j, c] -> [i, (c, j)], so the
+    right rows have columns (a, c, b) and solve for conj(V), the left rows
+    columns (x, c, y) and solve for U. `sweep` reads the loss off the left
+    rows it has just solved.
     """
 
     def __init__(self, design: SensingDesign, b):
@@ -191,6 +209,17 @@ class _PairProblem:
             raise DimensionError(f"{self.b.size} data values for {len(self.obs)} pairs")
         self.m_total = self.b.size
         self.fallbacks = 0
+        self._work = None   # (rank, rows, scratch, normal matrix)
+
+    def _workspace(self, r):
+        # made on first use (see the module docstring); the flat scratch array
+        # holds a row assembly's intermediate, then the real Gram matrix s
+        if self._work is None or self._work[0] != r:
+            m, k = self.m_total, self.n * self.n * r
+            self._work = (r, np.empty((m, k), np.complex128),
+                          np.empty(max(m * k, 2 * k * k), np.complex128),
+                          np.empty((k, k), np.complex128))
+        return self._work[1:]
 
     def _cols(self, factor):
         # F[i + N j, c] as the N x (r N) matrix [i, (c, j)]
@@ -203,18 +232,31 @@ class _PairProblem:
         return flat.reshape(n, r, n).transpose(0, 2, 1).reshape(n * n, r, order="F")
 
     def _rows_right(self, u):
-        # row m, column (a, c, b): sum_{x,y} conj(O_m[x,a]) U[x + N y, c] rho_m[y,b]
+        """Row m, column (a, c, b): sum_{x,y} conj(O_m[x,a]) U[x + N y, c] rho_m[y,b].
+
+        A view of the workspace, valid until the next row assembly.
+        """
         m, n, r = self.m_total, self.n, u.shape[1]
-        obs_h = np.conjugate(self.obs.transpose(0, 2, 1), order="C").reshape(m * n, n)
-        q = (obs_h @ self._cols(u)).reshape(m, n * r, n)
-        return np.matmul(q, self.rho).reshape(m, -1)
+        rows, scratch, _ = self._workspace(r)
+        q = scratch[:rows.size].reshape(m, n, r * n)
+        np.matmul(self.obs.transpose(0, 2, 1), self._cols(u).conj(), out=q)
+        np.conjugate(q, out=q)
+        np.matmul(q.reshape(m, n * r, n), self.rho, out=rows.reshape(m, n * r, n))
+        return rows
 
     def _rows_left(self, v):
-        # row m, column (x, c, y): sum_{a,b} conj(O_m[x,a] V[a + N b, c]) rho_m[y,b]
+        """Row m, column (x, c, y): sum_{a,b} conj(O_m[x,a] V[a + N b, c]) rho_m[y,b].
+
+        A view of the workspace, valid until the next row assembly.
+        """
         m, n, r = self.m_total, self.n, v.shape[1]
-        q = self.obs.reshape(m * n, n) @ self._cols(v)
+        rows, scratch, _ = self._workspace(r)
+        q = scratch[:rows.size].reshape(m * n, r * n)
+        np.matmul(self.obs.reshape(m * n, n), self._cols(v), out=q)
         np.conjugate(q, out=q)
-        return np.matmul(q.reshape(m, n * r, n), self.rho.transpose(0, 2, 1)).reshape(m, -1)
+        np.matmul(q.reshape(m, n * r, n), self.rho.transpose(0, 2, 1),
+                  out=rows.reshape(m, n * r, n))
+        return rows
 
     def _loss_of_values(self, values):
         return float(np.sum(np.abs(values - self.b) ** 2)) / (2 * self.m_total)
@@ -222,10 +264,21 @@ class _PairProblem:
     def measure(self, u, v):
         return self._rows_left(v) @ self._cols(u).reshape(-1)
 
+    def _normal(self, g):
+        # g^H g into the workspace, from the real Gram matrix s of g's (re, im)
+        # columns: s = rv^T rv is a symmetric rank-k update, half a complex GEMM
+        _, _, scratch, normal = self._work
+        rv = g.view(np.float64)
+        s = scratch.view(np.float64)[:rv.shape[1] ** 2].reshape(rv.shape[1], -1)
+        np.matmul(rv.T, rv, out=s)
+        nv = normal.view(np.float64)
+        np.add(s[0::2, 0::2], s[1::2, 1::2], out=nv[:, 0::2])
+        np.subtract(s[0::2, 1::2], s[1::2, 0::2], out=nv[:, 1::2])
+        return normal
+
     def _solve_rows(self, g):
         # min ||g y - b|| through g^H g y = g^H b, least squares when invalid
-        gh = g.conj().T
-        y = cholesky_solve(gh @ g, gh @ self.b)
+        y = cholesky_solve(self._normal(g), (self.b.conj() @ g).conj())
         if y is None:
             self.fallbacks += 1
             y = least_squares(g, self.b)

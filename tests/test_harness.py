@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from superop_sensing import (ExperimentConfig, emit_results, recovery_rate,
-                             relative_frobenius_error, run_experiment)
+                             relative_frobenius_error, run_experiment, sensing_loss)
 from superop_sensing import harness
 from superop_sensing.errors import DimensionError, UndefinedMetricError
 from superop_sensing.harness import read_csv_records
 from superop_sensing.serialize import load_json
+from superop_sensing.solvers import solve_strategy
 from superop_sensing.reshaping import ReshapedMatrix
 
 
@@ -119,7 +120,8 @@ def test_run_experiment_records_infeasible_trials():
     cfg = _small_config(solver={"rank": 5}, trials=2)
     result = run_experiment(cfg)
     point = result.points[0]
-    assert all(r.message for r in point.records)
+    assert all(r.message and r.stop == "" and r.final_loss is None
+               for r in point.records)
     agg = point.aggregates(result.threshold)
     assert agg["recovery_rate"] == 0.0 and agg["failed_trials"] == 2
 
@@ -136,6 +138,40 @@ def test_run_experiment_records_fallbacks(tmp_path):
     assert all(r.fallbacks == 2 * (r.iterations + r.restarts) > 0 for r in records)
     emitted = load_json(str(tmp_path / "results.json"))["points"][0]["records"]
     assert [r["fallbacks"] for r in emitted] == [r.fallbacks for r in records]
+
+
+def test_run_experiment_records_stop_and_final_loss(tmp_path, monkeypatch):
+    # stop is "converged" only when every solve of the trial converged and
+    # final_loss is the mean of the solves' final losses, for als_p the loss
+    # of the whole row over the joint design
+    seen = []
+
+    def spy(strategy, design, values, cfg, ratio):
+        estimate, reports = solve_strategy(strategy, design, values, cfg, ratio)
+        seen.append((design, values, estimate, reports))
+        return estimate, reports
+
+    monkeypatch.setattr(harness, "solve_strategy", spy)
+    stops = set()
+    for strategy, solver in (("als_p", {"max_iter": 300}), ("als_p", {"max_iter": 4}),
+                             ("als_n", {})):
+        seen.clear()
+        result = run_experiment(_small_config(strategy=strategy, sigma=1e-4, trials=2,
+                                              solver=solver))
+        emit_results(result, str(tmp_path))
+        emitted = load_json(str(tmp_path / "results.json"))["points"][0]["records"]
+        for record, out, (design, values, estimate, reports) in zip(
+                result.points[0].records, emitted, seen):
+            converged = all(r.stop == "converged" for r in reports)
+            assert record.stop == ("converged" if converged else "max_iter")
+            assert record.final_loss == np.mean([r.final_loss for r in reports])
+            assert (out["stop"], out["final_loss"]) == (record.stop, record.final_loss)
+            if strategy == "als_p":
+                joint = sensing_loss(design, values, estimate)
+                assert record.final_loss == pytest.approx(joint, rel=1e-10, abs=0)
+            stops.add(record.stop)
+            stops.update(r.stop for r in reports)
+    assert stops == {"converged", "max_iter"}
 
 
 def test_run_experiment_propagates_programming_errors(monkeypatch):

@@ -120,6 +120,24 @@ def test_cholesky_solve_normal_equations():
     assert vec.shape == (5,) and np.allclose(vec, x[:, 0], rtol=0, atol=1e-14)
 
 
+@pytest.mark.parametrize("n", [1, 2, 47, 48, 49, 97, 192])
+def test_cholesky_solve_matches_least_squares(n):
+    # sizes around the triangular solve's 48-row leaves and its halvings
+    a = complex_gaussian(3 * n, n, seed=n)
+    b = complex_gaussian(3 * n, 4, seed=n + 1)
+    normal = a.conj().T @ a
+    x = cholesky_solve(normal, a.conj().T @ b)
+    want = least_squares(a, b)
+    assert x.shape == want.shape
+    assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
+    vec = cholesky_solve(normal, a.conj().T @ b[:, 0])
+    assert vec.shape == (n,)
+    assert np.linalg.norm(vec - want[:, 0]) <= 1e-12 * np.linalg.norm(want[:, 0])
+    # powers of two pass through every step exactly
+    assert np.array_equal(cholesky_solve(4 * normal, 4 * (a.conj().T @ b)), x)
+    assert np.array_equal(cholesky_solve(4 * normal, 2 * (a.conj().T @ b)), x / 2)
+
+
 @pytest.mark.parametrize("a", [
     np.diag([1.0, 1.0, 0.0]),               # singular
     np.diag([1.0, -1.0, 1.0]),              # indefinite

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -237,6 +238,25 @@ def test_scale_invariance_of_iterates():
         assert rep1.iterations == rep2.iterations
 
 
+@pytest.mark.parametrize("m", [100, 24])
+def test_pair_scale_invariance_of_iterates(m):
+    # pair observables and data doubled leave the product unchanged bitwise;
+    # M = 24 < N^2 r = 32 sends every half-sweep to least squares
+    n, r = 4, 2
+    s = random_channel(n, r, seed=80)
+    design = build_random_design(n, m, "random", seed=81)
+    b = simulate_measurements(s, design, 1e-4, seed=82).values
+    scaled = SensingDesign("random_pairs", n, 2.0 * design.observables, design.states)
+    for solver in (plain_als, nesterov_als_solve):
+        cfg = SolverConfig(rank=r, seed=83, max_iter=30)
+        rep1 = solver(design, b, n * n, n * n, cfg)
+        rep2 = solver(scaled, 2.0 * b, n * n, n * n, cfg)
+        assert np.array_equal(rep1.factors.product(), rep2.factors.product())
+        assert (rep1.iterations, rep1.restarts) == (rep2.iterations, rep2.restarts)
+        expected = 2 * (rep1.iterations + rep1.restarts) if m < n * n * r else 0
+        assert rep1.fallbacks == rep2.fallbacks == expected
+
+
 def test_first_row_parallel_exact_on_complete_basis():
     n, r = 4, 2
     s = random_channel(n, r, seed=71)
@@ -456,7 +476,9 @@ def test_pair_rows_match_einsum_oracle(n, r):
     u, v = complex_gaussian(n * n, r, rng), complex_gaussian(n * n, r, rng)
     prob = _make_problem(design, np.zeros(design.n_measurements), n * n, n * n)
     right, left = _pair_rows_oracle(design, u, v)
-    for got, want in ((prob._rows_right(u), right), (prob._rows_left(v), left)):
+    # the rows are a view of the problem's workspace, overwritten by the next
+    # assembly, so the right rows are copied before the left ones are built
+    for got, want in ((prob._rows_right(u).copy(), right), (prob._rows_left(v), left)):
         assert got.shape == want.shape
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
     # the oracle's rows applied to the factor they solve for give <A_m, U V^H>
@@ -483,3 +505,51 @@ def test_pair_fallback_when_fewer_pairs_than_unknowns():
     rep = nesterov_als_solve(design, b, n * n, n * n,
                              SolverConfig(rank=r, seed=21, max_iter=5))
     assert rep.fallbacks == 2 * (rep.iterations + rep.restarts) > 0
+
+
+def _pair_problem(n, m, seed):
+    design = build_random_design(n, m, "random", seed=seed)
+    b = complex_gaussian(m, 1, seed + 1)[:, 0]
+    return design, b, _make_problem(design, b, n * n, n * n)
+
+
+def test_pair_sweep_reuses_its_workspace():
+    # after the first sweep has allocated the workspace, a sweep allocates
+    # less than a quarter of one M x N^2 r row matrix
+    n, r, m = 4, 2, 600
+    _, _, prob = _pair_problem(n, m, 40)
+    u = complex_gaussian(n * n, r, seed=42)
+    tracemalloc.start()
+    try:
+        prob.sweep(u)
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        prob.sweep(u)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < m * n * n * r * 16 / 4
+
+
+def test_pair_problems_interleaved_equal_fresh():
+    # two problems driven in turn return bitwise what each returns alone
+    n = 3
+    cases = [(_pair_problem(n, 50, 50), complex_gaussian(n * n, 2, seed=70)),
+             (_pair_problem(n, 70, 60), complex_gaussian(n * n, 2, seed=71))]
+
+    def steps(prob, u):
+        # a sweep and the loss of its result both ways; the last at rank 1
+        for rank in (2, 2, 1):
+            v, u, loss = prob.sweep(u[:, :rank])
+            yield [v, u, loss, prob.loss(u, v), prob.loss_of(u @ v.conj().T)]
+
+    alone = [[x for step in steps(_make_problem(d, b, n * n, n * n), u) for x in step]
+             for (d, b, _), u in cases]
+    runs = [steps(prob, u) for (_, _, prob), u in cases]
+    together = [[], []]
+    for _ in range(3):
+        for k in (0, 1):
+            together[k] += next(runs[k])
+    for got, want in zip(together, alone):
+        assert len(got) == len(want) == 15
+        assert all(np.array_equal(x, y) for x, y in zip(got, want))
