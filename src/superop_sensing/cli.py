@@ -15,7 +15,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from . import harness, serialize
 from .errors import NUMERICAL_ERRORS
@@ -27,6 +27,9 @@ from .reconstruction import reconstruct_full
 from .solvers import STRATEGY_DESIGNS, SolverConfig, solve_strategy
 
 _CONFIG_ERRORS = (ValueError, KeyError, FileNotFoundError, json.JSONDecodeError)
+
+# `solve` takes its defaults from SolverConfig, so they live in one place
+_SOLVER_DEFAULTS = {f.name: f.default for f in fields(SolverConfig)}
 
 
 def _common(parser, seed: bool = True):
@@ -64,11 +67,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=list(STRATEGY_DESIGNS), required=True)
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--subset-ratio", type=float, default=0.5)
-    p.add_argument("--max-iter", type=int, default=300)
-    p.add_argument("--gamma", type=float, default=1e-8)
-    p.add_argument("--eta", type=float, default=1.2)
-    p.add_argument("--beta", type=float, default=1.0,
-                   help="momentum; 0 runs plain ALS")
+    p.add_argument("--max-iter", type=int, default=_SOLVER_DEFAULTS["max_iter"])
+    p.add_argument("--gamma", type=float, default=_SOLVER_DEFAULTS["gamma"])
+    p.add_argument("--eta", type=float, default=_SOLVER_DEFAULTS["eta"])
+    p.add_argument("--beta", type=float, default=_SOLVER_DEFAULTS["beta"],
+                   help="momentum (default %(default)s); 0 runs plain ALS")
     _common(p)
 
     p = sub.add_parser("reconstruct", help="complete the matrix from stored blocks")

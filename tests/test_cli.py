@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from superop_sensing import choi_reshape, load_cmx, save_cmx
+from superop_sensing import SolverConfig, choi_reshape, load_cmx, save_cmx
 from superop_sensing.cli import build_parser, main
 from superop_sensing.serialize import load_superoperator
 
@@ -98,13 +98,23 @@ def test_solve_als_p_writes_per_block_traces(tmp_path):
                    "--rank", "2", "--seed", "6", "--out", str(solve_dir)) == 0
     report = json.loads((solve_dir / "report.json").read_text())
     assert len(report["loss_trace"]) == 4
-    assert sum(len(trace) for trace in report["loss_trace"]) == report["iterations"]
+    # each trace is its block's winning solve; iterations count all three
+    # solves of every block, the losing ones too
+    assert sum(len(trace) for trace in report["loss_trace"]) < report["iterations"]
     assert report["fallbacks"] == 0
     assert len(report["stop"]) == 4
     assert set(report["stop"]) <= {"converged", "max_iter"}
     assert (solve_dir / "blocks.cmx").exists()
     assert not (solve_dir / "left.cmx").exists()
     assert not (solve_dir / "right.cmx").exists()
+
+
+def test_solve_defaults_are_solver_config_defaults():
+    args = build_parser().parse_args(["solve", "--data", "d", "--strategy", "als_n",
+                                      "--rank", "2"])
+    cfg = SolverConfig(rank=2)
+    assert (args.max_iter, args.gamma, args.eta, args.beta) == \
+        (cfg.max_iter, cfg.gamma, cfg.eta, cfg.beta)
 
 
 def test_run_subcommand_and_report(tmp_path, capsys):
