@@ -78,15 +78,36 @@ def recovery_rate(errors, threshold: float) -> float:
     return hits / len(errors)
 
 
-def _nonnegative_int(name: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
-        raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
-    return int(value)
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+# integer fields and their least values; numpy integers are stored as int
+_INTEGERS = {"n": 1, "trials": 1, "master_seed": 0, "kraus_rank": 0, "n_jumps": 0,
+             "r_plus": 0, "r_minus": 0, "row_index": 0}
+# finite real fields, with their allowed range as messages name it
+_REALS = {"sigma": (">= 0", lambda x: x >= 0),
+          "subset_ratio": ("in (0, 1]", lambda x: 0 < x <= 1),
+          "recovery_threshold": ("> 0", lambda x: x > 0)}
+# fields with a fixed set of values; a value must match one in type too, so
+# hermitize rejects 1
+_CHOICES = {"task": TASKS, "design": DESIGN_KINDS, "source": SOURCES,
+            "strategy": tuple(STRATEGY_DESIGNS), "noise_mode": NOISE_MODES,
+            "hermitize": (False, True)}
+# task -> (its truth rank as messages name it, least value, rule); the
+# truth's reshaped matrix is n^2 x n^2, so its rank is at most n^2
+_TRUTH_RANKS = {"channel": ("kraus_rank", 1, lambda c: c.kraus_rank),
+                "lindbladian": ("n_jumps + 2", 3, lambda c: c.n_jumps + 2),
+                "haar": ("r_plus + r_minus", 1, lambda c: c.r_plus + c.r_minus)}
 
 
 @dataclass
 class ExperimentConfig:
-    """Knobs of one experiment; see module docstring for the pipeline."""
+    """Knobs of one experiment; see module docstring for the pipeline.
+
+    `rank`, set at construction, is the solver rank: `solver["rank"]` when
+    given, else the truth's rank.
+    """
 
     task: str
     n: int
@@ -109,78 +130,44 @@ class ExperimentConfig:
     solver: dict = field(default_factory=dict)  # overrides for SolverConfig
 
     def __post_init__(self):
-        for name in ("n", "trials", "master_seed", "kraus_rank", "n_jumps", "r_plus",
-                     "r_minus", "row_index"):
-            setattr(self, name, _nonnegative_int(name, getattr(self, name)))
-        for name in ("sigma", "subset_ratio", "recovery_threshold"):
+        for name, least in _INTEGERS.items():
+            value = getattr(self, name)
+            if not _is_int(value) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+            setattr(self, name, int(value))
+        for name, (allowed, test) in _REALS.items():
             value = getattr(self, name)
             if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not math.isfinite(value)):
-                raise ValueError(f"{name} must be a finite real, got {value!r}")
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if not 0 <= self.row_index < self.n:
+                    or not math.isfinite(value) or not test(value)):
+                raise ValueError(f"{name} must be a finite real {allowed}, got {value!r}")
+        for name, allowed in _CHOICES.items():
+            value = getattr(self, name)
+            if not any(isinstance(value, type(a)) and value == a for a in allowed):
+                raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
+        if self.row_index >= self.n:
             raise ValueError(f"row_index must be in [0, {self.n}), got {self.row_index}")
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
-        if self.noise_mode not in NOISE_MODES:
-            raise ValueError(f"noise_mode must be one of {NOISE_MODES}")
-        if self.recovery_threshold <= 0:
-            raise ValueError("recovery_threshold must be positive")
-        if not isinstance(self.hermitize, bool):
-            raise ValueError(f"hermitize must be a bool, got {self.hermitize!r}")
-        if not isinstance(self.solver, dict):
-            raise ValueError(f"solver must be an object, got {self.solver!r}")
-        if self.task not in TASKS:
-            raise ValueError(f"task must be one of {TASKS}, got {self.task!r}")
-        if self.design not in DESIGN_KINDS:
-            raise ValueError(f"design must be one of {DESIGN_KINDS}")
-        if self.source not in SOURCES:
-            raise ValueError(f"source must be one of {SOURCES}")
-        if self.strategy not in STRATEGY_DESIGNS:
-            raise ValueError(f"strategy must be one of {tuple(STRATEGY_DESIGNS)}")
         if self.design != STRATEGY_DESIGNS[self.strategy]:
             raise ValueError(
                 f"{self.strategy} needs the {STRATEGY_DESIGNS[self.strategy]} design")
-        self.sweep = [_nonnegative_int("sweep", v) for v in
-                      (self.sweep if isinstance(self.sweep, (list, tuple)) else [self.sweep])]
-        if not self.sweep or any(v < 1 for v in self.sweep):
-            raise ValueError("sweep values must be positive")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.task == "channel" and self.kraus_rank < 1:
-            raise ValueError("channel task needs kraus_rank >= 1")
-        if self.task == "lindbladian" and self.n_jumps < 1:
-            raise ValueError("lindbladian task needs n_jumps >= 1")
-        if self.task == "haar" and self.r_plus + self.r_minus < 1:
-            raise ValueError("haar task needs r_plus + r_minus >= 1")
-        # the truth's reshaped matrix is n^2 x n^2, so its rank is at most n^2
-        truth_rank = {"channel": ("kraus_rank", self.kraus_rank),
-                      "lindbladian": ("n_jumps + 2", self.n_jumps + 2),
-                      "haar": ("r_plus + r_minus", self.r_plus + self.r_minus)}
-        name, value = truth_rank[self.task]
-        if value > self.n ** 2:
-            raise ValueError(f"{self.task} task needs {name} <= n**2 = {self.n ** 2}, "
-                             f"got {value}")
-        if not 0 < self.subset_ratio <= 1:
-            raise ValueError("subset_ratio must be in (0, 1]")
+        sweep = self.sweep if isinstance(self.sweep, (list, tuple)) else [self.sweep]
+        if not sweep or not all(_is_int(v) and v >= 1 for v in sweep):
+            raise ValueError(f"sweep must hold integers >= 1, got {self.sweep!r}")
+        self.sweep = [int(v) for v in sweep]
+        name, least, rule = _TRUTH_RANKS[self.task]
+        truth_rank = rule(self)
+        if not least <= truth_rank <= self.n ** 2:
+            raise ValueError(f"{self.task} task needs {least} <= {name} <= n**2 = "
+                             f"{self.n ** 2}, got {truth_rank}")
+        if not isinstance(self.solver, dict):
+            raise ValueError(f"solver must be an object, got {self.solver!r}")
         if "seed" in self.solver:
             raise ValueError("solver seeds are derived from master_seed")
-        params = {k: v for k, v in self.solver.items() if k != "rank"}
+        params = {"rank": truth_rank, **self.solver}
         try:
-            self._solver = SolverConfig(rank=self.rank, **params)
+            self._solver = SolverConfig(**params)
         except TypeError as exc:
             raise ValueError(f"bad solver settings: {exc}") from exc
-
-    @property
-    def rank(self) -> int:
-        if "rank" in self.solver:
-            return self.solver["rank"]
-        if self.task == "channel":
-            return self.kraus_rank
-        if self.task == "lindbladian":
-            return self.n_jumps + 2
-        return self.r_plus + self.r_minus
+        self.rank = params["rank"]
 
     def solver_config(self, seed: int) -> SolverConfig:
         return replace(self._solver, seed=seed)
@@ -192,23 +179,28 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        """The config of a JSON object. A "rank" key, as a manifest holds,
+        is accepted only when it equals the derived rank."""
         if not isinstance(data, dict):
             raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
         data = dict(data)
-        data.pop("rank", None)
         given = sorted(key for key in ("sweep", "m", "m_o") if key in data)
         if len(given) > 1:
             raise ValueError(f"give one of sweep, m and m_o, got {given}")
         if given:
             data["sweep"] = data.pop(given[0])
-        fields = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - fields
+        has_rank, rank = "rank" in data, data.pop("rank", None)
+        unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         try:
-            return cls(**data)
+            config = cls(**data)
         except TypeError as exc:
             raise ValueError(f"incomplete config: {exc}") from exc
+        if has_rank and not (_is_int(rank) and rank == config.rank):
+            raise ValueError(f"rank {rank!r} is not the derived rank {config.rank}; "
+                             f"set solver.rank to choose the solver rank")
+        return config
 
 
 @dataclass

@@ -154,7 +154,7 @@ def complex_gaussian(rows: int, cols: int, seed) -> np.ndarray:
     """
     if rows < 1 or cols < 1:
         raise DimensionError("rows and cols must be >= 1")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     z = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
     return z / np.sqrt(2.0)
 

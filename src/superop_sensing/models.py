@@ -220,7 +220,7 @@ def random_density(n: int, seed) -> np.ndarray:
     """Random density matrix G G^H / tr(G G^H): Hermitian, PSD, unit trace."""
     if n < 2:
         raise DimensionError("n must be >= 2")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     g = complex_gaussian(n, n, rng)
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
@@ -235,7 +235,7 @@ def random_observable(n: int, seed) -> np.ndarray:
     """
     if n < 2:
         raise DimensionError("n must be >= 2")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     g = complex_gaussian(n, n, rng)
     return (g + g.conj().T) / np.sqrt(2.0)
 

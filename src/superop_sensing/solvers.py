@@ -37,14 +37,15 @@ Two problem shapes are handled, one per design kind:
 
 * random pairs: X is the full N^2 x N^2 reshaped matrix, sensed by
   tr[(conj(rho) x O)^H X] with data a length-M vector; the Kronecker
-  products are never formed. A half-sweep assembles its M rows from the
-  other factor's columns viewed as N x N matrices: one product over the
-  observable index (O_m^T against the conjugated columns, batched over
-  the pairs, for the right rows; O_m stacked as an (M N) x N matrix for
-  the left rows), conjugated in place, and one matmul batched over the
-  pairs with rho_m (rho_m^T for the left rows), whose output is already
-  the M x (N^2 r) row matrix. It then solves the normal equations of
-  those rows.
+  products are never formed. Both half-sweeps assemble their M rows
+  with one routine, from the other factor's columns viewed as N x N
+  matrices: one product over the observable index (O_m^T against the
+  conjugated columns, batched over the pairs, for the right rows; O_m
+  stacked as an (M N) x N matrix for the left rows), conjugated in
+  place, and one matmul batched over the pairs with rho_m (rho_m^T for
+  the left rows), whose output is already the M x (N^2 r) row matrix.
+  The halves differ only in those operands. A half-sweep then solves
+  the normal equations of its rows.
 * blockwise: X = [X_1, ..., X_p] is an N x pN row of blocks, p = d2 / N,
   sensed by the shared (M_O, N, N) observables with data the (p, M_O)
   matrix whose row k belongs to X_k (p = 1 is a single block). The blocks
@@ -91,7 +92,10 @@ Otherwise (for instance fewer pairs M than the N^2 r unknowns, or
 M_O < N r blockwise, where the normal matrix is singular; or a square,
 badly conditioned pair system) the half-sweep solves its M-row system by
 SVD-backed least squares, which gives minimum-norm solutions on
-rank-deficient systems, and `SolveReport.fallbacks` counts it.
+rank-deficient systems, and `SolveReport.fallbacks` counts it. Every
+half-sweep of both back ends takes this step through one function,
+`_normal_solve`; a blockwise half-sweep builds its M rows only when it
+falls back.
 
 The loss stays the direct residual over all M data. On random pairs the
 left half-sweep has just built the rows h that map U to the data at the
@@ -101,7 +105,9 @@ initial loss assembles the same left rows. The blockwise quadratic form
 ||b||^2 - 2 Re<B, X> + <X, G X> would also be independent of M, but it
 cancels down to roundoff at noiseless floors, where the restart test and
 the choice of the best iterate read it, so blockwise loss evaluates the
-residual of both factors directly.
+residual of both factors directly. Every loss of both back ends, from
+factors, from a matrix or from the pair rows, is one function of the
+predicted values, `_loss`.
 
 On both back ends a common power-of-two rescaling of design and data
 leaves every iterate unchanged bitwise: the design rows, G, B, the normal
@@ -213,18 +219,42 @@ class SolveReport:
 # problem back ends
 
 
+def _loss(values, b) -> float:
+    """The sensing loss sum |values - b|^2 / 2M over the M data b."""
+    return float(np.sum(np.abs(values - b) ** 2)) / (2 * b.size)
+
+
+def _normal_solve(prob, normal, rhs, b, rows):
+    """Solve the normal equations normal y = rhs of the M-row system
+    rows() y = b by Cholesky.
+
+    When `linalg.cholesky_solve` rejects them, solve rows() y = b by
+    least squares instead and count one fallback on prob; rows is called
+    only then, so a back end that never forms its M rows builds them only
+    for the fallback.
+    """
+    y = cholesky_solve(normal, rhs)
+    if y is None:
+        prob.fallbacks += 1
+        y = least_squares(rows(), b)
+    return y
+
+
 class _PairProblem:
     """Full reshaped-matrix sensing from (state, observable) pairs.
 
-    Each half-sweep assembles its M design rows as one product over the
-    observable index and one matmul batched over the pairs, into the
-    problem's workspace, then solves their normal equations (see the
-    module docstring); `fallbacks` counts the half-sweeps that went to
-    least squares on those rows instead. A factor F enters the rows as its
-    columns viewed as N x N matrices, F[i + N j, c] -> [i, (c, j)], so the
-    right rows have columns (a, c, b) and solve for conj(V), the left rows
-    columns (x, c, y) and solve for U. `sweep` reads the loss off the left
-    rows it has just solved.
+    Both half-sweeps assemble their M design rows with the one routine
+    `_rows`, as one product over the observable index and one matmul
+    batched over the pairs, into the problem's workspace; the right half
+    passes the batched view O_m^T and rho_m, the left half O stacked as an
+    (M N) x N matrix and rho_m^T, so neither copies the design. Each then
+    solves the normal equations of its rows through the one fallback step
+    `_normal_solve` (see the module docstring), and `fallbacks` counts the
+    half-sweeps that went to least squares on those rows instead. A factor
+    F enters the rows as its columns viewed as N x N matrices,
+    F[i + N j, c] -> [i, (c, j)], so the right rows have columns (a, c, b)
+    and solve for conj(V), the left rows columns (x, c, y) and solve for U.
+    `sweep` reads the loss off the left rows it has just solved.
     """
 
     def __init__(self, design: SensingDesign, b):
@@ -259,38 +289,26 @@ class _PairProblem:
         n = self.n
         return flat.reshape(n, r, n).transpose(0, 2, 1).reshape(n * n, r, order="F")
 
-    def _rows_right(self, u):
-        """Row m, column (a, c, b): sum_{x,y} conj(O_m[x,a]) U[x + N y, c] rho_m[y,b].
+    def _rows(self, a, f, b):
+        """Row m, column (i, c, j): sum_{k,l} conj(a_m[i,k] f[k,(c,l)]) b_m[l,j].
 
-        A view of the workspace, valid until the next row assembly.
+        a holds the observables, either batched as (M, N, N) or stacked as
+        (M N) x N, f is a factor's columns from `_cols` (conjugated for the
+        right half) and b the states, batched as (M, N, N). A view of the
+        workspace, valid until the next row assembly.
         """
-        m, n, r = self.m_total, self.n, u.shape[1]
+        m, n, r = self.m_total, self.n, f.shape[1] // self.n
         rows, scratch, _ = self._workspace(r)
-        q = scratch[:rows.size].reshape(m, n, r * n)
-        np.matmul(self.obs.transpose(0, 2, 1), self._cols(u).conj(), out=q)
+        q = scratch[:rows.size].reshape(*a.shape[:-1], r * n)
+        np.matmul(a, f, out=q)
         np.conjugate(q, out=q)
-        np.matmul(q.reshape(m, n * r, n), self.rho, out=rows.reshape(m, n * r, n))
+        np.matmul(q.reshape(m, n * r, n), b, out=rows.reshape(m, n * r, n))
         return rows
 
     def _rows_left(self, v):
-        """Row m, column (x, c, y): sum_{a,b} conj(O_m[x,a] V[a + N b, c]) rho_m[y,b].
-
-        A view of the workspace, valid until the next row assembly.
-        """
-        m, n, r = self.m_total, self.n, v.shape[1]
-        rows, scratch, _ = self._workspace(r)
-        q = scratch[:rows.size].reshape(m * n, r * n)
-        np.matmul(self.obs.reshape(m * n, n), self._cols(v), out=q)
-        np.conjugate(q, out=q)
-        np.matmul(q.reshape(m, n * r, n), self.rho.transpose(0, 2, 1),
-                  out=rows.reshape(m, n * r, n))
-        return rows
-
-    def _loss_of_values(self, values):
-        return float(np.sum(np.abs(values - self.b) ** 2)) / (2 * self.m_total)
-
-    def measure(self, u, v):
-        return self._rows_left(v) @ self._cols(u).reshape(-1)
+        # column (x, c, y): sum_{a,b} conj(O_m[x,a] V[a + N b, c]) rho_m[y,b]
+        return self._rows(self.obs.reshape(-1, self.n), self._cols(v),
+                          self.rho.transpose(0, 2, 1))
 
     def _normal(self, g):
         # g^H g into the workspace, from the real Gram matrix s of g's (re, im)
@@ -305,16 +323,15 @@ class _PairProblem:
         return normal
 
     def _solve_rows(self, g):
-        # min ||g y - b|| through g^H g y = g^H b, least squares when invalid
-        y = cholesky_solve(self._normal(g), (self.b.conj() @ g).conj())
-        if y is None:
-            self.fallbacks += 1
-            y = least_squares(g, self.b)
-        return y
+        # min ||g y - b|| through g^H g y = g^H b
+        return _normal_solve(self, self._normal(g), (self.b.conj() @ g).conj(), self.b,
+                             lambda: g)
 
     def solve_right(self, u):
-        y = self._solve_rows(self._rows_right(u))
-        return self._uncols(y.conj(), u.shape[1])
+        # column (a, c, b): sum_{x,y} conj(O_m[x,a]) U[x + N y, c] rho_m[y,b],
+        # solving for conj(V)
+        g = self._rows(self.obs.transpose(0, 2, 1), self._cols(u).conj(), self.rho)
+        return self._uncols(self._solve_rows(g).conj(), u.shape[1])
 
     def solve_left(self, v):
         return self._uncols(self._solve_rows(self._rows_left(v)), v.shape[1])
@@ -323,13 +340,13 @@ class _PairProblem:
         v = self.solve_right(u)
         h = self._rows_left(v)
         y = self._solve_rows(h)
-        return v, self._uncols(y, v.shape[1]), self._loss_of_values(h @ y)
+        return v, self._uncols(y, v.shape[1]), _loss(h @ y, self.b)
 
     def loss(self, u, v):
-        return self._loss_of_values(self.measure(u, v))
+        return _loss(self._rows_left(v) @ self._cols(u).reshape(-1), self.b)
 
     def loss_of(self, x):
-        return self._loss_of_values(pair_inner_products(self.rho, self.obs, x))
+        return _loss(pair_inner_products(self.rho, self.obs, x), self.b)
 
     def backprojection(self):
         x4 = np.einsum("m,mij,mkl->ikjl", self.b, self.rho.conj(), self.obs,
@@ -350,8 +367,9 @@ class _StackedProblem:
 
     The half-sweeps solve normal equations built from G and B (see the
     module docstring), which are computed on first use, so after
-    _make_problem's checks; `fallbacks` counts the half-sweeps that went to
-    the least-squares assembly instead.
+    _make_problem's checks, through the one fallback step `_normal_solve`;
+    `fallbacks` counts the half-sweeps that assembled their M rows and
+    went to least squares instead.
     """
 
     def __init__(self, design: SensingDesign, n_blocks: int, b):
@@ -381,13 +399,6 @@ class _StackedProblem:
     def _split(self, v):
         return v.reshape(self.n_blocks, self.n, v.shape[1])
 
-    def measure(self, u, v):
-        # w[m,c,a] = sum_x conj(O_m[x,a]) U[x,c]; value (k, m) = sum w conj(V_k[a,c])
-        n, r, m = self.n, u.shape[1], len(self.obs)
-        w = np.matmul(u.conj().T, self.obs).conj().reshape(m, r * n)
-        vt = self._split(v).conj().transpose(0, 2, 1).reshape(self.n_blocks, r * n)
-        return vt @ w.T
-
     def solve_right(self, u):
         n, r = self.n, u.shape[1]
         # normal matrix sum_{x,x'} conj(U[x,c]) G[x,a,x',a'] U[x',c'], contracted
@@ -397,12 +408,9 @@ class _StackedProblem:
         normal = t.transpose(2, 0, 3, 1).reshape(n * r, n * r)
         # one right-hand side per block: sum_x B_k[x,a] conj(U[x,c])
         rhs = (self._brow.T @ u.conj()).reshape(self.n_blocks, n * r).T
-        y = cholesky_solve(normal, rhs)                     # (N r, n_blocks)
-        if y is None:
-            self.fallbacks += 1
-            w = np.einsum("mxa,xc->mac", self.obs.conj(), u)
-            y = least_squares(w.reshape(w.shape[0], -1), self.b.T)
-        return y.T.conj().reshape(self.d2, r)
+        y = _normal_solve(self, normal, rhs, self.b.T, lambda: np.einsum(
+            "mxa,xc->mac", self.obs.conj(), u).reshape(len(self.obs), -1))
+        return y.T.conj().reshape(self.d2, r)             # y is (N r, n_blocks)
 
     def solve_left(self, v):
         n, r = self.n, v.shape[1]
@@ -410,11 +418,10 @@ class _StackedProblem:
         vf = v.reshape(self.n_blocks, n * r)
         w = _regroup(vf.T @ vf.conj(), (n, r, n, r))
         normal = _regroup(self._gram @ w, (n, n, r, r))
-        u = cholesky_solve(normal, (self._brow @ v).reshape(-1))   # sum_k B_k V_k
-        if u is None:
-            self.fallbacks += 1
-            z = np.einsum("mxy,kyc->kmxc", self.obs, self._split(v), optimize=True)
-            u = least_squares(z.conj().reshape(self.m_total, -1), self.b.reshape(-1))
+        rhs = (self._brow @ v).reshape(-1)                 # sum_k B_k V_k
+        u = _normal_solve(self, normal, rhs, self.b.reshape(-1), lambda: np.einsum(
+            "mxy,kyc->kmxc", self.obs, self._split(v), optimize=True
+        ).conj().reshape(self.m_total, -1))
         return u.reshape(n, r)
 
     def sweep(self, u):
@@ -423,14 +430,17 @@ class _StackedProblem:
         return v, u_new, self.loss(u_new, v)
 
     def loss(self, u, v):
-        resid = self.measure(u, v) - self.b
-        return float(np.sum(np.abs(resid) ** 2)) / (2 * self.m_total)
+        # w[m,c,a] = sum_x conj(O_m[x,a]) U[x,c]; value (k, m) = sum w conj(V_k[a,c])
+        n, r, m = self.n, u.shape[1], len(self.obs)
+        w = np.matmul(u.conj().T, self.obs).conj().reshape(m, r * n)
+        vt = self._split(v).conj().transpose(0, 2, 1).reshape(self.n_blocks, r * n)
+        return _loss(vt @ w.T, self.b)
 
     def loss_of(self, x):
         x = np.asarray(x, dtype=np.complex128)
         blocks = x.reshape(self.n, self.n_blocks, self.n).transpose(1, 0, 2)
-        vals = np.einsum("mxy,kxy->km", self.obs.conj(), blocks, optimize=True)
-        return float(np.sum(np.abs(vals - self.b) ** 2)) / (2 * self.m_total)
+        return _loss(np.einsum("mxy,kxy->km", self.obs.conj(), blocks, optimize=True),
+                     self.b)
 
     def backprojection(self):
         return self._brow / len(self.obs)

@@ -4,9 +4,9 @@ import struct
 import numpy as np
 import pytest
 
-from superop_sensing import SolverConfig, choi_reshape, load_cmx, save_cmx
+from superop_sensing import SolverConfig, choi_reshape, load_cmx, save_cmx, sensing_loss
 from superop_sensing.cli import build_parser, main
-from superop_sensing.serialize import load_superoperator
+from superop_sensing.serialize import load_design, load_measurements, load_superoperator
 
 
 def run_cli(*argv):
@@ -109,6 +109,23 @@ def test_solve_als_p_writes_per_block_traces(tmp_path):
     assert not (solve_dir / "right.cmx").exists()
 
 
+def test_solve_als_p_final_loss_is_the_row_loss(tmp_path):
+    # report.json's final_loss is the anchor row's loss, the mean of the
+    # block losses, as results.json records it; not their sum
+    truth_dir, data_dir, solve_dir = (tmp_path / x for x in ("t", "d", "s"))
+    run_cli("generate", "--task", "channel", "--n", "4", "--kraus-rank", "2",
+            "--seed", "3", "--out", str(truth_dir))
+    run_cli("measure", "--truth", str(truth_dir), "--design", "blockwise",
+            "--m", "20", "--sigma", "1e-3", "--seed", "4", "--out", str(data_dir))
+    assert run_cli("solve", "--data", str(data_dir), "--strategy", "als_p",
+                   "--rank", "2", "--seed", "6", "--out", str(solve_dir)) == 0
+    report = json.loads((solve_dir / "report.json").read_text())
+    row_loss = sensing_loss(load_design(str(data_dir)),
+                            load_measurements(str(data_dir)).values,
+                            load_cmx(solve_dir / "blocks.cmx"))
+    assert report["final_loss"] == pytest.approx(row_loss, rel=1e-10)
+
+
 def test_solve_defaults_are_solver_config_defaults():
     args = build_parser().parse_args(["solve", "--data", "d", "--strategy", "als_n",
                                       "--rank", "2"])
@@ -203,7 +220,7 @@ def test_run_exit_code_2_on_bad_solver_value(tmp_path, solver):
     {"sigma": float("nan")}, {"sigma": "0"}, {"subset_ratio": True},
     {"noise_mode": "bogus"}, {"recovery_threshold": -1}, {"recovery_threshold": 0},
     {"sweep": [16.5]}, {"sweep": [True]}, {"hermitize": "no"}, {"solver": [1]},
-    {"workers": 2}, {"m_o": [20], "m": [30]}, {"kraus_rank": 17},
+    {"workers": 2}, {"m_o": [20], "m": [30]}, {"kraus_rank": 17}, {"rank": 3},
     {"n_jumps": 3, "task": "lindbladian", "n": 2},
     {"r_plus": 3, "r_minus": 2, "task": "haar", "n": 2}], ids=lambda o: ",".join(f"{k}={v!r}" for k, v in o.items()))
 def test_run_exit_code_2_on_bad_config_value(tmp_path, capsys, override):
@@ -307,6 +324,14 @@ def test_rip_probe_subcommand(tmp_path, capsys):
     payload = json.loads((tmp_path / "probe" / "rip_probe.json").read_text())
     assert 0 <= payload["delta"] < 1
     assert payload["c0"] <= payload["c1"]
+
+
+def test_rip_probe_rejects_row_index():
+    # the probe reads no anchor row, so the option is gone
+    with pytest.raises(SystemExit) as info:
+        build_parser().parse_args(["rip-probe", "--n", "4", "--design", "blockwise",
+                                   "--m", "4", "--row-index", "1"])
+    assert info.value.code == 2
 
 
 def test_argparse_rejects_unknown_strategy(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -85,6 +86,28 @@ def test_config_rank_inference():
     cfg = ExperimentConfig(task="lindbladian", n=2, design="blockwise",
                            strategy="als_n", sweep=[8], n_jumps=2)
     assert cfg.rank == 4
+
+
+def test_config_round_trips_through_its_manifest():
+    # a manifest's rank is accepted when it is the derived rank, so the
+    # config of a results.json builds the same config again
+    for cfg in (_small_config(), _small_config(solver={"rank": 3})):
+        again = ExperimentConfig.from_dict(json.loads(json.dumps(cfg.manifest())))
+        assert again == cfg and again.rank == cfg.rank
+    base = _small_config().manifest()
+    for rank in (3, 2.0, True, None):
+        with pytest.raises(ValueError, match="solver.rank"):
+            ExperimentConfig.from_dict({**base, "rank": rank})
+
+
+def test_config_checks_every_field():
+    # object() is no valid value of any field: each must be rejected by a
+    # check that names it, so a field added later cannot go unchecked
+    base = dict(task="channel", n=4, design="blockwise", strategy="als_n",
+                sweep=[16], kraus_rank=2)
+    for f in dataclasses.fields(ExperimentConfig):
+        with pytest.raises(ValueError, match=f.name):
+            ExperimentConfig(**{**base, f.name: object()})
 
 
 def _small_config(**overrides):

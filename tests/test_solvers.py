@@ -506,6 +506,11 @@ def _pair_rows_oracle(design, u, v):
     return w.reshape(len(obs), -1), z.reshape(len(obs), -1)
 
 
+def _pair_right_rows(prob, u):
+    # the right half-sweep's rows, assembled as solve_right assembles them
+    return prob._rows(prob.obs.transpose(0, 2, 1), prob._cols(u).conj(), prob.rho)
+
+
 def _pair_flat(factor, n):
     # an N^2 x r factor in the rows' (i, c, j) column layout
     return factor.reshape(n, n, -1, order="F").transpose(0, 2, 1).reshape(-1)
@@ -526,7 +531,8 @@ def test_pair_rows_match_einsum_oracle(n, r):
     right, left = _pair_rows_oracle(design, u, v)
     # the rows are a view of the problem's workspace, overwritten by the next
     # assembly, so the right rows are copied before the left ones are built
-    for got, want in ((prob._rows_right(u).copy(), right), (prob._rows_left(v), left)):
+    for got, want in ((_pair_right_rows(prob, u).copy(), right),
+                      (prob._rows_left(v), left)):
         assert got.shape == want.shape
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
     # the oracle's rows applied to the factor they solve for give <A_m, U V^H>
@@ -545,7 +551,7 @@ def test_pair_fallback_when_fewer_pairs_than_unknowns():
     u, v = complex_gaussian(n * n, r, rng), complex_gaussian(n * n, r, rng)
     prob = _make_problem(design, b, n * n, n * n)
     # least squares on the problem's own rows, mapped to factors by hand
-    right = _pair_factor(least_squares(prob._rows_right(u), b).conj(), n, r)
+    right = _pair_factor(least_squares(_pair_right_rows(prob, u), b).conj(), n, r)
     left = _pair_factor(least_squares(prob._rows_left(v), b), n, r)
     assert np.array_equal(prob.solve_right(u), right)
     assert np.array_equal(prob.solve_left(v), left)
