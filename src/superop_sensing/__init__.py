@@ -21,7 +21,7 @@ from .measurements import (MeasurementSet, RipProbe, SensingDesign,
 from .models import (Lindbladian, Superoperator, apply_superop, ground_truth,
                      haar_low_rank_hermitian, lindblad_apply, lindblad_canonical,
                      random_channel, random_density, random_lindbladian,
-                     random_observable, superop_from_reshaped)
+                     random_observable, random_pairs, superop_from_reshaped)
 from .reconstruction import reconstruct_full
 from .reshaping import (ReshapedMatrix, choi_reshape, hs_inner, kron, reshape_R,
                         superop_matrix, unvec, vec)

@@ -17,8 +17,6 @@ import os
 import sys
 from dataclasses import fields, replace
 
-import numpy as np
-
 from . import harness, serialize
 from .errors import NUMERICAL_ERRORS
 from .linalg import load_cmx, save_cmx
@@ -26,7 +24,8 @@ from .measurements import (DESIGN_KINDS, NOISE_MODES, SOURCES, build_design,
                            empirical_rip_probe, simulate_measurements)
 from .models import TASKS, ground_truth
 from .reconstruction import reconstruct_full
-from .solvers import STRATEGY_DESIGNS, SolverConfig, solve_strategy
+from .solvers import (STRATEGY_DESIGNS, SolverConfig, check_run_options, report_totals,
+                      solve_strategy)
 
 _CONFIG_ERRORS = (ValueError, KeyError, FileNotFoundError, json.JSONDecodeError)
 
@@ -68,7 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="directory from `measure`")
     p.add_argument("--strategy", choices=list(STRATEGY_DESIGNS), required=True)
     p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--subset-ratio", type=float, default=0.5)
+    p.add_argument("--subset-ratio", type=float, default=None,
+                   help="read by als_i only (default 0.5)")
     p.add_argument("--max-iter", type=int, default=_SOLVER_DEFAULTS["max_iter"])
     p.add_argument("--gamma", type=float, default=_SOLVER_DEFAULTS["gamma"])
     p.add_argument("--eta", type=float, default=_SOLVER_DEFAULTS["eta"])
@@ -119,6 +119,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_measure(args) -> int:
+    check_run_options(args.design, row_index=args.row_index, noise_mode=args.noise_mode)
     s = serialize.load_superoperator(args.truth)
     design = build_design(args.design, s.dim_n, args.m, args.source, args.seed,
                           args.row_index)
@@ -134,8 +135,9 @@ def cmd_solve(args) -> int:
     data = serialize.load_measurements(args.data)
     cfg = SolverConfig(rank=args.rank, max_iter=args.max_iter, gamma=args.gamma,
                        eta=args.eta, beta=args.beta, seed=args.seed)
-    estimate, reports = solve_strategy(args.strategy, design, data.values, cfg,
-                                       args.subset_ratio)
+    check_run_options(args.strategy, subset_ratio=args.subset_ratio)
+    ratio = 0.5 if args.subset_ratio is None else args.subset_ratio   # als_i's default
+    estimate, reports = solve_strategy(args.strategy, design, data.values, cfg, ratio)
     os.makedirs(args.out, exist_ok=True)
     name = "estimate.cmx" if args.strategy == "als_n2" else "blocks.cmx"
     save_cmx(os.path.join(args.out, name), estimate)
@@ -145,13 +147,7 @@ def cmd_solve(args) -> int:
     summary = {
         "strategy": args.strategy,
         "rank": args.rank,
-        # the mean of the solves' losses, for als_p the loss of the whole row
-        "final_loss": float(np.mean([r.final_loss for r in reports])),
-        "iterations": sum(r.iterations for r in reports),
-        "restarts": sum(r.restarts for r in reports),
-        "fallbacks": sum(r.fallbacks for r in reports),
-        "wall_time_s": sum(r.wall_time for r in reports),
-        "stop": reports[0].stop if len(reports) == 1 else [r.stop for r in reports],
+        **report_totals(reports),
         "loss_trace": (reports[0].loss_trace if len(reports) == 1
                        else [r.loss_trace for r in reports]),
     }

@@ -33,7 +33,8 @@ from .models import TASKS, ground_truth
 from .reconstruction import reconstruct_full
 from .reshaping import ReshapedMatrix
 from .serialize import save_json, write_text
-from .solvers import STRATEGY_DESIGNS, SolverConfig, derive_seed, solve_strategy
+from .solvers import (RUN_OPTIONS, STRATEGY_DESIGNS, SolverConfig, check_run_options,
+                      derive_seed, report_totals, solve_strategy)
 
 __all__ = [
     "ExperimentConfig",
@@ -149,6 +150,7 @@ class ExperimentConfig:
         if self.design != STRATEGY_DESIGNS[self.strategy]:
             raise ValueError(
                 f"{self.strategy} needs the {STRATEGY_DESIGNS[self.strategy]} design")
+        check_run_options(self.strategy, **{name: getattr(self, name) for name in RUN_OPTIONS})
         sweep = self.sweep if isinstance(self.sweep, (list, tuple)) else [self.sweep]
         if not sweep or not all(_is_int(v) and v >= 1 for v in sweep):
             raise ValueError(f"sweep must hold integers >= 1, got {self.sweep!r}")
@@ -271,13 +273,10 @@ def _run_trial(config: ExperimentConfig, point_idx: int, m: int, trial: int) -> 
     wall = time.perf_counter() - start
 
     error = relative_frobenius_error(estimate, truth)
-    return TrialRecord(trial, error, wall, sum(r.iterations for r in reports),
-                       sum(r.restarts for r in reports),
-                       error < config.recovery_threshold,
-                       fallbacks=sum(r.fallbacks for r in reports),
-                       stop=("converged" if all(r.stop == "converged" for r in reports)
-                             else "max_iter"),
-                       final_loss=float(np.mean([r.final_loss for r in reports])))
+    totals = report_totals(reports)
+    return TrialRecord(trial, error, wall, totals["iterations"], totals["restarts"],
+                       error < config.recovery_threshold, fallbacks=totals["fallbacks"],
+                       stop=totals["stop"], final_loss=totals["final_loss"])
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:

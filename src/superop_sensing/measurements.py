@@ -13,6 +13,13 @@ genuine states with complex weights (1, i, -(1+i)/2, -(1+i)/2); the
 combining, while the default `synthetic` mode adds complex Gaussian noise to
 the combined value directly.
 
+Observables are exactly Hermitian, O_m = O_m^H entry by entry; the
+solvers rely on it (the blockwise Gram matrix is built from the N^2 real
+numbers of each O_m), so `SensingDesign` rejects any other stack. Every
+design the package builds passes: random observables are (G + G^H)/sqrt(2)
+with both triangles computed by the same additions, and scaled Paulis and
+their power-of-two rescalings are Hermitian in every bit.
+
 All indices are 0-based: the first block row is row_index=0.
 """
 
@@ -26,7 +33,7 @@ import numpy as np
 
 from .errors import DimensionError
 from .linalg import complex_gaussian
-from .models import Superoperator, apply_superop, random_density, random_observable
+from .models import Superoperator, apply_superop, random_observable, random_pairs
 
 __all__ = [
     "DESIGN_KINDS",
@@ -63,9 +70,11 @@ class SensingDesign:
     """Either `random_pairs` (state/observable pairs) or `blockwise`
     (shared observables probing one block row).
 
-    `observables` is one C-contiguous complex (M, N, N) array; `states`
-    holds the M initial states of a `random_pairs` design in the same
-    layout (unused by `blockwise`).
+    `observables` is one C-contiguous complex (M, N, N) array of exactly
+    Hermitian matrices; `states` holds the M initial states of a
+    `random_pairs` design in the same layout (unused by `blockwise`).
+    Raises DimensionError on a wrong shape, a non-finite entry or an
+    observable that differs from its conjugate transpose in any bit.
     """
 
     kind: str
@@ -79,6 +88,11 @@ class SensingDesign:
             raise DimensionError(f"unknown design kind {self.kind!r}")
         n = self.dim_n
         self.observables = _matrix_stack(self.observables, n, "observables")
+        parts = self.observables.view(np.float64).reshape(-1, n, n, 2)
+        swapped = parts.transpose(0, 2, 1, 3)
+        if not (np.array_equal(parts[..., 0], swapped[..., 0])
+                and np.array_equal(parts[..., 1], -swapped[..., 1])):
+            raise DimensionError("observables must be exactly Hermitian")
         if self.kind == "random_pairs":
             self.states = _matrix_stack(self.states, n, "states")
             if self.states.shape != self.observables.shape:
@@ -171,8 +185,8 @@ def build_random_design(n: int, m: int, source: str, seed: int) -> SensingDesign
     """M independent (initial state, observable) pairs.
 
     source='pauli' draws both from the scaled Paulis (n must be a power of
-    two); source='random' uses random densities and unit-Frobenius
-    observables.
+    two); source='random' draws random densities and observables in one
+    batch (`models.random_pairs`).
     """
     rng = np.random.default_rng(seed)
     if source == "pauli":
@@ -180,8 +194,7 @@ def build_random_design(n: int, m: int, source: str, seed: int) -> SensingDesign
         states = sample_pauli(q, m, True, rng.integers(2 ** 63))
         obs = sample_pauli(q, m, True, rng.integers(2 ** 63))
     elif source == "random":
-        pairs = [(random_density(n, rng), random_observable(n, rng)) for _ in range(m)]
-        states, obs = np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
+        states, obs = random_pairs(n, m, rng)
     else:
         raise DimensionError(f"unknown source {source!r}")
     return SensingDesign("random_pairs", n, obs, states=states)
@@ -189,13 +202,17 @@ def build_random_design(n: int, m: int, source: str, seed: int) -> SensingDesign
 
 def build_blockwise_design(n: int, m_o: int, source: str, row_index: int = 0,
                            seed: int = 0) -> SensingDesign:
-    """Shared observable list for probing the blocks of one anchor row."""
+    """Shared observable list for probing the blocks of one anchor row.
+
+    source='random' draws the m_o observables in one batch
+    (`models.random_observable` with a count).
+    """
     rng = np.random.default_rng(seed)
     if source == "pauli":
         q = _qubits_for(n)
         obs = sample_pauli(q, m_o, True, rng.integers(2 ** 63))
     elif source == "random":
-        obs = np.array([random_observable(n, rng) for _ in range(m_o)])
+        obs = random_observable(n, rng, m_o)
     else:
         raise DimensionError(f"unknown source {source!r}")
     return SensingDesign("blockwise", n, obs, row_index=row_index)
@@ -277,16 +294,22 @@ def simulate_measurements(s: Superoperator, design: SensingDesign, sigma: float,
         values = exact + sigma * rng.standard_normal(exact.size)
         return MeasurementSet(design.ref(), values, sigma, seed, noise_mode)
 
-    m_o = design.n_measurements
-    obs_flat = design.observables.conj().reshape(m_o, -1)
+    # per column block (None, [E_lk]), or the weights and four states that
+    # synthesize E_lk when its raw measurements get noise; the exact values
+    # of all states are one product with the design, <out, O_m> =
+    # sum O_m conj(out)
     k0 = design.row_index
-    values = np.empty((n, m_o), dtype=np.complex128)
-    for l in range(n):
-        if noise_mode == "synthetic" or sigma == 0 or l == k0:
-            e_lk = _matrix_unit(n, l, k0)
-            out = apply_superop(s, e_lk)
-            vals = obs_flat @ out.reshape(-1)
-            vals = vals.conj()  # tr[out^H O] = <out, O>
+    plan = [(None, [_matrix_unit(n, l, k0)])
+            if noise_mode == "synthetic" or sigma == 0 or l == k0
+            else synth_state_combination(k0, l, n) for l in range(n)]
+    outs = np.array([apply_superop(s, rho) for _, states in plan for rho in states])
+    exact = design.observables.reshape(len(design.observables), -1) @ \
+        outs.reshape(len(outs), -1).conj().T
+    columns = iter(exact.T)
+    values = np.empty((n, design.n_measurements), dtype=np.complex128)
+    for l, (coeffs, _) in enumerate(plan):
+        if coeffs is None:
+            vals = next(columns)
             if sigma > 0:
                 if l == k0 and noise_mode == "physical":
                     vals = vals + sigma * rng.standard_normal(vals.size)
@@ -294,11 +317,9 @@ def simulate_measurements(s: Superoperator, design: SensingDesign, sigma: float,
                     noise = rng.standard_normal((vals.size, 2))
                     vals = vals + sigma * (noise[:, 0] + 1j * noise[:, 1])
         else:
-            coeffs, states = synth_state_combination(k0, l, n)
-            vals = np.zeros(m_o, dtype=np.complex128)
-            for c, rho in zip(coeffs, states):
-                out = apply_superop(s, rho)
-                raw = (obs_flat @ out.reshape(-1)).conj().real
+            vals = np.zeros(design.n_measurements, dtype=np.complex128)
+            for c in coeffs:
+                raw = next(columns).real
                 raw = raw + sigma * rng.standard_normal(raw.size)
                 vals = vals + np.conj(c) * raw
         values[l] = vals

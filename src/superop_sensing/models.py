@@ -37,6 +37,7 @@ __all__ = [
     "random_lindbladian",
     "random_density",
     "random_observable",
+    "random_pairs",
     "haar_low_rank_hermitian",
     "haar_isometry",
     "ground_truth",
@@ -216,28 +217,71 @@ def random_lindbladian(n: int, n_jumps: int, seed: int) -> Lindbladian:
     return Lindbladian(h, jumps)
 
 
-def random_density(n: int, seed) -> np.ndarray:
-    """Random density matrix G G^H / tr(G G^H): Hermitian, PSD, unit trace."""
+def _gaussian_stacks(n: int, seed, m, k: int) -> list:
+    """k complex Gaussian (m, n, n) stacks, as `linalg.complex_gaussian`
+    scales them, from one (m, 2k, n, n) standard-normal draw: per row the
+    real and then the imaginary plane of each of the k matrices in turn,
+    the order of k `complex_gaussian(n, n)` calls. m=None draws one row."""
     if n < 2:
         raise DimensionError("n must be >= 2")
-    rng = np.random.default_rng(seed)
-    g = complex_gaussian(n, n, rng)
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
+    if m is not None and m < 1:
+        raise DimensionError(f"m must be >= 1, got {m}")
+    planes = np.random.default_rng(seed).standard_normal((m or 1, 2 * k, n, n))
+    stacks = []
+    for j in range(k):
+        g = np.empty((len(planes), n, n), dtype=np.complex128)
+        g.real, g.imag = planes[:, 2 * j], planes[:, 2 * j + 1]
+        g /= np.sqrt(2.0)
+        stacks.append(g)
+    return stacks
 
 
-def random_observable(n: int, seed) -> np.ndarray:
+def _densities(g) -> np.ndarray:
+    """G G^H / tr(G G^H) for each G of the (m, n, n) stack g."""
+    rho = g @ g.conj().transpose(0, 2, 1)
+    rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+    return rho
+
+
+def _observables(g) -> np.ndarray:
+    """(G + G^H)/sqrt(2) for each G of the (m, n, n) stack g, built in place
+    of one conjugate transpose."""
+    obs = np.empty_like(g)
+    np.conjugate(g.transpose(0, 2, 1), out=obs)
+    obs += g
+    obs /= np.sqrt(2.0)
+    return obs
+
+
+def random_density(n: int, seed, m: int | None = None) -> np.ndarray:
+    """Random density matrix G G^H / tr(G G^H): Hermitian, PSD, unit trace.
+
+    With a count m, an (m, n, n) stack drawn in one batch, bitwise the
+    matrices of m calls on the same generator.
+    """
+    rho = _densities(*_gaussian_stacks(n, seed, m, 1))
+    return rho if m is not None else rho[0]
+
+
+def random_observable(n: int, seed, m: int | None = None) -> np.ndarray:
     """Random Hermitian observable O = (G + G^H)/sqrt(2), G complex Gaussian.
 
     Entries have unit variance (Frobenius norm concentrates at N), matching
     the scale of the generic Hermitian ensembles used to benchmark noisy
-    recovery; divide by the norm if a unit-norm observable is needed.
+    recovery; divide by the norm if a unit-norm observable is needed. With
+    a count m, an (m, n, n) stack drawn in one batch, bitwise the matrices
+    of m calls on the same generator.
     """
-    if n < 2:
-        raise DimensionError("n must be >= 2")
-    rng = np.random.default_rng(seed)
-    g = complex_gaussian(n, n, rng)
-    return (g + g.conj().T) / np.sqrt(2.0)
+    obs = _observables(*_gaussian_stacks(n, seed, m, 1))
+    return obs if m is not None else obs[0]
+
+
+def random_pairs(n: int, m: int, seed) -> tuple[np.ndarray, np.ndarray]:
+    """m (density, observable) pairs as two (m, n, n) stacks drawn in one
+    batch, bitwise those of m alternating `random_density` and
+    `random_observable` calls on the same generator."""
+    g_states, g_obs = _gaussian_stacks(n, seed, m, 2)
+    return _densities(g_states), _observables(g_obs)
 
 
 def haar_isometry(dim: int, r: int, rng: np.random.Generator) -> np.ndarray:

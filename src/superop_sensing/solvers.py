@@ -85,6 +85,22 @@ normal matrix sum G[x,a,x',a'] conj(U[x,c]) U[x',c'] and one right-hand
 side sum_x B_k[x,a] conj(U[x,c]) per block. Neither costs anything that
 grows with M.
 
+G comes from the observables' real coordinates. An exactly Hermitian O_m
+(`SensingDesign` requires it) holds N^2 real numbers, C_m[x,y] =
+Re O_m[x,y] for x <= y and Im O_m[x,y] for x > y, so with s(x,y) the sign
+of x - y, Re O_m[x,y] = C_m[min, max] and Im O_m[x,y] = s(x,y) C_m[max,
+min]. S = C^T C over the M x N^2 real matrix C is one symmetric rank-k
+update, a quarter of the multiplies of the complex product
+flat^T conj(flat), and each entry of G is a sum or difference of at most
+two entries of S: off both diagonals, G[x,y,x',y'] = S[x,y,x',y'] +
+S[y,x,y',x'] + i (S[x,y,y',x'] - S[y,x,x',y']) where s(x,y) s(x',y') = 1
+and i s(x,y) times that where it is -1; on the diagonal x = y one entry
+each for the real and imaginary parts, and x' = y' follows from
+G[x,y,x',y'] = conj(G[x',y',x,y]). G is filled in place from mirrored
+views of S, so besides S and G the build makes no N^4 array but the
+one-byte sign mask of that product (at N = 25, M_O = 640: 9.7 MiB at its
+peak, against 12.1 MiB for the complex product and its transposed copy).
+
 Validity, on both back ends: normal equations square the condition number.
 A Cholesky solve is used only when the factorization succeeds and its
 diagonal's max/min ratio stays under the bound of `linalg.cholesky_solve`.
@@ -105,16 +121,24 @@ initial loss assembles the same left rows. The blockwise quadratic form
 ||b||^2 - 2 Re<B, X> + <X, G X> would also be independent of M, but it
 cancels down to roundoff at noiseless floors, where the restart test and
 the choice of the best iterate read it, so blockwise loss evaluates the
-residual of both factors directly. Every loss of both back ends, from
+residual of both factors directly, by one GEMM: as O_m is Hermitian,
+<O_m, U V_k^H> = sum_{a,c} (O_m U)[a,c] conj(V_k[a,c]), so O stacked as an
+(M N) x N matrix times U, then one product with conj(V). Every loss of both back ends, from
 factors, from a matrix or from the pair rows, is one function of the
 predicted values, `_loss`.
 
 On both back ends a common power-of-two rescaling of design and data
-leaves every iterate unchanged bitwise: the design rows, G, B, the normal
-matrices and their Cholesky factors all scale by exact powers of two.
+leaves every iterate unchanged bitwise: the design rows, C, S, G, B, the
+normal matrices and their Cholesky factors all scale by exact powers of
+two.
 
 `solve_strategy` is the one table from strategy name to solver: `als_n2`
 solves the full matrix, `als_p`, `als_n` and `als_i` the anchor block row.
+`RUN_OPTIONS` is the one table of the options only some runs read (the
+anchor row, the noise mode and hermitizing by blockwise runs, the subset
+ratio by `als_i`); through `check_run_options` the run config and the
+command line reject one set away from its default for a run that does
+not read it.
 """
 
 from __future__ import annotations
@@ -132,6 +156,7 @@ from .linalg import cholesky_solve, complex_gaussian, least_squares, truncated_s
 from .measurements import SensingDesign, pair_inner_products
 
 __all__ = [
+    "RUN_OPTIONS",
     "STRATEGY_DESIGNS",
     "FactorPair",
     "SolverConfig",
@@ -143,6 +168,8 @@ __all__ = [
     "solve_first_row_joint",
     "solve_first_row_subset",
     "solve_strategy",
+    "report_totals",
+    "check_run_options",
 ]
 
 _DIVERGENCE_FACTOR = 1e6
@@ -156,6 +183,23 @@ _BLOCK_INITS = 3   # solves raced per als_p block
 # recovery strategy -> the design kind it reads
 STRATEGY_DESIGNS = {"als_n2": "random_pairs", "als_p": "blockwise",
                     "als_n": "blockwise", "als_i": "blockwise"}
+# options that only some runs read -> (the design kind or strategy that
+# reads it, the value every other run must leave it at); a strategy reads
+# what its design reads
+RUN_OPTIONS = {"row_index": ("blockwise", 0), "noise_mode": ("blockwise", "synthetic"),
+               "hermitize": ("blockwise", False), "subset_ratio": ("als_i", 1.0)}
+
+
+def check_run_options(run: str, **options) -> None:
+    """Raise DimensionError for the first option of `RUN_OPTIONS` that
+    `run`, a strategy or a design kind, never reads but that is set off its
+    default; an option given as None counts as not given."""
+    for name, value in options.items():
+        reader, default = RUN_OPTIONS[name]
+        if value is not None and value != default and reader not in (
+                run, STRATEGY_DESIGNS.get(run)):
+            raise DimensionError(f"{name} is read only by {reader}, not by {run}: "
+                                 f"leave it at {default!r}, got {value!r}")
 
 
 def derive_seed(*parts) -> int:
@@ -385,10 +429,38 @@ class _StackedProblem:
 
     @cached_property
     def _gram(self):
-        """G as the N^2 x N^2 matrix with rows (x, x') and columns (y, y')."""
-        n = self.n
-        g = (self._flat.T @ self._flat.conj()).reshape(n, n, n, n)
-        return g.transpose(0, 2, 1, 3).reshape(n * n, n * n)
+        """G as the N^2 x N^2 matrix with rows (x, x') and columns (y, y'),
+        filled in place from S = C^T C over the real coordinates C of the
+        observables (see the module docstring)."""
+        n, m = self.n, len(self.obs)
+        parts = self.obs.view(np.float64).reshape(m, n, n, 2)
+        idx = np.arange(n)
+        sign = np.sign(idx[:, None] - idx[None, :]).astype(np.int8)   # s(x, y)
+        coords = np.where(sign <= 0, parts[..., 0], parts[..., 1]).reshape(m, n * n)
+        s = coords.T @ coords                              # symmetric rank-k update
+        del coords
+        a = s.reshape(n, n, n, n)                          # a[x,y,x',y'] = S[(x,y),(x',y')]
+        b, c, d = a.transpose(1, 0, 2, 3), a.transpose(0, 1, 3, 2), a.transpose(1, 0, 3, 2)
+        gram = np.empty((n * n, n * n), dtype=np.complex128)
+        g4 = gram.reshape(n, n, n, n).transpose(0, 2, 1, 3)   # indexed [x,y,x',y']
+        re, im = g4.real, g4.imag
+        # off both diagonals: a + d + i (c - b), times i s(x,y) where s(x,y) s(x',y') < 0
+        np.add(a, d, out=re)
+        np.subtract(c, b, out=im)
+        np.multiply(g4, 1j * sign[:, :, None, None], out=g4,
+                    where=np.multiply.outer(sign, sign) < 0)
+        # x = y: G = S[(x,x), (min, max)'] - i s(x',y') S[(x,x), (max, min)']
+        lower = sign > 0
+        re1, im1 = np.einsum("iijk->ijk", re), np.einsum("iijk->ijk", im)
+        a1, c1 = np.einsum("iijk->ijk", a), np.einsum("iijk->ijk", c)
+        np.copyto(re1, a1)
+        np.copyto(re1, c1, where=lower)
+        np.copyto(im1, c1, where=sign < 0)
+        np.negative(a1, out=im1, where=lower)
+        # x' = y' from x = y, as G[x,y,x',y'] = conj(G[x',y',x,y])
+        np.copyto(np.einsum("ijkk->ijk", re), re1.transpose(1, 2, 0))
+        np.negative(im1.transpose(1, 2, 0), out=np.einsum("ijkk->ijk", im))
+        return gram
 
     @cached_property
     def _brow(self):
@@ -430,11 +502,11 @@ class _StackedProblem:
         return v, u_new, self.loss(u_new, v)
 
     def loss(self, u, v):
-        # w[m,c,a] = sum_x conj(O_m[x,a]) U[x,c]; value (k, m) = sum w conj(V_k[a,c])
+        # value (k, m) = <O_m, U V_k^H> = sum_{a,c} (O_m U)[a,c] conj(V_k[a,c]), as
+        # conj(O_m[x,a]) = O_m[a,x]: O stacked as (M N) x N times U, then conj(V)
         n, r, m = self.n, u.shape[1], len(self.obs)
-        w = np.matmul(u.conj().T, self.obs).conj().reshape(m, r * n)
-        vt = self._split(v).conj().transpose(0, 2, 1).reshape(self.n_blocks, r * n)
-        return _loss(vt @ w.T, self.b)
+        ou = (self.obs.reshape(m * n, n) @ u).reshape(m, n * r)
+        return _loss(v.reshape(self.n_blocks, n * r).conj() @ ou.T, self.b)
 
     def loss_of(self, x):
         x = np.asarray(x, dtype=np.complex128)
@@ -677,3 +749,20 @@ def solve_strategy(strategy: str, design: SensingDesign, values, config: SolverC
         row, report = solve_first_row_subset(design.observables, values, n,
                                              subset_ratio, config)
     return row, [report]
+
+
+def report_totals(reports) -> dict:
+    """The solve reports of one strategy run reduced to one summary.
+
+    iterations, restarts, fallbacks and wall_time_s are summed over the
+    reports; final_loss is their mean, which for `als_p` is the loss of the
+    whole row (every block has the same number of data); stop is
+    "converged" when every solve converged, else "max_iter".
+    """
+    return {"iterations": sum(r.iterations for r in reports),
+            "restarts": sum(r.restarts for r in reports),
+            "fallbacks": sum(r.fallbacks for r in reports),
+            "wall_time_s": sum(r.wall_time for r in reports),
+            "final_loss": float(np.mean([r.final_loss for r in reports])),
+            "stop": ("converged" if all(r.stop == "converged" for r in reports)
+                     else "max_iter")}

@@ -320,7 +320,9 @@ def test_criterion_9_rip_probe_sanity():
 
 
 def test_criterion_10_out_of_scope_documented():
-    # nothing runnable: N = 64 benchmark rows (hours + memory), diamond-norm
-    # comparisons (external SDP solver), and asymptotic error-bound constants
-    # are covered by the property-based criteria above
+    # nothing runnable: als_n2 at N = 64 (its M x N^2 r pair rows do not
+    # fit in memory) and diamond-norm comparisons (external SDP solver);
+    # asymptotic error-bound constants are covered by the property-based
+    # criteria above. An N = 64 als_n Lindbladian trial takes seconds and
+    # is recorded as a timed, non-gating benchmark row instead.
     _report(10, True, "(documented exclusions; no desk-scale run)")

@@ -6,7 +6,9 @@ import pytest
 
 from superop_sensing import SolverConfig, choi_reshape, load_cmx, save_cmx, sensing_loss
 from superop_sensing.cli import build_parser, main
-from superop_sensing.serialize import load_design, load_measurements, load_superoperator
+from superop_sensing.serialize import (load_design, load_measurements, load_superoperator,
+                                      save_matrix_stack)
+from superop_sensing.solvers import report_totals, solve_strategy
 
 
 def run_cli(*argv):
@@ -102,8 +104,8 @@ def test_solve_als_p_writes_per_block_traces(tmp_path):
     # solves of every block, the losing ones too
     assert sum(len(trace) for trace in report["loss_trace"]) < report["iterations"]
     assert report["fallbacks"] == 0
-    assert len(report["stop"]) == 4
-    assert set(report["stop"]) <= {"converged", "max_iter"}
+    # one stop for the whole row, reduced as results.json reduces it
+    assert report["stop"] in ("converged", "max_iter")
     assert (solve_dir / "blocks.cmx").exists()
     assert not (solve_dir / "left.cmx").exists()
     assert not (solve_dir / "right.cmx").exists()
@@ -339,3 +341,61 @@ def test_argparse_rejects_unknown_strategy(tmp_path):
         run_cli("solve", "--data", str(tmp_path), "--strategy", "magic",
                 "--rank", "1")
     assert info.value.code == 2
+
+
+def _measured(tmp_path, design="blockwise", m="20"):
+    truth_dir, data_dir = tmp_path / "t", tmp_path / "d"
+    run_cli("generate", "--task", "channel", "--n", "4", "--kraus-rank", "2",
+            "--seed", "3", "--out", str(truth_dir))
+    assert run_cli("measure", "--truth", str(truth_dir), "--design", design,
+                   "--m", m, "--sigma", "1e-3", "--seed", "4",
+                   "--out", str(data_dir)) == 0
+    return truth_dir, data_dir
+
+
+@pytest.mark.parametrize("flag, value", [("--row-index", "99"), ("--row-index", "1"),
+                                         ("--noise-mode", "physical")])
+def test_measure_random_pairs_rejects_options_it_never_reads(tmp_path, capsys, flag,
+                                                            value):
+    truth_dir, _ = _measured(tmp_path)
+    assert run_cli("measure", "--truth", str(truth_dir), "--design", "random_pairs",
+                   "--m", "30", flag, value, "--out", str(tmp_path / "p")) == 2
+    assert flag[2:].replace("-", "_") in capsys.readouterr().err
+    assert not (tmp_path / "p" / "design.json").exists()
+
+
+def test_solve_rejects_subset_ratio_outside_als_i(tmp_path, capsys):
+    _, data_dir = _measured(tmp_path)
+    assert run_cli("solve", "--data", str(data_dir), "--strategy", "als_n",
+                   "--rank", "2", "--subset-ratio", "0.5", "--out", str(tmp_path)) == 2
+    assert "subset_ratio" in capsys.readouterr().err
+    assert run_cli("solve", "--data", str(data_dir), "--strategy", "als_i",
+                   "--rank", "2", "--subset-ratio", "0.5",
+                   "--out", str(tmp_path / "i")) == 0
+
+
+def test_solve_exit_code_2_on_non_hermitian_observables(tmp_path, capsys):
+    _, data_dir = _measured(tmp_path)
+    design = load_design(str(data_dir))
+    obs = design.observables.copy()
+    obs[3, 0, 1] += 1e-9                                    # O_3[1,0] left as it was
+    save_matrix_stack(str(data_dir / "observables.cmx"), obs)
+    assert run_cli("solve", "--data", str(data_dir), "--strategy", "als_n",
+                   "--rank", "2", "--out", str(tmp_path / "s")) == 2
+    assert "Hermitian" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("strategy", ["als_p", "als_n"])
+def test_solve_report_is_the_shared_reduction(tmp_path, strategy):
+    # report.json holds the same totals as results.json's records: one
+    # reduction of the solve reports serves both
+    _, data_dir = _measured(tmp_path)
+    assert run_cli("solve", "--data", str(data_dir), "--strategy", strategy,
+                   "--rank", "2", "--seed", "6", "--out", str(tmp_path / "s")) == 0
+    report = json.loads((tmp_path / "s" / "report.json").read_text())
+    _, reports = solve_strategy(strategy, load_design(str(data_dir)),
+                                load_measurements(str(data_dir)).values,
+                                SolverConfig(rank=2, seed=6))
+    totals = report_totals(reports)
+    del totals["wall_time_s"], report["wall_time_s"]
+    assert {k: report[k] for k in totals} == totals

@@ -10,7 +10,7 @@ from superop_sensing import harness
 from superop_sensing.errors import DimensionError, UndefinedMetricError
 from superop_sensing.harness import read_csv_records
 from superop_sensing.serialize import load_json
-from superop_sensing.solvers import solve_strategy
+from superop_sensing.solvers import RUN_OPTIONS, solve_strategy
 from superop_sensing.reshaping import ReshapedMatrix
 
 
@@ -154,7 +154,7 @@ def test_run_experiment_records_fallbacks(tmp_path):
     # als_n2 solve falls back to least squares
     cfg = _small_config(task="haar", r_plus=1, r_minus=1, kraus_rank=0, n=3,
                         design="random_pairs", strategy="als_n2", sweep=[12],
-                        sigma=1e-4, trials=2, solver={"max_iter": 5})
+                        subset_ratio=1.0, sigma=1e-4, trials=2, solver={"max_iter": 5})
     result = run_experiment(cfg)
     emit_results(result, str(tmp_path))
     records = result.points[0].records
@@ -179,8 +179,8 @@ def test_run_experiment_records_stop_and_final_loss(tmp_path, monkeypatch):
     for strategy, solver in (("als_p", {"max_iter": 300}), ("als_p", {"max_iter": 4}),
                              ("als_n", {})):
         seen.clear()
-        result = run_experiment(_small_config(strategy=strategy, sigma=1e-4, trials=2,
-                                              solver=solver))
+        result = run_experiment(_small_config(strategy=strategy, subset_ratio=1.0,
+                                              sigma=1e-4, trials=2, solver=solver))
         emit_results(result, str(tmp_path))
         emitted = load_json(str(tmp_path / "results.json"))["points"][0]["records"]
         for record, out, (design, values, estimate, reports) in zip(
@@ -250,3 +250,18 @@ def test_emit_results_sweep_files(tmp_path):
     recipe = json.loads((tmp_path / "figure_recipe.json").read_text())
     assert recipe["csv_files"] == ["results_m12.csv", "results_m16.csv"]
     assert recipe["manifest_hash"] == result.manifest_hash()
+
+
+@pytest.mark.parametrize("strategy, field, value", [
+    ("als_n2", "row_index", 3), ("als_n2", "hermitize", True),
+    ("als_n2", "noise_mode", "physical"), ("als_n2", "subset_ratio", 0.3),
+    ("als_n", "subset_ratio", 0.5), ("als_p", "subset_ratio", 0.9)])
+def test_config_rejects_options_the_run_never_reads(strategy, field, value):
+    design = "random_pairs" if strategy == "als_n2" else "blockwise"
+    base = dict(task="channel", n=4, design=design, strategy=strategy, sweep=[16],
+                kraus_rank=2)
+    with pytest.raises(ValueError, match=field):
+        ExperimentConfig(**base, **{field: value})
+    default = ExperimentConfig.__dataclass_fields__[field].default
+    assert default == RUN_OPTIONS[field][1]            # one default per option
+    assert getattr(ExperimentConfig(**base, **{field: default}), field) == default

@@ -3,8 +3,9 @@ import pytest
 
 from superop_sensing import (SensingDesign, apply_superop, build_blockwise_design,
                              build_design, build_random_design, choi_reshape,
-                             empirical_rip_probe, hs_inner, pauli_basis,
-                             random_channel, sample_pauli, simulate_measurements,
+                             complex_gaussian, empirical_rip_probe, hs_inner,
+                             pauli_basis, random_channel, random_density,
+                             random_observable, sample_pauli, simulate_measurements,
                              synth_state_combination)
 from superop_sensing.errors import DimensionError
 
@@ -261,3 +262,102 @@ def test_design_validation():
     design = SensingDesign("blockwise", 2, list(obs))
     assert design.observables.flags.c_contiguous
     assert np.array_equal(design.observables, obs)
+
+
+def _bits(a):
+    return a.view(np.uint64)
+
+
+def _observable_oracle(n, rng):
+    g = complex_gaussian(n, n, rng)
+    return (g + g.conj().T) / np.sqrt(2.0)
+
+
+def _density_oracle(n, rng):
+    g = complex_gaussian(n, n, rng)
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_batched_draws_equal_per_matrix_generators(seed):
+    # the one-batch draws are, bit for bit, the matrices of one
+    # complex_gaussian formula per matrix on the same generator
+    rng = np.random.default_rng(seed)
+    obs = np.array([_observable_oracle(25, rng) for _ in range(640)])
+    design = build_blockwise_design(25, 640, "random", seed=seed)
+    assert np.array_equal(_bits(design.observables), _bits(obs))
+    rng = np.random.default_rng(seed)
+    pairs = [(_density_oracle(8, rng), _observable_oracle(8, rng)) for _ in range(1100)]
+    design = build_random_design(8, 1100, "random", seed=seed)
+    assert np.array_equal(_bits(design.states), _bits(np.array([p[0] for p in pairs])))
+    assert np.array_equal(_bits(design.observables),
+                          _bits(np.array([p[1] for p in pairs])))
+    # one matrix per call, or a count of them, on the same generator
+    rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+    for n in (2, 5, 16):
+        assert np.array_equal(_bits(random_observable(n, rng)),
+                              _bits(_observable_oracle(n, oracle)))
+        assert np.array_equal(_bits(random_density(n, rng)),
+                              _bits(_density_oracle(n, oracle)))
+        want = np.array([_density_oracle(n, oracle) for _ in range(3)])
+        assert np.array_equal(_bits(random_density(n, rng, 3)), _bits(want))
+
+
+@pytest.mark.parametrize("n, m", [(1, 5), (0, 5), (3, 0)])
+def test_random_designs_reject_degenerate_sizes(n, m):
+    with pytest.raises(DimensionError):
+        build_random_design(n, m, "random", seed=0)
+    with pytest.raises(DimensionError):
+        build_blockwise_design(n, m, "random", seed=0)
+
+
+def test_design_requires_exactly_hermitian_observables():
+    obs = build_blockwise_design(3, 6, "random", seed=40).observables
+    for scale in (0.5, 2.0, 4.0):                       # real powers of two
+        SensingDesign("blockwise", 3, scale * obs)
+    SensingDesign("blockwise", 4, pauli_basis(2))
+    bumped = obs.copy()
+    bumped[2, 0, 1] = np.nextafter(bumped[2, 0, 1].real, np.inf) + 1j * bumped[2, 0, 1].imag
+    imag_diag = obs.copy()
+    imag_diag[0, 1, 1] += 1e-3j
+    for bad in (bumped, imag_diag, 1j * obs, obs + 0.1 * complex_gaussian(3, 3, 41)):
+        with pytest.raises(DimensionError, match="Hermitian"):
+            SensingDesign("blockwise", 3, bad)
+        with pytest.raises(DimensionError, match="Hermitian"):
+            SensingDesign("random_pairs", 3, bad, states=obs)
+
+
+def _matvec_values(s, design, sigma, noise_mode, seed):
+    # blockwise simulation one column block at a time, one matrix-vector
+    # product per state over the conjugated design
+    rng = np.random.default_rng(seed)
+    n, m_o, k0 = design.dim_n, design.n_measurements, design.row_index
+    obs_flat = design.observables.conj().reshape(m_o, -1)
+    values = np.empty((n, m_o), dtype=complex)
+    for l in range(n):
+        if noise_mode == "synthetic" or sigma == 0 or l == k0:
+            vals = (obs_flat @ apply_superop(s, _matrix_unit(n, l, k0)).reshape(-1)).conj()
+            if sigma > 0 and l == k0 and noise_mode == "physical":
+                vals = vals + sigma * rng.standard_normal(m_o)
+            elif sigma > 0:
+                noise = rng.standard_normal((m_o, 2))
+                vals = vals + sigma * (noise[:, 0] + 1j * noise[:, 1])
+        else:
+            coeffs, states = synth_state_combination(k0, l, n)
+            vals = np.zeros(m_o, dtype=complex)
+            for c, rho in zip(coeffs, states):
+                raw = (obs_flat @ apply_superop(s, rho).reshape(-1)).conj().real
+                vals = vals + np.conj(c) * (raw + sigma * rng.standard_normal(m_o))
+        values[l] = vals
+    return values
+
+
+@pytest.mark.parametrize("noise_mode", ["synthetic", "physical"])
+@pytest.mark.parametrize("sigma", [0.0, 1e-3])
+def test_simulate_blockwise_matches_matvec_oracle(noise_mode, sigma):
+    s = random_channel(5, 2, seed=43)
+    design = build_blockwise_design(5, 30, "random", row_index=2, seed=44)
+    got = simulate_measurements(s, design, sigma, noise_mode, seed=45).values
+    want = _matvec_values(s, design, sigma, noise_mode, seed=45)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)

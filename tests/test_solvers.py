@@ -14,8 +14,8 @@ from superop_sensing.errors import DimensionError
 from superop_sensing.linalg import least_squares
 from superop_sensing.measurements import pair_inner_products
 from superop_sensing.models import haar_low_rank_hermitian, superop_from_reshaped
-from superop_sensing.solvers import (_RESTART_FLOOR, _make_problem, derive_seed,
-                                     solve_strategy)
+from superop_sensing.solvers import (_RESTART_FLOOR, RUN_OPTIONS, _make_problem,
+                                     check_run_options, derive_seed, solve_strategy)
 
 
 def plain_als(design, b, d1, d2, cfg):
@@ -389,6 +389,26 @@ def test_solve_strategy_checks_design_kind():
     assert row.shape == (3, 9) and len(reports) == 1
 
 
+@pytest.mark.parametrize("run, name, value", [
+    ("random_pairs", "row_index", 2), ("random_pairs", "noise_mode", "physical"),
+    ("als_n2", "hermitize", True), ("als_n2", "row_index", 1),
+    ("als_n", "subset_ratio", 0.5), ("als_p", "subset_ratio", 0.9),
+    ("blockwise", "subset_ratio", 0.5)])
+def test_check_run_options_rejects_options_the_run_never_reads(run, name, value):
+    with pytest.raises(DimensionError, match=name):
+        check_run_options(run, **{name: value})
+    check_run_options(run, **{name: RUN_OPTIONS[name][1]})   # the default passes
+    check_run_options(run, **{name: None})                   # as does none given
+
+
+@pytest.mark.parametrize("run, name, value", [
+    ("blockwise", "row_index", 2), ("blockwise", "noise_mode", "physical"),
+    ("als_p", "hermitize", True), ("als_n", "row_index", 1),
+    ("als_i", "subset_ratio", 0.5)])
+def test_check_run_options_accepts_options_the_run_reads(run, name, value):
+    check_run_options(run, **{name: value})
+
+
 @pytest.mark.parametrize("bad", [
     {"rank": 2.0}, {"rank": True}, {"rank": "2"}, {"max_iter": 0},
     {"max_iter": "5"}, {"max_iter": False}, {"gamma": "1e-8"}, {"eta": None},
@@ -607,3 +627,43 @@ def test_pair_problems_interleaved_equal_fresh():
     for got, want in zip(together, alone):
         assert len(got) == len(want) == 15
         assert all(np.array_equal(x, y) for x, y in zip(got, want))
+
+
+def _gram_oracle(design):
+    n, flat = design.dim_n, design.observables.reshape(design.n_measurements, -1)
+    return (flat.T @ flat.conj()).reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(
+        n * n, n * n)
+
+
+@pytest.mark.parametrize("design", [
+    build_blockwise_design(5, 40, "random", seed=120),
+    build_blockwise_design(8, 70, "random", seed=121),
+    build_blockwise_design(4, 30, "pauli", seed=122),
+    build_blockwise_design(8, 90, "pauli", seed=123)], ids=["r5", "r8", "p4", "p8"])
+def test_gram_matches_complex_product(design):
+    # G from the real coordinates of the Hermitian observables equals the
+    # complex product flat^T conj(flat) up to roundoff, and O -> 2 O scales
+    # it by exactly 4
+    m = design.n_measurements
+    gram = _make_problem(design, np.zeros((2, m)), design.dim_n, 2 * design.dim_n)._gram
+    want = _gram_oracle(design)
+    assert np.linalg.norm(gram - want) <= 1e-13 * np.linalg.norm(want)
+    doubled = SensingDesign("blockwise", design.dim_n, 2 * design.observables)
+    gram2 = _make_problem(doubled, np.zeros((2, m)), design.dim_n, 2 * design.dim_n)._gram
+    assert np.array_equal(gram2, 4 * gram)
+
+
+@pytest.mark.parametrize("blocks", [1, 3])
+def test_stacked_loss_matches_batched_formula(blocks):
+    # the loss by one GEMM over the stacked design against the batched
+    # matmul over the conjugated observables
+    n, r = 6, 2
+    design = build_blockwise_design(n, 40, "random", seed=124)
+    rng = np.random.default_rng(125)
+    b = complex_gaussian(blocks, design.n_measurements, rng)
+    u, v = complex_gaussian(n, r, rng), complex_gaussian(n * blocks, r, rng)
+    w = np.matmul(u.conj().T, design.observables).conj().reshape(len(b.T), r * n)
+    vt = v.reshape(blocks, n, r).conj().transpose(0, 2, 1).reshape(blocks, r * n)
+    want = float(np.sum(np.abs(vt @ w.T - b) ** 2)) / (2 * b.size)
+    got = _make_problem(design, b, n, n * blocks).loss(u, v)
+    assert got == pytest.approx(want, rel=1e-12, abs=0)
