@@ -31,6 +31,8 @@ _CONFIG_ERRORS = (ValueError, KeyError, FileNotFoundError, json.JSONDecodeError)
 
 # `solve` takes its defaults from SolverConfig, so they live in one place
 _SOLVER_DEFAULTS = {f.name: f.default for f in fields(SolverConfig)}
+# `generate`'s value of each truth field of the task that reads it
+_TRUTH_DEFAULTS = {"kraus_rank": 2, "n_jumps": 1, "r_plus": 2, "r_minus": 1}
 
 
 def _common(parser, seed: bool = True):
@@ -46,10 +48,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="draw a ground-truth superoperator")
     p.add_argument("--task", choices=TASKS, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--kraus-rank", type=int, default=2)
-    p.add_argument("--n-jumps", type=int, default=1)
-    p.add_argument("--r-plus", type=int, default=2)
-    p.add_argument("--r-minus", type=int, default=1)
+    for name, default in _TRUTH_DEFAULTS.items():
+        p.add_argument("--" + name.replace("_", "-"), type=int, default=None,
+                       help=f"read by the {harness.TRUTH_FIELDS[name]} task only "
+                            f"(default {default})")
     _common(p)
 
     p = sub.add_parser("measure", help="build a design and simulate data")
@@ -106,11 +108,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_generate(args) -> int:
+    given = {name: getattr(args, name) for name in _TRUTH_DEFAULTS}
+    harness.check_truth_fields(args.task, **given)
+    ranks = {name: default if given[name] is None else given[name]
+             for name, default in _TRUTH_DEFAULTS.items()}
     extra = {"task": args.task, "seed": args.seed}
     if args.task == "lindbladian":
-        extra["n_jumps"] = args.n_jumps
-    s, reshaped = ground_truth(args.task, args.n, args.seed, args.kraus_rank,
-                               args.n_jumps, args.r_plus, args.r_minus)
+        extra["n_jumps"] = ranks["n_jumps"]
+    s, reshaped = ground_truth(args.task, args.n, args.seed, **ranks)
     serialize.save_superoperator(args.out, s, extra)
     save_cmx(os.path.join(args.out, "reshaped.cmx"), reshaped)
     print(f"wrote superoperator (n={s.dim_n}, r_+={len(s.plus_ops)}, "

@@ -11,6 +11,22 @@ the emitted JSON.
 Strategies: `als_n2` solves the full reshaped matrix from random pairs;
 `als_p`, `als_n`, `als_i` recover the anchor block row (independently,
 jointly, or on a subset) and complete the matrix deterministically.
+
+A trial runs six timed stages (`STAGES`): truth, design, simulate, solve,
+reconstruct and score. Their times are kept per record (`stage_s`) and
+emitted under `timings` only.
+
+Memory: each N^2 x N^2 array of a trial lives only while something reads
+it. The truth is drawn in signed Kraus form (`models.draw_truth`) and its
+dense matrix is built at scoring, except a `haar` truth, which is the
+drawn matrix itself and is held from the start. The design and data are
+dropped when the solve returns. A blockwise solve holds the design
+(M_O x N x N), the real N^2 x N^2 `S` and the complex N^2 x N^2 `G` at
+once, and that is a blockwise trial's peak (at N=25, M_O=640: 6.1, 3.1
+and 6.25 MiB). Completion then builds the dense estimate, and scoring
+builds the truth beside it and takes their difference in the truth's
+buffer, so that stage holds two N^2 x N^2 arrays. An `als_n2` trial holds
+its dense estimate from the solve on; its peak is the pair workspace.
 """
 
 from __future__ import annotations
@@ -29,7 +45,7 @@ import numpy as np
 from .errors import NUMERICAL_ERRORS, DimensionError, UndefinedMetricError
 from .measurements import (DESIGN_KINDS, NOISE_MODES, SOURCES, build_design,
                            simulate_measurements)
-from .models import TASKS, ground_truth
+from .models import TASKS, draw_truth
 from .reconstruction import reconstruct_full
 from .reshaping import ReshapedMatrix
 from .serialize import save_json, write_text
@@ -37,6 +53,8 @@ from .solvers import (RUN_OPTIONS, STRATEGY_DESIGNS, SolverConfig, check_run_opt
                       derive_seed, report_totals, solve_strategy)
 
 __all__ = [
+    "STAGES",
+    "TRUTH_FIELDS",
     "ExperimentConfig",
     "TrialRecord",
     "SweepPoint",
@@ -46,10 +64,15 @@ __all__ = [
     "run_experiment",
     "emit_results",
     "read_csv_records",
+    "check_truth_fields",
 ]
 
 # seed-derivation roles
 _ROLE_TRUTH, _ROLE_DESIGN, _ROLE_NOISE, _ROLE_SOLVER = 0, 1, 2, 3
+
+# the timed stages of a trial, in order; "score" includes building the
+# truth's dense matrix
+STAGES = ("truth", "design", "simulate", "solve", "reconstruct", "score")
 
 
 def _as_matrix(x) -> np.ndarray:
@@ -57,15 +80,27 @@ def _as_matrix(x) -> np.ndarray:
 
 
 def relative_frobenius_error(estimate, truth) -> float:
-    """||K - K*||_F / ||K*||_F for matrices or ReshapedMatrix values."""
+    """||K - K*||_F / ||K*||_F for matrices or ReshapedMatrix values.
+
+    Neither input is changed: the difference is taken in a copy of the
+    truth.
+    """
     est = _as_matrix(estimate)
     ref = _as_matrix(truth)
-    if est.shape != ref.shape:
-        raise DimensionError(f"shape mismatch {est.shape} vs {ref.shape}")
-    denom = np.linalg.norm(ref)
+    return _error_in_place(est, ref.astype(np.result_type(est, ref)))
+
+
+def _error_in_place(estimate: np.ndarray, truth: np.ndarray) -> float:
+    """relative_frobenius_error(estimate, truth), with the difference taken
+    in truth's own buffer, which is overwritten: ||K*|| first, then
+    K* - K in place, whose norm is that of K - K* bit for bit."""
+    if estimate.shape != truth.shape:
+        raise DimensionError(f"shape mismatch {estimate.shape} vs {truth.shape}")
+    denom = np.linalg.norm(truth)
     if denom == 0:
         raise UndefinedMetricError("reference matrix has zero norm")
-    return float(np.linalg.norm(est - ref) / denom)
+    truth -= estimate
+    return float(np.linalg.norm(truth) / denom)
 
 
 def recovery_rate(errors, threshold: float) -> float:
@@ -100,6 +135,20 @@ _CHOICES = {"task": TASKS, "design": DESIGN_KINDS, "source": SOURCES,
 _TRUTH_RANKS = {"channel": ("kraus_rank", 1, lambda c: c.kraus_rank),
                 "lindbladian": ("n_jumps + 2", 3, lambda c: c.n_jumps + 2),
                 "haar": ("r_plus + r_minus", 1, lambda c: c.r_plus + c.r_minus)}
+# truth field -> the task that reads it; every other task leaves it at 0
+TRUTH_FIELDS = {"kraus_rank": "channel", "n_jumps": "lindbladian",
+                "r_plus": "haar", "r_minus": "haar"}
+
+
+def check_truth_fields(task: str, **fields) -> None:
+    """Raise ValueError for the first field of `TRUTH_FIELDS` that `task`
+    never reads but that is set off 0; a field given as None counts as not
+    given."""
+    for name, value in fields.items():
+        reader = TRUTH_FIELDS[name]
+        if value is not None and value != 0 and reader != task:
+            raise ValueError(f"{name} is read only by the {reader} task, not by "
+                             f"{task}: leave it at 0, got {value!r}")
 
 
 @dataclass
@@ -160,6 +209,8 @@ class ExperimentConfig:
         if not least <= truth_rank <= self.n ** 2:
             raise ValueError(f"{self.task} task needs {least} <= {name} <= n**2 = "
                              f"{self.n ** 2}, got {truth_rank}")
+        check_truth_fields(self.task,
+                           **{name: getattr(self, name) for name in TRUTH_FIELDS})
         if not isinstance(self.solver, dict):
             raise ValueError(f"solver must be an object, got {self.solver!r}")
         if "seed" in self.solver:
@@ -217,6 +268,7 @@ class TrialRecord:
     fallbacks: int = 0      # half-sweeps of the trial's solves that left Cholesky
     stop: str = ""          # "converged" if every solve converged, else "max_iter"
     final_loss: float | None = None   # mean of the solves' final losses
+    stage_s: dict = field(default_factory=dict)   # STAGES -> seconds; empty if it raised
 
 
 @dataclass
@@ -255,28 +307,37 @@ class ExperimentResult:
 
 def _run_trial(config: ExperimentConfig, point_idx: int, m: int, trial: int) -> TrialRecord:
     seed = lambda role: derive_seed(config.master_seed, role, point_idx, trial)  # noqa: E731
-    truth_op, truth = ground_truth(config.task, config.n, seed(_ROLE_TRUTH),
-                                   config.kraus_rank, config.n_jumps,
-                                   config.r_plus, config.r_minus)
+    marks = [time.perf_counter()]
+    stamp = lambda: marks.append(time.perf_counter())  # noqa: E731
+    truth_op, truth_matrix = draw_truth(config.task, config.n, seed(_ROLE_TRUTH),
+                                        config.kraus_rank, config.n_jumps,
+                                        config.r_plus, config.r_minus)
+    stamp()
     design = build_design(config.design, config.n, m, config.source, seed(_ROLE_DESIGN),
                           config.row_index)
+    stamp()
     data = simulate_measurements(truth_op, design, config.sigma, config.noise_mode,
                                  seed(_ROLE_NOISE))
-    cfg = config.solver_config(seed(_ROLE_SOLVER))
-
-    start = time.perf_counter()
-    estimate, reports = solve_strategy(config.strategy, design, data.values, cfg,
+    stamp()
+    estimate, reports = solve_strategy(config.strategy, design, data.values,
+                                       config.solver_config(seed(_ROLE_SOLVER)),
                                        config.subset_ratio)
+    del design, data        # read by the solve only
+    stamp()
     if config.strategy != "als_n2":
         estimate = reconstruct_full(estimate, config.rank, anchor=config.row_index,
                                     hermitize=config.hermitize).matrix
-    wall = time.perf_counter() - start
+    stamp()
+    error = _error_in_place(estimate, truth_matrix())
+    stamp()
 
-    error = relative_frobenius_error(estimate, truth)
+    stage_s = {name: end - start for name, start, end in zip(STAGES, marks, marks[1:])}
     totals = report_totals(reports)
-    return TrialRecord(trial, error, wall, totals["iterations"], totals["restarts"],
+    return TrialRecord(trial, error, stage_s["solve"] + stage_s["reconstruct"],
+                       totals["iterations"], totals["restarts"],
                        error < config.recovery_threshold, fallbacks=totals["fallbacks"],
-                       stop=totals["stop"], final_loss=totals["final_loss"])
+                       stop=totals["stop"], final_loss=totals["final_loss"],
+                       stage_s=stage_s)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -310,6 +371,7 @@ def _result_payload(result: ExperimentResult, aggregates: list) -> tuple[dict, d
     for point, agg in zip(result.points, aggregates):
         agg = dict(agg)
         times = {"per_trial_s": [r.wall_time for r in point.records],
+                 "per_trial_stage_s": [r.stage_s for r in point.records],
                  "mean_time_s": agg.pop("mean_time_s"),
                  "std_time_s": agg.pop("std_time_s")}
         records = [{"trial": r.trial, "error": r.error, "iterations": r.iterations,

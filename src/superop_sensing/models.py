@@ -40,6 +40,7 @@ __all__ = [
     "random_pairs",
     "haar_low_rank_hermitian",
     "haar_isometry",
+    "draw_truth",
     "ground_truth",
 ]
 
@@ -315,14 +316,18 @@ def haar_low_rank_hermitian(n: int, r_plus: int, r_minus: int, seed: int) -> Res
     return ReshapedMatrix(n, mat)
 
 
-def ground_truth(task: str, n: int, seed: int, kraus_rank: int = 0, n_jumps: int = 0,
-                 r_plus: int = 0, r_minus: int = 0):
-    """(signed Kraus superoperator, reshaped N^2 x N^2 matrix) of a drawn truth.
+def draw_truth(task: str, n: int, seed: int, kraus_rank: int = 0, n_jumps: int = 0,
+               r_plus: int = 0, r_minus: int = 0):
+    """(signed Kraus superoperator, dense) of a drawn truth, where dense()
+    returns its reshaped N^2 x N^2 matrix.
 
     `channel` reads kraus_rank, `lindbladian` n_jumps, `haar` r_plus and
-    r_minus; a `haar` truth is the drawn matrix, not its Kraus form reshaped.
-    A rank the N^2 x N^2 matrix cannot have (kraus_rank, n_jumps + 2 or
-    r_plus + r_minus above N^2) raises DimensionError.
+    r_minus. A channel's or Lindbladian's matrix is built by choi_reshape on
+    each call, so a caller holds it only from the moment it needs it; a
+    `haar` truth is the drawn matrix, not its Kraus form reshaped, and
+    dense() returns that array itself, not a copy. A rank the N^2 x N^2
+    matrix cannot have (kraus_rank, n_jumps + 2 or r_plus + r_minus above
+    N^2) raises DimensionError.
     """
     if task == "channel":
         s = random_channel(n, kraus_rank, seed)
@@ -332,7 +337,15 @@ def ground_truth(task: str, n: int, seed: int, kraus_rank: int = 0, n_jumps: int
         s = lindblad_canonical(random_lindbladian(n, n_jumps, seed))
     elif task == "haar":
         resh = haar_low_rank_hermitian(n, r_plus, r_minus, seed)
-        return superop_from_reshaped(resh), resh.matrix
+        return superop_from_reshaped(resh), lambda: resh.matrix
     else:
         raise DimensionError(f"unknown task {task!r}")
-    return s, choi_reshape(s).matrix
+    return s, lambda: choi_reshape(s).matrix
+
+
+def ground_truth(task: str, n: int, seed: int, kraus_rank: int = 0, n_jumps: int = 0,
+                 r_plus: int = 0, r_minus: int = 0):
+    """(signed Kraus superoperator, reshaped N^2 x N^2 matrix) of a drawn
+    truth: `draw_truth`'s pair with its matrix built."""
+    s, dense = draw_truth(task, n, seed, kraus_rank, n_jumps, r_plus, r_minus)
+    return s, dense()

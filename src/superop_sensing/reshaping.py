@@ -18,6 +18,9 @@ import numpy as np
 
 from .errors import DimensionError
 
+# rows of choi_reshape's output filled per outer-product slice
+_ROW_BLOCK = 64
+
 __all__ = [
     "ReshapedMatrix",
     "vec",
@@ -124,18 +127,23 @@ def choi_reshape(s) -> ReshapedMatrix:
     Built directly from outer products of vectorized operators,
     sum vec(V_k)vec(V_k)^H - sum vec(U_k)vec(U_k)^H, which equals
     reshape_R(superop_matrix(s)) without forming any Kronecker product.
-    Hermitian by construction.
+    Each outer product is added or subtracted in place, _ROW_BLOCK rows at
+    a time, so the only N^2 x N^2 array is the output; every entry gets
+    the same multiply and the same add or subtract, term by term, as one
+    `mat += np.outer(w, w.conj())` per term would give it. Hermitian by
+    construction.
     """
     n = s.dim_n
-    mat = np.zeros((n * n, n * n), dtype=np.complex128)
-    for v in s.plus_ops:
-        _check_op(v, n)
-        w = vec(v)
-        mat += np.outer(w, w.conj())
-    for u in s.minus_ops:
-        _check_op(u, n)
-        w = vec(u)
-        mat -= np.outer(w, w.conj())
+    side = n * n
+    for op in s.plus_ops + s.minus_ops:
+        _check_op(op, n)
+    terms = ([(np.add, vec(v)) for v in s.plus_ops]
+             + [(np.subtract, vec(u)) for u in s.minus_ops])
+    mat = np.zeros((side, side), dtype=np.complex128)
+    for start in range(0, side, _ROW_BLOCK):
+        rows = mat[start:start + _ROW_BLOCK]
+        for sign, w in terms:
+            sign(rows, np.outer(w[start:start + _ROW_BLOCK], w.conj()), out=rows)
     return ReshapedMatrix(n, mat)
 
 

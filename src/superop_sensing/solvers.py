@@ -631,14 +631,22 @@ def nesterov_als_solve(design, b, d1: int, d2: int,
 # first-row strategies
 
 
-def _row_design(observables, values, n: int) -> SensingDesign:
-    """The blockwise design of the shared observables, after checking that
-    values is the (n, M_O) data matrix of an n-block anchor row."""
-    design = SensingDesign("blockwise", np.shape(observables)[-1], observables)
+# Each public first-row solver checks its observables once, by building
+# their design, and hands it to a private body; solve_strategy hands its
+# already-checked design to the same bodies.
+
+
+def _row_design(observables) -> SensingDesign:
+    """The blockwise design of the shared observables."""
+    return SensingDesign("blockwise", np.shape(observables)[-1], observables)
+
+
+def _check_row_values(design: SensingDesign, values, n: int) -> None:
+    """Raise unless values is the (n, M_O) data matrix of an n-block anchor
+    row of the design."""
     if np.shape(values) != (n, design.n_measurements):
         raise DimensionError(f"values of shape {np.shape(values)}, expected "
                              f"({n}, {design.n_measurements})")
-    return design
 
 
 def solve_first_row_parallel(observables, values, n: int, config: SolverConfig):
@@ -655,7 +663,11 @@ def solve_first_row_parallel(observables, values, n: int, config: SolverConfig):
     iterations, restarts, fallbacks and wall time summed over all three
     solves, so the counts cover every sweep the block ran.
     """
-    design = _row_design(observables, values, n)
+    return _row_parallel(_row_design(observables), values, n, config)
+
+
+def _row_parallel(design: SensingDesign, values, n: int, config: SolverConfig):
+    _check_row_values(design, values, n)
     dim = design.dim_n
     row = np.empty((dim, n * dim), dtype=np.complex128)
     reports = []
@@ -685,7 +697,11 @@ def solve_first_row_joint(observables, values, n: int, config: SolverConfig):
     (n, M_O) data matrix. Returns (row, report) with row = U V^H, the
     N x nN anchor row.
     """
-    design = _row_design(observables, values, n)
+    return _row_joint(_row_design(observables), values, n, config)
+
+
+def _row_joint(design: SensingDesign, values, n: int, config: SolverConfig):
+    _check_row_values(design, values, n)
     dim = design.dim_n
     report = nesterov_als_solve(design, values, dim, dim * n, config)
     return report.factors.product(), report
@@ -704,9 +720,14 @@ def solve_first_row_subset(observables, values, n: int, subset_ratio: float,
     any, is added to the report's count. Returns (row, report) with row the
     N x nN anchor row.
     """
+    return _row_subset(_row_design(observables), values, n, subset_ratio, config)
+
+
+def _row_subset(design: SensingDesign, values, n: int, subset_ratio: float,
+                config: SolverConfig):
     if not 0 < subset_ratio <= 1:
         raise DimensionError("subset_ratio must be in (0, 1]")
-    design = _row_design(observables, values, n)
+    _check_row_values(design, values, n)
     dim = design.dim_n
     p = min(n, max(1, math.ceil(subset_ratio * n)))
     rng = np.random.default_rng(derive_seed(config.seed, 2))
@@ -742,12 +763,11 @@ def solve_strategy(strategy: str, design: SensingDesign, values, config: SolverC
         report = nesterov_als_solve(design, values, n * n, n * n, config)
         return report.factors.product(), [report]
     if strategy == "als_p":
-        return solve_first_row_parallel(design.observables, values, n, config)
+        return _row_parallel(design, values, n, config)
     if strategy == "als_n":
-        row, report = solve_first_row_joint(design.observables, values, n, config)
+        row, report = _row_joint(design, values, n, config)
     else:
-        row, report = solve_first_row_subset(design.observables, values, n,
-                                             subset_ratio, config)
+        row, report = _row_subset(design, values, n, subset_ratio, config)
     return row, [report]
 
 

@@ -4,7 +4,8 @@ import struct
 import numpy as np
 import pytest
 
-from superop_sensing import SolverConfig, choi_reshape, load_cmx, save_cmx, sensing_loss
+from superop_sensing import (SolverConfig, choi_reshape, ground_truth, load_cmx, save_cmx,
+                             sensing_loss)
 from superop_sensing.cli import build_parser, main
 from superop_sensing.serialize import (load_design, load_measurements, load_superoperator,
                                       save_matrix_stack)
@@ -88,6 +89,30 @@ def test_solve_als_n2_reports_fallbacks(tmp_path):
 def test_generate_exit_code_2_on_truth_rank_above_n_squared(tmp_path, argv):
     assert run_cli("generate", *argv, "--out", str(tmp_path)) == 2
     assert not (tmp_path / "reshaped.cmx").exists()
+
+
+@pytest.mark.parametrize("task, flag", [
+    ("lindbladian", "--kraus-rank"), ("channel", "--n-jumps"), ("channel", "--r-plus"),
+    ("lindbladian", "--r-minus")])
+def test_generate_exit_code_2_on_truth_field_the_task_never_reads(tmp_path, capsys,
+                                                                   task, flag):
+    assert run_cli("generate", "--task", task, "--n", "3", flag, "2",
+                   "--out", str(tmp_path)) == 2
+    assert flag[2:].replace("-", "_") in capsys.readouterr().err
+    assert not (tmp_path / "reshaped.cmx").exists()
+    # 0 is the value of a field the task never reads
+    assert run_cli("generate", "--task", task, "--n", "3", flag, "0",
+                   "--out", str(tmp_path)) == 0
+
+
+def test_generate_defaults_each_read_truth_field(tmp_path):
+    for task, ranks in (("channel", {"kraus_rank": 2}), ("lindbladian", {"n_jumps": 1}),
+                        ("haar", {"r_plus": 2, "r_minus": 1})):
+        out = tmp_path / task
+        assert run_cli("generate", "--task", task, "--n", "3", "--seed", "4",
+                       "--out", str(out)) == 0
+        k = ground_truth(task, 3, 4, **ranks)[1]
+        assert load_cmx(out / "reshaped.cmx").tobytes() == k.tobytes()
 
 
 def test_solve_als_p_writes_per_block_traces(tmp_path):

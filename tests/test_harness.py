@@ -1,16 +1,20 @@
 import dataclasses
 import json
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from superop_sensing import (ExperimentConfig, emit_results, recovery_rate,
-                             relative_frobenius_error, run_experiment, sensing_loss)
+from superop_sensing import (ExperimentConfig, build_design, complex_gaussian,
+                             emit_results, ground_truth, reconstruct_full, recovery_rate,
+                             relative_frobenius_error, run_experiment, sensing_loss,
+                             simulate_measurements)
 from superop_sensing import harness
 from superop_sensing.errors import DimensionError, UndefinedMetricError
 from superop_sensing.harness import read_csv_records
 from superop_sensing.serialize import load_json
-from superop_sensing.solvers import RUN_OPTIONS, solve_strategy
+from superop_sensing.solvers import RUN_OPTIONS, derive_seed, solve_strategy
 from superop_sensing.reshaping import ReshapedMatrix
 
 
@@ -34,6 +38,19 @@ def test_relative_frobenius_error_zero_truth():
 def test_relative_frobenius_error_shape_mismatch():
     with pytest.raises(DimensionError):
         relative_frobenius_error(np.eye(2), np.eye(3))
+
+
+def test_relative_frobenius_error_leaves_inputs_unchanged():
+    rng = np.random.default_rng(3)
+    est, truth = complex_gaussian(9, 9, rng), complex_gaussian(9, 9, rng)
+    pairs = [(est, truth), (est, truth.real), (est.real, truth),
+             (ReshapedMatrix(3, est), ReshapedMatrix(3, truth))]
+    for a, b in pairs:
+        a_bytes, b_bytes = (np.asarray(getattr(x, "matrix", x)).tobytes() for x in (a, b))
+        err = relative_frobenius_error(a, b)
+        x, y = (np.asarray(getattr(v, "matrix", v)) for v in (a, b))
+        assert err == np.linalg.norm(x - y) / np.linalg.norm(y)
+        assert (x.tobytes(), y.tobytes()) == (a_bytes, b_bytes)
 
 
 def test_recovery_rate():
@@ -265,3 +282,91 @@ def test_config_rejects_options_the_run_never_reads(strategy, field, value):
     default = ExperimentConfig.__dataclass_fields__[field].default
     assert default == RUN_OPTIONS[field][1]            # one default per option
     assert getattr(ExperimentConfig(**base, **{field: default}), field) == default
+
+
+def _replayed_error(cfg):
+    # the trial's steps through the public calls, with the truth's dense
+    # matrix drawn first and held whole, scored by the public formula
+    def seed(role):
+        return derive_seed(cfg.master_seed, role, 0, 0)
+
+    op, truth = ground_truth(cfg.task, cfg.n, seed(harness._ROLE_TRUTH), cfg.kraus_rank,
+                             cfg.n_jumps, cfg.r_plus, cfg.r_minus)
+    design = build_design(cfg.design, cfg.n, cfg.sweep[0], cfg.source,
+                          seed(harness._ROLE_DESIGN), cfg.row_index)
+    data = simulate_measurements(op, design, cfg.sigma, cfg.noise_mode,
+                                 seed(harness._ROLE_NOISE))
+    estimate, _ = solve_strategy(cfg.strategy, design, data.values,
+                                 cfg.solver_config(seed(harness._ROLE_SOLVER)),
+                                 cfg.subset_ratio)
+    if cfg.strategy != "als_n2":      # als_n2's estimate is its factors' product
+        estimate = reconstruct_full(estimate, cfg.rank, anchor=cfg.row_index,
+                                    hermitize=cfg.hermitize).matrix
+    return relative_frobenius_error(estimate, truth)
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(task="lindbladian", kraus_rank=0, n_jumps=1, strategy="als_n", subset_ratio=1.0),
+    dict(strategy="als_i", hermitize=True, row_index=2),
+    dict(design="random_pairs", strategy="als_n2", sweep=[120], subset_ratio=1.0),
+    dict(task="haar", kraus_rank=0, r_plus=2, r_minus=1, strategy="als_n",
+         subset_ratio=1.0)], ids=["als_n", "als_i-hermitize", "als_n2", "haar"])
+def test_trial_error_is_bitwise_the_public_score(overrides):
+    # the trial builds the truth's matrix only to score and scores in its
+    # buffer; its error must still be relative_frobenius_error's, bit for bit
+    cfg = _small_config(sigma=1e-3, trials=1, **overrides)
+    record = run_experiment(cfg).points[0].records[0]
+    assert not record.message
+    assert record.error == _replayed_error(cfg)
+
+
+def test_blockwise_trial_peak_memory():
+    # one als_n trial at N=16 holds at most the design, S and G while it
+    # solves and the estimate and truth while it scores: under 3.5 N^4
+    # complex entries at its peak (the truth drawn densely up front, the
+    # design held to the end and a difference temporary reach above 4)
+    cfg = ExperimentConfig(task="lindbladian", n=16, n_jumps=2, design="blockwise",
+                           strategy="als_n", sweep=[260], sigma=1e-3, master_seed=1)
+    tracemalloc.start()
+    try:
+        record = run_experiment(cfg).points[0].records[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not record.message
+    assert peak < 3.5 * 16 ** 4 * 16
+
+
+def test_trial_stage_times(tmp_path):
+    cfg = _small_config(sigma=1e-4, trials=1)
+    start = time.perf_counter()
+    result = run_experiment(cfg)
+    elapsed = time.perf_counter() - start
+    record = result.points[0].records[0]
+    assert tuple(record.stage_s) == harness.STAGES == (
+        "truth", "design", "simulate", "solve", "reconstruct", "score")
+    assert all(t >= 0 for t in record.stage_s.values())
+    assert sum(record.stage_s.values()) <= elapsed
+    assert record.wall_time == record.stage_s["solve"] + record.stage_s["reconstruct"]
+    # emitted under timings only, so the deterministic payload does not move
+    emit_results(result, str(tmp_path))
+    payload = load_json(str(tmp_path / "results.json"))
+    assert payload["timings"]["points"][0]["per_trial_stage_s"] == [record.stage_s]
+    payload.pop("timings")
+    assert "stage" not in json.dumps(payload)
+    # a trial that raised has no stage times
+    failed = run_experiment(_small_config(solver={"rank": 5}, trials=1))
+    assert failed.points[0].records[0].stage_s == {}
+
+
+@pytest.mark.parametrize("field, task", [
+    ("kraus_rank", "lindbladian"), ("n_jumps", "haar"), ("r_plus", "channel"),
+    ("r_minus", "lindbladian")])
+def test_config_rejects_truth_fields_the_task_never_reads(field, task):
+    reads = {"channel": dict(kraus_rank=2), "lindbladian": dict(n_jumps=1),
+             "haar": dict(r_plus=2, r_minus=1)}[task]
+    base = dict(task=task, n=4, design="blockwise", strategy="als_n", sweep=[16], **reads)
+    with pytest.raises(ValueError, match=f"{field} is read only by the "
+                                         f"{harness.TRUTH_FIELDS[field]} task"):
+        ExperimentConfig(**base, **{field: 1})
+    assert getattr(ExperimentConfig(**base, **{field: 0}), field) == 0

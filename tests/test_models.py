@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from superop_sensing import (Lindbladian, Superoperator, apply_superop,
-                             choi_reshape, complex_gaussian, ground_truth,
+                             choi_reshape, complex_gaussian, draw_truth, ground_truth,
                              haar_low_rank_hermitian, hs_inner, lindblad_apply,
                              lindblad_canonical, random_channel, random_density,
                              random_lindbladian, random_observable,
@@ -260,6 +260,19 @@ def test_superop_from_reshaped_roundtrip():
     resh = haar_low_rank_hermitian(3, 2, 1, seed=25)
     s = superop_from_reshaped(resh)
     assert np.allclose(choi_reshape(s).matrix, resh.matrix, atol=1e-10)
+
+
+@pytest.mark.parametrize("task, ranks", [
+    ("channel", {"kraus_rank": 2}), ("lindbladian", {"n_jumps": 1}),
+    ("haar", {"r_plus": 2, "r_minus": 1})])
+def test_draw_truth_builds_ground_truths_matrix(task, ranks):
+    s, dense = draw_truth(task, 3, 4, **ranks)
+    s_full, k = ground_truth(task, 3, 4, **ranks)
+    for a, b in zip(s.plus_ops + s.minus_ops, s_full.plus_ops + s_full.minus_ops):
+        assert a.tobytes() == b.tobytes()
+    assert dense().tobytes() == k.tobytes()
+    # a haar truth is its drawn matrix; the others are built on each call
+    assert (dense() is dense()) == (task == "haar")
 
 
 def test_ground_truth_tasks():

@@ -389,6 +389,26 @@ def test_solve_strategy_checks_design_kind():
     assert row.shape == (3, 9) and len(reports) == 1
 
 
+def test_each_solve_checks_its_design_once(monkeypatch):
+    # the finiteness and Hermitian checks run when a design is built; a
+    # strategy run on a built design adds none, and each public first-row
+    # solver, which builds one from its observables, runs them once
+    k, design, data = _channel_case(3, 1, seed=86, m_o=9)
+    cfg = SolverConfig(rank=1, seed=19, max_iter=3)
+    checks = []
+    check = SensingDesign.__post_init__
+    monkeypatch.setattr(SensingDesign, "__post_init__",
+                        lambda self: checks.append(self) or check(self))
+    for strategy in ("als_p", "als_n", "als_i"):
+        solve_strategy(strategy, design, data.values, cfg, 0.5)
+        assert checks == []
+    for solve, extra in ((solve_first_row_parallel, ()), (solve_first_row_joint, ()),
+                         (solve_first_row_subset, (0.5,))):
+        solve(design.observables, data.values, 3, *extra, cfg)
+        assert len(checks) == 1
+        checks.clear()
+
+
 @pytest.mark.parametrize("run, name, value", [
     ("random_pairs", "row_index", 2), ("random_pairs", "noise_mode", "physical"),
     ("als_n2", "hermitize", True), ("als_n2", "row_index", 1),
