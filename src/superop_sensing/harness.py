@@ -19,11 +19,13 @@ emitted under `timings` only.
 Memory: each N^2 x N^2 array of a trial lives only while something reads
 it. The truth is drawn in signed Kraus form (`models.draw_truth`) and its
 dense matrix is built at scoring, except a `haar` truth, which is the
-drawn matrix itself and is held from the start. The design and data are
-dropped when the solve returns. A blockwise solve holds the design
-(M_O x N x N), the real N^2 x N^2 `S` and the complex N^2 x N^2 `G` at
-once, and that is a blockwise trial's peak (at N=25, M_O=640: 6.1, 3.1
-and 6.25 MiB). Completion then builds the dense estimate, and scoring
+drawn matrix itself and is held from the start. A random design is
+drawn in chunks straight into its stack, so it exists once. The design
+and data are dropped when the solve returns. A blockwise solve holds the
+design (M_O x N x N), the real N^2 x N^2 `S` and the complex N^2 x N^2
+`G` at once, and that is a blockwise trial's peak (at N=25, M_O=640:
+6.1, 3.1 and 6.25 MiB). Completion then builds the dense estimate
+(hermitized in place when the config asks), and scoring
 builds the truth beside it and takes their difference in the truth's
 buffer, so that stage holds two N^2 x N^2 arrays. An `als_n2` trial holds
 its dense estimate from the solve on; its peak is the pair workspace.

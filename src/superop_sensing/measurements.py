@@ -15,10 +15,18 @@ the combined value directly.
 
 Observables are exactly Hermitian, O_m = O_m^H entry by entry; the
 solvers rely on it (the blockwise Gram matrix is built from the N^2 real
-numbers of each O_m), so `SensingDesign` rejects any other stack. Every
-design the package builds passes: random observables are (G + G^H)/sqrt(2)
-with both triangles computed by the same additions, and scaled Paulis and
-their power-of-two rescalings are Hermitian in every bit.
+numbers of each O_m, and the pair right rows use O_m F for
+conj(O_m^T conj(F))), so `SensingDesign` rejects any other stack, checked
+a slice of observables at a time. Every design the package builds passes:
+random observables are (G + G^H)/sqrt(2) with both triangles computed by
+the same additions, and scaled Paulis and their power-of-two rescalings
+are Hermitian in every bit. Random designs are drawn in chunks into their
+stacks (see `models`), so building one holds the design once.
+
+`simulate_measurements` applies the superoperator once per design, to the
+stack of all its states (`models.apply_superop` on a stack is bitwise one
+call per state): the M pair states, or the synthesized unit states of the
+anchor row.
 
 All indices are 0-based: the first block row is row_index=0.
 """
@@ -58,6 +66,9 @@ DESIGN_KINDS = ("random_pairs", "blockwise")
 SOURCES = ("pauli", "random")
 NOISE_MODES = ("synthetic", "physical")
 
+# observables per slice of the Hermitian check
+_CHECK_CHUNK = 64
+
 _I2 = np.eye(2, dtype=np.complex128)
 _SX = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 _SY = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
@@ -88,10 +99,7 @@ class SensingDesign:
             raise DimensionError(f"unknown design kind {self.kind!r}")
         n = self.dim_n
         self.observables = _matrix_stack(self.observables, n, "observables")
-        parts = self.observables.view(np.float64).reshape(-1, n, n, 2)
-        swapped = parts.transpose(0, 2, 1, 3)
-        if not (np.array_equal(parts[..., 0], swapped[..., 0])
-                and np.array_equal(parts[..., 1], -swapped[..., 1])):
+        if not _is_hermitian(self.observables):
             raise DimensionError("observables must be exactly Hermitian")
         if self.kind == "random_pairs":
             self.states = _matrix_stack(self.states, n, "states")
@@ -117,6 +125,20 @@ def _matrix_stack(mats, n: int, name: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise DimensionError(f"{name} hold non-finite entries")
     return arr
+
+
+def _is_hermitian(obs) -> bool:
+    """Whether each matrix of the (M, N, N) stack equals its conjugate
+    transpose entry by entry, compared _CHECK_CHUNK matrices at a time so
+    no temporary grows with M."""
+    n = obs.shape[1]
+    for start in range(0, len(obs), _CHECK_CHUNK):
+        parts = obs[start:start + _CHECK_CHUNK].view(np.float64).reshape(-1, n, n, 2)
+        swapped = parts.transpose(0, 2, 1, 3)
+        if not (np.array_equal(parts[..., 0], swapped[..., 0])
+                and np.array_equal(parts[..., 1], -swapped[..., 1])):
+            return False
+    return True
 
 
 @dataclass
@@ -287,10 +309,9 @@ def simulate_measurements(s: Superoperator, design: SensingDesign, sigma: float,
     n = design.dim_n
 
     if design.kind == "random_pairs":
-        exact = np.array([
-            np.vdot(apply_superop(s, rho), obs).real
-            for rho, obs in zip(design.states, design.observables)
-        ])
+        outs = apply_superop(s, design.states)
+        exact = np.array([np.vdot(out, obs).real
+                          for out, obs in zip(outs, design.observables)])
         values = exact + sigma * rng.standard_normal(exact.size)
         return MeasurementSet(design.ref(), values, sigma, seed, noise_mode)
 
@@ -302,7 +323,7 @@ def simulate_measurements(s: Superoperator, design: SensingDesign, sigma: float,
     plan = [(None, [_matrix_unit(n, l, k0)])
             if noise_mode == "synthetic" or sigma == 0 or l == k0
             else synth_state_combination(k0, l, n) for l in range(n)]
-    outs = np.array([apply_superop(s, rho) for _, states in plan for rho in states])
+    outs = apply_superop(s, np.array([rho for _, states in plan for rho in states]))
     exact = design.observables.reshape(len(design.observables), -1) @ \
         outs.reshape(len(outs), -1).conj().T
     columns = iter(exact.T)

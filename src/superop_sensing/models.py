@@ -13,6 +13,15 @@ forming its N^2 x N^2 reshaped matrix; only a reshaped matrix given densely
 (superop_from_reshaped) is eigendecomposed as such. Lindbladians are stored
 as (H, jump operators); their reshaped matrix generically has N_J + 1
 positive and one negative eigenvalue.
+
+Random states and observables are drawn as stacks (`random_density`,
+`random_observable` with a count, `random_pairs`) from standard-normal
+planes drawn _DRAW_CHUNK matrices at a time into one reused buffer, which
+gives bitwise the values of one draw. Each chunk is written straight into
+its output stack, with the 1/sqrt(2) scalings as float multiplies by the
+reciprocal, which is bitwise what numpy's complex-by-real division
+computes; so a design exists once, beside at most one chunk of planes.
+`apply_superop` takes one state or a stack of them.
 """
 
 from __future__ import annotations
@@ -48,6 +57,11 @@ TASKS = ("channel", "lindbladian", "haar")
 
 # relative eigenvalue cutoff for counting signed Kraus terms
 _RANK_TOL = 1e-10
+
+# matrices per standard-normal draw of a batched state or observable stack
+_DRAW_CHUNK = 64
+# what numpy's division of a complex array by np.sqrt(2.0) multiplies by
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
 @dataclass
@@ -94,9 +108,11 @@ class Lindbladian:
 
 
 def apply_superop(s: Superoperator, rho) -> np.ndarray:
-    """Evaluate S rho = sum V_k rho V_k^H - sum U_k rho U_k^H."""
+    """Evaluate S rho = sum V_k rho V_k^H - sum U_k rho U_k^H, on one N x N
+    matrix or on each matrix of a (..., N, N) stack (each bitwise its own
+    call)."""
     rho = np.asarray(rho, dtype=np.complex128)
-    if rho.shape != (s.dim_n, s.dim_n):
+    if rho.ndim < 2 or rho.shape[-2:] != (s.dim_n, s.dim_n):
         raise DimensionError(f"state shape {rho.shape} != ({s.dim_n}, {s.dim_n})")
     out = np.zeros_like(rho)
     for v in s.plus_ops:
@@ -218,49 +234,58 @@ def random_lindbladian(n: int, n_jumps: int, seed: int) -> Lindbladian:
     return Lindbladian(h, jumps)
 
 
-def _gaussian_stacks(n: int, seed, m, k: int) -> list:
-    """k complex Gaussian (m, n, n) stacks, as `linalg.complex_gaussian`
-    scales them, from one (m, 2k, n, n) standard-normal draw: per row the
-    real and then the imaginary plane of each of the k matrices in turn,
-    the order of k `complex_gaussian(n, n)` calls. m=None draws one row."""
+def _empty_stack(n: int, m) -> np.ndarray:
+    """An uninitialized complex (m, n, n) stack; m=None gives one matrix."""
     if n < 2:
         raise DimensionError("n must be >= 2")
     if m is not None and m < 1:
         raise DimensionError(f"m must be >= 1, got {m}")
-    planes = np.random.default_rng(seed).standard_normal((m or 1, 2 * k, n, n))
-    stacks = []
-    for j in range(k):
-        g = np.empty((len(planes), n, n), dtype=np.complex128)
-        g.real, g.imag = planes[:, 2 * j], planes[:, 2 * j + 1]
-        g /= np.sqrt(2.0)
-        stacks.append(g)
-    return stacks
+    return np.empty((m or 1, n, n), dtype=np.complex128)
 
 
-def _densities(g) -> np.ndarray:
-    """G G^H / tr(G G^H) for each G of the (m, n, n) stack g."""
-    rho = g @ g.conj().transpose(0, 2, 1)
-    rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
-    return rho
+def _planes(seed, count: int, k: int, n: int):
+    """Yield (rows, planes): the (count, 2k, n, n) standard-normal draw,
+    _DRAW_CHUNK rows at a time from one generator into one reused buffer
+    (bitwise one draw), scaled by 1/sqrt(2) as `linalg.complex_gaussian`
+    scales them. Per row the real and then the imaginary plane of each of
+    the k matrices in turn, the order of k `complex_gaussian(n, n)` calls.
+    planes is valid until the next chunk is drawn."""
+    rng = np.random.default_rng(seed)
+    buf = np.empty((min(_DRAW_CHUNK, count), 2 * k, n, n))
+    for start in range(0, count, _DRAW_CHUNK):
+        planes = buf[:count - start]
+        rng.standard_normal(out=planes)
+        planes *= _INV_SQRT2
+        yield slice(start, start + len(planes)), planes
 
 
-def _observables(g) -> np.ndarray:
-    """(G + G^H)/sqrt(2) for each G of the (m, n, n) stack g, built in place
-    of one conjugate transpose."""
-    obs = np.empty_like(g)
-    np.conjugate(g.transpose(0, 2, 1), out=obs)
-    obs += g
-    obs /= np.sqrt(2.0)
-    return obs
+def _densities_into(out, re, im) -> None:
+    """G G^H / tr(G G^H) into the (c, n, n) stack out, G = re + i im."""
+    g = np.empty_like(out)
+    g.real, g.imag = re, im
+    np.matmul(g, g.conj().transpose(0, 2, 1), out=out)
+    out /= np.trace(out, axis1=1, axis2=2).real[:, None, None]
+
+
+def _observables_into(out, re, im) -> None:
+    """(G + G^H)/sqrt(2) into the (c, n, n) stack out, G = re + i im: the
+    real and imaginary parts straight from the planes, so both triangles
+    come from the same additions and O = O^H exactly."""
+    np.add(re, re.transpose(0, 2, 1), out=out.real)
+    np.subtract(im, im.transpose(0, 2, 1), out=out.imag)
+    flat = out.view(np.float64)
+    flat *= _INV_SQRT2
 
 
 def random_density(n: int, seed, m: int | None = None) -> np.ndarray:
     """Random density matrix G G^H / tr(G G^H): Hermitian, PSD, unit trace.
 
-    With a count m, an (m, n, n) stack drawn in one batch, bitwise the
+    With a count m, an (m, n, n) stack drawn in chunks, bitwise the
     matrices of m calls on the same generator.
     """
-    rho = _densities(*_gaussian_stacks(n, seed, m, 1))
+    rho = _empty_stack(n, m)
+    for rows, planes in _planes(seed, len(rho), 1, n):
+        _densities_into(rho[rows], planes[:, 0], planes[:, 1])
     return rho if m is not None else rho[0]
 
 
@@ -270,19 +295,25 @@ def random_observable(n: int, seed, m: int | None = None) -> np.ndarray:
     Entries have unit variance (Frobenius norm concentrates at N), matching
     the scale of the generic Hermitian ensembles used to benchmark noisy
     recovery; divide by the norm if a unit-norm observable is needed. With
-    a count m, an (m, n, n) stack drawn in one batch, bitwise the matrices
-    of m calls on the same generator.
+    a count m, an (m, n, n) stack drawn in chunks, bitwise the matrices of
+    m calls on the same generator; the stack is the only array the size of
+    the design.
     """
-    obs = _observables(*_gaussian_stacks(n, seed, m, 1))
+    obs = _empty_stack(n, m)
+    for rows, planes in _planes(seed, len(obs), 1, n):
+        _observables_into(obs[rows], planes[:, 0], planes[:, 1])
     return obs if m is not None else obs[0]
 
 
 def random_pairs(n: int, m: int, seed) -> tuple[np.ndarray, np.ndarray]:
-    """m (density, observable) pairs as two (m, n, n) stacks drawn in one
-    batch, bitwise those of m alternating `random_density` and
+    """m (density, observable) pairs as two (m, n, n) stacks drawn in
+    chunks, bitwise those of m alternating `random_density` and
     `random_observable` calls on the same generator."""
-    g_states, g_obs = _gaussian_stacks(n, seed, m, 2)
-    return _densities(g_states), _observables(g_obs)
+    states, obs = _empty_stack(n, m), _empty_stack(n, m)
+    for rows, planes in _planes(seed, len(states), 2, n):
+        _densities_into(states[rows], planes[:, 0], planes[:, 1])
+        _observables_into(obs[rows], planes[:, 2], planes[:, 3])
+    return states, obs
 
 
 def haar_isometry(dim: int, r: int, rng: np.random.Generator) -> np.ndarray:

@@ -31,7 +31,8 @@ def reconstruct_full(row, r: int, rtol: float | None = None,
     singular values above rtol * sigma_max (default rtol: max(N^2, r) *
     machine epsilon; a given rtol must be finite and nonnegative); otherwise
     an AssumptionViolationError reports the observed numerical rank.
-    hermitize=True averages the result with its adjoint, which may break the
+    hermitize=True averages the result with its adjoint in place, bitwise
+    (K + K^H) / 2 without a second N^2 x N^2 array; that may break the
     exact rank-r structure and is off by default.
     """
     row = np.ascontiguousarray(row, dtype=np.complex128)
@@ -64,5 +65,24 @@ def reconstruct_full(row, r: int, rtol: float | None = None,
     out = (row.conj().T @ proj) @ j_h
     out[a, :] = svd.reconstruct()
     if hermitize:
-        out = (out + out.conj().T) / 2
+        _hermitize(out, n)
     return ReshapedMatrix(n, out)
+
+
+def _hermitize(out, n: int) -> None:
+    """out = (out + out^H) / 2 in place, bitwise that expression.
+
+    Each strip of n rows is averaged with the mirrored strip of n columns:
+    the diagonal block against its own adjoint, then the blocks right of it
+    and those below it, each from the other's values before either is
+    written. The temporaries are a few n x N^2 strips, so no N^2 x N^2 array
+    besides out is made.
+    """
+    for i in range(0, out.shape[0], n):
+        rows, cols = out[i:i + n, i + n:], out[i + n:, i:i + n]
+        diag = out[i:i + n, i:i + n]
+        diag[...] = (diag + diag.conj().T) / 2
+        right = (rows + cols.conj().T) / 2
+        cols += rows.conj().T
+        cols /= 2
+        rows[...] = right

@@ -18,9 +18,6 @@ import numpy as np
 
 from .errors import DimensionError
 
-# rows of choi_reshape's output filled per outer-product slice
-_ROW_BLOCK = 64
-
 __all__ = [
     "ReshapedMatrix",
     "vec",
@@ -124,27 +121,22 @@ def superop_matrix(s) -> np.ndarray:
 def choi_reshape(s) -> ReshapedMatrix:
     """Reshaped (Choi-like) matrix of a signed-Kraus superoperator.
 
-    Built directly from outer products of vectorized operators,
+    Built directly from the vectorized operators,
     sum vec(V_k)vec(V_k)^H - sum vec(U_k)vec(U_k)^H, which equals
-    reshape_R(superop_matrix(s)) without forming any Kronecker product.
-    Each outer product is added or subtracted in place, _ROW_BLOCK rows at
-    a time, so the only N^2 x N^2 array is the output; every entry gets
-    the same multiply and the same add or subtract, term by term, as one
-    `mat += np.outer(w, w.conj())` per term would give it. Hermitian by
-    construction.
+    reshape_R(superop_matrix(s)) without forming any Kronecker product:
+    with W the N^2 x k matrix of the vectors and s their signs, one product
+    (W s) W^H, whose output is its only N^2 x N^2 array. Hermitian to
+    roundoff: entries (i, j) and (j, i) sum the same products, but the
+    product kernel may round them differently.
     """
     n = s.dim_n
-    side = n * n
-    for op in s.plus_ops + s.minus_ops:
+    ops = s.plus_ops + s.minus_ops
+    w = np.empty((n * n, len(ops)), dtype=np.complex128)
+    for k, op in enumerate(ops):
         _check_op(op, n)
-    terms = ([(np.add, vec(v)) for v in s.plus_ops]
-             + [(np.subtract, vec(u)) for u in s.minus_ops])
-    mat = np.zeros((side, side), dtype=np.complex128)
-    for start in range(0, side, _ROW_BLOCK):
-        rows = mat[start:start + _ROW_BLOCK]
-        for sign, w in terms:
-            sign(rows, np.outer(w[start:start + _ROW_BLOCK], w.conj()), out=rows)
-    return ReshapedMatrix(n, mat)
+        w[:, k] = vec(op)
+    signs = np.repeat([1.0, -1.0], [len(s.plus_ops), len(s.minus_ops)])
+    return ReshapedMatrix(n, (w * signs) @ w.conj().T)
 
 
 def _check_op(op, n: int) -> None:

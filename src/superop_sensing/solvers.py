@@ -38,14 +38,15 @@ Two problem shapes are handled, one per design kind:
 * random pairs: X is the full N^2 x N^2 reshaped matrix, sensed by
   tr[(conj(rho) x O)^H X] with data a length-M vector; the Kronecker
   products are never formed. Both half-sweeps assemble their M rows
-  with one routine, from the other factor's columns viewed as N x N
-  matrices: one product over the observable index (O_m^T against the
-  conjugated columns, batched over the pairs, for the right rows; O_m
-  stacked as an (M N) x N matrix for the left rows), conjugated in
-  place, and one matmul batched over the pairs with rho_m (rho_m^T for
-  the left rows), whose output is already the M x (N^2 r) row matrix.
-  The halves differ only in those operands. A half-sweep then solves
-  the normal equations of its rows.
+  with one routine, from the other factor's columns F viewed as N x N
+  matrices: one product O_m F over the observable index, with the
+  observables stacked as an (M N) x N matrix, conjugated in place for
+  the left rows only, and one matmul batched over the pairs with rho_m
+  (rho_m^T for the left rows), whose output is already the M x (N^2 r)
+  row matrix. The right rows need conj(O_m^T conj(F)), which is O_m F
+  entry by entry because O_m is exactly Hermitian, so they take no
+  conjugate pass and no per-pair product. A half-sweep then solves the
+  normal equations of its rows.
 * blockwise: X = [X_1, ..., X_p] is an N x pN row of blocks, p = d2 / N,
   sensed by the shared (M_O, N, N) observables with data the (p, M_O)
   matrix whose row k belongs to X_k (p = 1 is a single block). The blocks
@@ -84,6 +85,19 @@ right-hand side sum_k B_k V_k; the right update is one such solve with
 normal matrix sum G[x,a,x',a'] conj(U[x,c]) U[x',c'] and one right-hand
 side sum_x B_k[x,a] conj(U[x,c]) per block. Neither costs anything that
 grows with M.
+
+From N = 20 on, the left normal matrix, with rows (x, c) and columns
+(x', c'), is formed on its lower triangle only: G W is computed on G's
+rows (x, x') with x >= x', N (N + 1) / 2 of its N^2 rows, one product per
+x, and the other rows of G W are left zero. Those rows hold every entry
+on or below the diagonal, so the matrix is exact where it is read.
+Validity: only `linalg.cholesky_solve` reads the normal matrix, and it
+reads the lower triangle only (its stated contract); the least-squares
+fallback solves the M rows, not the normal matrix. The N products cost a
+call each, and below N = 20 the calls cost more than the rows they skip
+(one BLAS thread, r = 2 to 4: the per-x products took 36 against 14 us
+at N = 8, r = 3, broke even near N = 18 and took 0.77 against 1.11 ms
+at N = 25, r = 3), so there G W is one product.
 
 G comes from the observables' real coordinates. An exactly Hermitian O_m
 (`SensingDesign` requires it) holds N^2 real numbers, C_m[x,y] =
@@ -179,6 +193,10 @@ _DIVERGENCE_FACTOR = 1e6
 _RESTART_FLOOR = float(np.finfo(np.float64).eps)
 
 _BLOCK_INITS = 3   # solves raced per als_p block
+
+# smallest N at which the blockwise left normal matrix is formed from G's
+# lower rows only, one product per x (see the module docstring)
+_LOWER_ROWS_MIN_N = 20
 
 # recovery strategy -> the design kind it reads
 STRATEGY_DESIGNS = {"als_n2": "random_pairs", "als_p": "blockwise",
@@ -288,10 +306,10 @@ class _PairProblem:
     """Full reshaped-matrix sensing from (state, observable) pairs.
 
     Both half-sweeps assemble their M design rows with the one routine
-    `_rows`, as one product over the observable index and one matmul
-    batched over the pairs, into the problem's workspace; the right half
-    passes the batched view O_m^T and rho_m, the left half O stacked as an
-    (M N) x N matrix and rho_m^T, so neither copies the design. Each then
+    `_rows`, as one product with O stacked as an (M N) x N matrix and one
+    matmul batched over the pairs, into the problem's workspace; the right
+    half passes rho_m, the left half rho_m^T and a conjugation of the
+    product, so neither copies the design. Each then
     solves the normal equations of its rows through the one fallback step
     `_normal_solve` (see the module docstring), and `fallbacks` counts the
     half-sweeps that went to least squares on those rows instead. A factor
@@ -333,26 +351,32 @@ class _PairProblem:
         n = self.n
         return flat.reshape(n, r, n).transpose(0, 2, 1).reshape(n * n, r, order="F")
 
-    def _rows(self, a, f, b):
-        """Row m, column (i, c, j): sum_{k,l} conj(a_m[i,k] f[k,(c,l)]) b_m[l,j].
+    def _rows(self, factor, b, conj):
+        """Row m, column (i, c, j): sum_{k,l} q_m[i,(c,l)] b_m[l,j], with
+        q_m = O_m F for F the factor's columns from `_cols`, conjugated in
+        place when conj is set; b is the states, batched as (M, N, N).
 
-        a holds the observables, either batched as (M, N, N) or stacked as
-        (M N) x N, f is a factor's columns from `_cols` (conjugated for the
-        right half) and b the states, batched as (M, N, N). A view of the
-        workspace, valid until the next row assembly.
+        q comes from one product with the observables stacked as an
+        (M N) x N matrix. A view of the workspace, valid until the next
+        row assembly.
         """
-        m, n, r = self.m_total, self.n, f.shape[1] // self.n
+        m, n, r = self.m_total, self.n, factor.shape[1]
         rows, scratch, _ = self._workspace(r)
-        q = scratch[:rows.size].reshape(*a.shape[:-1], r * n)
-        np.matmul(a, f, out=q)
-        np.conjugate(q, out=q)
+        q = scratch[:rows.size].reshape(m * n, r * n)
+        np.matmul(self.obs.reshape(m * n, n), self._cols(factor), out=q)
+        if conj:
+            np.conjugate(q, out=q)
         np.matmul(q.reshape(m, n * r, n), b, out=rows.reshape(m, n * r, n))
         return rows
 
+    def _rows_right(self, u):
+        # column (a, c, b): sum_{x,y} O_m[a,x] U[x + N y, c] rho_m[y,b], which is
+        # conj(O_m[x,a]) U rho_m as O_m is Hermitian; solving for conj(V)
+        return self._rows(u, self.rho, conj=False)
+
     def _rows_left(self, v):
         # column (x, c, y): sum_{a,b} conj(O_m[x,a] V[a + N b, c]) rho_m[y,b]
-        return self._rows(self.obs.reshape(-1, self.n), self._cols(v),
-                          self.rho.transpose(0, 2, 1))
+        return self._rows(v, self.rho.transpose(0, 2, 1), conj=True)
 
     def _normal(self, g):
         # g^H g into the workspace, from the real Gram matrix s of g's (re, im)
@@ -372,10 +396,7 @@ class _PairProblem:
                              lambda: g)
 
     def solve_right(self, u):
-        # column (a, c, b): sum_{x,y} conj(O_m[x,a]) U[x + N y, c] rho_m[y,b],
-        # solving for conj(V)
-        g = self._rows(self.obs.transpose(0, 2, 1), self._cols(u).conj(), self.rho)
-        return self._uncols(self._solve_rows(g).conj(), u.shape[1])
+        return self._uncols(self._solve_rows(self._rows_right(u)).conj(), u.shape[1])
 
     def solve_left(self, v):
         return self._uncols(self._solve_rows(self._rows_left(v)), v.shape[1])
@@ -486,10 +507,18 @@ class _StackedProblem:
 
     def solve_left(self, v):
         n, r = self.n, v.shape[1]
-        # normal matrix sum_{y,y'} G[x,y,x',y'] W[y,c,y',c'], W = sum_k V_k (x) conj(V_k)
+        # normal matrix sum_{y,y'} G[x,y,x',y'] W[y,c,y',c'], W = sum_k V_k (x) conj(V_k);
+        # from N = _LOWER_ROWS_MIN_N on, only from G's rows (x, x') with x >= x',
+        # which hold the lower triangle (see the module docstring)
         vf = v.reshape(self.n_blocks, n * r)
         w = _regroup(vf.T @ vf.conj(), (n, r, n, r))
-        normal = _regroup(self._gram @ w, (n, n, r, r))
+        if n < _LOWER_ROWS_MIN_N:
+            gw = self._gram @ w
+        else:
+            gw = np.zeros((n * n, r * r), dtype=np.complex128)
+            for x in range(n):
+                np.matmul(self._gram[x * n:x * n + x + 1], w, out=gw[x * n:x * n + x + 1])
+        normal = _regroup(gw, (n, n, r, r))
         rhs = (self._brow @ v).reshape(-1)                 # sum_k B_k V_k
         u = _normal_solve(self, normal, rhs, self.b.reshape(-1), lambda: np.einsum(
             "mxy,kyc->kmxc", self.obs, self._split(v), optimize=True

@@ -138,6 +138,18 @@ def test_cholesky_solve_matches_least_squares(n):
     assert np.array_equal(cholesky_solve(4 * normal, 2 * (a.conj().T @ b)), x / 2)
 
 
+@pytest.mark.parametrize("n", [3, 97])
+def test_cholesky_solve_reads_only_the_lower_triangle(n):
+    # the blockwise left half-sweep fills only the lower triangle of its
+    # normal matrix; NaN above the diagonal must not change a bit
+    a = complex_gaussian(3 * n, n, seed=n + 2)
+    normal = a.conj().T @ a
+    rhs = complex_gaussian(n, 2, seed=n + 3)
+    upper_nan = normal.copy()
+    upper_nan[np.triu_indices(n, 1)] = np.nan
+    assert cholesky_solve(upper_nan, rhs).tobytes() == cholesky_solve(normal, rhs).tobytes()
+
+
 @pytest.mark.parametrize("a", [
     np.diag([1.0, 1.0, 0.0]),               # singular
     np.diag([1.0, -1.0, 1.0]),              # indefinite

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from superop_sensing import (SensingDesign, apply_superop, build_blockwise_desig
                              random_observable, sample_pauli, simulate_measurements,
                              synth_state_combination)
 from superop_sensing.errors import DimensionError
+from superop_sensing.models import _DRAW_CHUNK
 
 
 def _matrix_unit(n, i, j):
@@ -361,3 +364,28 @@ def test_simulate_blockwise_matches_matvec_oracle(noise_mode, sigma):
     got = simulate_measurements(s, design, sigma, noise_mode, seed=45).values
     want = _matvec_values(s, design, sigma, noise_mode, seed=45)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_simulated_pair_values_are_bitwise_the_per_pair_form():
+    s = random_channel(8, 3, seed=46)
+    design = build_random_design(8, 300, "random", seed=47)
+    got = simulate_measurements(s, design, 1e-4, seed=48).values
+    exact = np.array([np.vdot(apply_superop(s, rho), obs).real
+                      for rho, obs in zip(design.states, design.observables)])
+    want = exact + 1e-4 * np.random.default_rng(48).standard_normal(exact.size)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_blockwise_design_holds_one_copy_of_the_design():
+    # drawn in chunks and checked for Hermitian symmetry in slices, so the
+    # design stage peaks at the design plus about one chunk of planes
+    n, m_o = 25, 640
+    build_blockwise_design(n, 8, "random", seed=49)             # warm-up
+    tracemalloc.start()
+    try:
+        design = build_blockwise_design(n, m_o, "random", seed=50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    chunk = _DRAW_CHUNK * 2 * n * n * 8
+    assert peak <= 1.1 * design.observables.nbytes + chunk

@@ -8,6 +8,7 @@ from superop_sensing import (Lindbladian, Superoperator, apply_superop,
                              random_lindbladian, random_observable,
                              superop_from_reshaped, vec)
 from superop_sensing.errors import DegenerateSpectrumError, DimensionError
+from superop_sensing.models import _DRAW_CHUNK, random_pairs
 
 
 def lindblad_bracket_oracle(lind, rho):
@@ -43,6 +44,16 @@ def test_apply_superop_linearity():
     lhs = apply_superop(s, a * r1 + b * r2)
     rhs = a * apply_superop(s, r1) + b * apply_superop(s, r2)
     assert np.allclose(lhs, rhs, atol=1e-12)
+
+
+def test_apply_superop_on_a_stack_is_bitwise_per_matrix():
+    s = random_channel(4, 3, seed=12)
+    rho = random_density(4, 13, 7)
+    out = apply_superop(s, rho)
+    assert out.shape == rho.shape
+    for got, one in zip(out, rho):
+        assert got.tobytes() == apply_superop(s, one).tobytes()
+    assert apply_superop(s, rho.reshape(7, 1, 4, 4)).tobytes() == out.tobytes()
 
 
 def test_apply_superop_dimension_mismatch():
@@ -293,3 +304,37 @@ def test_ground_truth_tasks():
         with pytest.raises(DimensionError):
             ground_truth(n=2, seed=0, **kwargs)
     assert ground_truth("lindbladian", 2, 7, n_jumps=2)[0].rank == 4
+
+
+def _one_draw(n, seed, m, k):
+    # the k complex Gaussian (m, n, n) stacks from one standard-normal draw of
+    # all m rows, scaled as complex_gaussian scales them
+    planes = np.random.default_rng(seed).standard_normal((m, 2 * k, n, n))
+    stacks = []
+    for j in range(k):
+        g = np.empty((m, n, n), dtype=complex)
+        g.real, g.imag = planes[:, 2 * j], planes[:, 2 * j + 1]
+        stacks.append(g / np.sqrt(2.0))
+    return stacks
+
+
+def _densities_of(g):
+    rho = g @ g.conj().transpose(0, 2, 1)
+    return rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+
+
+def _observables_of(g):
+    return (g + g.conj().transpose(0, 2, 1)) / np.sqrt(2.0)
+
+
+@pytest.mark.parametrize("n", [2, 5])
+def test_chunked_draws_are_bitwise_one_draw(n):
+    # a count spanning three full chunks and a partial one
+    m = 3 * _DRAW_CHUNK + 5
+    (g,) = _one_draw(n, 3, m, 1)
+    assert random_observable(n, 3, m).tobytes() == _observables_of(g).tobytes()
+    assert random_density(n, 3, m).tobytes() == _densities_of(g).tobytes()
+    g_states, g_obs = _one_draw(n, 4, m, 2)
+    states, obs = random_pairs(n, m, 4)
+    assert states.tobytes() == _densities_of(g_states).tobytes()
+    assert obs.tobytes() == _observables_of(g_obs).tobytes()

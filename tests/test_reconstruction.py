@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,31 @@ def test_hermitize_flag():
     noisy = _row(truth.matrix, 3) + _noise(3, 1e-4, seed=20)
     est = reconstruct_full(noisy, 2, hermitize=True)
     assert np.linalg.norm(est.matrix - est.matrix.conj().T) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [3, 16])
+def test_hermitize_is_bitwise_the_average_with_the_adjoint(n):
+    truth = haar_low_rank_hermitian(n, 2, 1, seed=n)
+    noisy = _row(truth.matrix, n) + _noise(n, 1e-4, seed=30)
+    plain = reconstruct_full(noisy, 3).matrix
+    est = reconstruct_full(noisy, 3, hermitize=True).matrix
+    assert est.tobytes() == ((plain + plain.conj().T) / 2).tobytes()
+
+
+def test_hermitize_holds_no_second_full_matrix():
+    # the average is taken in place, a strip of N rows at a time: at N=16
+    # the call peaks under 1.5 output matrices (three before)
+    n = 16
+    truth = haar_low_rank_hermitian(n, 2, 1, seed=31)
+    noisy = _row(truth.matrix, n) + _noise(n, 1e-4, seed=32)
+    reconstruct_full(noisy, 3, hermitize=True)                    # warm-up
+    tracemalloc.start()
+    try:
+        reconstruct_full(noisy, 3, hermitize=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * n ** 4 * 16
 
 
 def test_noise_stability_is_measured_not_asserted():

@@ -487,6 +487,27 @@ def test_gram_half_sweeps_match_least_squares(n, blocks):
     assert prob.fallbacks == 0
 
 
+@pytest.mark.parametrize("n, blocks", [(3, 1), (3, 3), (8, 8), (20, 2)])
+def test_left_normal_matrix_reads_only_lower_gram_rows(n, blocks):
+    # the left normal matrix needs only G's rows (x, x') with x >= x' (from
+    # N = 20 on, solve_left computes only those); with every other row of G
+    # set to NaN it returns the same bits, and it matches the least-squares
+    # solve of its stacked rows
+    rng = np.random.default_rng(7 * n + blocks)
+    r = 3
+    design = build_blockwise_design(n, 2 * n * r + 5, "random", 0, seed=n * blocks)
+    b = complex_gaussian(blocks, design.n_measurements, rng)
+    v = complex_gaussian(n * blocks, r, rng)
+    prob = _make_problem(design, b, n, n * blocks)
+    left = prob.solve_left(v)
+    want = _lstsq_half_sweeps(design, b, complex_gaussian(n, r, rng), v)[1]
+    assert np.linalg.norm(left - want) <= 1e-12 * np.linalg.norm(want)
+    x, x_prime = np.divmod(np.arange(n * n), n)
+    prob._gram[x < x_prime] = np.nan
+    assert prob.solve_left(v).tobytes() == left.tobytes()
+    assert prob.fallbacks == 0
+
+
 def test_fallback_when_fewer_observables_than_unknowns():
     # one block with M_O = 6 < N r = 8: both normal matrices are singular
     n, r = 4, 2
@@ -546,11 +567,6 @@ def _pair_rows_oracle(design, u, v):
     return w.reshape(len(obs), -1), z.reshape(len(obs), -1)
 
 
-def _pair_right_rows(prob, u):
-    # the right half-sweep's rows, assembled as solve_right assembles them
-    return prob._rows(prob.obs.transpose(0, 2, 1), prob._cols(u).conj(), prob.rho)
-
-
 def _pair_flat(factor, n):
     # an N^2 x r factor in the rows' (i, c, j) column layout
     return factor.reshape(n, n, -1, order="F").transpose(0, 2, 1).reshape(-1)
@@ -559,6 +575,21 @@ def _pair_flat(factor, n):
 def _pair_factor(flat, n, r):
     # inverse of _pair_flat
     return flat.reshape(n, r, n).transpose(0, 2, 1).reshape(n * n, r, order="F")
+
+
+@pytest.mark.parametrize("n, m", [(4, 128), (8, 1100)])
+def test_pair_right_rows_are_bitwise_the_per_pair_form(n, m):
+    # one product over the stacked observables equals, bit for bit, the
+    # per-pair form conj(O_m^T conj(F)) rho_m, as O_m is exactly Hermitian
+    r = 3
+    design = build_random_design(n, m, "random", seed=n + m)
+    u = complex_gaussian(n * n, r, seed=n)
+    prob = _make_problem(design, np.zeros(m), n * n, n * n)
+    cols = prob._cols(u)
+    want = np.array([
+        (np.conj(obs.T @ cols.conj())).reshape(n * r, n) @ rho
+        for obs, rho in zip(design.observables, design.states)]).reshape(m, -1)
+    assert prob._rows_right(u).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 8])
@@ -571,7 +602,7 @@ def test_pair_rows_match_einsum_oracle(n, r):
     right, left = _pair_rows_oracle(design, u, v)
     # the rows are a view of the problem's workspace, overwritten by the next
     # assembly, so the right rows are copied before the left ones are built
-    for got, want in ((_pair_right_rows(prob, u).copy(), right),
+    for got, want in ((prob._rows_right(u).copy(), right),
                       (prob._rows_left(v), left)):
         assert got.shape == want.shape
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
@@ -591,7 +622,7 @@ def test_pair_fallback_when_fewer_pairs_than_unknowns():
     u, v = complex_gaussian(n * n, r, rng), complex_gaussian(n * n, r, rng)
     prob = _make_problem(design, b, n * n, n * n)
     # least squares on the problem's own rows, mapped to factors by hand
-    right = _pair_factor(least_squares(_pair_right_rows(prob, u), b).conj(), n, r)
+    right = _pair_factor(least_squares(prob._rows_right(u), b).conj(), n, r)
     left = _pair_factor(least_squares(prob._rows_left(v), b), n, r)
     assert np.array_equal(prob.solve_right(u), right)
     assert np.array_equal(prob.solve_left(v), left)
