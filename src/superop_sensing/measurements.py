@@ -41,7 +41,8 @@ import numpy as np
 
 from .errors import DimensionError
 from .linalg import complex_gaussian
-from .models import Superoperator, apply_superop, random_observable, random_pairs
+from .models import (_STACK_CHUNK, Superoperator, apply_superop, random_observable,
+                     random_pairs)
 
 __all__ = [
     "DESIGN_KINDS",
@@ -65,9 +66,6 @@ __all__ = [
 DESIGN_KINDS = ("random_pairs", "blockwise")
 SOURCES = ("pauli", "random")
 NOISE_MODES = ("synthetic", "physical")
-
-# observables per slice of the Hermitian check
-_CHECK_CHUNK = 64
 
 _I2 = np.eye(2, dtype=np.complex128)
 _SX = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -129,11 +127,11 @@ def _matrix_stack(mats, n: int, name: str) -> np.ndarray:
 
 def _is_hermitian(obs) -> bool:
     """Whether each matrix of the (M, N, N) stack equals its conjugate
-    transpose entry by entry, compared _CHECK_CHUNK matrices at a time so
+    transpose entry by entry, compared _STACK_CHUNK matrices at a time so
     no temporary grows with M."""
     n = obs.shape[1]
-    for start in range(0, len(obs), _CHECK_CHUNK):
-        parts = obs[start:start + _CHECK_CHUNK].view(np.float64).reshape(-1, n, n, 2)
+    for start in range(0, len(obs), _STACK_CHUNK):
+        parts = obs[start:start + _STACK_CHUNK].view(np.float64).reshape(-1, n, n, 2)
         swapped = parts.transpose(0, 2, 1, 3)
         if not (np.array_equal(parts[..., 0], swapped[..., 0])
                 and np.array_equal(parts[..., 1], -swapped[..., 1])):

@@ -16,7 +16,7 @@ positive and one negative eigenvalue.
 
 Random states and observables are drawn as stacks (`random_density`,
 `random_observable` with a count, `random_pairs`) from standard-normal
-planes drawn _DRAW_CHUNK matrices at a time into one reused buffer, which
+planes drawn _STACK_CHUNK matrices at a time into one reused buffer, which
 gives bitwise the values of one draw. Each chunk is written straight into
 its output stack, with the 1/sqrt(2) scalings as float multiplies by the
 reciprocal, which is bitwise what numpy's complex-by-real division
@@ -58,8 +58,10 @@ TASKS = ("channel", "lindbladian", "haar")
 # relative eigenvalue cutoff for counting signed Kraus terms
 _RANK_TOL = 1e-10
 
-# matrices per standard-normal draw of a batched state or observable stack
-_DRAW_CHUNK = 64
+# matrices per chunk of a state or observable stack: drawn this many at a
+# time here, and checked this many at a time by `measurements.SensingDesign`,
+# so the temporaries of building or checking a design stay one chunk
+_STACK_CHUNK = 64
 # what numpy's division of a complex array by np.sqrt(2.0) multiplies by
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -245,14 +247,14 @@ def _empty_stack(n: int, m) -> np.ndarray:
 
 def _planes(seed, count: int, k: int, n: int):
     """Yield (rows, planes): the (count, 2k, n, n) standard-normal draw,
-    _DRAW_CHUNK rows at a time from one generator into one reused buffer
+    _STACK_CHUNK rows at a time from one generator into one reused buffer
     (bitwise one draw), scaled by 1/sqrt(2) as `linalg.complex_gaussian`
     scales them. Per row the real and then the imaginary plane of each of
     the k matrices in turn, the order of k `complex_gaussian(n, n)` calls.
     planes is valid until the next chunk is drawn."""
     rng = np.random.default_rng(seed)
-    buf = np.empty((min(_DRAW_CHUNK, count), 2 * k, n, n))
-    for start in range(0, count, _DRAW_CHUNK):
+    buf = np.empty((min(_STACK_CHUNK, count), 2 * k, n, n))
+    for start in range(0, count, _STACK_CHUNK):
         planes = buf[:count - start]
         rng.standard_normal(out=planes)
         planes *= _INV_SQRT2

@@ -86,18 +86,23 @@ normal matrix sum G[x,a,x',a'] conj(U[x,c]) U[x',c'] and one right-hand
 side sum_x B_k[x,a] conj(U[x,c]) per block. Neither costs anything that
 grows with M.
 
-From N = 20 on, the left normal matrix, with rows (x, c) and columns
-(x', c'), is formed on its lower triangle only: G W is computed on G's
-rows (x, x') with x >= x', N (N + 1) / 2 of its N^2 rows, one product per
-x, and the other rows of G W are left zero. Those rows hold every entry
-on or below the diagonal, so the matrix is exact where it is read.
-Validity: only `linalg.cholesky_solve` reads the normal matrix, and it
-reads the lower triangle only (its stated contract); the least-squares
-fallback solves the M rows, not the normal matrix. The N products cost a
-call each, and below N = 20 the calls cost more than the rows they skip
-(one BLAS thread, r = 2 to 4: the per-x products took 36 against 14 us
-at N = 8, r = 3, broke even near N = 18 and took 0.77 against 1.11 ms
-at N = 25, r = 3), so there G W is one product.
+The left normal matrix, with rows (x, c) and columns (x', c'), is formed
+on its lower triangle only: G W is computed on G's rows (x, x') with
+x >= x', N (N + 1) / 2 of its N^2 rows, and the other rows of G W are
+left zero. Those rows hold every entry on or below the diagonal, so the
+matrix is exact where it is read. Validity: only `linalg.cholesky_solve`
+reads the normal matrix, and it reads the lower triangle only (its
+stated contract); the least-squares fallback solves the M rows, not the
+normal matrix. The rows are gathered once per problem into a packed
+copy, so each left half-sweep takes one product over them, with no
+choice by size (one BLAS thread, r = 3: 0.64 against 1.17 ms at N = 25;
+14 against 15 us at N = 8, where scattering the result costs about what
+the skipped rows save). The copy, N^3 (N + 1) / 2 complex entries, is held
+beside G for the problem's life, which is its cost: at N = 25,
+M_O = 640 a sweep holds 16.1 MiB (12.7 without it), so a trial's
+tracemalloc peak falls during the loss, at 17.7 MiB, above the Gram
+build's 16.4; at N = 64 the copy is about S's size and one trial's peak
+RSS is 597 MiB (590 without it).
 
 G comes from the observables' real coordinates. An exactly Hermitian O_m
 (`SensingDesign` requires it) holds N^2 real numbers, C_m[x,y] =
@@ -193,10 +198,6 @@ _DIVERGENCE_FACTOR = 1e6
 _RESTART_FLOOR = float(np.finfo(np.float64).eps)
 
 _BLOCK_INITS = 3   # solves raced per als_p block
-
-# smallest N at which the blockwise left normal matrix is formed from G's
-# lower rows only, one product per x (see the module docstring)
-_LOWER_ROWS_MIN_N = 20
 
 # recovery strategy -> the design kind it reads
 STRATEGY_DESIGNS = {"als_n2": "random_pairs", "als_p": "blockwise",
@@ -484,6 +485,13 @@ class _StackedProblem:
         return gram
 
     @cached_property
+    def _gram_lower(self):
+        """G's rows (x, x') with x >= x' (their indices, then the rows packed)."""
+        x, x_prime = np.tril_indices(self.n)
+        rows = x * self.n + x_prime
+        return rows, self._gram[rows]
+
+    @cached_property
     def _brow(self):
         """[B_1, ..., B_p] side by side: N x pN, column (k, y)."""
         bsum = (self.b @ self._flat).reshape(self.n_blocks, self.n, self.n)
@@ -507,17 +515,14 @@ class _StackedProblem:
 
     def solve_left(self, v):
         n, r = self.n, v.shape[1]
-        # normal matrix sum_{y,y'} G[x,y,x',y'] W[y,c,y',c'], W = sum_k V_k (x) conj(V_k);
-        # from N = _LOWER_ROWS_MIN_N on, only from G's rows (x, x') with x >= x',
-        # which hold the lower triangle (see the module docstring)
+        # normal matrix sum_{y,y'} G[x,y,x',y'] W[y,c,y',c'], W = sum_k V_k (x) conj(V_k),
+        # from G's rows (x, x') with x >= x' only, which hold the lower triangle
+        # (see the module docstring)
         vf = v.reshape(self.n_blocks, n * r)
         w = _regroup(vf.T @ vf.conj(), (n, r, n, r))
-        if n < _LOWER_ROWS_MIN_N:
-            gw = self._gram @ w
-        else:
-            gw = np.zeros((n * n, r * r), dtype=np.complex128)
-            for x in range(n):
-                np.matmul(self._gram[x * n:x * n + x + 1], w, out=gw[x * n:x * n + x + 1])
+        rows, gram_lower = self._gram_lower
+        gw = np.zeros((n * n, r * r), dtype=np.complex128)
+        gw[rows] = gram_lower @ w
         normal = _regroup(gw, (n, n, r, r))
         rhs = (self._brow @ v).reshape(-1)                 # sum_k B_k V_k
         u = _normal_solve(self, normal, rhs, self.b.reshape(-1), lambda: np.einsum(

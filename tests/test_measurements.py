@@ -10,7 +10,7 @@ from superop_sensing import (SensingDesign, apply_superop, build_blockwise_desig
                              random_observable, sample_pauli, simulate_measurements,
                              synth_state_combination)
 from superop_sensing.errors import DimensionError
-from superop_sensing.models import _DRAW_CHUNK
+from superop_sensing.models import _STACK_CHUNK
 
 
 def _matrix_unit(n, i, j):
@@ -387,5 +387,5 @@ def test_blockwise_design_holds_one_copy_of_the_design():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    chunk = _DRAW_CHUNK * 2 * n * n * 8
+    chunk = _STACK_CHUNK * 2 * n * n * 8
     assert peak <= 1.1 * design.observables.nbytes + chunk

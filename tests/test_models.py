@@ -8,7 +8,7 @@ from superop_sensing import (Lindbladian, Superoperator, apply_superop,
                              random_lindbladian, random_observable,
                              superop_from_reshaped, vec)
 from superop_sensing.errors import DegenerateSpectrumError, DimensionError
-from superop_sensing.models import _DRAW_CHUNK, random_pairs
+from superop_sensing.models import _STACK_CHUNK, random_pairs
 
 
 def lindblad_bracket_oracle(lind, rho):
@@ -330,7 +330,7 @@ def _observables_of(g):
 @pytest.mark.parametrize("n", [2, 5])
 def test_chunked_draws_are_bitwise_one_draw(n):
     # a count spanning three full chunks and a partial one
-    m = 3 * _DRAW_CHUNK + 5
+    m = 3 * _STACK_CHUNK + 5
     (g,) = _one_draw(n, 3, m, 1)
     assert random_observable(n, 3, m).tobytes() == _observables_of(g).tobytes()
     assert random_density(n, 3, m).tobytes() == _densities_of(g).tobytes()
