@@ -26,8 +26,8 @@ design (M_O x N x N) and the complex N^2 x N^2 `G` throughout, with the
 real N^2 x N^2 `S` while `G` is built and then G's packed lower rows
 (about half of `G`) for the sweeps, and that is a blockwise trial's peak
 (at N=25, M_O=640: 6.1, 6.25 and 3.25 MiB for design, `G` and the rows,
-17.7 MiB at the peak under tracemalloc). Completion then builds the dense estimate
-(hermitized in place when the config asks), and scoring
+17.7 MiB at the peak under tracemalloc). Completion then builds the
+dense estimate (hermitized in place when the config asks), and scoring
 builds the truth beside it and takes their difference in the truth's
 buffer, so that stage holds two N^2 x N^2 arrays. An `als_n2` trial holds
 its dense estimate from the solve on; its peak is the pair workspace.
