@@ -102,8 +102,8 @@ slower). The copy, N^3 (N + 1) / 2 complex entries, is held
 beside G for the problem's life, which is its cost: at N = 25,
 M_O = 640 a sweep holds 16.1 MiB (12.7 without it), so a trial's
 tracemalloc peak falls during the loss, at 17.7 MiB, above the Gram
-build's 16.4; at N = 64 the copy is about S's size and one trial's peak
-RSS is 597 MiB (590 without it).
+build's 16.4; at N = 64 the copy is about S's size, and one trial's peak
+RSS read the same with it as with the full product (597.7 and 597.6 MiB).
 
 G comes from the observables' real coordinates. An exactly Hermitian O_m
 (`SensingDesign` requires it) holds N^2 real numbers, C_m[x,y] =
