@@ -98,9 +98,9 @@ copy, so each left half-sweep takes one product over them, with no
 choice by size (one BLAS thread, r = 3: 0.64 against 1.17 ms at N = 25;
 14 against 15 us at N = 8, where scattering the result costs about what
 the skipped rows save, though criterion 5's whole N = 8 solves read 2-3%
-slower). The copy, N^3 (N + 1) / 2 complex entries, is held
-beside G for the problem's life, which is its cost: at N = 25,
-M_O = 640 a sweep holds 16.1 MiB (12.7 without it), so a trial's
+slower). The copy, N^3 (N + 1) / 2 complex entries, is held beside G
+for the problem's life, which is its cost: at N = 25, M_O = 640 a
+sweep holds 16.1 MiB (12.7 without it), so a trial's
 tracemalloc peak falls during the loss, at 17.7 MiB, above the Gram
 build's 16.4; at N = 64 the copy is about S's size, and one trial's peak
 RSS read the same with it as with the full product (597.7 and 597.6 MiB).
