@@ -22,14 +22,15 @@ dense matrix is built at scoring, except a `haar` truth, which is the
 drawn matrix itself and is held from the start. A random design is
 drawn in chunks straight into its stack, so it exists once. The design
 and data are dropped when the solve returns. A blockwise solve holds the
-design (M_O x N x N) and the complex N^2 x N^2 `G` throughout, with the
-real N^2 x N^2 `S` while `G` is built and then G's packed lower rows
-(about half of `G`) for the sweeps, and that is a blockwise trial's peak
-(at N=25, M_O=640: 6.1, 6.25 and 3.25 MiB for design, `G` and the rows,
-17.7 MiB at the peak under tracemalloc). Completion then builds the
-dense estimate (hermitized in place when the config asks), and scoring
-builds the truth beside it and takes their difference in the truth's
-buffer, so that stage holds two N^2 x N^2 arrays. An `als_n2` trial holds
+design (M_O x N x N) throughout. It builds the complex N^2 x N^2 `G`
+from the real N^2 x N^2 `S`, gathers G's packed lower rows (about half of
+`G`) and drops `G`, so the sweeps hold the design and the packed rows.
+The Gram build is a blockwise trial's peak (at N=25, M_O=640: 6.1, 6.0
+and 3.1 MiB for design, `G` and the rows, 16.4 MiB at the peak under
+tracemalloc). Completion then builds the dense estimate (hermitized in
+place when the config asks), and scoring builds the truth beside it and
+takes their difference in the truth's buffer, so that stage holds two
+N^2 x N^2 arrays. An `als_n2` trial holds
 its dense estimate from the solve on; its peak is the pair workspace.
 """
 

@@ -63,7 +63,10 @@ def save_matrix_stack(path: str, mats) -> None:
 
 def load_matrix_stack(path: str, count: int) -> np.ndarray:
     """Read a stack written by save_matrix_stack as a C-contiguous
-    (count, N, N) array."""
+    (count, N, N) array; count comes from a manifest, so it is checked to
+    be an integer >= 1 before the file is read."""
+    if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+        raise DimensionError(f"{path}: stack count must be an integer >= 1, got {count!r}")
     block = load_cmx(path)
     width = block.shape[1] // count
     if width * count != block.shape[1]:

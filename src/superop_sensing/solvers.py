@@ -86,24 +86,30 @@ normal matrix sum G[x,a,x',a'] conj(U[x,c]) U[x',c'] and one right-hand
 side sum_x B_k[x,a] conj(U[x,c]) per block. Neither costs anything that
 grows with M.
 
+Both half-sweeps read G in one format: its rows (x, x') with x >= x',
+N (N + 1) / 2 of its N^2 rows, packed once per problem into one array of
+N^3 (N + 1) / 2 complex entries. The full G exists only in the build that
+gathers them, so the sweeps hold the design, B and the packed rows.
+
 The left normal matrix, with rows (x, c) and columns (x', c'), is formed
-on its lower triangle only: G W is computed on G's rows (x, x') with
-x >= x', N (N + 1) / 2 of its N^2 rows, and the other rows of G W are
-left zero. Those rows hold every entry on or below the diagonal, so the
-matrix is exact where it is read. Validity: only `linalg.cholesky_solve`
-reads the normal matrix, and it reads the lower triangle only (its
-stated contract); the least-squares fallback solves the M rows, not the
-normal matrix. The rows are gathered once per problem into a packed
-copy, so each left half-sweep takes one product over them, with no
-choice by size (one BLAS thread, r = 3: 0.64 against 1.17 ms at N = 25;
-14 against 15 us at N = 8, where scattering the result costs about what
-the skipped rows save, though criterion 5's whole N = 8 solves read 2-3%
-slower). The copy, N^3 (N + 1) / 2 complex entries, is held beside G
-for the problem's life, which is its cost: at N = 25, M_O = 640 a
-sweep holds 16.1 MiB (12.7 without it), so a trial's
-tracemalloc peak falls during the loss, at 17.7 MiB, above the Gram
-build's 16.4; at N = 64 the copy is about S's size, and one trial's peak
-RSS read the same with it as with the full product (597.7 and 597.6 MiB).
+on its lower triangle only: G W is computed on the packed rows, and the
+other rows of G W are left zero. Those rows hold every entry on or below
+the diagonal, so the matrix is exact where it is read. Validity: only
+`linalg.cholesky_solve` reads the normal matrix, and it reads the lower
+triangle only (its stated contract); the least-squares fallback solves
+the M rows, not the normal matrix.
+
+The right normal matrix, with rows (a, c) and columns (a', c'), is T + T^H,
+T = sum over the packed rows of z[(x,x'),(c,c')] G[x,a,x',a'] with weights
+z = conj(U[x,c]) U[x',c'], halved on the rows x = x'. This holds as
+G[x,a,x',a'] = conj(G[x',a',x,a]): T^H is the same sum over the rows
+x <= x', and the halving counts the rows x = x', which both sums hold,
+once. The 1/2 is a power of two, so the scale invariance below holds. T
+is one product z^T rows, whose output has only r^2 rows. At one BLAS
+thread it took 0.41 ms at N = 25, r = 3 and 26 ms at N = 64, r = 4,
+against 0.84 and 45 ms for the contraction of the full G over x, then x';
+the other orientation, rows^T z, took the same at N = 25 but 62 ms at
+N = 64.
 
 G comes from the observables' real coordinates. An exactly Hermitian O_m
 (`SensingDesign` requires it) holds N^2 real numbers, C_m[x,y] =
@@ -118,8 +124,10 @@ and i s(x,y) times that where it is -1; on the diagonal x = y one entry
 each for the real and imaginary parts, and x' = y' follows from
 G[x,y,x',y'] = conj(G[x',y',x,y]). G is filled in place from mirrored
 views of S, so besides S and G the build makes no N^4 array but the
-one-byte sign mask of that product (at N = 25, M_O = 640: 9.7 MiB at its
-peak, against 12.1 MiB for the complex product and its transposed copy).
+one-byte sign mask of that product; S goes before the rows x >= x' are
+gathered, and G goes with the gather. At N = 25, M_O = 640 a trial's
+tracemalloc peak falls in this build, at 16.4 MiB: the design (6.1 MiB),
+G (6.0) and its packed rows (3.1).
 
 Validity, on both back ends: normal equations square the condition number.
 A Cholesky solve is used only when the factorization succeeds and its
@@ -436,7 +444,9 @@ class _StackedProblem:
     module docstring), which are computed on first use, so after
     _make_problem's checks, through the one fallback step `_normal_solve`;
     `fallbacks` counts the half-sweeps that assembled their M rows and
-    went to least squares instead.
+    went to least squares instead. G is held in one format, its packed
+    rows (x, x') with x >= x' (`_gram_lower`), which both half-sweeps
+    read; `_gram` builds the full G for their gather only.
     """
 
     def __init__(self, design: SensingDesign, n_blocks: int, b):
@@ -450,11 +460,11 @@ class _StackedProblem:
         self.fallbacks = 0
         self._flat = self.obs.reshape(len(self.obs), -1)    # (M, N^2), col x*N+y
 
-    @cached_property
     def _gram(self):
         """G as the N^2 x N^2 matrix with rows (x, x') and columns (y, y'),
         filled in place from S = C^T C over the real coordinates C of the
-        observables (see the module docstring)."""
+        observables (see the module docstring); the build step of
+        `_gram_lower`, so no caller holds it."""
         n, m = self.n, len(self.obs)
         parts = self.obs.view(np.float64).reshape(m, n, n, 2)
         idx = np.arange(n)
@@ -487,10 +497,10 @@ class _StackedProblem:
 
     @cached_property
     def _gram_lower(self):
-        """G's rows (x, x') with x >= x' (their indices, then the rows packed)."""
+        """G's rows (x, x') with x >= x': x and x', then the rows packed. The
+        full G is built for the gather and dropped with it."""
         x, x_prime = np.tril_indices(self.n)
-        rows = x * self.n + x_prime
-        return rows, self._gram[rows]
+        return x, x_prime, self._gram()[x * self.n + x_prime]
 
     @cached_property
     def _brow(self):
@@ -503,11 +513,15 @@ class _StackedProblem:
 
     def solve_right(self, u):
         n, r = self.n, u.shape[1]
-        # normal matrix sum_{x,x'} conj(U[x,c]) G[x,a,x',a'] U[x',c'], contracted
-        # over x (the leading row index of _gram), then over x'
-        t = (u.conj().T @ self._gram.reshape(n, -1)).reshape(r, n, n * n)
-        t = np.matmul(u.T, t).reshape(r, r, n, n)          # [c, c', a, a']
-        normal = t.transpose(2, 0, 3, 1).reshape(n * r, n * r)
+        # normal matrix sum_{x,x'} conj(U[x,c]) G[x,a,x',a'] U[x',c'] = T + T^H,
+        # T the sum over G's packed rows x >= x' with the rows x = x' weighted
+        # by 1/2, as G[x,a,x',a'] = conj(G[x',a',x,a])
+        x, x_prime, gram_lower = self._gram_lower
+        z = u[x].conj()[:, :, None] * u[x_prime][:, None, :]   # [(x, x'), c, c']
+        z[x == x_prime] *= 0.5
+        t = (z.reshape(len(x), r * r).T @ gram_lower).reshape(r, r, n, n)   # [c, c', a, a']
+        t = t.transpose(2, 0, 3, 1).reshape(n * r, n * r)
+        normal = t + t.conj().T
         # one right-hand side per block: sum_x B_k[x,a] conj(U[x,c])
         rhs = (self._brow.T @ u.conj()).reshape(self.n_blocks, n * r).T
         y = _normal_solve(self, normal, rhs, self.b.T, lambda: np.einsum(
@@ -521,9 +535,9 @@ class _StackedProblem:
         # (see the module docstring)
         vf = v.reshape(self.n_blocks, n * r)
         w = _regroup(vf.T @ vf.conj(), (n, r, n, r))
-        rows, gram_lower = self._gram_lower
+        x, x_prime, gram_lower = self._gram_lower
         gw = np.zeros((n * n, r * r), dtype=np.complex128)
-        gw[rows] = gram_lower @ w
+        gw[x * n + x_prime] = gram_lower @ w
         normal = _regroup(gw, (n, n, r, r))
         rhs = (self._brow @ v).reshape(-1)                 # sum_k B_k V_k
         u = _normal_solve(self, normal, rhs, self.b.reshape(-1), lambda: np.einsum(

@@ -293,6 +293,24 @@ def test_solve_exit_code_2_on_zero_max_iter(tmp_path):
                    "--rank", "1", "--max-iter", "0", "--out", str(tmp_path / "s")) == 2
 
 
+@pytest.mark.parametrize("count", [0, -1, "30", 2.5, True])
+def test_exit_code_2_on_malformed_stack_count(tmp_path, count):
+    # design.json's count feeds solve, superoperator.json's r_plus measure;
+    # r_plus = 0 is a valid truth with no plus operators
+    data_dir = _stored_blockwise_data(tmp_path)
+    design = json.loads((data_dir / "design.json").read_text())
+    (data_dir / "design.json").write_text(json.dumps(dict(design, count=count)))
+    assert run_cli("solve", "--data", str(data_dir), "--strategy", "als_n",
+                   "--rank", "1", "--out", str(tmp_path / "s")) == 2
+    if count == 0:
+        return
+    truth_dir = tmp_path / "truth"
+    truth = json.loads((truth_dir / "superoperator.json").read_text())
+    (truth_dir / "superoperator.json").write_text(json.dumps(dict(truth, r_plus=count)))
+    assert run_cli("measure", "--truth", str(truth_dir), "--design", "blockwise",
+                   "--m", "12", "--seed", "2", "--out", str(tmp_path / "d")) == 2
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_solve_exit_code_2_on_non_finite_data(tmp_path, bad):
     data_dir = _stored_blockwise_data(tmp_path)

@@ -11,7 +11,8 @@ from superop_sensing import (SensingDesign, SolverConfig, build_blockwise_design
                              simulate_measurements, solve_first_row_joint,
                              solve_first_row_parallel, solve_first_row_subset)
 from superop_sensing.errors import DimensionError
-from superop_sensing.linalg import least_squares
+from superop_sensing import solvers
+from superop_sensing.linalg import cholesky_solve, least_squares
 from superop_sensing.measurements import pair_inner_products
 from superop_sensing.models import haar_low_rank_hermitian, superop_from_reshaped
 from superop_sensing.solvers import (_RESTART_FLOOR, RUN_OPTIONS, _make_problem,
@@ -489,21 +490,17 @@ def test_gram_half_sweeps_match_least_squares(n, blocks):
 
 @pytest.mark.parametrize("n, blocks", [(3, 1), (3, 3), (8, 8)])
 def test_left_normal_matrix_reads_only_lower_gram_rows(n, blocks):
-    # solve_left reads only G's rows (x, x') with x >= x': with every other
-    # row of G set to NaN it returns the same bits, and it matches the
+    # solve_left, built from G's rows (x, x') with x >= x' only, matches the
     # least-squares solve of its stacked rows
     rng = np.random.default_rng(7 * n + blocks)
     r = 3
     design = build_blockwise_design(n, 2 * n * r + 5, "random", 0, seed=n * blocks)
     b = complex_gaussian(blocks, design.n_measurements, rng)
     v = complex_gaussian(n * blocks, r, rng)
-    left = _make_problem(design, b, n, n * blocks).solve_left(v)
+    prob = _make_problem(design, b, n, n * blocks)
+    left = prob.solve_left(v)
     want = _lstsq_half_sweeps(design, b, complex_gaussian(n, r, rng), v)[1]
     assert np.linalg.norm(left - want) <= 1e-12 * np.linalg.norm(want)
-    prob = _make_problem(design, b, n, n * blocks)
-    x, x_prime = np.divmod(np.arange(n * n), n)
-    prob._gram[x < x_prime] = np.nan
-    assert prob.solve_left(v).tobytes() == left.tobytes()
     assert prob.fallbacks == 0
 
 
@@ -680,9 +677,9 @@ def test_pair_problems_interleaved_equal_fresh():
 
 
 def _gram_oracle(design):
+    # G[x,y,x',y'] = sum_m O_m[x,y] conj(O_m[x',y']) by the complex product
     n, flat = design.dim_n, design.observables.reshape(design.n_measurements, -1)
-    return (flat.T @ flat.conj()).reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(
-        n * n, n * n)
+    return (flat.T @ flat.conj()).reshape(n, n, n, n)
 
 
 @pytest.mark.parametrize("design", [
@@ -691,16 +688,47 @@ def _gram_oracle(design):
     build_blockwise_design(4, 30, "pauli", seed=122),
     build_blockwise_design(8, 90, "pauli", seed=123)], ids=["r5", "r8", "p4", "p8"])
 def test_gram_matches_complex_product(design):
-    # G from the real coordinates of the Hermitian observables equals the
-    # complex product flat^T conj(flat) up to roundoff, and O -> 2 O scales
-    # it by exactly 4
-    m = design.n_measurements
-    gram = _make_problem(design, np.zeros((2, m)), design.dim_n, 2 * design.dim_n)._gram
-    want = _gram_oracle(design)
-    assert np.linalg.norm(gram - want) <= 1e-13 * np.linalg.norm(want)
-    doubled = SensingDesign("blockwise", design.dim_n, 2 * design.observables)
-    gram2 = _make_problem(doubled, np.zeros((2, m)), design.dim_n, 2 * design.dim_n)._gram
-    assert np.array_equal(gram2, 4 * gram)
+    # G's packed rows (x, x') with x >= x', built from the real coordinates
+    # of the Hermitian observables, equal the complex product's rows up to
+    # roundoff, and O -> 2 O scales them by exactly 4
+    n, m = design.dim_n, design.n_measurements
+    x, x_prime, rows = _make_problem(design, np.zeros((2, m)), n, 2 * n)._gram_lower
+    assert len(x) == n * (n + 1) // 2 and np.all(x >= x_prime)
+    want = _gram_oracle(design)[x, :, x_prime, :].reshape(len(x), n * n)
+    assert np.linalg.norm(rows - want) <= 1e-13 * np.linalg.norm(want)
+    doubled = SensingDesign("blockwise", n, 2 * design.observables)
+    rows2 = _make_problem(doubled, np.zeros((2, m)), n, 2 * n)._gram_lower[2]
+    assert np.array_equal(rows2, 4 * rows)
+
+
+@pytest.mark.parametrize("n, blocks", [(5, 1), (8, 3)])
+def test_sweeps_hold_only_the_packed_gram_rows(n, blocks, monkeypatch):
+    # after the first sweep the problem holds no N^4-entry array (M_O < N^2,
+    # so not even the design has that many), and the right normal matrix
+    # from the packed rows matches the full-G contraction
+    # sum_{x,x'} conj(U[x,c]) G[x,a,x',a'] U[x',c'] of the oracle
+    r = 2
+    design = build_blockwise_design(n, n * n - 1, "random", 0, seed=126 + n)
+    rng = np.random.default_rng(127 + n)
+    b = complex_gaussian(blocks, design.n_measurements, rng)
+    u = complex_gaussian(n, r, rng)
+    normals = []
+
+    def recording(normal, rhs):
+        normals.append(normal.copy())
+        return cholesky_solve(normal, rhs)
+
+    monkeypatch.setattr(solvers, "cholesky_solve", recording)
+    prob = _make_problem(design, b, n, n * blocks)
+    prob.sweep(u)
+    held = [a for value in vars(prob).values()
+            for a in (value if isinstance(value, tuple) else (value,))
+            if isinstance(a, np.ndarray)]
+    assert max(a.size for a in held) < n ** 4
+    assert prob._gram_lower[2].size == n ** 3 * (n + 1) // 2
+    want = np.einsum("xc,xayb,yd->acbd", u.conj(), _gram_oracle(design), u).reshape(
+        n * r, n * r)
+    assert np.linalg.norm(normals[0] - want) <= 1e-13 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("blocks", [1, 3])
