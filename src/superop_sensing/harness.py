@@ -14,7 +14,9 @@ jointly, or on a subset) and complete the matrix deterministically.
 
 A trial runs six timed stages (`STAGES`): truth, design, simulate, solve,
 reconstruct and score. Their times are kept per record (`stage_s`) and
-emitted under `timings` only.
+emitted under `timings` only, as are the solve's own parts, summed over
+its solve reports (`solve_part_s`: Gram build, right and left half-sweeps,
+losses).
 
 Memory: each N^2 x N^2 array of a trial lives only while something reads
 it. The truth is drawn in signed Kraus form (`models.draw_truth`) and its
@@ -22,15 +24,16 @@ dense matrix is built at scoring, except a `haar` truth, which is the
 drawn matrix itself and is held from the start. A random design is
 drawn in chunks straight into its stack, so it exists once. The design
 and data are dropped when the solve returns. A blockwise solve holds the
-design (M_O x N x N) throughout. It builds the complex N^2 x N^2 `G`
-from the real N^2 x N^2 `S`, gathers G's packed lower rows (about half of
-`G`) and drops `G`, so the sweeps hold the design and the packed rows.
-The Gram build is a blockwise trial's peak (at N=25, M_O=640: 6.1, 6.0
-and 3.1 MiB for design, `G` and the rows, 16.4 MiB at the peak under
-tracemalloc). Completion then builds the dense estimate (hermitized in
-place when the config asks), and scoring builds the truth beside it and
-takes their difference in the truth's buffer, so that stage holds two
-N^2 x N^2 arrays. An `als_n2` trial holds
+design (M_O x N x N) throughout. It fills G's packed lower rows (about
+half of the complex N^2 x N^2 `G`, which is never made) straight from
+the real N^2 x N^2 `S` and drops `S`, so the sweeps hold the design and
+the packed rows. At N=25, M_O=640 the Gram build is a blockwise trial's
+peak (6.1, 3.0 and 3.1 MiB for design, `S` and the rows, 13.1 MiB at the
+peak under tracemalloc), with scoring about 1 MiB below it. Completion
+then builds the dense estimate (hermitized in place when the config
+asks), and scoring builds the truth beside it and takes their difference
+in the truth's buffer, so that stage holds two N^2 x N^2 arrays, which
+bind at N=64. An `als_n2` trial holds
 its dense estimate from the solve on; its peak is the pair workspace.
 """
 
@@ -274,6 +277,7 @@ class TrialRecord:
     stop: str = ""          # "converged" if every solve converged, else "max_iter"
     final_loss: float | None = None   # mean of the solves' final losses
     stage_s: dict = field(default_factory=dict)   # STAGES -> seconds; empty if it raised
+    solve_part_s: dict = field(default_factory=dict)   # summed SolveReport.part_s; likewise
 
 
 @dataclass
@@ -342,7 +346,7 @@ def _run_trial(config: ExperimentConfig, point_idx: int, m: int, trial: int) -> 
                        totals["iterations"], totals["restarts"],
                        error < config.recovery_threshold, fallbacks=totals["fallbacks"],
                        stop=totals["stop"], final_loss=totals["final_loss"],
-                       stage_s=stage_s)
+                       stage_s=stage_s, solve_part_s=totals["part_s"])
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -377,6 +381,7 @@ def _result_payload(result: ExperimentResult, aggregates: list) -> tuple[dict, d
         agg = dict(agg)
         times = {"per_trial_s": [r.wall_time for r in point.records],
                  "per_trial_stage_s": [r.stage_s for r in point.records],
+                 "per_trial_solve_part_s": [r.solve_part_s for r in point.records],
                  "mean_time_s": agg.pop("mean_time_s"),
                  "std_time_s": agg.pop("std_time_s")}
         records = [{"trial": r.trial, "error": r.error, "iterations": r.iterations,

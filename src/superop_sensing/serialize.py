@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DimensionError
 from .linalg import load_cmx, save_cmx
-from .measurements import MeasurementSet, SensingDesign
+from .measurements import DESIGN_KINDS, MeasurementSet, SensingDesign
 from .models import Superoperator
 
 __all__ = [
@@ -120,11 +120,19 @@ def save_design(out_dir: str, design: SensingDesign, seed: int | None = None) ->
     save_json(os.path.join(out_dir, "design.json"), manifest)
 
 
+def _load_manifest(path: str) -> tuple[dict, str]:
+    """A manifest and its kind, which must be one of DESIGN_KINDS."""
+    manifest = load_json(path)
+    if manifest["kind"] not in DESIGN_KINDS:
+        raise DimensionError(f"{path}: unknown kind {manifest['kind']!r}")
+    return manifest, manifest["kind"]
+
+
 def load_design(in_dir: str) -> SensingDesign:
-    manifest = load_json(os.path.join(in_dir, "design.json"))
+    manifest, kind = _load_manifest(os.path.join(in_dir, "design.json"))
     count = manifest["count"]
     obs = load_matrix_stack(os.path.join(in_dir, "observables.cmx"), count)
-    if manifest["kind"] == "random_pairs":
+    if kind == "random_pairs":
         states = load_matrix_stack(os.path.join(in_dir, "states.cmx"), count)
         return SensingDesign("random_pairs", manifest["dim_n"], obs, states=states)
     return SensingDesign("blockwise", manifest["dim_n"], obs,
@@ -151,9 +159,9 @@ def save_measurements(out_dir: str, data: MeasurementSet) -> None:
 
 
 def load_measurements(in_dir: str) -> MeasurementSet:
-    manifest = load_json(os.path.join(in_dir, "measurements.json"))
+    manifest, kind = _load_manifest(os.path.join(in_dir, "measurements.json"))
     values = load_cmx(os.path.join(in_dir, "values.cmx"))
-    if manifest["kind"] == "blockwise":
+    if kind == "blockwise":
         payload = np.ascontiguousarray(values.T)                # N x M_O
     else:
         payload = values[:, 0].real.copy()

@@ -87,9 +87,9 @@ side sum_x B_k[x,a] conj(U[x,c]) per block. Neither costs anything that
 grows with M.
 
 Both half-sweeps read G in one format: its rows (x, x') with x >= x',
-N (N + 1) / 2 of its N^2 rows, packed once per problem into one array of
-N^3 (N + 1) / 2 complex entries. The full G exists only in the build that
-gathers them, so the sweeps hold the design, B and the packed rows.
+N (N + 1) / 2 of its N^2 rows, in one array of N^3 (N + 1) / 2 complex
+entries filled once per problem straight from S (below). No full G is
+ever made, so the sweeps hold the design, B and the packed rows.
 
 The left normal matrix, with rows (x, c) and columns (x', c'), is formed
 on its lower triangle only: G W is computed on the packed rows, and the
@@ -120,14 +120,18 @@ update, a quarter of the multiplies of the complex product
 flat^T conj(flat), and each entry of G is a sum or difference of at most
 two entries of S: off both diagonals, G[x,y,x',y'] = S[x,y,x',y'] +
 S[y,x,y',x'] + i (S[x,y,y',x'] - S[y,x,x',y']) where s(x,y) s(x',y') = 1
-and i s(x,y) times that where it is -1; on the diagonal x = y one entry
-each for the real and imaginary parts, and x' = y' follows from
-G[x,y,x',y'] = conj(G[x',y',x,y]). G is filled in place from mirrored
-views of S, so besides S and G the build makes no N^4 array but the
-one-byte sign mask of that product; S goes before the rows x >= x' are
-gathered, and G goes with the gather. At N = 25, M_O = 640 a trial's
-tracemalloc peak falls in this build, at 16.4 MiB: the design (6.1 MiB),
-G (6.0) and its packed rows (3.1).
+and i s(x,y) times that where it is -1; on the diagonal y = x one entry
+each for the real and imaginary parts; and on y' = x', as G[x,y,x',y'] =
+conj(G[x',y',x,y]), G[x,y,x',x'] = S[x',x',min,max] + i s(x,y)
+S[x',x',max,min], min and max of x and y, with imaginary part -0.0 where
+y = x. Only the packed rows are filled, x by x: the x + 1 rows (x, x'),
+viewed as [y, x', y'], from the four views of S indexed alike, a[x,:,:k,:],
+a[:,x,:k,:], a[x,:,:,:k] and a[:,x,:,:k] with a = S as [x,y,x',y'] and
+k = x + 1, then the row y = x and the entries y' = x'. C goes before the
+rows are allocated and S when the build returns, so the build holds S,
+the rows and one-byte masks of at most N^2 k entries. At N = 25,
+M_O = 640 it peaks at 6.5 MiB under tracemalloc, 1.07 times S (3.0 MiB)
+and the rows (3.1). A trial's peak, 13.1 MiB, still falls in this build.
 
 Validity, on both back ends: normal equations square the condition number.
 A Cholesky solve is used only when the factorization succeeds and its
@@ -175,7 +179,7 @@ import math
 import numbers
 import time
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, wraps
 
 import numpy as np
 
@@ -285,10 +289,30 @@ class SolveReport:
     wall_time: float = 0.0
     fallbacks: int = 0      # half-sweeps that fell back from Cholesky to least squares
     stop: str = "max_iter"  # or "converged": why the loop ended
+    part_s: dict = field(default_factory=dict)   # _PARTS -> seconds of the problem's work
 
 
 # ---------------------------------------------------------------------------
 # problem back ends
+
+
+# a problem's timed work: the Gram build (blockwise only), the right and
+# left half-sweeps and the losses
+_PARTS = ("gram", "right", "left", "loss")
+
+
+def _timed(part):
+    """Method decorator: add a call's seconds to self.part_s[part], less
+    those that timed calls inside it add, so none is counted twice."""
+    def wrap(method):
+        @wraps(method)
+        def timed(self, *args):
+            start = time.perf_counter() - sum(self.part_s.values())
+            out = method(self, *args)
+            self.part_s[part] += time.perf_counter() - sum(self.part_s.values()) - start
+            return out
+        return timed
+    return wrap
 
 
 def _loss(values, b) -> float:
@@ -339,6 +363,7 @@ class _PairProblem:
             raise DimensionError(f"{self.b.size} data values for {len(self.obs)} pairs")
         self.m_total = self.b.size
         self.fallbacks = 0
+        self.part_s = dict.fromkeys(_PARTS, 0.0)
         self._work = None   # (rank, rows, scratch, normal matrix)
 
     def _workspace(self, r):
@@ -405,20 +430,31 @@ class _PairProblem:
         return _normal_solve(self, self._normal(g), (self.b.conj() @ g).conj(), self.b,
                              lambda: g)
 
+    @_timed("right")
     def solve_right(self, u):
         return self._uncols(self._solve_rows(self._rows_right(u)).conj(), u.shape[1])
 
+    @_timed("left")
+    def _left(self, v):
+        # the left rows at v and their solution
+        h = self._rows_left(v)
+        return h, self._solve_rows(h)
+
     def solve_left(self, v):
-        return self._uncols(self._solve_rows(self._rows_left(v)), v.shape[1])
+        return self._uncols(self._left(v)[1], v.shape[1])
 
     def sweep(self, u):
         v = self.solve_right(u)
-        h = self._rows_left(v)
-        y = self._solve_rows(h)
-        return v, self._uncols(y, v.shape[1]), _loss(h @ y, self.b)
+        h, y = self._left(v)
+        return v, self._uncols(y, v.shape[1]), self._rows_loss(h, y)
 
+    @_timed("loss")
+    def _rows_loss(self, h, y):
+        return _loss(h @ y, self.b)
+
+    @_timed("loss")
     def loss(self, u, v):
-        return _loss(self._rows_left(v) @ self._cols(u).reshape(-1), self.b)
+        return self._rows_loss(self._rows_left(v), self._cols(u).reshape(-1))
 
     def loss_of(self, x):
         return _loss(pair_inner_products(self.rho, self.obs, x), self.b)
@@ -446,7 +482,10 @@ class _StackedProblem:
     `fallbacks` counts the half-sweeps that assembled their M rows and
     went to least squares instead. G is held in one format, its packed
     rows (x, x') with x >= x' (`_gram_lower`), which both half-sweeps
-    read; `_gram` builds the full G for their gather only.
+    read; they are filled straight from S, so no full G is made.
+    `part_s` adds up the seconds of the Gram build, each half-sweep and
+    each loss (the pair back end, with no Gram build, keeps the same
+    account).
     """
 
     def __init__(self, design: SensingDesign, n_blocks: int, b):
@@ -458,13 +497,17 @@ class _StackedProblem:
         self.b = np.asarray(b, dtype=np.complex128).reshape(n_blocks, len(self.obs))
         self.m_total = self.b.size
         self.fallbacks = 0
+        self.part_s = dict.fromkeys(_PARTS, 0.0)
         self._flat = self.obs.reshape(len(self.obs), -1)    # (M, N^2), col x*N+y
 
-    def _gram(self):
-        """G as the N^2 x N^2 matrix with rows (x, x') and columns (y, y'),
-        filled in place from S = C^T C over the real coordinates C of the
-        observables (see the module docstring); the build step of
-        `_gram_lower`, so no caller holds it."""
+    @cached_property
+    @_timed("gram")
+    def _gram_lower(self):
+        """G's rows (x, x') with x >= x': x and x', then the rows packed,
+        row (x, x') at x (x + 1) / 2 + x' with columns (y, y'). Each x fills
+        its x + 1 rows from mirrored views of S = C^T C over the real
+        coordinates C of the observables (see the module docstring); S goes
+        on return, and no full G is made."""
         n, m = self.n, len(self.obs)
         parts = self.obs.view(np.float64).reshape(m, n, n, 2)
         idx = np.arange(n)
@@ -473,34 +516,35 @@ class _StackedProblem:
         s = coords.T @ coords                              # symmetric rank-k update
         del coords
         a = s.reshape(n, n, n, n)                          # a[x,y,x',y'] = S[(x,y),(x',y')]
-        b, c, d = a.transpose(1, 0, 2, 3), a.transpose(0, 1, 3, 2), a.transpose(1, 0, 3, 2)
-        gram = np.empty((n * n, n * n), dtype=np.complex128)
-        g4 = gram.reshape(n, n, n, n).transpose(0, 2, 1, 3)   # indexed [x,y,x',y']
-        re, im = g4.real, g4.imag
-        # off both diagonals: a + d + i (c - b), times i s(x,y) where s(x,y) s(x',y') < 0
-        np.add(a, d, out=re)
-        np.subtract(c, b, out=im)
-        np.multiply(g4, 1j * sign[:, :, None, None], out=g4,
-                    where=np.multiply.outer(sign, sign) < 0)
-        # x = y: G = S[(x,x), (min, max)'] - i s(x',y') S[(x,x), (max, min)']
-        lower = sign > 0
-        re1, im1 = np.einsum("iijk->ijk", re), np.einsum("iijk->ijk", im)
-        a1, c1 = np.einsum("iijk->ijk", a), np.einsum("iijk->ijk", c)
-        np.copyto(re1, a1)
-        np.copyto(re1, c1, where=lower)
-        np.copyto(im1, c1, where=sign < 0)
-        np.negative(a1, out=im1, where=lower)
-        # x' = y' from x = y, as G[x,y,x',y'] = conj(G[x',y',x,y])
-        np.copyto(np.einsum("ijkk->ijk", re), re1.transpose(1, 2, 0))
-        np.negative(im1.transpose(1, 2, 0), out=np.einsum("ijkk->ijk", im))
-        return gram
-
-    @cached_property
-    def _gram_lower(self):
-        """G's rows (x, x') with x >= x': x and x', then the rows packed. The
-        full G is built for the gather and dropped with it."""
-        x, x_prime = np.tril_indices(self.n)
-        return x, x_prime, self._gram()[x * self.n + x_prime]
+        diag = np.einsum("iijk->ijk", a)                   # S's rows (x', x')
+        x, x_prime = np.tril_indices(n)
+        rows = np.empty((len(x), n * n), dtype=np.complex128)
+        # negation is a product with -1.0: np.negative (numpy 2.4) is wrong on
+        # an input of 64-byte stride written to a non-contiguous output
+        for i in range(n):
+            k = i + 1                                      # rows (i, x') with x' < k
+            g = rows[i * k // 2:i * k // 2 + k].reshape(k, n, n).transpose(1, 0, 2)
+            re, im = g.real, g.imag                        # indexed [y, x', y']
+            # off both diagonals: a + d + i (c - b), times i s(x,y) where s(x,y) s(x',y') < 0
+            np.add(a[i, :, :k], a[:, i, :, :k].transpose(0, 2, 1), out=re)
+            np.subtract(a[i, :, :, :k].transpose(0, 2, 1), a[:, i, :k], out=im)
+            np.multiply(g, 1j * sign[i, :, None, None], out=g,
+                        where=sign[i, :, None, None] * sign[:k] < 0)
+            # y = x: G = S[(x,x), (min, max)'] - i s(x',y') S[(x,x), (max, min)']
+            lower = sign[:k] > 0
+            a1, c1 = a[i, i, :k], a[i, i, :, :k].T
+            np.copyto(re[i], a1)
+            np.copyto(re[i], c1, where=lower)
+            np.copyto(im[i], c1, where=sign[:k] < 0)
+            np.multiply(a1, -1.0, out=im[i], where=lower)
+            # y' = x': G = S[(x',x'), (min, max)] + i s(x,y) S[(x',x'), (max, min)]
+            re_d, im_d = np.einsum("ijj->ij", re[:, :, :k]), np.einsum("ijj->ij", im[:, :, :k])
+            np.copyto(re_d, diag[:k, i].T)
+            np.copyto(re_d, diag[:k, :, i].T, where=sign[i, :, None] > 0)
+            np.copyto(im_d, diag[:k, i].T, where=sign[i, :, None] > 0)
+            np.multiply(diag[:k, :, i].T, -1.0, out=im_d, where=sign[i, :, None] < 0)
+            im_d[i] = -0.0
+        return x, x_prime, rows
 
     @cached_property
     def _brow(self):
@@ -511,6 +555,7 @@ class _StackedProblem:
     def _split(self, v):
         return v.reshape(self.n_blocks, self.n, v.shape[1])
 
+    @_timed("right")
     def solve_right(self, u):
         n, r = self.n, u.shape[1]
         # normal matrix sum_{x,x'} conj(U[x,c]) G[x,a,x',a'] U[x',c'] = T + T^H,
@@ -528,6 +573,7 @@ class _StackedProblem:
             "mxa,xc->mac", self.obs.conj(), u).reshape(len(self.obs), -1))
         return y.T.conj().reshape(self.d2, r)             # y is (N r, n_blocks)
 
+    @_timed("left")
     def solve_left(self, v):
         n, r = self.n, v.shape[1]
         # normal matrix sum_{y,y'} G[x,y,x',y'] W[y,c,y',c'], W = sum_k V_k (x) conj(V_k),
@@ -550,6 +596,7 @@ class _StackedProblem:
         u_new = self.solve_left(v)
         return v, u_new, self.loss(u_new, v)
 
+    @_timed("loss")
     def loss(self, u, v):
         # value (k, m) = <O_m, U V_k^H> = sum_{a,c} (O_m U)[a,c] conj(V_k[a,c]), as
         # conj(O_m[x,a]) = O_m[a,x]: O stacked as (M N) x N times U, then conj(V)
@@ -673,7 +720,7 @@ def nesterov_als_solve(design, b, d1: int, d2: int,
             break
     return SolveReport(FactorPair(best[0], best[1]), best[2], iterations,
                        restarts, trace, time.perf_counter() - start, prob.fallbacks,
-                       stop)
+                       stop, dict(prob.part_s))
 
 
 # ---------------------------------------------------------------------------
@@ -735,7 +782,8 @@ def _row_parallel(design: SensingDesign, values, n: int, config: SolverConfig):
                                iterations=sum(rep.iterations for rep in tries),
                                restarts=sum(rep.restarts for rep in tries),
                                fallbacks=sum(rep.fallbacks for rep in tries),
-                               wall_time=sum(rep.wall_time for rep in tries)))
+                               wall_time=sum(rep.wall_time for rep in tries),
+                               part_s=_sum_parts(tries)))
     return row, reports
 
 
@@ -820,11 +868,16 @@ def solve_strategy(strategy: str, design: SensingDesign, values, config: SolverC
     return row, [report]
 
 
+def _sum_parts(reports) -> dict:
+    return {name: sum(r.part_s[name] for r in reports) for name in _PARTS}
+
+
 def report_totals(reports) -> dict:
     """The solve reports of one strategy run reduced to one summary.
 
-    iterations, restarts, fallbacks and wall_time_s are summed over the
-    reports; final_loss is their mean, which for `als_p` is the loss of the
+    iterations, restarts, fallbacks, wall_time_s and part_s, the seconds of
+    each part of the solves, are summed over the reports; final_loss is
+    their mean, which for `als_p` is the loss of the
     whole row (every block has the same number of data); stop is
     "converged" when every solve converged, else "max_iter".
     """
@@ -832,6 +885,7 @@ def report_totals(reports) -> dict:
             "restarts": sum(r.restarts for r in reports),
             "fallbacks": sum(r.fallbacks for r in reports),
             "wall_time_s": sum(r.wall_time for r in reports),
+            "part_s": _sum_parts(reports),
             "final_loss": float(np.mean([r.final_loss for r in reports])),
             "stop": ("converged" if all(r.stop == "converged" for r in reports)
                      else "max_iter")}

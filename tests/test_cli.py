@@ -311,6 +311,19 @@ def test_exit_code_2_on_malformed_stack_count(tmp_path, count):
                    "--m", "12", "--seed", "2", "--out", str(tmp_path / "d")) == 2
 
 
+@pytest.mark.parametrize("manifest", ["design.json", "measurements.json"])
+def test_solve_exit_code_2_on_unknown_kind(tmp_path, capsys, manifest):
+    # a kind other than "blockwise" or "random_pairs" in either stored file
+    # is rejected, not read as the other kind
+    data_dir = _stored_blockwise_data(tmp_path)
+    stored = json.loads((data_dir / manifest).read_text())
+    (data_dir / manifest).write_text(json.dumps(dict(stored, kind="bogus")))
+    assert run_cli("solve", "--data", str(data_dir), "--strategy", "als_n",
+                   "--rank", "1", "--out", str(tmp_path / "s")) == 2
+    assert "unknown kind 'bogus'" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_solve_exit_code_2_on_non_finite_data(tmp_path, bad):
     data_dir = _stored_blockwise_data(tmp_path)
@@ -440,5 +453,6 @@ def test_solve_report_is_the_shared_reduction(tmp_path, strategy):
                                 load_measurements(str(data_dir)).values,
                                 SolverConfig(rank=2, seed=6))
     totals = report_totals(reports)
-    del totals["wall_time_s"], report["wall_time_s"]
+    for timing in ("wall_time_s", "part_s"):
+        del totals[timing], report[timing]
     assert {k: report[k] for k in totals} == totals

@@ -352,11 +352,18 @@ def test_trial_stage_times(tmp_path):
     emit_results(result, str(tmp_path))
     payload = load_json(str(tmp_path / "results.json"))
     assert payload["timings"]["points"][0]["per_trial_stage_s"] == [record.stage_s]
+    # the solve's parts, summed over its reports, likewise
+    assert tuple(record.solve_part_s) == ("gram", "right", "left", "loss")
+    assert sum(record.solve_part_s.values()) <= record.stage_s["solve"]
+    assert payload["timings"]["points"][0]["per_trial_solve_part_s"] == [
+        record.solve_part_s]
     payload.pop("timings")
     assert "stage" not in json.dumps(payload)
+    assert "part_s" not in json.dumps(payload)
     # a trial that raised has no stage times
     failed = run_experiment(_small_config(solver={"rank": 5}, trials=1))
     assert failed.points[0].records[0].stage_s == {}
+    assert failed.points[0].records[0].solve_part_s == {}
 
 
 @pytest.mark.parametrize("field, task", [

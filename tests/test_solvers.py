@@ -16,7 +16,8 @@ from superop_sensing.linalg import cholesky_solve, least_squares
 from superop_sensing.measurements import pair_inner_products
 from superop_sensing.models import haar_low_rank_hermitian, superop_from_reshaped
 from superop_sensing.solvers import (_RESTART_FLOOR, RUN_OPTIONS, _make_problem,
-                                     check_run_options, derive_seed, solve_strategy)
+                                     check_run_options, derive_seed, report_totals,
+                                     solve_strategy)
 
 
 def plain_als(design, b, d1, d2, cfg):
@@ -682,15 +683,22 @@ def _gram_oracle(design):
     return (flat.T @ flat.conj()).reshape(n, n, n, n)
 
 
+_GRAM_SIZES = (2, 3, 4, 8, 9, 16)
+
+
 @pytest.mark.parametrize("design", [
     build_blockwise_design(5, 40, "random", seed=120),
     build_blockwise_design(8, 70, "random", seed=121),
     build_blockwise_design(4, 30, "pauli", seed=122),
-    build_blockwise_design(8, 90, "pauli", seed=123)], ids=["r5", "r8", "p4", "p8"])
+    build_blockwise_design(8, 90, "pauli", seed=123)] + [
+    build_blockwise_design(n, n * n + 3, "random", seed=130 + n) for n in _GRAM_SIZES],
+    ids=["r5", "r8", "p4", "p8"] + [f"n{n}" for n in _GRAM_SIZES])
 def test_gram_matches_complex_product(design):
     # G's packed rows (x, x') with x >= x', built from the real coordinates
     # of the Hermitian observables, equal the complex product's rows up to
-    # roundoff, and O -> 2 O scales them by exactly 4
+    # roundoff, and O -> 2 O scales them by exactly 4; the sizes cover every
+    # shape of the per-x fill, and at N = 8 its views have the 64-byte input
+    # stride on which numpy 2.4's np.negative returns wrong values
     n, m = design.dim_n, design.n_measurements
     x, x_prime, rows = _make_problem(design, np.zeros((2, m)), n, 2 * n)._gram_lower
     assert len(x) == n * (n + 1) // 2 and np.all(x >= x_prime)
@@ -699,6 +707,46 @@ def test_gram_matches_complex_product(design):
     doubled = SensingDesign("blockwise", n, 2 * design.observables)
     rows2 = _make_problem(doubled, np.zeros((2, m)), n, 2 * n)._gram_lower[2]
     assert np.array_equal(rows2, 4 * rows)
+
+
+def test_gram_build_holds_only_s_and_the_packed_rows():
+    # the build fills the packed rows straight from S: at M_O = N^2 its peak
+    # is S (N^4 float64) and the rows (N^3 (N + 1) / 2 complex), plus small
+    # per-x masks; a full complex G beside them would add N^4 complex
+    n = 25
+    design = build_blockwise_design(n, n * n, "random", seed=129)
+    prob = _make_problem(design, np.zeros((1, n * n)), n, n)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        prob._gram_lower
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.15 * (8 * n ** 4 + 8 * n ** 3 * (n + 1))
+
+
+@pytest.mark.parametrize("strategy", ["als_n2", "als_p", "als_n", "als_i"])
+def test_solve_parts_are_timed(strategy):
+    # each report splits its solve into the Gram build (blockwise only), the
+    # two half-sweeps and the losses, and report_totals sums the splits
+    n = 3
+    if strategy == "als_n2":
+        design = build_random_design(n, 60, "random", seed=140)
+        values = complex_gaussian(60, 1, seed=141)[:, 0]
+    else:
+        design = build_blockwise_design(n, 20, "random", seed=142)
+        values = complex_gaussian(n, 20, seed=143)
+    _, reports = solve_strategy(strategy, design, values,
+                                SolverConfig(rank=2, seed=1, max_iter=4), 0.5)
+    for rep in reports:
+        assert tuple(rep.part_s) == ("gram", "right", "left", "loss")
+        assert all(t >= 0 for t in rep.part_s.values())
+        assert sum(rep.part_s.values()) <= rep.wall_time
+        assert (rep.part_s["gram"] > 0) == (strategy != "als_n2")
+        assert min(rep.part_s["right"], rep.part_s["left"], rep.part_s["loss"]) > 0
+    assert report_totals(reports)["part_s"] == {
+        name: sum(rep.part_s[name] for rep in reports) for name in reports[0].part_s}
 
 
 @pytest.mark.parametrize("n, blocks", [(5, 1), (8, 3)])

@@ -16,12 +16,15 @@ workload per process, as heap state carries across workloads in one
 process. BLAS runs on one thread, set before numpy loads, as in the
 benchmark.
 
-Prints one JSON object: per side the median trial time and the median of
-each stage time (`stage_s`), the ratio of the change's median trial time
-to the base's, the number of trials where the change was faster, whether
-iterations, restarts, fallbacks and stop agree on every trial, and the
-largest relative difference of the trial errors. This is supporting
-evidence; it does not replace the benchmark's alternating run pairs.
+Prints one JSON object: per side the median trial time, the median of
+each stage time (`stage_s`) and the median of each part of the solve
+(`solve_part_s`: Gram build, right and left half-sweeps, losses; empty
+for a revision that does not record them), the ratio of the change's
+median trial time to the base's, the number of trials where the change
+was faster, whether iterations, restarts, fallbacks and stop agree on
+every trial, and the largest relative difference of the trial errors.
+This is supporting evidence; it does not replace the benchmark's
+alternating run pairs.
 """
 
 from __future__ import annotations
@@ -65,13 +68,16 @@ def trial(harness, config: dict, master_seed: int) -> dict:
     record = harness.run_experiment(cfg).points[0].records[0]
     return {"seconds": time.perf_counter() - start, "error": record.error,
             "counts": [record.iterations, record.restarts, record.fallbacks, record.stop],
-            "stage_s": record.stage_s, "message": record.message}
+            "stage_s": record.stage_s, "part_s": getattr(record, "solve_part_s", {}),
+            "message": record.message}
 
 
 def side_summary(trials: list) -> dict:
     return {"trial_s_p50": statistics.median(t["seconds"] for t in trials),
             "stage_s_p50": {name: statistics.median(t["stage_s"][name] for t in trials)
                             for name in trials[0]["stage_s"]},
+            "part_s_p50": {name: statistics.median(t["part_s"][name] for t in trials)
+                           for name in trials[0]["part_s"]},
             "failed": sum(bool(t["message"]) for t in trials)}
 
 
