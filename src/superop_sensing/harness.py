@@ -28,7 +28,7 @@ design (M_O x N x N) throughout. It fills G's packed lower rows (about
 half of the complex N^2 x N^2 `G`, which is never made) straight from
 the real N^2 x N^2 `S` and drops `S`, so the sweeps hold the design and
 the packed rows. At N=25, M_O=640 the Gram build is a blockwise trial's
-peak (6.1, 3.0 and 3.1 MiB for design, `S` and the rows, 13.1 MiB at the
+peak (6.1, 3.0 and 3.1 MiB for design, `S` and the rows, 13.3 MiB at the
 peak under tracemalloc), with scoring about 1 MiB below it. Completion
 then builds the dense estimate (hermitized in place when the config
 asks), and scoring builds the truth beside it and takes their difference

@@ -159,10 +159,17 @@ def save_measurements(out_dir: str, data: MeasurementSet) -> None:
 
 
 def load_measurements(in_dir: str) -> MeasurementSet:
+    """Stored data, which must have their manifest's `shape`; pair values
+    must be one real column."""
     manifest, kind = _load_manifest(os.path.join(in_dir, "measurements.json"))
-    values = load_cmx(os.path.join(in_dir, "values.cmx"))
+    path = os.path.join(in_dir, "values.cmx")
+    values = load_cmx(path)
+    if list(values.shape) != manifest["shape"]:
+        raise DimensionError(f"{path}: shape {list(values.shape)}, manifest {manifest['shape']}")
     if kind == "blockwise":
         payload = np.ascontiguousarray(values.T)                # N x M_O
+    elif values.shape[1] != 1 or values.imag.any():
+        raise DimensionError(f"{path}: pair values must be one real column")
     else:
         payload = values[:, 0].real.copy()
     return MeasurementSet(manifest["design_ref"], payload, manifest["sigma"],

@@ -113,25 +113,20 @@ N = 64.
 
 G comes from the observables' real coordinates. An exactly Hermitian O_m
 (`SensingDesign` requires it) holds N^2 real numbers, C_m[x,y] =
-Re O_m[x,y] for x <= y and Im O_m[x,y] for x > y, so with s(x,y) the sign
-of x - y, Re O_m[x,y] = C_m[min, max] and Im O_m[x,y] = s(x,y) C_m[max,
-min]. S = C^T C over the M x N^2 real matrix C is one symmetric rank-k
-update, a quarter of the multiplies of the complex product
-flat^T conj(flat), and each entry of G is a sum or difference of at most
-two entries of S: off both diagonals, G[x,y,x',y'] = S[x,y,x',y'] +
-S[y,x,y',x'] + i (S[x,y,y',x'] - S[y,x,x',y']) where s(x,y) s(x',y') = 1
-and i s(x,y) times that where it is -1; on the diagonal y = x one entry
-each for the real and imaginary parts; and on y' = x', as G[x,y,x',y'] =
-conj(G[x',y',x,y]), G[x,y,x',x'] = S[x',x',min,max] + i s(x,y)
-S[x',x',max,min], min and max of x and y, with imaginary part -0.0 where
-y = x. Only the packed rows are filled, x by x: the x + 1 rows (x, x'),
-viewed as [y, x', y'], from the four views of S indexed alike, a[x,:,:k,:],
-a[:,x,:k,:], a[x,:,:,:k] and a[:,x,:,:k] with a = S as [x,y,x',y'] and
-k = x + 1, then the row y = x and the entries y' = x'. C goes before the
-rows are allocated and S when the build returns, so the build holds S,
-the rows and one-byte masks of at most N^2 k entries. At N = 25,
-M_O = 640 it peaks at 6.5 MiB under tracemalloc, 1.07 times S (3.0 MiB)
-and the rows (3.1). A trial's peak, 13.1 MiB, still falls in this build.
+Re O_m[x,y] for x <= y and Im O_m[x,y] for x > y, so with s = s(x,y) the
+sign of x - y and p, q the flat indices of (min, max) and (max, min) of x
+and y, O_m[x,y] = C_m[p] + i s C_m[q] (s = 0 on the diagonal). S = C^T C
+over the M x N^2 real matrix C is one symmetric rank-k update, a quarter of
+the multiplies of the complex product flat^T conj(flat), and every entry of
+G is one formula of S:
+G[x,y,x',y'] = S[p,p'] + s s' S[q,q'] + i (s S[q,p'] - s' S[p,q']).
+Only the packed rows are filled, x by x: the x + 1 rows (x, x'), viewed as
+[y, x', y'], from S's rows p and q of that x gathered at the columns p' and
+q' of x' <= x. C goes before the rows are allocated and S when the build
+returns, so the build holds S, the rows and one x's gathers of S, O(N^3)
+entries. At N = 25, M_O = 640 it peaks at 6.7 MiB under tracemalloc,
+1.10 times S (3.0 MiB) and the rows (3.1). A trial's peak, 13.3 MiB,
+still falls in this build.
 
 Validity, on both back ends: normal equations square the condition number.
 A Cholesky solve is used only when the factorization succeeds and its
@@ -505,9 +500,9 @@ class _StackedProblem:
     def _gram_lower(self):
         """G's rows (x, x') with x >= x': x and x', then the rows packed,
         row (x, x') at x (x + 1) / 2 + x' with columns (y, y'). Each x fills
-        its x + 1 rows from mirrored views of S = C^T C over the real
-        coordinates C of the observables (see the module docstring); S goes
-        on return, and no full G is made."""
+        its x + 1 rows by one formula of S = C^T C over the real coordinates
+        C of the observables (see the module docstring); S goes on return,
+        and no full G is made."""
         n, m = self.n, len(self.obs)
         parts = self.obs.view(np.float64).reshape(m, n, n, 2)
         idx = np.arange(n)
@@ -515,35 +510,19 @@ class _StackedProblem:
         coords = np.where(sign <= 0, parts[..., 0], parts[..., 1]).reshape(m, n * n)
         s = coords.T @ coords                              # symmetric rank-k update
         del coords
-        a = s.reshape(n, n, n, n)                          # a[x,y,x',y'] = S[(x,y),(x',y')]
-        diag = np.einsum("iijk->ijk", a)                   # S's rows (x', x')
+        lo, hi = np.minimum.outer(idx, idx), np.maximum.outer(idx, idx)
+        p, q = lo * n + hi, hi * n + lo                    # (x, y)'s (min, max), (max, min)
         x, x_prime = np.tril_indices(n)
         rows = np.empty((len(x), n * n), dtype=np.complex128)
-        # negation is a product with -1.0: np.negative (numpy 2.4) is wrong on
-        # an input of 64-byte stride written to a non-contiguous output
         for i in range(n):
             k = i + 1                                      # rows (i, x') with x' < k
             g = rows[i * k // 2:i * k // 2 + k].reshape(k, n, n).transpose(1, 0, 2)
-            re, im = g.real, g.imag                        # indexed [y, x', y']
-            # off both diagonals: a + d + i (c - b), times i s(x,y) where s(x,y) s(x',y') < 0
-            np.add(a[i, :, :k], a[:, i, :, :k].transpose(0, 2, 1), out=re)
-            np.subtract(a[i, :, :, :k].transpose(0, 2, 1), a[:, i, :k], out=im)
-            np.multiply(g, 1j * sign[i, :, None, None], out=g,
-                        where=sign[i, :, None, None] * sign[:k] < 0)
-            # y = x: G = S[(x,x), (min, max)'] - i s(x',y') S[(x,x), (max, min)']
-            lower = sign[:k] > 0
-            a1, c1 = a[i, i, :k], a[i, i, :, :k].T
-            np.copyto(re[i], a1)
-            np.copyto(re[i], c1, where=lower)
-            np.copyto(im[i], c1, where=sign[:k] < 0)
-            np.multiply(a1, -1.0, out=im[i], where=lower)
-            # y' = x': G = S[(x',x'), (min, max)] + i s(x,y) S[(x',x'), (max, min)]
-            re_d, im_d = np.einsum("ijj->ij", re[:, :, :k]), np.einsum("ijj->ij", im[:, :, :k])
-            np.copyto(re_d, diag[:k, i].T)
-            np.copyto(re_d, diag[:k, :, i].T, where=sign[i, :, None] > 0)
-            np.copyto(im_d, diag[:k, i].T, where=sign[i, :, None] > 0)
-            np.multiply(diag[:k, :, i].T, -1.0, out=im_d, where=sign[i, :, None] < 0)
-            im_d[i] = -0.0
+            sp, sq, si, sk = s[p[i]], s[q[i]], sign[i, :, None, None], sign[:k]
+            # [y, x', y']: S[p,p'] + s s' S[q,q'] + i (s S[q,p'] - s' S[p,q'])
+            np.multiply(si * sk, sq[:, q[:k]], out=g.real)
+            g.real += sp[:, p[:k]]
+            np.multiply(si, sq[:, p[:k]], out=g.imag)
+            g.imag -= sk * sp[:, q[:k]]
         return x, x_prime, rows
 
     @cached_property

@@ -324,6 +324,31 @@ def test_solve_exit_code_2_on_unknown_kind(tmp_path, capsys, manifest):
     assert not (tmp_path / "s").exists()
 
 
+@pytest.mark.parametrize("fault", ["shape", "columns", "imaginary"])
+def test_solve_exit_code_2_on_pair_values_off_their_manifest(tmp_path, capsys, fault):
+    # stored pair values must have the manifest's shape and be one real
+    # column, not be read as column 0's real part
+    run_cli("generate", "--task", "haar", "--n", "3", "--r-plus", "1",
+            "--r-minus", "1", "--seed", "1", "--out", str(tmp_path / "t"))
+    data_dir = tmp_path / "d"
+    run_cli("measure", "--truth", str(tmp_path / "t"), "--design", "random_pairs",
+            "--m", "120", "--sigma", "0", "--seed", "2", "--out", str(data_dir))
+    values = load_cmx(data_dir / "values.cmx")
+    stored = json.loads((data_dir / "measurements.json").read_text())
+    if fault == "shape":
+        stored["shape"] = [119, 1]
+    elif fault == "columns":
+        values, stored["shape"] = np.hstack([values, values]), [120, 2]
+    else:
+        values = values + 5j
+    (data_dir / "measurements.json").write_text(json.dumps(stored))
+    save_cmx(data_dir / "values.cmx", values)
+    assert run_cli("solve", "--data", str(data_dir), "--strategy", "als_n2",
+                   "--rank", "2", "--out", str(tmp_path / "s")) == 2
+    assert "values.cmx" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_solve_exit_code_2_on_non_finite_data(tmp_path, bad):
     data_dir = _stored_blockwise_data(tmp_path)

@@ -690,15 +690,18 @@ _GRAM_SIZES = (2, 3, 4, 8, 9, 16)
     build_blockwise_design(5, 40, "random", seed=120),
     build_blockwise_design(8, 70, "random", seed=121),
     build_blockwise_design(4, 30, "pauli", seed=122),
-    build_blockwise_design(8, 90, "pauli", seed=123)] + [
+    build_blockwise_design(8, 90, "pauli", seed=123),
+    build_blockwise_design(16, 60, "pauli", seed=124),
+    build_blockwise_design(32, 110, "pauli", seed=125)] + [
     build_blockwise_design(n, n * n + 3, "random", seed=130 + n) for n in _GRAM_SIZES],
-    ids=["r5", "r8", "p4", "p8"] + [f"n{n}" for n in _GRAM_SIZES])
+    ids=["r5", "r8", "p4", "p8", "p16", "p32"] + [f"n{n}" for n in _GRAM_SIZES])
 def test_gram_matches_complex_product(design):
     # G's packed rows (x, x') with x >= x', built from the real coordinates
     # of the Hermitian observables, equal the complex product's rows up to
     # roundoff, and O -> 2 O scales them by exactly 4; the sizes cover every
-    # shape of the per-x fill, and at N = 8 its views have the 64-byte input
-    # stride on which numpy 2.4's np.negative returns wrong values
+    # shape of the per-x fill, whose strided views of the rows are written in
+    # place, and Pauli observables give S exact zeros, where the terms with
+    # s(x,y) = 0 on the diagonal act
     n, m = design.dim_n, design.n_measurements
     x, x_prime, rows = _make_problem(design, np.zeros((2, m)), n, 2 * n)._gram_lower
     assert len(x) == n * (n + 1) // 2 and np.all(x >= x_prime)
@@ -711,8 +714,8 @@ def test_gram_matches_complex_product(design):
 
 def test_gram_build_holds_only_s_and_the_packed_rows():
     # the build fills the packed rows straight from S: at M_O = N^2 its peak
-    # is S (N^4 float64) and the rows (N^3 (N + 1) / 2 complex), plus small
-    # per-x masks; a full complex G beside them would add N^4 complex
+    # is S (N^4 float64) and the rows (N^3 (N + 1) / 2 complex), plus one
+    # x's gathers of S, O(N^3); a full complex G beside them would add N^4 complex
     n = 25
     design = build_blockwise_design(n, n * n, "random", seed=129)
     prob = _make_problem(design, np.zeros((1, n * n)), n, n)

@@ -16,15 +16,15 @@ workload per process, as heap state carries across workloads in one
 process. BLAS runs on one thread, set before numpy loads, as in the
 benchmark.
 
-Prints one JSON object: per side the median trial time, the median of
-each stage time (`stage_s`) and the median of each part of the solve
-(`solve_part_s`: Gram build, right and left half-sweeps, losses; empty
-for a revision that does not record them), the ratio of the change's
-median trial time to the base's, the number of trials where the change
-was faster, whether iterations, restarts, fallbacks and stop agree on
-every trial, and the largest relative difference of the trial errors.
-This is supporting evidence; it does not replace the benchmark's
-alternating run pairs.
+Prints one JSON object: per side the number of failed trials and, over
+the trials that passed, the median trial time, the median of each stage
+time (`stage_s`) and the median of each part of the solve (`solve_part_s`:
+Gram build, right and left half-sweeps, losses; empty for a revision that
+does not record them), the ratio of the change's median trial time to the
+base's, the number of trials where the change was faster, whether
+iterations, restarts, fallbacks and stop agree on every trial, and the
+largest relative difference of the trial errors. This is supporting
+evidence; it does not replace the benchmark's alternating run pairs.
 """
 
 from __future__ import annotations
@@ -73,12 +73,17 @@ def trial(harness, config: dict, master_seed: int) -> dict:
 
 
 def side_summary(trials: list) -> dict:
-    return {"trial_s_p50": statistics.median(t["seconds"] for t in trials),
-            "stage_s_p50": {name: statistics.median(t["stage_s"][name] for t in trials)
-                            for name in trials[0]["stage_s"]},
-            "part_s_p50": {name: statistics.median(t["part_s"][name] for t in trials)
-                           for name in trials[0]["part_s"]},
-            "failed": sum(bool(t["message"]) for t in trials)}
+    """Medians over the trials that passed (a failed trial records no
+    stage or part times); None when none passed."""
+    passed = [t for t in trials if not t["message"]]
+
+    def p50(key):
+        return {name: statistics.median(t[key][name] for t in passed)
+                for name in (passed[0][key] if passed else ())}
+
+    return {"trial_s_p50": statistics.median(t["seconds"] for t in passed) if passed else None,
+            "stage_s_p50": p50("stage_s"), "part_s_p50": p50("part_s"),
+            "failed": len(trials) - len(passed)}
 
 
 def compare(base, change, workload: str, seed: int, n_trials: int) -> dict:
@@ -94,9 +99,10 @@ def compare(base, change, workload: str, seed: int, n_trials: int) -> dict:
             runs[name].append(trial(base if name == "base" else change, config, master))
     pairs = list(zip(runs["base"], runs["change"]))
     summary = {name: side_summary(trials) for name, trials in runs.items()}
+    base_s, change_s = summary["base"]["trial_s_p50"], summary["change"]["trial_s_p50"]
     return {
         "workload": workload, "seed": seed, "trials": n_trials,
-        "time_ratio": summary["change"]["trial_s_p50"] / summary["base"]["trial_s_p50"],
+        "time_ratio": change_s / base_s if None not in (base_s, change_s) else None,
         "change_faster": sum(c["seconds"] < b["seconds"] for b, c in pairs),
         "counts_identical": all(b["counts"] == c["counts"] for b, c in pairs),
         "max_rel_error_diff": max((abs(c["error"] - b["error"]) / abs(b["error"])
