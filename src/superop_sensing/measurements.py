@@ -41,8 +41,8 @@ import numpy as np
 
 from .errors import DimensionError
 from .linalg import complex_gaussian
-from .models import (_STACK_CHUNK, Superoperator, apply_superop, random_observable,
-                     random_pairs)
+from .models import (_STACK_CHUNK, Superoperator, _is_int, apply_superop,
+                     random_observable, random_pairs)
 
 __all__ = [
     "DESIGN_KINDS",
@@ -82,8 +82,9 @@ class SensingDesign:
     `observables` is one C-contiguous complex (M, N, N) array of exactly
     Hermitian matrices; `states` holds the M initial states of a
     `random_pairs` design in the same layout (unused by `blockwise`).
-    Raises DimensionError on a wrong shape, a non-finite entry or an
-    observable that differs from its conjugate transpose in any bit.
+    Raises DimensionError on a `dim_n` or `row_index` that is not an
+    integer, a wrong shape, a non-finite entry or an observable that
+    differs from its conjugate transpose in any bit.
     """
 
     kind: str
@@ -95,6 +96,9 @@ class SensingDesign:
     def __post_init__(self):
         if self.kind not in DESIGN_KINDS:
             raise DimensionError(f"unknown design kind {self.kind!r}")
+        for name in ("dim_n", "row_index"):
+            if not _is_int(getattr(self, name)):
+                raise DimensionError(f"{name} must be an integer, got {getattr(self, name)!r}")
         n = self.dim_n
         self.observables = _matrix_stack(self.observables, n, "observables")
         if not _is_hermitian(self.observables):

@@ -26,6 +26,7 @@ computes; so a design exists once, beside at most one chunk of planes.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,6 +67,11 @@ _STACK_CHUNK = 64
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
+def _is_int(value) -> bool:
+    """Whether value is an integer; a bool is not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass
 class Superoperator:
     """Signed Kraus form: positive-part operators V_k and negative-part U_k."""
@@ -75,6 +81,8 @@ class Superoperator:
     minus_ops: list = field(default_factory=list)
 
     def __post_init__(self):
+        if not _is_int(self.dim_n):
+            raise DimensionError(f"dim_n must be an integer, got {self.dim_n!r}")
         self.plus_ops = [np.asarray(v, dtype=np.complex128) for v in self.plus_ops]
         self.minus_ops = [np.asarray(u, dtype=np.complex128) for u in self.minus_ops]
         for op in self.plus_ops + self.minus_ops:

@@ -39,10 +39,11 @@ Two problem shapes are handled, one per design kind:
   tr[(conj(rho) x O)^H X] with data a length-M vector; the Kronecker
   products are never formed. Both half-sweeps assemble their M rows
   with one routine, from the other factor's columns F viewed as N x N
-  matrices: one product O_m F over the observable index, with the
-  observables stacked as an (M N) x N matrix, conjugated in place for
-  the left rows only, and one matmul batched over the pairs with rho_m
-  (rho_m^T for the left rows), whose output is already the M x (N^2 r)
+  matrices, 2 N^2 r pairs at a time: per chunk, one product O_m F over
+  the observable index, with the chunk's observables stacked as an
+  (M N) x N matrix, conjugated in place for the left rows only, and one
+  matmul batched over the chunk's pairs with rho_m (rho_m^T for the left
+  rows), whose output is already the chunk's slice of the M x (N^2 r)
   row matrix. The right rows need conj(O_m^T conj(F)), which is O_m F
   entry by entry because O_m is exactly Hermitian, so they take no
   conjugate pass and no per-pair product. A half-sweep then solves the
@@ -66,14 +67,17 @@ conjugate copy of g is made.
 
 The rows, a scratch array and the normal matrix live in a workspace of
 the problem, allocated on its first row assembly and kept while the rank
-stays the same. The scratch array holds the intermediate of a row
-assembly and then, once the rows are built, s. A sweep thus allocates
-nothing the size of the rows, and each assembly returns a view of the
-workspace that is valid until the next one. A pair problem holds two M x N^2 r
-complex arrays plus one N^2 r x N^2 r complex array (3.4 MB, 3.4 MB and
-0.6 MB at N = 8, M = 1100, r = 3); the scratch array is longer only when
-M < 2 N^2 r, where s would not fit. A problem used only for its loss
-allocates no workspace.
+stays the same. With k = N^2 r, the scratch array holds 2 k^2 complex
+entries for every M: one chunk's intermediate O_m F of a row assembly,
+2 k pairs of k entries each, and then, once the rows are built, s, 2k x
+2k real. A sweep thus allocates nothing the size of the rows, and each
+assembly returns a view of the workspace that is valid until the next
+one. A pair problem holds one M x k, one 2 k^2 and one k x k complex
+array (3.4 MB, 1.2 MB and 0.6 MB at N = 8, M = 1100, r = 3), where an
+intermediate of all M pairs would need M k entries (3.4 MB). The chunks
+change no arithmetic: each pair's products are the same calls on the
+same numbers, so the rows are bitwise those of one product over all M.
+A problem used only for its loss allocates no workspace.
 
 Blockwise, a half-sweep minimises a quadratic in one factor, so it needs
 the design only through its second moments: the N^2 x N^2 Gram matrix
@@ -153,6 +157,16 @@ residual of both factors directly, by one GEMM: as O_m is Hermitian,
 (M N) x N matrix times U, then one product with conj(V). Every loss of both back ends, from
 factors, from a matrix or from the pair rows, is one function of the
 predicted values, `_loss`.
+
+The loss from the left solve, (||b||^2 - ||L^-1 h||^2) / 2M with L the
+Cholesky factor of the left normal matrix and h its right-hand side,
+would skip that GEMM, but it resolves the loss only to one ulp of
+||b||^2 / 2M. On N = 4, M_O = 20, sigma = 1e-3, rank 2, plain ALS, it
+differed from the direct loss by up to 1.75e-10 relative, and one ulp was
+7.1e-11 of the final loss, 70 times the 1e-12 relative rise that a
+plain ALS trace may show. Whether that trace stayed within it depended
+on how the two norms were summed: with vdot it did, with sum(|.|^2) it
+rose by one ulp. The direct loss has no such floor.
 
 On both back ends a common power-of-two rescaling of design and data
 leaves every iterate unchanged bitwise: the design rows, C, S, G, B, the
@@ -335,8 +349,9 @@ class _PairProblem:
     """Full reshaped-matrix sensing from (state, observable) pairs.
 
     Both half-sweeps assemble their M design rows with the one routine
-    `_rows`, as one product with O stacked as an (M N) x N matrix and one
-    matmul batched over the pairs, into the problem's workspace; the right
+    `_rows`, 2 N^2 r pairs at a time, each chunk as one product with its
+    O stacked as an (M N) x N matrix and one matmul batched over its
+    pairs, into the problem's workspace; the right
     half passes rho_m, the left half rho_m^T and a conjugation of the
     product, so neither copies the design. Each then
     solves the normal equations of its rows through the one fallback step
@@ -363,11 +378,12 @@ class _PairProblem:
 
     def _workspace(self, r):
         # made on first use (see the module docstring); the flat scratch array
-        # holds a row assembly's intermediate, then the real Gram matrix s
+        # of 2 k^2 entries holds one chunk's row-assembly intermediate, then
+        # the real Gram matrix s
         if self._work is None or self._work[0] != r:
             m, k = self.m_total, self.n * self.n * r
             self._work = (r, np.empty((m, k), np.complex128),
-                          np.empty(max(m * k, 2 * k * k), np.complex128),
+                          np.empty(2 * k * k, np.complex128),
                           np.empty((k, k), np.complex128))
         return self._work[1:]
 
@@ -386,17 +402,23 @@ class _PairProblem:
         q_m = O_m F for F the factor's columns from `_cols`, conjugated in
         place when conj is set; b is the states, batched as (M, N, N).
 
-        q comes from one product with the observables stacked as an
-        (M N) x N matrix. A view of the workspace, valid until the next
-        row assembly.
+        The rows are built 2 N^2 r pairs at a time: a chunk's q comes from
+        one product with its observables stacked as an (M N) x N matrix,
+        into the scratch array, which holds exactly one full chunk's q, and
+        its batched product with b goes straight into its rows. A view of
+        the workspace, valid until the next row assembly.
         """
         m, n, r = self.m_total, self.n, factor.shape[1]
         rows, scratch, _ = self._workspace(r)
-        q = scratch[:rows.size].reshape(m * n, r * n)
-        np.matmul(self.obs.reshape(m * n, n), self._cols(factor), out=q)
-        if conj:
-            np.conjugate(q, out=q)
-        np.matmul(q.reshape(m, n * r, n), b, out=rows.reshape(m, n * r, n))
+        cols, out = self._cols(factor), rows.reshape(m, n * r, n)
+        chunk = 2 * n * n * r
+        for start in range(0, m, chunk):
+            stop = min(start + chunk, m)
+            q = scratch[:(stop - start) * n * r * n].reshape((stop - start) * n, r * n)
+            np.matmul(self.obs[start:stop].reshape(-1, n), cols, out=q)
+            if conj:
+                np.conjugate(q, out=q)
+            np.matmul(q.reshape(stop - start, n * r, n), b[start:stop], out=out[start:stop])
         return rows
 
     def _rows_right(self, u):

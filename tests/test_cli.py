@@ -324,6 +324,26 @@ def test_solve_exit_code_2_on_unknown_kind(tmp_path, capsys, manifest):
     assert not (tmp_path / "s").exists()
 
 
+@pytest.mark.parametrize("manifest, name, value", [
+    ("design.json", "row_index", "0"), ("design.json", "dim_n", "3"),
+    ("superoperator.json", "dim_n", "3")])
+def test_exit_code_2_on_non_integer_manifest_field(tmp_path, capsys, manifest, name, value):
+    # a stored dimension or row index that is not an integer is rejected by
+    # name, not compared with an integer or reported as a shape mismatch
+    data_dir, truth_dir = _stored_blockwise_data(tmp_path), tmp_path / "truth"
+    if manifest == "design.json":
+        path, args = data_dir / manifest, ("solve", "--data", str(data_dir),
+                                           "--strategy", "als_n", "--rank", "1")
+    else:
+        path, args = truth_dir / manifest, ("measure", "--truth", str(truth_dir),
+                                            "--design", "blockwise", "--m", "12")
+    stored = json.loads(path.read_text())
+    path.write_text(json.dumps(dict(stored, **{name: value})))
+    assert run_cli(*args, "--out", str(tmp_path / "out")) == 2
+    assert f"{name} must be an integer, got '{value}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("fault", ["shape", "columns", "imaginary"])
 def test_solve_exit_code_2_on_pair_values_off_their_manifest(tmp_path, capsys, fault):
     # stored pair values must have the manifest's shape and be one real

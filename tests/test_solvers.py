@@ -574,19 +574,25 @@ def _pair_factor(flat, n, r):
     return flat.reshape(n, r, n).transpose(0, 2, 1).reshape(n * n, r, order="F")
 
 
-@pytest.mark.parametrize("n, m", [(4, 128), (8, 1100)])
+# 2 N^2 r = 96 pairs a chunk at N = 4, r = 3: a partial last chunk, a
+# one-pair last chunk and one short chunk; 384 at N = 8
+@pytest.mark.parametrize("n, m", [(4, 128), (4, 97), (4, 50), (8, 1100)])
 def test_pair_right_rows_are_bitwise_the_per_pair_form(n, m):
-    # one product over the stacked observables equals, bit for bit, the
-    # per-pair form conj(O_m^T conj(F)) rho_m, as O_m is exactly Hermitian
+    # the chunked products over the stacked observables equal, bit for bit,
+    # the per-pair forms: conj(O_m^T conj(F)) rho_m for the right rows, as
+    # O_m is exactly Hermitian, and conj(O_m F) rho_m^T for the left rows
     r = 3
     design = build_random_design(n, m, "random", seed=n + m)
-    u = complex_gaussian(n * n, r, seed=n)
+    u, v = complex_gaussian(n * n, r, seed=n), complex_gaussian(n * n, r, seed=n + 1)
     prob = _make_problem(design, np.zeros(m), n * n, n * n)
-    cols = prob._cols(u)
-    want = np.array([
-        (np.conj(obs.T @ cols.conj())).reshape(n * r, n) @ rho
-        for obs, rho in zip(design.observables, design.states)]).reshape(m, -1)
-    assert prob._rows_right(u).tobytes() == want.tobytes()
+    cols_u, cols_v = prob._cols(u), prob._cols(v)
+    pairs = list(zip(design.observables, design.states))
+    right = np.array([(np.conj(obs.T @ cols_u.conj())).reshape(n * r, n) @ rho
+                      for obs, rho in pairs]).reshape(m, -1)
+    left = np.array([np.conj(obs @ cols_v).reshape(n * r, n) @ rho.T
+                     for obs, rho in pairs]).reshape(m, -1)
+    assert prob._rows_right(u).tobytes() == right.tobytes()
+    assert prob._rows_left(v).tobytes() == left.tobytes()
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 8])
@@ -636,9 +642,11 @@ def _pair_problem(n, m, seed):
 
 
 def test_pair_sweep_reuses_its_workspace():
-    # after the first sweep has allocated the workspace, a sweep allocates
-    # less than a quarter of one M x N^2 r row matrix
+    # the workspace is the rows, a 2 k^2 scratch array and the normal matrix,
+    # k = N^2 r, whatever M; after the first sweep has allocated it, a sweep
+    # allocates less than a quarter of one M x k row matrix
     n, r, m = 4, 2, 600
+    k = n * n * r
     _, _, prob = _pair_problem(n, m, 40)
     u = complex_gaussian(n * n, r, seed=42)
     tracemalloc.start()
@@ -650,7 +658,10 @@ def test_pair_sweep_reuses_its_workspace():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak < m * n * n * r * 16 / 4
+    work = prob._workspace(r)
+    assert all(a.dtype == np.complex128 for a in work)
+    assert [a.size for a in work] == [m * k, 2 * k * k, k * k]
+    assert peak < m * k * 16 / 4
 
 
 def test_pair_problems_interleaved_equal_fresh():

@@ -1,7 +1,9 @@
 import importlib
 import os
-import sys
+import tracemalloc
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 _TOOLS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tools")
@@ -31,3 +33,38 @@ def test_side_summary_skips_failed_trials(ab_compare, failed_first):
         "failed": 1}
     assert ab_compare.side_summary([failed]) == {
         "trial_s_p50": None, "stage_s_p50": {}, "part_s_p50": {}, "failed": 1}
+
+
+class _FakeHarness:
+    """`run_experiment` stand-in: a trial allocates a 4 MiB array and
+    records a solve time of 1 s when traced, 0 s otherwise."""
+
+    def __init__(self):
+        self.seeds = []
+
+    def ExperimentConfig(self, trials, master_seed, **config):
+        return SimpleNamespace(master_seed=master_seed)
+
+    def run_experiment(self, cfg):
+        self.seeds.append(cfg.master_seed)
+        np.ones(2 ** 19)
+        record = SimpleNamespace(
+            error=1e-3, iterations=5, restarts=0, fallbacks=0, stop="converged",
+            stage_s={"solve": float(tracemalloc.is_tracing())}, solve_part_s={},
+            message="")
+        return SimpleNamespace(points=[SimpleNamespace(records=[record])])
+
+
+def test_compare_reports_one_traced_peak_outside_the_medians(ab_compare, monkeypatch):
+    # after the timed trials, one traced trial per side at the first trial's
+    # master seed; its peak is reported and it enters no median
+    workload = SimpleNamespace(config={}, warmup={})
+    monkeypatch.setitem(ab_compare.pipeline.WORKLOADS, "fake", workload)
+    base, change = _FakeHarness(), _FakeHarness()
+    result = ab_compare.compare(base, change, "fake", seed=3, n_trials=3)
+    seeds = [ab_compare.pipeline.trial_master_seed(3, i) for i in range(3)]
+    for fake, name in ((base, "base"), (change, "change")):
+        assert fake.seeds == [ab_compare.pipeline.WARMUP_MASTER_SEED, *seeds, seeds[0]]
+        assert 4 <= result[name]["traced_peak_mib"] < 5
+        assert result[name]["stage_s_p50"] == {"solve": 0.0}
+    assert not tracemalloc.is_tracing()

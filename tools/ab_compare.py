@@ -23,7 +23,10 @@ Gram build, right and left half-sweeps, losses; empty for a revision that
 does not record them), the ratio of the change's median trial time to the
 base's, the number of trials where the change was faster, whether
 iterations, restarts, fallbacks and stop agree on every trial, and the
-largest relative difference of the trial errors. This is supporting
+largest relative difference of the trial errors. After the timed trials
+each side runs one more, untimed trial under `tracemalloc` at the first
+timed trial's master seed, and reports its traced peak
+(`traced_peak_mib`); that trial enters no median. This is supporting
 evidence; it does not replace the benchmark's alternating run pairs.
 """
 
@@ -41,6 +44,7 @@ import sys
 import tarfile
 import tempfile
 import time
+import tracemalloc
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
@@ -72,6 +76,16 @@ def trial(harness, config: dict, master_seed: int) -> dict:
             "message": record.message}
 
 
+def traced_peak_mib(harness, config: dict, master_seed: int) -> float:
+    """Peak memory traced by `tracemalloc` over one trial, in MiB."""
+    tracemalloc.start()
+    try:
+        trial(harness, config, master_seed)
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
 def side_summary(trials: list) -> dict:
     """Medians over the trials that passed (a failed trial records no
     stage or part times); None when none passed."""
@@ -99,6 +113,9 @@ def compare(base, change, workload: str, seed: int, n_trials: int) -> dict:
             runs[name].append(trial(base if name == "base" else change, config, master))
     pairs = list(zip(runs["base"], runs["change"]))
     summary = {name: side_summary(trials) for name, trials in runs.items()}
+    first = pipeline.trial_master_seed(seed, 0)
+    for name, harness in (("base", base), ("change", change)):
+        summary[name]["traced_peak_mib"] = traced_peak_mib(harness, config, first)
     base_s, change_s = summary["base"]["trial_s_p50"], summary["change"]["trial_s_p50"]
     return {
         "workload": workload, "seed": seed, "trials": n_trials,
