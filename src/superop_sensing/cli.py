@@ -18,14 +18,13 @@ import sys
 from dataclasses import fields, replace
 
 from . import harness, serialize
-from .errors import NUMERICAL_ERRORS
+from .errors import NUMERICAL_ERRORS, DimensionError
 from .linalg import load_cmx, save_cmx
 from .measurements import (DESIGN_KINDS, NOISE_MODES, SOURCES, build_design,
                            empirical_rip_probe, simulate_measurements)
 from .models import TASKS, ground_truth
 from .reconstruction import reconstruct_full
-from .solvers import (STRATEGY_DESIGNS, SolverConfig, check_run_options, report_totals,
-                      solve_strategy)
+from .solvers import STRATEGY_DESIGNS, SolverConfig, report_totals, solve_strategy
 
 _CONFIG_ERRORS = (ValueError, KeyError, FileNotFoundError, json.JSONDecodeError)
 
@@ -50,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     for name, default in _TRUTH_DEFAULTS.items():
         p.add_argument("--" + name.replace("_", "-"), type=int, default=None,
-                       help=f"read by the {harness.TRUTH_FIELDS[name]} task only "
+                       help=f"read by the {harness.RUN_OPTIONS[name][0]} task only "
                             f"(default {default})")
     _common(p)
 
@@ -109,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_generate(args) -> int:
     given = {name: getattr(args, name) for name in _TRUTH_DEFAULTS}
-    harness.check_truth_fields(args.task, **given)
+    harness.check_run_options(args.task, **given)
     ranks = {name: default if given[name] is None else given[name]
              for name, default in _TRUTH_DEFAULTS.items()}
     extra = {"task": args.task, "seed": args.seed}
@@ -124,7 +123,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_measure(args) -> int:
-    check_run_options(args.design, row_index=args.row_index, noise_mode=args.noise_mode)
+    harness.check_run_options(args.design, row_index=args.row_index, noise_mode=args.noise_mode)
     s = serialize.load_superoperator(args.truth)
     design = build_design(args.design, s.dim_n, args.m, args.source, args.seed,
                           args.row_index)
@@ -140,7 +139,7 @@ def cmd_solve(args) -> int:
     data = serialize.load_measurements(args.data)
     cfg = SolverConfig(rank=args.rank, max_iter=args.max_iter, gamma=args.gamma,
                        eta=args.eta, beta=args.beta, seed=args.seed)
-    check_run_options(args.strategy, subset_ratio=args.subset_ratio)
+    harness.check_run_options(args.strategy, subset_ratio=args.subset_ratio)
     ratio = 0.5 if args.subset_ratio is None else args.subset_ratio   # als_i's default
     estimate, reports = solve_strategy(args.strategy, design, data.values, cfg, ratio)
     os.makedirs(args.out, exist_ok=True)
@@ -211,7 +210,12 @@ def cmd_report(args) -> int:
     for path in paths:
         payload = serialize.load_json(path)
         strategy = payload["config"]["strategy"]
-        for point in payload["points"]:
+        points = payload.get("points")
+        if not isinstance(points, list) or not all(
+                isinstance(p, dict) and {"m", "aggregates"} <= p.keys() for p in points):
+            raise DimensionError(f"{path}: points must be a list of objects holding "
+                                 f"m and aggregates")
+        for point in points:
             agg = point["aggregates"]
             err = "n/a" if agg["mean_error"] is None else f"{agg['mean_error']:.3e}"
             print(f"{path}: strategy={strategy} m={point['m']} mean_error={err} "

@@ -12,6 +12,16 @@ Strategies: `als_n2` solves the full reshaped matrix from random pairs;
 `als_p`, `als_n`, `als_i` recover the anchor block row (independently,
 jointly, or on a subset) and complete the matrix deterministically.
 
+Each config field has one rule in `_FIELDS`, checked by
+`models._check_fields`, the check `SolverConfig` and the stored manifests
+also pass through. `RUN_OPTIONS` is the one table of the options only some
+runs read: each truth rank by its task (`kraus_rank` by channels,
+`n_jumps` by Lindbladians, `r_plus` and `r_minus` by Haar truths), the
+anchor row, the noise mode and hermitizing by blockwise runs, and the
+subset ratio by `als_i`. Through `check_run_options` the config and the
+`generate`, `measure` and `solve` commands reject one set away from the
+value every other run keeps for a run that does not read it.
+
 A trial runs six timed stages (`STAGES`): truth, design, simulate, solve,
 reconstruct and score. Their times are kept per record (`stage_s`) and
 emitted under `timings` only, as are the solve's own parts, summed over
@@ -47,7 +57,6 @@ import csv
 import hashlib
 import json
 import math
-import numbers
 import os
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -57,16 +66,16 @@ import numpy as np
 from .errors import NUMERICAL_ERRORS, DimensionError, UndefinedMetricError
 from .measurements import (DESIGN_KINDS, NOISE_MODES, SOURCES, build_design,
                            simulate_measurements)
-from .models import TASKS, _is_int, draw_truth
+from .models import TASKS, _check_fields, _is_int, draw_truth
 from .reconstruction import reconstruct_full
 from .reshaping import ReshapedMatrix
 from .serialize import save_json, write_text
-from .solvers import (RUN_OPTIONS, STRATEGY_DESIGNS, SolverConfig, check_run_options,
-                      derive_seed, report_totals, solve_strategy)
+from .solvers import (STRATEGY_DESIGNS, SolverConfig, derive_seed, report_totals,
+                      solve_strategy)
 
 __all__ = [
     "STAGES",
-    "TRUTH_FIELDS",
+    "RUN_OPTIONS",
     "ExperimentConfig",
     "TrialRecord",
     "SweepPoint",
@@ -76,7 +85,7 @@ __all__ = [
     "run_experiment",
     "emit_results",
     "read_csv_records",
-    "check_truth_fields",
+    "check_run_options",
 ]
 
 # seed-derivation roles
@@ -126,37 +135,39 @@ def recovery_rate(errors, threshold: float) -> float:
     return hits / len(errors)
 
 
-# integer fields and their least values; numpy integers are stored as int
-_INTEGERS = {"n": 1, "trials": 1, "master_seed": 0, "kraus_rank": 0, "n_jumps": 0,
-             "r_plus": 0, "r_minus": 0, "row_index": 0}
-# finite real fields, with their allowed range as messages name it
-_REALS = {"sigma": (">= 0", lambda x: x >= 0),
-          "subset_ratio": ("in (0, 1]", lambda x: 0 < x <= 1),
-          "recovery_threshold": ("> 0", lambda x: x > 0)}
-# fields with a fixed set of values; a value must match one in type too, so
-# hermitize rejects 1
-_CHOICES = {"task": TASKS, "design": DESIGN_KINDS, "source": SOURCES,
-            "strategy": tuple(STRATEGY_DESIGNS), "noise_mode": NOISE_MODES,
-            "hermitize": (False, True)}
+# ExperimentConfig's fields by the rules of `models._check_fields`
+_FIELDS = {"task": TASKS, "n": 1, "design": DESIGN_KINDS, "strategy": tuple(STRATEGY_DESIGNS),
+           "source": SOURCES, "kraus_rank": 0, "n_jumps": 0, "r_plus": 0, "r_minus": 0,
+           "sigma": "[0, inf)", "noise_mode": NOISE_MODES, "subset_ratio": "(0, 1]",
+           "trials": 1, "master_seed": 0, "recovery_threshold": "(0, inf)",
+           "row_index": 0, "hermitize": (False, True)}
 # task -> (its truth rank as messages name it, least value, rule); the
 # truth's reshaped matrix is n^2 x n^2, so its rank is at most n^2
 _TRUTH_RANKS = {"channel": ("kraus_rank", 1, lambda c: c.kraus_rank),
                 "lindbladian": ("n_jumps + 2", 3, lambda c: c.n_jumps + 2),
                 "haar": ("r_plus + r_minus", 1, lambda c: c.r_plus + c.r_minus)}
-# truth field -> the task that reads it; every other task leaves it at 0
-TRUTH_FIELDS = {"kraus_rank": "channel", "n_jumps": "lindbladian",
-                "r_plus": "haar", "r_minus": "haar"}
+# options that only some runs read -> (the task, design kind or strategy
+# that reads it, the value every other run keeps); a strategy reads what
+# its design reads
+RUN_OPTIONS = {"kraus_rank": ("channel", 0), "n_jumps": ("lindbladian", 0),
+               "r_plus": ("haar", 0), "r_minus": ("haar", 0),
+               "row_index": ("blockwise", 0), "noise_mode": ("blockwise", "synthetic"),
+               "hermitize": ("blockwise", False), "subset_ratio": ("als_i", 1.0)}
 
 
-def check_truth_fields(task: str, **fields) -> None:
-    """Raise ValueError for the first field of `TRUTH_FIELDS` that `task`
-    never reads but that is set off 0; a field given as None counts as not
-    given."""
-    for name, value in fields.items():
-        reader = TRUTH_FIELDS[name]
-        if value is not None and value != 0 and reader != task:
-            raise ValueError(f"{name} is read only by the {reader} task, not by "
-                             f"{task}: leave it at 0, got {value!r}")
+def check_run_options(*runs: str, **options) -> None:
+    """Raise DimensionError for the first option of `RUN_OPTIONS` that
+    none of `runs` (the run's task, design kind or strategy) reads but
+    that is set off the value it keeps; an option given as None counts as
+    not given."""
+    readers = set(runs) | {STRATEGY_DESIGNS.get(run) for run in runs}
+    for name, value in options.items():
+        reader, default = RUN_OPTIONS[name]
+        if value is not None and value != default and reader not in readers:
+            kind = ("task" if reader in TASKS else
+                    "design" if reader in DESIGN_KINDS else "strategy")
+            raise DimensionError(f"{name} is read only by the {reader} {kind}, not by "
+                                 f"{'/'.join(runs)}: leave it at {default!r}, got {value!r}")
 
 
 @dataclass
@@ -188,26 +199,12 @@ class ExperimentConfig:
     solver: dict = field(default_factory=dict)  # overrides for SolverConfig
 
     def __post_init__(self):
-        for name, least in _INTEGERS.items():
-            value = getattr(self, name)
-            if not _is_int(value) or value < least:
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-            setattr(self, name, int(value))
-        for name, (allowed, test) in _REALS.items():
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not math.isfinite(value) or not test(value)):
-                raise ValueError(f"{name} must be a finite real {allowed}, got {value!r}")
-        for name, allowed in _CHOICES.items():
-            value = getattr(self, name)
-            if not any(isinstance(value, type(a)) and value == a for a in allowed):
-                raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
+        vars(self).update(_check_fields(vars(self), _FIELDS))
         if self.row_index >= self.n:
             raise ValueError(f"row_index must be in [0, {self.n}), got {self.row_index}")
         if self.design != STRATEGY_DESIGNS[self.strategy]:
             raise ValueError(
                 f"{self.strategy} needs the {STRATEGY_DESIGNS[self.strategy]} design")
-        check_run_options(self.strategy, **{name: getattr(self, name) for name in RUN_OPTIONS})
         sweep = self.sweep if isinstance(self.sweep, (list, tuple)) else [self.sweep]
         if not sweep or not all(_is_int(v) and v >= 1 for v in sweep):
             raise ValueError(f"sweep must hold integers >= 1, got {self.sweep!r}")
@@ -217,8 +214,8 @@ class ExperimentConfig:
         if not least <= truth_rank <= self.n ** 2:
             raise ValueError(f"{self.task} task needs {least} <= {name} <= n**2 = "
                              f"{self.n ** 2}, got {truth_rank}")
-        check_truth_fields(self.task,
-                           **{name: getattr(self, name) for name in TRUTH_FIELDS})
+        check_run_options(self.task, self.strategy,
+                          **{name: getattr(self, name) for name in RUN_OPTIONS})
         if not isinstance(self.solver, dict):
             raise ValueError(f"solver must be an object, got {self.solver!r}")
         if "seed" in self.solver:

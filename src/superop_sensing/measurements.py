@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import DimensionError
 from .linalg import complex_gaussian
-from .models import (_STACK_CHUNK, Superoperator, _is_int, apply_superop,
+from .models import (_STACK_CHUNK, Superoperator, _check_fields, apply_superop,
                      random_observable, random_pairs)
 
 __all__ = [
@@ -82,8 +82,9 @@ class SensingDesign:
     `observables` is one C-contiguous complex (M, N, N) array of exactly
     Hermitian matrices; `states` holds the M initial states of a
     `random_pairs` design in the same layout (unused by `blockwise`).
-    Raises DimensionError on a `dim_n` or `row_index` that is not an
-    integer, a wrong shape, a non-finite entry or an observable that
+    Raises DimensionError on an unknown `kind`, a `dim_n` that is not an
+    integer >= 1, a `row_index` that is not an integer >= 0 (below N for
+    `blockwise`), a wrong shape, a non-finite entry or an observable that
     differs from its conjugate transpose in any bit.
     """
 
@@ -94,11 +95,7 @@ class SensingDesign:
     row_index: int = 0                                  # blockwise anchor row, 0-based
 
     def __post_init__(self):
-        if self.kind not in DESIGN_KINDS:
-            raise DimensionError(f"unknown design kind {self.kind!r}")
-        for name in ("dim_n", "row_index"):
-            if not _is_int(getattr(self, name)):
-                raise DimensionError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        _check_fields(vars(self), {"kind": DESIGN_KINDS, "dim_n": 1, "row_index": 0})
         n = self.dim_n
         self.observables = _matrix_stack(self.observables, n, "observables")
         if not _is_hermitian(self.observables):
@@ -107,7 +104,7 @@ class SensingDesign:
             self.states = _matrix_stack(self.states, n, "states")
             if self.states.shape != self.observables.shape:
                 raise DimensionError("need one state per observable")
-        elif not 0 <= self.row_index < n:
+        elif self.row_index >= n:
             raise DimensionError(f"row_index {self.row_index} out of [0, {n})")
 
     @property
@@ -301,10 +298,8 @@ def simulate_measurements(s: Superoperator, design: SensingDesign, sigma: float,
     drawn from one generator in block order, so results are deterministic
     per seed.
     """
-    if not 0 <= sigma < np.inf:                          # NaN fails too
-        raise DimensionError(f"sigma must be finite and nonnegative, got {sigma}")
-    if noise_mode not in NOISE_MODES:
-        raise DimensionError(f"unknown noise_mode {noise_mode!r}")
+    _check_fields({"sigma": sigma, "noise_mode": noise_mode},
+                  {"sigma": "[0, inf)", "noise_mode": NOISE_MODES})
     if design.dim_n != s.dim_n:
         raise DimensionError(f"design dim {design.dim_n} != superoperator dim {s.dim_n}")
     rng = np.random.default_rng(seed)

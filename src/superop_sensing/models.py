@@ -27,6 +27,7 @@ computes; so a design exists once, beside at most one chunk of planes.
 from __future__ import annotations
 
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,6 +73,50 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _in_interval(value, interval: str) -> bool:
+    """Whether a real lies in `interval`, written like "(0, 1]" or
+    "[0, inf)"; NaN, infinities and integers beyond every float lie in
+    none."""
+    low, high = (float(bound) for bound in interval[1:-1].split(","))
+    return (abs(value) <= sys.float_info.max
+            and (low < value if interval[0] == "(" else low <= value)
+            and (value < high if interval[-1] == ")" else value <= high))
+
+
+def _check_fields(fields, rules: dict) -> dict:
+    """The values of the fields that `rules` names, checked in its order:
+    the one field rule of every config and stored manifest. A rule is
+
+    - an int: an integer at least that value, returned as int;
+    - a str: a finite real in that interval (see `_in_interval`);
+    - a tuple: one of its values, matched in type too, so True is not 1.
+
+    A bool is neither an integer nor a real. Raises DimensionError naming
+    the first field that is missing or breaks its rule.
+    """
+    out = {}
+    for name, rule in rules.items():
+        if name not in fields:
+            raise DimensionError(f"{name} is missing")
+        value = fields[name]
+        if isinstance(rule, tuple):
+            if not any(isinstance(value, type(a)) and value == a for a in rule):
+                raise DimensionError(f"unknown {name} {value!r}: must be one of {rule}")
+        elif isinstance(rule, str):
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not _in_interval(value, rule)):
+                raise DimensionError(f"{name} must be a finite real in {rule}, "
+                                     f"got {value!r}")
+        elif not _is_int(value):
+            raise DimensionError(f"{name} must be an integer, got {value!r}")
+        elif value < rule:
+            raise DimensionError(f"{name} must be an integer >= {rule}, got {value!r}")
+        else:
+            value = int(value)
+        out[name] = value
+    return out
+
+
 @dataclass
 class Superoperator:
     """Signed Kraus form: positive-part operators V_k and negative-part U_k."""
@@ -81,8 +126,7 @@ class Superoperator:
     minus_ops: list = field(default_factory=list)
 
     def __post_init__(self):
-        if not _is_int(self.dim_n):
-            raise DimensionError(f"dim_n must be an integer, got {self.dim_n!r}")
+        _check_fields(vars(self), {"dim_n": 1})
         self.plus_ops = [np.asarray(v, dtype=np.complex128) for v in self.plus_ops]
         self.minus_ops = [np.asarray(u, dtype=np.complex128) for u in self.minus_ops]
         for op in self.plus_ops + self.minus_ops:

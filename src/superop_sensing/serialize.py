@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import DimensionError
 from .linalg import load_cmx, save_cmx
-from .measurements import DESIGN_KINDS, MeasurementSet, SensingDesign
-from .models import Superoperator
+from .measurements import DESIGN_KINDS, NOISE_MODES, MeasurementSet, SensingDesign
+from .models import Superoperator, _check_fields
 
 __all__ = [
     "write_text",
@@ -33,6 +33,13 @@ __all__ = [
     "save_matrix_stack",
     "load_matrix_stack",
 ]
+
+# the fields of each manifest that its loader reads, by the rules of
+# `models._check_fields`
+_SUPEROPERATOR = {"dim_n": 1, "r_plus": 0, "r_minus": 0}
+_DESIGN = {"kind": DESIGN_KINDS, "dim_n": 1, "count": 1, "row_index": 0}
+_MEASUREMENTS = {"kind": DESIGN_KINDS, "sigma": "[0, inf)", "seed": 0,
+                 "noise_mode": NOISE_MODES}
 
 
 def write_text(path: str, text: str) -> None:
@@ -49,8 +56,24 @@ def save_json(path: str, payload: dict) -> None:
 
 
 def load_json(path: str) -> dict:
+    """The JSON object stored at path; any other JSON value raises
+    DimensionError."""
     with open(path) as fh:
-        return json.load(fh)
+        payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise DimensionError(f"{path}: need a JSON object, got {type(payload).__name__}")
+    return payload
+
+
+def _read_manifest(path: str, rules: dict) -> dict:
+    """The manifest stored at path, whose fields that `rules` names are
+    checked by `models._check_fields`; a DimensionError names the file."""
+    manifest = load_json(path)
+    try:
+        _check_fields(manifest, rules)
+    except DimensionError as exc:
+        raise DimensionError(f"{path}: {exc}") from exc
+    return manifest
 
 
 def save_matrix_stack(path: str, mats) -> None:
@@ -93,7 +116,7 @@ def save_superoperator(out_dir: str, s: Superoperator, extra: dict | None = None
 
 
 def load_superoperator(in_dir: str) -> Superoperator:
-    manifest = load_json(os.path.join(in_dir, "superoperator.json"))
+    manifest = _read_manifest(os.path.join(in_dir, "superoperator.json"), _SUPEROPERATOR)
     plus = minus = []
     if manifest["r_plus"]:
         plus = load_matrix_stack(os.path.join(in_dir, "plus_ops.cmx"),
@@ -120,17 +143,9 @@ def save_design(out_dir: str, design: SensingDesign, seed: int | None = None) ->
     save_json(os.path.join(out_dir, "design.json"), manifest)
 
 
-def _load_manifest(path: str) -> tuple[dict, str]:
-    """A manifest and its kind, which must be one of DESIGN_KINDS."""
-    manifest = load_json(path)
-    if manifest["kind"] not in DESIGN_KINDS:
-        raise DimensionError(f"{path}: unknown kind {manifest['kind']!r}")
-    return manifest, manifest["kind"]
-
-
 def load_design(in_dir: str) -> SensingDesign:
-    manifest, kind = _load_manifest(os.path.join(in_dir, "design.json"))
-    count = manifest["count"]
+    manifest = _read_manifest(os.path.join(in_dir, "design.json"), _DESIGN)
+    kind, count = manifest["kind"], manifest["count"]
     obs = load_matrix_stack(os.path.join(in_dir, "observables.cmx"), count)
     if kind == "random_pairs":
         states = load_matrix_stack(os.path.join(in_dir, "states.cmx"), count)
@@ -161,7 +176,8 @@ def save_measurements(out_dir: str, data: MeasurementSet) -> None:
 def load_measurements(in_dir: str) -> MeasurementSet:
     """Stored data, which must have their manifest's `shape`; pair values
     must be one real column."""
-    manifest, kind = _load_manifest(os.path.join(in_dir, "measurements.json"))
+    manifest = _read_manifest(os.path.join(in_dir, "measurements.json"), _MEASUREMENTS)
+    kind = manifest["kind"]
     path = os.path.join(in_dir, "values.cmx")
     values = load_cmx(path)
     if list(values.shape) != manifest["shape"]:

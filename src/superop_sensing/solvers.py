@@ -175,17 +175,11 @@ two.
 
 `solve_strategy` is the one table from strategy name to solver: `als_n2`
 solves the full matrix, `als_p`, `als_n` and `als_i` the anchor block row.
-`RUN_OPTIONS` is the one table of the options only some runs read (the
-anchor row, the noise mode and hermitizing by blockwise runs, the subset
-ratio by `als_i`); through `check_run_options` the run config and the
-command line reject one set away from its default for a run that does
-not read it.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property, wraps
@@ -195,9 +189,9 @@ import numpy as np
 from .errors import DimensionError, DivergenceError
 from .linalg import cholesky_solve, complex_gaussian, least_squares, truncated_svd
 from .measurements import SensingDesign, pair_inner_products
+from .models import _check_fields
 
 __all__ = [
-    "RUN_OPTIONS",
     "STRATEGY_DESIGNS",
     "FactorPair",
     "SolverConfig",
@@ -210,7 +204,6 @@ __all__ = [
     "solve_first_row_subset",
     "solve_strategy",
     "report_totals",
-    "check_run_options",
 ]
 
 _DIVERGENCE_FACTOR = 1e6
@@ -224,25 +217,6 @@ _BLOCK_INITS = 3   # solves raced per als_p block
 # recovery strategy -> the design kind it reads
 STRATEGY_DESIGNS = {"als_n2": "random_pairs", "als_p": "blockwise",
                     "als_n": "blockwise", "als_i": "blockwise"}
-# options that only some runs read -> (the design kind or strategy that
-# reads it, the value every other run must leave it at); a strategy reads
-# what its design reads
-RUN_OPTIONS = {"row_index": ("blockwise", 0), "noise_mode": ("blockwise", "synthetic"),
-               "hermitize": ("blockwise", False), "subset_ratio": ("als_i", 1.0)}
-
-
-def check_run_options(run: str, **options) -> None:
-    """Raise DimensionError for the first option of `RUN_OPTIONS` that
-    `run`, a strategy or a design kind, never reads but that is set off its
-    default; an option given as None counts as not given."""
-    for name, value in options.items():
-        reader, default = RUN_OPTIONS[name]
-        if value is not None and value != default and reader not in (
-                run, STRATEGY_DESIGNS.get(run)):
-            raise DimensionError(f"{name} is read only by {reader}, not by {run}: "
-                                 f"leave it at {default!r}, got {value!r}")
-
-
 def derive_seed(*parts) -> int:
     """Deterministic child seed from integer parts (master seed, indices...)."""
     return int(np.random.SeedSequence([int(p) for p in parts]).generate_state(1)[0])
@@ -257,6 +231,11 @@ class FactorPair:
         return self.left @ self.right.conj().T
 
 
+# SolverConfig's fields by the rules of `models._check_fields`
+_SOLVER_FIELDS = {"rank": 1, "max_iter": 1, "gamma": "(0, inf)", "eta": "(1, inf)",
+                  "beta": "(-inf, inf)", "seed": 0, "init": ("spectral", "random")}
+
+
 @dataclass
 class SolverConfig:
     rank: int
@@ -268,24 +247,7 @@ class SolverConfig:
     init: str = "spectral"   # or "random"
 
     def __post_init__(self):
-        for name, kind in (("rank", numbers.Integral), ("max_iter", numbers.Integral),
-                           ("gamma", numbers.Real), ("eta", numbers.Real),
-                           ("beta", numbers.Real)):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, kind)
-                    or not math.isfinite(value)):
-                raise DimensionError(f"{name} must be a finite {kind.__name__}, "
-                                     f"got {value!r}")
-        if self.rank < 1:
-            raise DimensionError("rank must be >= 1")
-        if self.max_iter < 1:
-            raise DimensionError("max_iter must be >= 1")
-        if self.gamma <= 0:
-            raise DimensionError("gamma must be positive")
-        if self.eta <= 1:
-            raise DimensionError("eta must be > 1")
-        if self.init not in ("spectral", "random"):
-            raise DimensionError(f"unknown init {self.init!r}")
+        vars(self).update(_check_fields(vars(self), _SOLVER_FIELDS))
 
 
 @dataclass

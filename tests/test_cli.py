@@ -1,8 +1,13 @@
 import json
+import shutil
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from superop_sensing import (SolverConfig, choi_reshape, ground_truth, load_cmx, save_cmx,
                              sensing_loss)
@@ -179,6 +184,16 @@ def test_run_subcommand_and_report(tmp_path, capsys):
     assert "recovery=1.00" in out
 
 
+@pytest.mark.parametrize("points", [3, None, [1], [{"m": 16}], [{"aggregates": {}}]])
+def test_report_exit_code_2_on_malformed_points(tmp_path, capsys, points):
+    # a stored results.json whose points are not a list of objects holding
+    # m and aggregates is rejected by file name, not indexed
+    path = tmp_path / "results.json"
+    path.write_text(json.dumps({"config": {"strategy": "als_n"}, "points": points}))
+    assert run_cli("report", "--inputs", str(path)) == 2
+    assert str(path) in capsys.readouterr().err
+
+
 def test_run_exit_code_2_on_bad_config(tmp_path):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps({"task": "nope"}))
@@ -293,7 +308,7 @@ def test_solve_exit_code_2_on_zero_max_iter(tmp_path):
                    "--rank", "1", "--max-iter", "0", "--out", str(tmp_path / "s")) == 2
 
 
-@pytest.mark.parametrize("count", [0, -1, "30", 2.5, True])
+@pytest.mark.parametrize("count", [0, -1, "30", 2.5, True, None])
 def test_exit_code_2_on_malformed_stack_count(tmp_path, count):
     # design.json's count feeds solve, superoperator.json's r_plus measure;
     # r_plus = 0 is a valid truth with no plus operators
@@ -501,3 +516,108 @@ def test_solve_report_is_the_shared_reduction(tmp_path, strategy):
     for timing in ("wall_time_s", "part_s"):
         del totals[timing], report[timing]
     assert {k: report[k] for k in totals} == totals
+
+
+# ---------------------------------------------------------------------------
+# one property over the stored files: a mutated manifest never raises out of
+# the command that reads it
+
+# design kind -> (measure's pair or observable count, the strategy solved)
+_STORED_KINDS = {"blockwise": ("12", "als_n"), "random_pairs": ("30", "als_n2")}
+# each stored manifest's keys, and those the command reading it uses
+_MANIFEST_KEYS = {
+    "superoperator.json": ("dim_n", "kind", "r_minus", "r_plus", "seed", "task"),
+    "design.json": ("count", "dim_n", "kind", "row_index", "seed"),
+    "measurements.json": ("design_ref", "kind", "noise_mode", "seed", "shape", "sigma")}
+_READ_KEYS = {"superoperator.json": {"dim_n", "r_plus", "r_minus"},
+              "design.json": {"kind", "dim_n", "count", "row_index"},
+              "measurements.json": {"kind", "shape"}}
+_COUNTS = {"dim_n", "count", "r_plus", "r_minus"}
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 4), st.sampled_from([2 ** 63, 10 ** 30]),
+    st.floats(), st.text(max_size=3), st.lists(st.integers(0, 3), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=1))
+_NON_OBJECTS = st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=3),
+                         st.lists(st.integers(0, 3), max_size=2))
+
+
+def _mutations(name):
+    # (manifest, op, key, value): set or remove one key, add an extra one,
+    # or replace the whole manifest
+    keys = st.sampled_from(_MANIFEST_KEYS[name])
+    return st.one_of(st.tuples(st.just(name), st.just("set"), keys, _JSON_VALUES),
+                     st.tuples(st.just(name), st.just("remove"), keys, st.none()),
+                     st.tuples(st.just(name), st.just("set"), st.just("extra"), _JSON_VALUES),
+                     st.tuples(st.just(name), st.just("replace"), st.none(), _NON_OBJECTS))
+
+
+def _command(kind, manifest, folder):
+    # measure reads superoperator.json; solve reads the other two
+    m, strategy = _STORED_KINDS[kind]
+    if manifest == "superoperator.json":
+        return ("measure", "--truth", str(folder / "truth"), "--design", kind, "--m", m,
+                "--sigma", "1e-3", "--seed", "2")
+    return ("solve", "--data", str(folder / "data"), "--strategy", strategy,
+            "--rank", "1", "--seed", "3")
+
+
+def _outputs(out):
+    # every file a command wrote, with report.json's wall-clock fields dropped
+    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    if "report.json" in files:
+        report = json.loads(files["report.json"])
+        del report["wall_time_s"], report["part_s"]
+        files["report.json"] = report
+    return files
+
+
+@pytest.fixture(scope="module")
+def stored(tmp_path_factory):
+    # N=3 generate/measure outputs of each design kind, with measure's and
+    # solve's outputs on them unmutated
+    root = tmp_path_factory.mktemp("stored")
+    for kind, (m, _) in _STORED_KINDS.items():
+        folder = root / kind / "in"
+        assert run_cli("generate", "--task", "channel", "--n", "3", "--kraus-rank", "1",
+                       "--seed", "1", "--out", str(folder / "truth")) == 0
+        assert run_cli("measure", "--truth", str(folder / "truth"), "--design", kind,
+                       "--m", m, "--sigma", "1e-3", "--seed", "2",
+                       "--out", str(folder / "data")) == 0
+        for manifest in ("superoperator.json", "design.json"):
+            argv = _command(kind, manifest, folder)
+            assert run_cli(*argv, "--out", str(root / kind / argv[0])) == 0
+    return root
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(kind=st.sampled_from(sorted(_STORED_KINDS)),
+       mutation=st.sampled_from(sorted(_MANIFEST_KEYS)).flatmap(_mutations))
+@example(kind="blockwise", mutation=("design.json", "replace", None, [1]))
+@example(kind="blockwise", mutation=("superoperator.json", "set", "r_plus", None))
+@example(kind="random_pairs", mutation=("superoperator.json", "set", "r_plus", False))
+def test_mutated_manifest_exits_0_2_or_3(stored, kind, mutation):
+    # exit 2 for a non-object manifest and for a count the command reads
+    # that is not an integer or is missing; on exit 0 after a mutation of a
+    # key the command does not read, the unmutated run's outputs
+    name, op, key, value = mutation
+    with tempfile.TemporaryDirectory() as tmp:
+        folder, out = Path(tmp) / "in", Path(tmp) / "out"
+        shutil.copytree(stored / kind / "in", folder)
+        path = folder / ("truth" if name == "superoperator.json" else "data") / name
+        manifest = json.loads(path.read_text())
+        if op == "replace":
+            manifest = value
+        elif op == "remove":
+            manifest.pop(key)
+        else:
+            manifest[key] = value
+        path.write_text(json.dumps(manifest))
+        argv = _command(kind, name, folder)
+        code = run_cli(*argv, "--out", str(out))
+        assert code in (0, 2, 3)
+        read = key in _READ_KEYS[name]
+        if op == "replace" or read and key in _COUNTS and (
+                op == "remove" or isinstance(value, bool) or not isinstance(value, int)):
+            assert code == 2
+        if code == 0 and not read:
+            assert _outputs(out) == _outputs(stored / kind / argv[0])

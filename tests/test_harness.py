@@ -12,9 +12,9 @@ from superop_sensing import (ExperimentConfig, build_design, complex_gaussian,
                              simulate_measurements)
 from superop_sensing import harness
 from superop_sensing.errors import DimensionError, UndefinedMetricError
-from superop_sensing.harness import read_csv_records
+from superop_sensing.harness import RUN_OPTIONS, read_csv_records
 from superop_sensing.serialize import load_json
-from superop_sensing.solvers import RUN_OPTIONS, derive_seed, solve_strategy
+from superop_sensing.solvers import derive_seed, solve_strategy
 from superop_sensing.reshaping import ReshapedMatrix
 
 
@@ -374,6 +374,6 @@ def test_config_rejects_truth_fields_the_task_never_reads(field, task):
              "haar": dict(r_plus=2, r_minus=1)}[task]
     base = dict(task=task, n=4, design="blockwise", strategy="als_n", sweep=[16], **reads)
     with pytest.raises(ValueError, match=f"{field} is read only by the "
-                                         f"{harness.TRUTH_FIELDS[field]} task"):
+                                         f"{RUN_OPTIONS[field][0]} task"):
         ExperimentConfig(**base, **{field: 1})
     assert getattr(ExperimentConfig(**base, **{field: 0}), field) == 0

@@ -1,5 +1,5 @@
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -15,9 +15,9 @@ from superop_sensing import solvers
 from superop_sensing.linalg import cholesky_solve, least_squares
 from superop_sensing.measurements import pair_inner_products
 from superop_sensing.models import haar_low_rank_hermitian, superop_from_reshaped
-from superop_sensing.solvers import (_RESTART_FLOOR, RUN_OPTIONS, _make_problem,
-                                     check_run_options, derive_seed, report_totals,
-                                     solve_strategy)
+from superop_sensing.harness import RUN_OPTIONS, check_run_options
+from superop_sensing.solvers import (_RESTART_FLOOR, _make_problem, derive_seed,
+                                     report_totals, solve_strategy)
 
 
 def plain_als(design, b, d1, d2, cfg):
@@ -439,6 +439,16 @@ def test_check_run_options_accepts_options_the_run_reads(run, name, value):
 def test_solver_config_rejects_bad_types(bad):
     with pytest.raises(DimensionError):
         SolverConfig(**{"rank": 1, **bad})
+
+
+def test_solver_config_checks_every_field():
+    # object() is no valid value of any field: each must be rejected by a
+    # check that names it, so a field added later cannot go unchecked
+    for f in fields(SolverConfig):
+        with pytest.raises(DimensionError, match=f.name):
+            SolverConfig(**{"rank": 1, f.name: object()})
+    with pytest.raises(DimensionError, match="seed"):
+        SolverConfig(rank=1, seed=-1)
 
 
 def test_solver_config_accepts_numpy_scalars():

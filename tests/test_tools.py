@@ -68,3 +68,26 @@ def test_compare_reports_one_traced_peak_outside_the_medians(ab_compare, monkeyp
         assert 4 <= result[name]["traced_peak_mib"] < 5
         assert result[name]["stage_s_p50"] == {"solve": 0.0}
     assert not tracemalloc.is_tracing()
+
+
+def test_code_lines_counts_code_outside_comments_and_docstrings(monkeypatch):
+    monkeypatch.syspath_prepend(_TOOLS)
+    code_lines = importlib.import_module("code_lines").code_lines
+    source = '''"""Module docstring,
+over two lines."""
+
+# a comment line
+import os  # a line of code that ends in a comment
+
+
+def f(x):
+    """Function docstring."""
+
+    total = (x +
+             1)
+    text = """a string that is not a docstring
+counts each line"""
+    return total, text
+'''
+    # import, def, the two lines of each statement and return
+    assert code_lines(source) == 7
