@@ -23,7 +23,7 @@ from .models import (Lindbladian, Superoperator, apply_superop, draw_truth,
                      lindblad_canonical, random_channel, random_density,
                      random_lindbladian, random_observable, random_pairs,
                      superop_from_reshaped)
-from .reconstruction import reconstruct_full
+from .reconstruction import CompletedMatrix, reconstruct_full
 from .reshaping import (ReshapedMatrix, choi_reshape, hs_inner, kron, reshape_R,
                         superop_matrix, unvec, vec)
 from .solvers import (FactorPair, SolveReport, SolverConfig,

@@ -22,7 +22,7 @@ from .errors import NUMERICAL_ERRORS, DimensionError
 from .linalg import load_cmx, save_cmx
 from .measurements import (DESIGN_KINDS, NOISE_MODES, SOURCES, build_design,
                            empirical_rip_probe, simulate_measurements)
-from .models import TASKS, ground_truth
+from .models import TASKS, _check_fields, ground_truth
 from .reconstruction import reconstruct_full
 from .solvers import STRATEGY_DESIGNS, SolverConfig, report_totals, solve_strategy
 
@@ -143,8 +143,10 @@ def cmd_solve(args) -> int:
     ratio = 0.5 if args.subset_ratio is None else args.subset_ratio   # als_i's default
     estimate, reports = solve_strategy(args.strategy, design, data.values, cfg, ratio)
     os.makedirs(args.out, exist_ok=True)
-    name = "estimate.cmx" if args.strategy == "als_n2" else "blocks.cmx"
-    save_cmx(os.path.join(args.out, name), estimate)
+    if args.strategy == "als_n2":
+        save_cmx(os.path.join(args.out, "estimate.cmx"), estimate.product())
+    else:
+        save_cmx(os.path.join(args.out, "blocks.cmx"), estimate)
     if len(reports) == 1:   # als_p's per-block factors are only in blocks.cmx
         save_cmx(os.path.join(args.out, "left.cmx"), reports[0].factors.left)
         save_cmx(os.path.join(args.out, "right.cmx"), reports[0].factors.right)
@@ -203,18 +205,41 @@ def cmd_rip_probe(args) -> int:
     return 0
 
 
+def _fields(value, what: str, rules: dict) -> dict:
+    """`models._check_fields` of a value that must be a JSON object."""
+    if not isinstance(value, dict):
+        raise DimensionError(f"{what} must be an object, got {value!r}")
+    return _check_fields(value, rules)
+
+
+def _stored_points(payload: dict) -> tuple:
+    """(strategy, points) of a stored results.json, each field `report`
+    reads checked: the strategy, and per point m, a recovery rate in
+    [0, 1] and a mean error in [0, inf) or null."""
+    strategy = _fields(payload.get("config"), "config",
+                       {"strategy": tuple(STRATEGY_DESIGNS)})["strategy"]
+    points = payload.get("points")
+    if not isinstance(points, list) or not all(
+            isinstance(p, dict) and {"m", "aggregates"} <= p.keys() for p in points):
+        raise DimensionError("points must be a list of objects holding m and aggregates")
+    for point in points:
+        agg = point["aggregates"]
+        rules = {"recovery_rate": "[0, 1]"}
+        if not isinstance(agg, dict) or agg.get("mean_error", 0) is not None:
+            rules["mean_error"] = "[0, inf)"      # null when every trial failed
+        _fields(agg, "aggregates", rules)
+    return strategy, points
+
+
 def cmd_report(args) -> int:
     paths = [os.path.join(item, "results.json") if os.path.isdir(item) else item
              for item in args.inputs]
     combined = []
     for path in paths:
-        payload = serialize.load_json(path)
-        strategy = payload["config"]["strategy"]
-        points = payload.get("points")
-        if not isinstance(points, list) or not all(
-                isinstance(p, dict) and {"m", "aggregates"} <= p.keys() for p in points):
-            raise DimensionError(f"{path}: points must be a list of objects holding "
-                                 f"m and aggregates")
+        try:
+            strategy, points = _stored_points(serialize.load_json(path))
+        except DimensionError as exc:
+            raise DimensionError(f"{path}: {exc}") from exc
         for point in points:
             agg = point["aggregates"]
             err = "n/a" if agg["mean_error"] is None else f"{agg['mean_error']:.3e}"

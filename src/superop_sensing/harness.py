@@ -37,18 +37,23 @@ and data are dropped when the solve returns. A blockwise solve holds the
 design (M_O x N x N) throughout. It fills G's packed lower rows (about
 half of the complex N^2 x N^2 `G`, which is never made) straight from
 the real N^2 x N^2 `S` and drops `S`, so the sweeps hold the design and
-the packed rows. At N=25, M_O=640 the Gram build is a blockwise trial's
-peak (6.1, 3.0 and 3.1 MiB for design, `S` and the rows, 13.3 MiB at the
-peak under tracemalloc), with scoring about 1 MiB below it. Completion
-then builds the dense estimate (hermitized in place when the config
-asks), and scoring builds the truth beside it and takes their difference
-in the truth's buffer, so that stage holds two N^2 x N^2 arrays, which
-bind at N=64. An `als_n2` trial holds
-its dense estimate from the solve on; its peak is the pair workspace:
-with k = N^2 r, the M x k rows, a scratch array of 2 k^2 entries (the
-row assembly works 2 k pairs at a time in it) and the k x k normal
-matrix, all complex (3.2, 1.1 and 0.6 MiB at N=8, M=1100, r=3, beside
-the 2.1 MiB design).
+the packed rows. The Gram build is a blockwise trial's peak: at N=25,
+M_O=640 6.1, 3.0 and 3.1 MiB for design, `S` and the rows, 13.3 MiB at
+the peak under tracemalloc; at N=64, M_O=1640 375 MiB. Completion keeps
+the estimate as its rank-r factors (`reconstruction.CompletedMatrix`),
+and an `als_n2` solve returns its factors too. Scoring builds the truth's
+dense matrix and subtracts the estimate from it in its buffer one row
+block of N rows at a time, each block the factors' full-width product,
+so that stage holds one N^2 x N^2 array and an N x N^2 block (1.05 N^4
+complex entries at N=64 under tracemalloc, 269 MiB, where the dense
+estimate beside the truth took 2.0 N^4). A hermitized estimate is the
+exception: it is built dense (in place) and handed over row block by
+row block, as the columns of a sliced product are not bitwise those of
+the full one, so such a trial still holds two N^2 x N^2 arrays while it
+scores. An `als_n2` trial's peak is the pair workspace: with k = N^2 r,
+the M x k rows, a scratch array of 2 k^2 entries (the row assembly works
+2 k pairs at a time in it) and the k x k normal matrix, all complex (3.2,
+1.1 and 0.6 MiB at N=8, M=1100, r=3, beside the 2.1 MiB design).
 """
 
 from __future__ import annotations
@@ -67,11 +72,11 @@ from .errors import NUMERICAL_ERRORS, DimensionError, UndefinedMetricError
 from .measurements import (DESIGN_KINDS, NOISE_MODES, SOURCES, build_design,
                            simulate_measurements)
 from .models import TASKS, _check_fields, _is_int, draw_truth
-from .reconstruction import reconstruct_full
+from .reconstruction import CompletedMatrix, reconstruct_full
 from .reshaping import ReshapedMatrix
 from .serialize import save_json, write_text
-from .solvers import (STRATEGY_DESIGNS, SolverConfig, derive_seed, report_totals,
-                      solve_strategy)
+from .solvers import (STRATEGY_DESIGNS, FactorPair, SolverConfig, derive_seed,
+                      report_totals, solve_strategy)
 
 __all__ = [
     "STAGES",
@@ -92,35 +97,40 @@ __all__ = [
 _ROLE_TRUTH, _ROLE_DESIGN, _ROLE_NOISE, _ROLE_SOLVER = 0, 1, 2, 3
 
 # the timed stages of a trial, in order; "score" includes building the
-# truth's dense matrix
+# truth's dense matrix and the estimate's row blocks from its factors
 STAGES = ("truth", "design", "simulate", "solve", "reconstruct", "score")
 
 
 def _as_matrix(x) -> np.ndarray:
-    return x.matrix if isinstance(x, ReshapedMatrix) else np.asarray(x)
+    if isinstance(x, FactorPair):
+        return x.product()
+    return x.matrix if isinstance(x, (ReshapedMatrix, CompletedMatrix)) else np.asarray(x)
 
 
 def relative_frobenius_error(estimate, truth) -> float:
-    """||K - K*||_F / ||K*||_F for matrices or ReshapedMatrix values.
+    """||K - K*||_F / ||K*||_F for matrices, ReshapedMatrix, CompletedMatrix
+    or FactorPair values.
 
     Neither input is changed: the difference is taken in a copy of the
     truth.
     """
     est = _as_matrix(estimate)
     ref = _as_matrix(truth)
-    return _error_in_place(est, ref.astype(np.result_type(est, ref)))
+    if est.shape != ref.shape:
+        raise DimensionError(f"shape mismatch {est.shape} vs {ref.shape}")
+    return _error_in_place(ref.astype(np.result_type(est, ref)), [(..., est)])
 
 
-def _error_in_place(estimate: np.ndarray, truth: np.ndarray) -> float:
-    """relative_frobenius_error(estimate, truth), with the difference taken
-    in truth's own buffer, which is overwritten: ||K*|| first, then
-    K* - K in place, whose norm is that of K - K* bit for bit."""
-    if estimate.shape != truth.shape:
-        raise DimensionError(f"shape mismatch {estimate.shape} vs {truth.shape}")
+def _error_in_place(truth: np.ndarray, row_blocks) -> float:
+    """relative_frobenius_error of an estimate given as (rows, the
+    estimate's rows) pairs, with the difference taken in truth's own
+    buffer, which is overwritten: ||K*|| first, then K* - K in place, block
+    by block, whose norm is that of K - K* bit for bit."""
     denom = np.linalg.norm(truth)
     if denom == 0:
         raise UndefinedMetricError("reference matrix has zero norm")
-    truth -= estimate
+    for rows, block in row_blocks:
+        truth[rows] -= block
     return float(np.linalg.norm(truth) / denom)
 
 
@@ -330,11 +340,15 @@ def _run_trial(config: ExperimentConfig, point_idx: int, m: int, trial: int) -> 
                                        config.subset_ratio)
     del design, data        # read by the solve only
     stamp()
-    if config.strategy != "als_n2":
-        estimate = reconstruct_full(estimate, config.rank, anchor=config.row_index,
-                                    hermitize=config.hermitize).matrix
+    if config.strategy == "als_n2":
+        rows = estimate.product                    # the solve's FactorPair
+    else:
+        rows = reconstruct_full(estimate, config.rank, anchor=config.row_index,
+                                hermitize=config.hermitize).rows
     stamp()
-    error = _error_in_place(estimate, truth_matrix())
+    n = config.n
+    blocks = (slice(i, i + n) for i in range(0, n * n, n))
+    error = _error_in_place(truth_matrix(), ((blk, rows(blk)) for blk in blocks))
     stamp()
 
     stage_s = {name: end - start for name, start, end in zip(STAGES, marks, marks[1:])}

@@ -261,6 +261,7 @@ def random_channel(n: int, kraus_rank: int, seed: int) -> Superoperator:
     re-extracts a Hilbert-Schmidt-orthogonal Kraus set from those operators
     (same channel, orthogonal operators).
     """
+    _check_fields({"n": n}, {"n": 1})
     if not 1 <= kraus_rank <= n * n:
         raise DimensionError(f"kraus_rank={kraus_rank} out of range for n={n}")
     rng = np.random.default_rng(seed)
@@ -275,6 +276,7 @@ def random_channel(n: int, kraus_rank: int, seed: int) -> Superoperator:
 
 def random_lindbladian(n: int, n_jumps: int, seed: int) -> Lindbladian:
     """Random Lindbladian: unit-Frobenius Hermitian H and Gaussian jumps."""
+    _check_fields({"n": n}, {"n": 1})
     if n_jumps < 1:
         raise DimensionError("n_jumps must be >= 1")
     rng = np.random.default_rng(seed)
@@ -389,6 +391,7 @@ def haar_low_rank_hermitian(n: int, r_plus: int, r_minus: int, seed: int) -> Res
     so the signature is numerically unambiguous; every N x N block then has
     full rank r with probability one.
     """
+    _check_fields({"n": n}, {"n": 1})
     r = r_plus + r_minus
     if r < 1 or r > n * n:
         raise DimensionError(f"rank {r} out of range for n={n}")
@@ -417,9 +420,10 @@ def draw_truth(task: str, n: int, seed: int, kraus_rank: int = 0, n_jumps: int =
     if task == "channel":
         s = random_channel(n, kraus_rank, seed)
     elif task == "lindbladian":
+        lindbladian = random_lindbladian(n, n_jumps, seed)
         if n_jumps + 2 > n * n:
             raise DimensionError(f"n_jumps + 2 = {n_jumps + 2} exceeds n**2 = {n * n}")
-        s = lindblad_canonical(random_lindbladian(n, n_jumps, seed))
+        s = lindblad_canonical(lindbladian)
     elif task == "haar":
         resh = haar_low_rank_hermitian(n, r_plus, r_minus, seed)
         return superop_from_reshaped(resh), lambda: resh.matrix

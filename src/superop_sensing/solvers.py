@@ -126,11 +126,17 @@ G is one formula of S:
 G[x,y,x',y'] = S[p,p'] + s s' S[q,q'] + i (s S[q,p'] - s' S[p,q']).
 Only the packed rows are filled, x by x: the x + 1 rows (x, x'), viewed as
 [y, x', y'], from S's rows p and q of that x gathered at the columns p' and
-q' of x' <= x. C goes before the rows are allocated and S when the build
-returns, so the build holds S, the rows and one x's gathers of S, O(N^3)
-entries. At N = 25, M_O = 640 it peaks at 6.7 MiB under tracemalloc,
-1.10 times S (3.0 MiB) and the rows (3.1). A trial's peak, 13.3 MiB,
-still falls in this build.
+q' of x' <= x. C is written into the rows' own buffer, whose float64
+view holds N^3 (N + 1) entries, when it fits there (M_O <= N (N + 1)):
+S is formed from that view and the rows are filled over C, which is dead
+by then, so the build makes one array where it made two (C, then the
+rows, which the heap could not place in the hole C left). A larger C
+keeps its own array, dropped before the rows are allocated, so the sweeps
+never hold more than the rows. S goes when the build returns, so the
+build holds S, the rows and one x's gathers of S, O(N^3) entries. At
+N = 25, M_O = 640 it peaks at 6.7 MiB under tracemalloc, 1.10 times S
+(3.0 MiB) and the rows (3.1). A blockwise trial's peak, 13.3 MiB at
+N = 25 and 375 MiB at N = 64 (M_O = 1640), falls in this build.
 
 Validity, on both back ends: normal equations square the condition number.
 A Cholesky solve is used only when the factorization succeeds and its
@@ -227,8 +233,10 @@ class FactorPair:
     left: np.ndarray    # d1 x r
     right: np.ndarray   # d2 x r
 
-    def product(self) -> np.ndarray:
-        return self.left @ self.right.conj().T
+    def product(self, rows: slice = slice(None)) -> np.ndarray:
+        """left @ right^H, or only its rows `rows`: a full-width row block,
+        bitwise those rows of the whole product."""
+        return self.left[rows] @ self.right.conj().T
 
 
 # SolverConfig's fields by the rules of `models._check_fields`
@@ -486,18 +494,26 @@ class _StackedProblem:
         row (x, x') at x (x + 1) / 2 + x' with columns (y, y'). Each x fills
         its x + 1 rows by one formula of S = C^T C over the real coordinates
         C of the observables (see the module docstring); S goes on return,
-        and no full G is made."""
+        and no full G is made. C is written into the rows' own buffer when
+        it fits there (M_O <= N (N + 1)) and the rows are filled over it;
+        otherwise C has its own array, dropped before the rows are made."""
         n, m = self.n, len(self.obs)
         parts = self.obs.view(np.float64).reshape(m, n, n, 2)
         idx = np.arange(n)
         sign = np.sign(idx[:, None] - idx[None, :]).astype(np.int8)   # s(x, y)
-        coords = np.where(sign <= 0, parts[..., 0], parts[..., 1]).reshape(m, n * n)
+        x, x_prime = np.tril_indices(n)
+        rows = np.empty((len(x), n * n), dtype=np.complex128) if m <= n * (n + 1) else None
+        coords = (np.empty(m * n * n) if rows is None
+                  else rows.view(np.float64).reshape(-1)[:m * n * n]).reshape(m, n, n)
+        np.copyto(coords, parts[..., 0])                   # Re O on and above the diagonal,
+        np.copyto(coords, parts[..., 1], where=sign > 0)   # Im O below it
+        coords = coords.reshape(m, n * n)
         s = coords.T @ coords                              # symmetric rank-k update
         del coords
+        if rows is None:
+            rows = np.empty((len(x), n * n), dtype=np.complex128)
         lo, hi = np.minimum.outer(idx, idx), np.maximum.outer(idx, idx)
         p, q = lo * n + hi, hi * n + lo                    # (x, y)'s (min, max), (max, min)
-        x, x_prime = np.tril_indices(n)
-        rows = np.empty((len(x), n * n), dtype=np.complex128)
         for i in range(n):
             k = i + 1                                      # rows (i, x') with x' < k
             g = rows[i * k // 2:i * k // 2 + k].reshape(k, n, n).transpose(1, 0, 2)
@@ -809,7 +825,8 @@ def solve_strategy(strategy: str, design: SensingDesign, values, config: SolverC
     """Run one recovery strategy on a design and its measured values.
 
     values is laid out as `MeasurementSet.values`. Returns
-    (estimate, reports): the full N^2 x N^2 matrix for `als_n2`, the
+    (estimate, reports): for `als_n2` the rank-r factors of the full
+    N^2 x N^2 matrix (a FactorPair, whose `product()` is that matrix), the
     N x N^2 anchor row otherwise, and the list of solve reports behind it
     (one per block for `als_p`, a single one otherwise). `subset_ratio` is
     read by `als_i` only.
@@ -821,7 +838,7 @@ def solve_strategy(strategy: str, design: SensingDesign, values, config: SolverC
     n = design.dim_n
     if strategy == "als_n2":
         report = nesterov_als_solve(design, values, n * n, n * n, config)
-        return report.factors.product(), [report]
+        return report.factors, [report]
     if strategy == "als_p":
         return _row_parallel(design, values, n, config)
     if strategy == "als_n":

@@ -184,14 +184,46 @@ def test_run_subcommand_and_report(tmp_path, capsys):
     assert "recovery=1.00" in out
 
 
-@pytest.mark.parametrize("points", [3, None, [1], [{"m": 16}], [{"aggregates": {}}]])
+@pytest.mark.parametrize("points", [
+    3, None, [1], [{"m": 16}], [{"aggregates": {}}], [{"m": 16, "aggregates": 5}],
+    [{"m": 16, "aggregates": {"mean_error": None, "recovery_rate": None}}],
+    [{"m": 16, "aggregates": {"mean_error": "0.1", "recovery_rate": 1.0}}],
+    [{"m": 16, "aggregates": {"recovery_rate": 1.0}}]])
 def test_report_exit_code_2_on_malformed_points(tmp_path, capsys, points):
     # a stored results.json whose points are not a list of objects holding
-    # m and aggregates is rejected by file name, not indexed
+    # m and aggregates, or whose aggregates break the field rules, is
+    # rejected by file name, not indexed
     path = tmp_path / "results.json"
     path.write_text(json.dumps({"config": {"strategy": "als_n"}, "points": points}))
     assert run_cli("report", "--inputs", str(path)) == 2
     assert str(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config", [3, None, {"strategy": "magic"}, {}])
+def test_report_exit_code_2_on_malformed_config(tmp_path, capsys, config):
+    # the strategy report prints is checked by the field rules; a bad one is
+    # rejected by file name, not met by a TypeError
+    path = tmp_path / "results.json"
+    path.write_text(json.dumps({"config": config, "points": []}))
+    assert run_cli("report", "--inputs", str(path)) == 2
+    assert str(path) in capsys.readouterr().err
+
+
+def test_report_reads_a_null_mean_error(tmp_path, capsys):
+    # a point whose trials all failed has no mean error
+    path = tmp_path / "results.json"
+    path.write_text(json.dumps({"config": {"strategy": "als_n"}, "points": [
+        {"m": 16, "aggregates": {"mean_error": None, "recovery_rate": 0.0}}]}))
+    assert run_cli("report", "--inputs", str(path)) == 0
+    assert "mean_error=n/a recovery=0.00" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("task", ["channel", "lindbladian", "haar"])
+def test_generate_exit_code_2_names_n(tmp_path, capsys, task):
+    # n is checked before the truth rank, so n=0 is not blamed on the rank
+    assert run_cli("generate", "--task", task, "--n", "0", "--out", str(tmp_path)) == 2
+    assert "n must be an integer >= 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "reshaped.cmx").exists()
 
 
 def test_run_exit_code_2_on_bad_config(tmp_path):

@@ -6,8 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from superop_sensing import (ExperimentConfig, build_design, complex_gaussian,
-                             emit_results, ground_truth, reconstruct_full, recovery_rate,
+from superop_sensing import (CompletedMatrix, ExperimentConfig, FactorPair, build_design,
+                             complex_gaussian, emit_results, ground_truth,
+                             reconstruct_full, recovery_rate,
                              relative_frobenius_error, run_experiment, sensing_loss,
                              simulate_measurements)
 from superop_sensing import harness
@@ -28,6 +29,11 @@ def test_relative_frobenius_error_basic():
 def test_relative_frobenius_error_accepts_reshaped():
     r = ReshapedMatrix(2, np.eye(4))
     assert relative_frobenius_error(r, np.eye(4)) == 0
+    # and an estimate held as factors: als_n2's FactorPair, a completion
+    factors = FactorPair(np.eye(4)[:, :2], np.eye(4)[:, :2])
+    for estimate in (factors, CompletedMatrix(2, factors)):
+        assert relative_frobenius_error(estimate, np.diag([1.0, 1, 0, 0])) == 0
+        assert relative_frobenius_error(estimate, np.eye(4)) == np.sqrt(0.5)
 
 
 def test_relative_frobenius_error_zero_truth():
@@ -310,10 +316,18 @@ def _replayed_error(cfg):
     dict(strategy="als_i", hermitize=True, row_index=2),
     dict(design="random_pairs", strategy="als_n2", sweep=[120], subset_ratio=1.0),
     dict(task="haar", kraus_rank=0, r_plus=2, r_minus=1, strategy="als_n",
-         subset_ratio=1.0)], ids=["als_n", "als_i-hermitize", "als_n2", "haar"])
+         subset_ratio=1.0),
+    dict(n=5, strategy="als_n", sweep=[30], subset_ratio=1.0),
+    dict(n=5, strategy="als_i", sweep=[30], hermitize=True, row_index=2),
+    dict(n=5, design="random_pairs", strategy="als_n2", sweep=[300], subset_ratio=1.0)],
+    ids=["als_n", "als_i-hermitize", "als_n2", "haar", "n5-als_n", "n5-als_i-hermitize",
+         "n5-als_n2"])
 def test_trial_error_is_bitwise_the_public_score(overrides):
-    # the trial builds the truth's matrix only to score and scores in its
-    # buffer; its error must still be relative_frobenius_error's, bit for bit
+    # the trial builds the truth's matrix only to score, and subtracts the
+    # estimate from it in its buffer one row block of the factors' product
+    # at a time; its error must still be relative_frobenius_error's of the
+    # dense estimate, bit for bit, also at odd N, where column-sliced
+    # products are not bitwise the full product's columns
     cfg = _small_config(sigma=1e-3, trials=1, **overrides)
     record = run_experiment(cfg).points[0].records[0]
     assert not record.message
@@ -321,10 +335,11 @@ def test_trial_error_is_bitwise_the_public_score(overrides):
 
 
 def test_blockwise_trial_peak_memory():
-    # one als_n trial at N=16 holds at most the design, S and G while it
-    # solves and the estimate and truth while it scores: under 3.5 N^4
-    # complex entries at its peak (the truth drawn densely up front, the
-    # design held to the end and a difference temporary reach above 4)
+    # one als_n trial at N=16 holds at most the design, S and the packed
+    # rows while it solves (2.4 N^4 complex entries at M_O = 260) and the
+    # truth and one N x N^2 row block of the estimate while it scores (1.3
+    # N^4): under 3.5 N^4 at its peak (the truth drawn densely up front,
+    # the design held to the end and a difference temporary reach above 4)
     cfg = ExperimentConfig(task="lindbladian", n=16, n_jumps=2, design="blockwise",
                            strategy="als_n", sweep=[260], sigma=1e-3, master_seed=1)
     tracemalloc.start()
@@ -335,6 +350,27 @@ def test_blockwise_trial_peak_memory():
         tracemalloc.stop()
     assert not record.message
     assert peak < 3.5 * 16 ** 4 * 16
+
+
+def test_scoring_holds_no_dense_estimate():
+    # at N=20, M_O=120 the Gram build holds the design (M_O N^2 = 0.3 N^4
+    # complex entries), S (N^4 reals, 0.5) and the packed rows (N^3 (N + 1)
+    # / 2, 0.525): with B and the gathers of S it peaks at 1.57 N^4. Scoring
+    # holds the truth (N^4) and one N x N^2 row block of the estimate, with
+    # the truth build's temporaries 1.2 N^4. A dense estimate beside the
+    # truth alone is 2 N^4 (the trial peaked at 2.05 N^4 with one), so the
+    # bound sits between
+    n = 20
+    cfg = ExperimentConfig(task="lindbladian", n=n, n_jumps=2, design="blockwise",
+                           strategy="als_n", sweep=[120], sigma=1e-3, master_seed=1)
+    tracemalloc.start()
+    try:
+        record = run_experiment(cfg).points[0].records[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not record.message
+    assert peak < 1.8 * n ** 4 * 16
 
 
 def test_trial_stage_times(tmp_path):

@@ -3,8 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from superop_sensing import (complex_gaussian, haar_low_rank_hermitian,
-                             reconstruct_full)
+from superop_sensing import (complex_gaussian, haar_low_rank_hermitian, pseudo_inverse,
+                             reconstruct_full, truncated_svd)
 from superop_sensing.errors import AssumptionViolationError, DimensionError
 
 
@@ -89,18 +89,41 @@ def test_hermitize_is_bitwise_the_average_with_the_adjoint(n):
 
 def test_hermitize_holds_no_second_full_matrix():
     # the average is taken in place, a strip of N rows at a time: at N=16
-    # the call peaks under 1.5 output matrices (three before)
+    # building the dense matrix peaks under 1.5 output matrices (three before)
     n = 16
     truth = haar_low_rank_hermitian(n, 2, 1, seed=31)
     noisy = _row(truth.matrix, n) + _noise(n, 1e-4, seed=32)
-    reconstruct_full(noisy, 3, hermitize=True)                    # warm-up
+    reconstruct_full(noisy, 3, hermitize=True).matrix             # warm-up
     tracemalloc.start()
     try:
-        reconstruct_full(noisy, 3, hermitize=True)
+        reconstruct_full(noisy, 3, hermitize=True).matrix
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * n ** 4 * 16
+
+
+@pytest.mark.parametrize("hermitize", [False, True])
+@pytest.mark.parametrize("n", [3, 4, 5, 16, 25])
+def test_matrix_is_bitwise_the_one_product(n, hermitize):
+    # .matrix, built from the factors, must be bitwise the dense completion
+    # (row^H proj) J^H with the SVD's anchor rows, and each row block a
+    # scorer reads bitwise .matrix's rows, also at odd N
+    r = min(n, 3)
+    truth = haar_low_rank_hermitian(n, r - 1, 1, seed=40 + n)
+    noisy = _row(truth.matrix, n, row=1) + _noise(n, 1e-4, seed=50 + n)
+    est = reconstruct_full(noisy, r, anchor=1, hermitize=hermitize)
+    blocks = [est.rows(slice(i, i + n)) for i in range(0, n * n, n)]
+    svd = truncated_svd(noisy, r)
+    j_h = svd.right.conj().T
+    proj = pseudo_inverse(j_h[:, n:2 * n], max(n * n, r) * np.finfo(np.float64).eps)
+    dense = (noisy.conj().T @ proj) @ j_h
+    dense[n:2 * n] = svd.reconstruct()
+    if hermitize:
+        dense = (dense + dense.conj().T) / 2
+    assert est.matrix.tobytes() == dense.tobytes()
+    assert np.vstack(blocks).tobytes() == dense.tobytes()
+    assert est.block(2, 1).tobytes() == dense[2 * n:3 * n, n:2 * n].tobytes()
 
 
 def test_noise_stability_is_measured_not_asserted():

@@ -72,5 +72,7 @@ def test_solve_on_reloaded_data_equals_in_memory_solve(tmp_path, strategy):
     est, reports = solve_strategy(strategy, design, data.values, cfg, ratio)
     est2, reports2 = solve_strategy(strategy, load_design(str(tmp_path)),
                                     load_measurements(str(tmp_path)).values, cfg, ratio)
+    if strategy == "als_n2":           # the full matrix's factors
+        est, est2 = est.product(), est2.product()
     assert np.array_equal(est, est2)
     assert [r.final_loss for r in reports] == [r.final_loss for r in reports2]

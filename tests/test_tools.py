@@ -1,5 +1,7 @@
 import importlib
+import json
 import os
+import shutil
 import tracemalloc
 from types import SimpleNamespace
 
@@ -91,3 +93,28 @@ counts each line"""
 '''
     # import, def, the two lines of each statement and return
     assert code_lines(source) == 7
+
+
+def test_large_n_point_runs_both_sides_in_fresh_processes(ab_compare, monkeypatch, capsys):
+    # smoke test at N=4: the base side is a copy of the checkout's package
+    # under the base name, so both sides give the same error bit for bit
+    src = os.path.join(_TOOLS, "..", "src", "superop_sensing")
+
+    def export(rev, into):
+        shutil.copytree(src, os.path.join(into, ab_compare.BASE_PACKAGE))
+
+    monkeypatch.setattr(ab_compare, "export_package", export)
+    large_n_point = importlib.import_module("large_n_point")
+    assert large_n_point.main(["--rev", "HEAD", "--n", "4", "--m-o", "24",
+                               "--pairs", "2"]) == 0
+    result = json.loads(capsys.readouterr().out)
+    assert [(r["side"], r["pair"]) for r in result["runs"]] == [
+        ("base", 0), ("change", 0), ("change", 1), ("base", 1)]
+    for run in result["runs"]:
+        assert not run["message"] and run["error"] > 0
+        assert tuple(run["stage_s"]) == ("truth", "design", "simulate", "solve",
+                                         "reconstruct", "score")
+        assert tuple(run["solve_part_s"]) == ("gram", "right", "left", "loss")
+        assert run["ru_maxrss_mib"] > 0
+    assert result["errors_identical"]
+    assert result["base"]["trial_s_p50"] > 0 and result["change"]["ru_maxrss_mib_max"] > 0
