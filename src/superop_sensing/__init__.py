@@ -29,6 +29,6 @@ from .reshaping import (ReshapedMatrix, choi_reshape, hs_inner, kron, reshape_R,
 from .solvers import (FactorPair, SolveReport, SolverConfig,
                       nesterov_als_solve, sensing_loss, solve_first_row_joint,
                       solve_first_row_parallel, solve_first_row_subset,
-                      solve_strategy)
+                      set_up_strategy, solve_strategy)
 
 __version__ = "0.1.0"

@@ -3,16 +3,20 @@
 Subcommands: generate (ground truth to disk), measure (design + data), solve
 (strategy on stored data), reconstruct (full matrix from stored blocks), run
 (full pipeline from a JSON config), rip-probe, report (aggregate stored
-results). Every subcommand accepts --out; those that draw at random
-(generate, measure, solve, run, rip-probe) also accept --seed. `run` writes
-results.json, one CSV per sweep point and figure_recipe.json. Exit codes:
-0 success, 2 configuration error, 3 numerical failure.
+results). Every subcommand accepts --out and --log-level (the package
+logger's level: INFO reports each sweep point of `run`, DEBUG each
+sweep's loss; the default, WARNING, prints nothing); those that draw at
+random (generate, measure, solve, run, rip-probe) also accept --seed.
+`run` writes results.json, one CSV per sweep point and
+figure_recipe.json. Exit codes: 0 success, 2 configuration error, 3
+numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
 import sys
 from dataclasses import fields, replace
@@ -24,7 +28,7 @@ from .measurements import (DESIGN_KINDS, NOISE_MODES, SOURCES, build_design,
                            empirical_rip_probe, simulate_measurements)
 from .models import TASKS, _check_fields, ground_truth
 from .reconstruction import reconstruct_full
-from .solvers import STRATEGY_DESIGNS, SolverConfig, report_totals, solve_strategy
+from .solvers import STRATEGY_DESIGNS, SolverConfig, report_totals, set_up_strategy
 
 _CONFIG_ERRORS = (ValueError, KeyError, FileNotFoundError, json.JSONDecodeError)
 
@@ -32,12 +36,15 @@ _CONFIG_ERRORS = (ValueError, KeyError, FileNotFoundError, json.JSONDecodeError)
 _SOLVER_DEFAULTS = {f.name: f.default for f in fields(SolverConfig)}
 # `generate`'s value of each truth field of the task that reads it
 _TRUTH_DEFAULTS = {"kraus_rank": 2, "n_jumps": 1, "r_plus": 2, "r_minus": 1}
+_LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR")
 
 
 def _common(parser, seed: bool = True):
     if seed:
         parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out", default=".", help="output directory")
+    parser.add_argument("--log-level", choices=_LOG_LEVELS, default="WARNING",
+                        help="of the package logger, on stderr (default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -141,7 +148,9 @@ def cmd_solve(args) -> int:
                        eta=args.eta, beta=args.beta, seed=args.seed)
     harness.check_run_options(args.strategy, subset_ratio=args.subset_ratio)
     ratio = 0.5 if args.subset_ratio is None else args.subset_ratio   # als_i's default
-    estimate, reports = solve_strategy(args.strategy, design, data.values, cfg, ratio)
+    run = set_up_strategy(args.strategy, design, data.values, cfg, ratio)
+    del design, data        # the run holds what it reads of them: the stack goes here
+    estimate, reports = run()
     os.makedirs(args.out, exist_ok=True)
     if args.strategy == "als_n2":
         save_cmx(os.path.join(args.out, "estimate.cmx"), estimate.product())
@@ -271,6 +280,9 @@ def main(argv=None) -> int:
     args.seed_explicit = getattr(args, "seed", None) is not None
     if not args.seed_explicit:
         args.seed = 0
+    # a stderr handler on the root logger, unless one is configured already
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger("superop_sensing").setLevel(args.log_level)
     try:
         return _COMMANDS[args.command](args)
     except NUMERICAL_ERRORS as exc:

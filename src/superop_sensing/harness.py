@@ -32,14 +32,18 @@ Memory: each N^2 x N^2 array of a trial lives only while something reads
 it. The truth is drawn in signed Kraus form (`models.draw_truth`) and its
 dense matrix is built at scoring, except a `haar` truth, which is the
 drawn matrix itself and is held from the start. A random design is
-drawn in chunks straight into its stack, so it exists once. The design
-and data are dropped when the solve returns. A blockwise solve holds the
-design (M_O x N x N) throughout. It fills G's packed lower rows (about
-half of the complex N^2 x N^2 `G`, which is never made) straight from
-the real N^2 x N^2 `S` and drops `S`, so the sweeps hold the design and
-the packed rows. The Gram build is a blockwise trial's peak: at N=25,
-M_O=640 6.1, 3.0 and 3.1 MiB for design, `S` and the rows, 13.3 MiB at
-the peak under tracemalloc; at N=64, M_O=1640 375 MiB. Completion keeps
+drawn in chunks straight into its stack, so it exists once. The solve
+runs in two steps (`solvers.set_up_strategy`), and the design and data
+are dropped between them: a blockwise set-up takes the observables' real
+coordinates C (M_O x N^2 reals, half the stack's bytes) and each
+problem's backprojections from the stack, and the run reads only those.
+The run fills G's packed lower rows (about half of the complex N^2 x N^2
+`G`, which is never made) straight from the real N^2 x N^2 `S = C^T C`
+and drops `S`, so the sweeps hold C and the packed rows; the trial drops
+them when the run returns. The Gram build is a blockwise trial's peak:
+at N=25, M_O=640 3.05, 3.0 and 3.1 MiB for C, `S` and the rows, 10.2 MiB
+at the peak under tracemalloc (13.3 with the design held through the
+build); at N=64, M_O=1640 322 MiB (375). Completion keeps
 the estimate as its rank-r factors (`reconstruction.CompletedMatrix`),
 and an `als_n2` solve returns its factors too. Scoring builds the truth's
 dense matrix and subtracts the estimate from it in its buffer one row
@@ -61,6 +65,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import logging
 import math
 import os
 import time
@@ -76,7 +81,7 @@ from .reconstruction import CompletedMatrix, reconstruct_full
 from .reshaping import ReshapedMatrix
 from .serialize import save_json, write_text
 from .solvers import (STRATEGY_DESIGNS, FactorPair, SolverConfig, derive_seed,
-                      report_totals, solve_strategy)
+                      report_totals, set_up_strategy)
 
 __all__ = [
     "STAGES",
@@ -92,6 +97,8 @@ __all__ = [
     "read_csv_records",
     "check_run_options",
 ]
+
+_LOG = logging.getLogger(__name__)   # a child of the package logger, "superop_sensing"
 
 # seed-derivation roles
 _ROLE_TRUTH, _ROLE_DESIGN, _ROLE_NOISE, _ROLE_SOLVER = 0, 1, 2, 3
@@ -335,10 +342,11 @@ def _run_trial(config: ExperimentConfig, point_idx: int, m: int, trial: int) -> 
     data = simulate_measurements(truth_op, design, config.sigma, config.noise_mode,
                                  seed(_ROLE_NOISE))
     stamp()
-    estimate, reports = solve_strategy(config.strategy, design, data.values,
-                                       config.solver_config(seed(_ROLE_SOLVER)),
-                                       config.subset_ratio)
-    del design, data        # read by the solve only
+    run = set_up_strategy(config.strategy, design, data.values,
+                          config.solver_config(seed(_ROLE_SOLVER)), config.subset_ratio)
+    del design, data        # the run holds what it reads of them: the stack goes here
+    estimate, reports = run()
+    del run                 # and what it read (C, G's packed rows) here
     stamp()
     if config.strategy == "als_n2":
         rows = estimate.product                    # the solve's FactorPair
@@ -365,10 +373,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     A numerical failure or an infeasible shape (DimensionError) becomes a
     non-recovery record; any other exception is a programming error and
-    propagates.
+    propagates. Each sweep point ends with one INFO line on the package
+    logger.
     """
     points = []
     for point_idx, m in enumerate(config.sweep):
+        start = time.perf_counter()
         records = []
         for trial in range(config.trials):
             try:
@@ -377,6 +387,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 records.append(TrialRecord(trial, None, 0.0, 0, 0, False,
                                            f"{type(exc).__name__}: {exc}"))
         points.append(SweepPoint(m, records))
+        agg = points[-1].aggregates(config.recovery_threshold)
+        _LOG.info("%s m=%d: %d trials (%d failed), mean error %s, recovery %.2f, %.3f s",
+                  config.strategy, m, len(records), agg["failed_trials"],
+                  "n/a" if agg["mean_error"] is None else f"{agg['mean_error']:.3e}",
+                  agg["recovery_rate"], time.perf_counter() - start)
     return ExperimentResult(config.manifest(), points)
 
 

@@ -82,7 +82,8 @@ A problem used only for its loss allocates no workspace.
 Blockwise, a half-sweep minimises a quadratic in one factor, so it needs
 the design only through its second moments: the N^2 x N^2 Gram matrix
 G[x,y,x',y'] = sum_m O_m[x,y] conj(O_m[x',y']) and the backprojections
-B_k = sum_m b_km O_m, both built once per problem. The left update is
+B_k = sum_m b_km O_m, G once per design and shared by every problem on
+it, B once per problem. The left update is
 then one (N r) x (N r) Hermitian positive-definite solve with normal
 matrix sum G[x,y,x',y'] W[y,c,y',c'], W = sum_k V_k (x) conj(V_k), and
 right-hand side sum_k B_k V_k; the right update is one such solve with
@@ -92,8 +93,8 @@ grows with M.
 
 Both half-sweeps read G in one format: its rows (x, x') with x >= x',
 N (N + 1) / 2 of its N^2 rows, in one array of N^3 (N + 1) / 2 complex
-entries filled once per problem straight from S (below). No full G is
-ever made, so the sweeps hold the design, B and the packed rows.
+entries filled once per design straight from S (below). No full G is
+ever made, so the sweeps hold C (below), B and the packed rows.
 
 The left normal matrix, with rows (x, c) and columns (x', c'), is formed
 on its lower triangle only: G W is computed on the packed rows, and the
@@ -126,17 +127,31 @@ G is one formula of S:
 G[x,y,x',y'] = S[p,p'] + s s' S[q,q'] + i (s S[q,p'] - s' S[p,q']).
 Only the packed rows are filled, x by x: the x + 1 rows (x, x'), viewed as
 [y, x', y'], from S's rows p and q of that x gathered at the columns p' and
-q' of x' <= x. C is written into the rows' own buffer, whose float64
-view holds N^3 (N + 1) entries, when it fits there (M_O <= N (N + 1)):
-S is formed from that view and the rows are filled over C, which is dead
-by then, so the build makes one array where it made two (C, then the
-rows, which the heap could not place in the hole C left). A larger C
-keeps its own array, dropped before the rows are allocated, so the sweeps
-never hold more than the rows. S goes when the build returns, so the
-build holds S, the rows and one x's gathers of S, O(N^3) entries. At
-N = 25, M_O = 640 it peaks at 6.7 MiB under tracemalloc, 1.10 times S
-(3.0 MiB) and the rows (3.1). A blockwise trial's peak, 13.3 MiB at
-N = 25 and 375 MiB at N = 64 (M_O = 1640), falls in this build.
+q' of x' <= x, by `np.take` into buffers that every x reuses (3 N^3 reals
+and N^3 signs). S goes when the build returns, so the build holds C, S,
+the rows and those buffers. At N = 25, M_O = 640 its own peak is 6.6 MiB
+under tracemalloc, 1.08 times S (3.0 MiB) and the rows (3.1), beside C
+(3.05 MiB); fresh gathers of S per x took 1.10 times.
+
+The observable stack is read only where C and B are taken from it, so a
+strategy runs in two steps (`set_up_strategy`): set-up takes C once per
+design (`_BlockStats`, which every problem on the design shares, with its
+packed rows) and each problem's B, with the stack alive; the run reads
+neither. B is each problem's own product b flat over the stack (flat its
+M_O x N^2 reshape), as a row of a product over more rows of b is not
+bitwise the product of that row alone. A caller that drops its design
+between the two steps frees the stack before the Gram build; CPython
+keeps a call's arguments alive until it returns, so that is the only
+place it can go, and `harness` and `cli solve` do so. The public solvers
+(`nesterov_als_solve`, `solve_first_row_*`, `sensing_loss`) take the
+design or its observables as an argument, so their caller holds the
+stack through the solve, and C beside it. At N = 25, M_O = 640 the stack
+is 6.1 MiB, C 3.05, S 3.0 and the rows 3.1: set-up holds the stack and C,
+the build C, S and the rows, and a trial's traced peak, in the build,
+went from 13.3 MiB with the stack held through it to 10.2 MiB. At
+N = 64, M_O = 1640 the stack is 102.5 MiB, C 51.3, S 128 and the rows
+130: the build holds 309 MiB, where it held 360 with the stack in place
+of C, and a trial's peak resident memory went from 433 to 384 MiB.
 
 Validity, on both back ends: normal equations square the condition number.
 A Cholesky solve is used only when the factorization succeeds and its
@@ -158,9 +173,19 @@ initial loss assembles the same left rows. The blockwise quadratic form
 ||b||^2 - 2 Re<B, X> + <X, G X> would also be independent of M, but it
 cancels down to roundoff at noiseless floors, where the restart test and
 the choice of the best iterate read it, so blockwise loss evaluates the
-residual of both factors directly, by one GEMM: as O_m is Hermitian,
-<O_m, U V_k^H> = sum_{a,c} (O_m U)[a,c] conj(V_k[a,c]), so O stacked as an
-(M N) x N matrix times U, then one product with conj(V). Every loss of both back ends, from
+residual directly, by one real GEMM over C, which the run holds in place
+of the stack at half its bytes: with X_k = U V_k^H,
+<O_m, X_k> = sum_{a,x} conj(O_m[a,x]) X_k[a,x] = sum_j C_m[j] W_k[j],
+W_k = alpha X_k^T + beta X_k entry by entry, with (alpha, beta) = (i, -i)
+below the diagonal, (1, 1) above it and (0, 1) on it, so the values are
+C W, taken over W's float64 view as an M_O x N^2 by N^2 x 2p real
+product. It costs 2 M_O N^2 p multiplies against about 8 M_O N^2 r for
+the stacked (M N) x N product of O with U and then conj(V): at N = 25
+(p = 25, r = 3) it runs at parity, 1.4 ms a call, and at N = 64 (r = 4)
+it took 0.8 s of a 4 s trial against 0.4 s. Its roundoff differs from the
+stacked form's: final losses moved by up to 6e-15 relative at N = 25 and
+3.5e-13 at N = 4, sigma = 1e-4, each the size of either form's own error
+against a long-double residual. Every loss of both back ends, from
 factors, from a matrix or from the pair rows, is one function of the
 predicted values, `_loss`.
 
@@ -179,12 +204,14 @@ leaves every iterate unchanged bitwise: the design rows, C, S, G, B, the
 normal matrices and their Cholesky factors all scale by exact powers of
 two.
 
-`solve_strategy` is the one table from strategy name to solver: `als_n2`
-solves the full matrix, `als_p`, `als_n` and `als_i` the anchor block row.
+`set_up_strategy` is the one table from strategy name to solver: `als_n2`
+solves the full matrix, `als_p`, `als_n` and `als_i` the anchor block row;
+`solve_strategy` runs both steps.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -208,9 +235,12 @@ __all__ = [
     "solve_first_row_parallel",
     "solve_first_row_joint",
     "solve_first_row_subset",
+    "set_up_strategy",
     "solve_strategy",
     "report_totals",
 ]
+
+_LOG = logging.getLogger(__name__)   # a child of the package logger, "superop_sensing"
 
 _DIVERGENCE_FACTOR = 1e6
 
@@ -460,76 +490,118 @@ def _regroup(t, shape):
     return t.reshape(shape).transpose(0, 2, 1, 3).reshape(a * c, b * d)
 
 
-class _StackedProblem:
-    """Shared-observable sensing of stacked blocks with a common left factor.
+class _BlockStats:
+    """What the solves of one blockwise design read of it: the real
+    coordinates C of its observables (M_O x N^2 float64, taken once), and
+    G's packed rows (x, x') with x >= x', built from C on first use and
+    shared by every problem of the design (see the module docstring). It
+    holds no reference to the design, so the stack can go once the
+    problems are set up."""
 
-    The half-sweeps solve normal equations built from G and B (see the
-    module docstring), which are computed on first use, so after
-    _make_problem's checks, through the one fallback step `_normal_solve`;
-    `fallbacks` counts the half-sweeps that assembled their M rows and
-    went to least squares instead. G is held in one format, its packed
-    rows (x, x') with x >= x' (`_gram_lower`), which both half-sweeps
-    read; they are filled straight from S, so no full G is made.
-    `part_s` adds up the seconds of the Gram build, each half-sweep and
-    each loss (the pair back end, with no Gram build, keeps the same
-    account).
-    """
-
-    def __init__(self, design: SensingDesign, n_blocks: int, b):
-        self.obs = design.observables
-        self.n = design.dim_n
-        self.n_blocks = n_blocks
-        self.d1 = self.n
-        self.d2 = self.n * n_blocks
-        self.b = np.asarray(b, dtype=np.complex128).reshape(n_blocks, len(self.obs))
-        self.m_total = self.b.size
-        self.fallbacks = 0
-        self.part_s = dict.fromkeys(_PARTS, 0.0)
-        self._flat = self.obs.reshape(len(self.obs), -1)    # (M, N^2), col x*N+y
+    def __init__(self, design: SensingDesign):
+        n, m = design.dim_n, design.n_measurements
+        self.n, self.m = n, m
+        idx = np.arange(n)
+        self.sign = np.sign(idx[:, None] - idx[None, :]).astype(np.int8)   # s(x, y)
+        lo, hi = np.minimum.outer(idx, idx), np.maximum.outer(idx, idx)
+        self.p, self.q = lo * n + hi, hi * n + lo          # (x, y)'s (min, max), (max, min)
+        # the loss's weights: <O_m, X> = C_m . W, W = alpha X^T + beta X
+        self.alpha = np.select([self.sign > 0, self.sign < 0], [1j, 1], 0)
+        self.beta = np.where(self.sign > 0, -1j, 1)
+        parts = design.observables.view(np.float64).reshape(m, n, n, 2)
+        coords = np.empty((m, n, n))
+        np.copyto(coords, parts[..., 0])                       # Re O on and above the diagonal,
+        np.copyto(coords, parts[..., 1], where=self.sign > 0)  # Im O below it
+        self.coords = coords.reshape(m, n * n)
 
     @cached_property
-    @_timed("gram")
-    def _gram_lower(self):
+    def gram_lower(self):
         """G's rows (x, x') with x >= x': x and x', then the rows packed,
         row (x, x') at x (x + 1) / 2 + x' with columns (y, y'). Each x fills
-        its x + 1 rows by one formula of S = C^T C over the real coordinates
-        C of the observables (see the module docstring); S goes on return,
-        and no full G is made. C is written into the rows' own buffer when
-        it fits there (M_O <= N (N + 1)) and the rows are filled over it;
-        otherwise C has its own array, dropped before the rows are made."""
-        n, m = self.n, len(self.obs)
-        parts = self.obs.view(np.float64).reshape(m, n, n, 2)
-        idx = np.arange(n)
-        sign = np.sign(idx[:, None] - idx[None, :]).astype(np.int8)   # s(x, y)
+        its x + 1 rows by one formula of S = C^T C (see the module
+        docstring), from S's rows and columns gathered into buffers that
+        every x reuses; S goes on return, and no full G is made."""
+        n, p, q, sign = self.n, self.p, self.q, self.sign
         x, x_prime = np.tril_indices(n)
-        rows = np.empty((len(x), n * n), dtype=np.complex128) if m <= n * (n + 1) else None
-        coords = (np.empty(m * n * n) if rows is None
-                  else rows.view(np.float64).reshape(-1)[:m * n * n]).reshape(m, n, n)
-        np.copyto(coords, parts[..., 0])                   # Re O on and above the diagonal,
-        np.copyto(coords, parts[..., 1], where=sign > 0)   # Im O below it
-        coords = coords.reshape(m, n * n)
-        s = coords.T @ coords                              # symmetric rank-k update
-        del coords
-        if rows is None:
-            rows = np.empty((len(x), n * n), dtype=np.complex128)
-        lo, hi = np.minimum.outer(idx, idx), np.maximum.outer(idx, idx)
-        p, q = lo * n + hi, hi * n + lo                    # (x, y)'s (min, max), (max, min)
+        s = self.coords.T @ self.coords                    # symmetric rank-k update
+        rows = np.empty((len(x), n * n), dtype=np.complex128)
+        sp, sq = np.empty((n, n * n)), np.empty((n, n * n))   # S's rows p and q of one x
+        cols, signs = np.empty(n ** 3), np.empty(n ** 3, dtype=np.int8)
         for i in range(n):
             k = i + 1                                      # rows (i, x') with x' < k
             g = rows[i * k // 2:i * k // 2 + k].reshape(k, n, n).transpose(1, 0, 2)
-            sp, sq, si, sk = s[p[i]], s[q[i]], sign[i, :, None, None], sign[:k]
+            t, ss = cols[:n * k * n].reshape(n, k, n), signs[:n * k * n].reshape(n, k, n)
+            si, sk = sign[i, :, None, None], sign[:k]
+            np.take(s, p[i], axis=0, out=sp, mode="clip")
+            np.take(s, q[i], axis=0, out=sq, mode="clip")
             # [y, x', y']: S[p,p'] + s s' S[q,q'] + i (s S[q,p'] - s' S[p,q'])
-            np.multiply(si * sk, sq[:, q[:k]], out=g.real)
-            g.real += sp[:, p[:k]]
-            np.multiply(si, sq[:, p[:k]], out=g.imag)
-            g.imag -= sk * sp[:, q[:k]]
+            np.multiply(si, sk, out=ss)
+            np.multiply(ss, np.take(sq, q[:k], axis=1, out=t, mode="clip"), out=g.real)
+            g.real += np.take(sp, p[:k], axis=1, out=t, mode="clip")
+            np.multiply(si, np.take(sq, p[:k], axis=1, out=t, mode="clip"), out=g.imag)
+            np.multiply(np.take(sp, q[:k], axis=1, out=t, mode="clip"), sk, out=t)
+            g.imag -= t
         return x, x_prime, rows
 
-    @cached_property
-    def _brow(self):
-        """[B_1, ..., B_p] side by side: N x pN, column (k, y)."""
-        bsum = (self.b @ self._flat).reshape(self.n_blocks, self.n, self.n)
-        return bsum.transpose(1, 0, 2).reshape(self.d1, self.d2)
+    def observables(self):
+        """The (M_O, N, N) stack rebuilt from C, O[x,y] = C[p] + i s C[q]:
+        equal to the design's in every value, and in every bit where the
+        design's two triangles agree in the signs of their zeros, as the
+        package's random observables do (its Pauli products do not). Made
+        only for a least-squares fallback's rows."""
+        obs = np.zeros((self.m, self.n, self.n), dtype=np.complex128)
+        obs.real = self.coords[:, self.p]
+        imag = self.coords[:, self.q]
+        np.copyto(obs.imag, imag, where=self.sign > 0)
+        np.copyto(obs.imag, np.negative(imag, out=imag), where=self.sign < 0)
+        return obs
+
+
+class _StackedProblem:
+    """Shared-observable sensing of stacked blocks with a common left factor.
+
+    A view of one design's `_BlockStats` with one problem's data: the
+    (p, M_O) data b and the backprojections B, side by side as an N x pN
+    row, computed from the design's stack by `of` while it is alive. The
+    half-sweeps solve normal equations built from G's packed rows, which
+    both half-sweeps read, and from B (see the module docstring), through
+    the one fallback step `_normal_solve`; `fallbacks` counts the
+    half-sweeps that assembled their M rows and went to least squares
+    instead. The loss is one real product over C. `part_s` adds up the
+    seconds of the Gram build (the first problem of a design to read the
+    rows pays for it), each half-sweep and each loss (the pair back end,
+    with no Gram build, keeps the same account).
+    """
+
+    def __init__(self, stats: _BlockStats, b, brow):
+        self.stats = stats
+        self.n = stats.n
+        self.n_blocks = len(b)
+        self.d1 = self.n
+        self.d2 = self.n * self.n_blocks
+        self.b = b
+        self.brow = brow
+        self.m_total = self.b.size
+        self.fallbacks = 0
+        self.part_s = dict.fromkeys(_PARTS, 0.0)
+
+    @classmethod
+    def of(cls, design: SensingDesign, b, n_blocks: int, stats: _BlockStats):
+        """The problem of data b on the design whose statistics are stats,
+        with [B_1, ..., B_p] from the design's stack: N x pN, column (k, y)."""
+        n, m = design.dim_n, design.n_measurements
+        b = np.asarray(b, dtype=np.complex128).reshape(n_blocks, m)
+        bsum = (b @ design.observables.reshape(m, -1)).reshape(n_blocks, n, n)
+        return cls(stats, b, bsum.transpose(1, 0, 2).reshape(n, n_blocks * n))
+
+    def fresh(self):
+        """The same problem with counters of its own."""
+        return _StackedProblem(self.stats, self.b, self.brow)
+
+    @property
+    @_timed("gram")
+    def _gram_lower(self):
+        return self.stats.gram_lower
 
     def _split(self, v):
         return v.reshape(self.n_blocks, self.n, v.shape[1])
@@ -547,9 +619,9 @@ class _StackedProblem:
         t = t.transpose(2, 0, 3, 1).reshape(n * r, n * r)
         normal = t + t.conj().T
         # one right-hand side per block: sum_x B_k[x,a] conj(U[x,c])
-        rhs = (self._brow.T @ u.conj()).reshape(self.n_blocks, n * r).T
+        rhs = (self.brow.T @ u.conj()).reshape(self.n_blocks, n * r).T
         y = _normal_solve(self, normal, rhs, self.b.T, lambda: np.einsum(
-            "mxa,xc->mac", self.obs.conj(), u).reshape(len(self.obs), -1))
+            "mxa,xc->mac", self.stats.observables().conj(), u).reshape(self.stats.m, -1))
         return y.T.conj().reshape(self.d2, r)             # y is (N r, n_blocks)
 
     @_timed("left")
@@ -564,9 +636,9 @@ class _StackedProblem:
         gw = np.zeros((n * n, r * r), dtype=np.complex128)
         gw[x * n + x_prime] = gram_lower @ w
         normal = _regroup(gw, (n, n, r, r))
-        rhs = (self._brow @ v).reshape(-1)                 # sum_k B_k V_k
+        rhs = (self.brow @ v).reshape(-1)                  # sum_k B_k V_k
         u = _normal_solve(self, normal, rhs, self.b.reshape(-1), lambda: np.einsum(
-            "mxy,kyc->kmxc", self.obs, self._split(v), optimize=True
+            "mxy,kyc->kmxc", self.stats.observables(), self._split(v), optimize=True
         ).conj().reshape(self.m_total, -1))
         return u.reshape(n, r)
 
@@ -577,31 +649,35 @@ class _StackedProblem:
 
     @_timed("loss")
     def loss(self, u, v):
-        # value (k, m) = <O_m, U V_k^H> = sum_{a,c} (O_m U)[a,c] conj(V_k[a,c]), as
-        # conj(O_m[x,a]) = O_m[a,x]: O stacked as (M N) x N times U, then conj(V)
-        n, r, m = self.n, u.shape[1], len(self.obs)
-        ou = (self.obs.reshape(m * n, n) @ u).reshape(m, n * r)
-        return _loss(v.reshape(self.n_blocks, n * r).conj() @ ou.T, self.b)
+        return self.loss_of(u @ v.conj().T)
 
     def loss_of(self, x):
-        x = np.asarray(x, dtype=np.complex128)
-        blocks = x.reshape(self.n, self.n_blocks, self.n).transpose(1, 0, 2)
-        return _loss(np.einsum("mxy,kxy->km", self.obs.conj(), blocks, optimize=True),
-                     self.b)
+        # value (k, m) = <O_m, X_k> = C_m . W_k, W_k = alpha X_k^T + beta X_k, one
+        # real product of C with W's float64 view (see the module docstring)
+        n, p, stats = self.n, self.n_blocks, self.stats
+        xs = np.asarray(x, dtype=np.complex128).reshape(n, p, n).transpose(0, 2, 1)  # [a,x,k]
+        w = np.empty((n, n, p), dtype=np.complex128)
+        np.multiply(stats.alpha[..., None], xs.transpose(1, 0, 2), out=w)
+        w += stats.beta[..., None] * xs
+        values = stats.coords @ w.reshape(n * n, p).view(np.float64)
+        return _loss(values.view(np.complex128).T, self.b)
 
     def backprojection(self):
-        return self._brow / len(self.obs)
+        return self.brow / self.stats.m
 
 
-def _make_problem(design: SensingDesign, b, d1: int, d2: int):
+def _make_problem(design: SensingDesign, b, d1: int, d2: int, stats=None):
     """The back end of a design: a random-pairs design senses the full
-    N^2 x N^2 matrix, a blockwise one the d2 // N blocks of an N x d2 row."""
+    N^2 x N^2 matrix, a blockwise one the d2 // N blocks of an N x d2 row,
+    as a view of the design's statistics stats (made here if not given)."""
+    b = np.asarray(b, dtype=np.complex128)
+    if not np.all(np.isfinite(b)):
+        raise DimensionError("data values hold non-finite entries")
     if design.kind == "random_pairs":
         prob = _PairProblem(design, b)
     else:
-        prob = _StackedProblem(design, max(1, d2 // design.dim_n), b)
-    if not np.all(np.isfinite(prob.b)):
-        raise DimensionError("data values hold non-finite entries")
+        prob = _StackedProblem.of(design, b, max(1, d2 // design.dim_n),
+                                  stats or _BlockStats(design))
     if (prob.d1, prob.d2) != (d1, d2):
         raise DimensionError(
             f"design implies dimensions ({prob.d1}, {prob.d2}), got ({d1}, {d2})")
@@ -657,21 +733,28 @@ def nesterov_als_solve(design, b, d1: int, d2: int,
     valid while the data's noise keeps the loss above it. Terminates
     when the relative change of X = U V^H falls below gamma (`stop` is
     "converged") or after max_iter sweeps ("max_iter"). Returns the best
-    iterate visited; the loss trace holds one value per sweep.
+    iterate visited; the loss trace holds one value per sweep, each also
+    logged at DEBUG.
 
     beta = 0 is plain ALS: the extrapolated point is the current iterate,
     every step is one exact sweep and the loss trace is non-increasing up
     to roundoff.
     """
+    return _als(_make_problem(design, b, d1, d2), config)
+
+
+def _als(prob, config: SolverConfig) -> SolveReport:
+    """The loop of `nesterov_als_solve` on a problem already set up."""
     start = time.perf_counter()
-    prob = _make_problem(design, b, d1, d2)
-    if config.rank > min(d1, d2):
-        raise DimensionError(f"rank {config.rank} exceeds min dimension {min(d1, d2)}")
+    if config.rank > min(prob.d1, prob.d2):
+        raise DimensionError(f"rank {config.rank} exceeds min dimension "
+                             f"{min(prob.d1, prob.d2)}")
     u_prev, v_prev = _init_factors(prob, config)
     initial = prob.loss(u_prev, v_prev)
 
     v_curr, u_curr, f_curr = prob.sweep(u_prev)
     trace = [f_curr]
+    _LOG.debug("sweep 1: loss %r", f_curr)
     _guard(f_curr, initial)
     best = (u_curr, v_curr, f_curr)
     x_curr = u_curr @ v_curr.conj().T
@@ -682,11 +765,14 @@ def nesterov_als_solve(design, b, d1: int, d2: int,
 
     for _ in range(1, config.max_iter):
         v_new, u_new, f_new = prob.sweep(u_curr + config.beta * (u_curr - u_prev))
-        if f_curr > floor and f_new >= config.eta * f_curr:
+        restarted = f_curr > floor and f_new >= config.eta * f_curr
+        if restarted:
             restarts += 1
             v_new, u_new, f_new = prob.sweep(u_curr)
         iterations += 1
         trace.append(f_new)
+        _LOG.debug("sweep %d: loss %r%s", iterations, f_new,
+                   " after a restart" if restarted else "")
         _guard(f_new, initial)
         if f_new < best[2]:
             best = (u_new, v_new, f_new)
@@ -703,12 +789,15 @@ def nesterov_als_solve(design, b, d1: int, d2: int,
 
 
 # ---------------------------------------------------------------------------
-# first-row strategies
+# strategies
 
 
-# Each public first-row solver checks its observables once, by building
-# their design, and hands it to a private body; solve_strategy hands its
-# already-checked design to the same bodies.
+# Each strategy is set up from (design, values), which checks them and
+# reads what its solves need of the design, and returns its run: a
+# callable of no arguments that returns (estimate, reports) and holds no
+# reference to the design. Each public first-row solver checks its
+# observables once, by building their design, and runs one set-up at once;
+# set_up_strategy hands its already-checked design to the same set-ups.
 
 
 def _row_design(observables) -> SensingDesign:
@@ -724,6 +813,16 @@ def _check_row_values(design: SensingDesign, values, n: int) -> None:
                              f"({n}, {design.n_measurements})")
 
 
+def _full(design: SensingDesign, values, config: SolverConfig):
+    d = design.dim_n ** 2
+    prob = _make_problem(design, values, d, d)
+
+    def run():
+        report = _als(prob, config)
+        return report.factors, [report]
+    return run
+
+
 def solve_first_row_parallel(observables, values, n: int, config: SolverConfig):
     """Recover each anchor-row block independently (one solve per block).
 
@@ -733,37 +832,43 @@ def solve_first_row_parallel(observables, values, n: int, config: SolverConfig):
     spurious basin, so each block races three accelerated solves (the
     configured init plus random restarts) and keeps the lowest-loss result;
     per-block seeds are derived from (config.seed, block index, attempt).
-    Returns (row, reports) with row the N x nN anchor row and one report per
-    block: the winning solve's factors, loss, trace and stop, with
-    iterations, restarts, fallbacks and wall time summed over all three
-    solves, so the counts cover every sweep the block ran.
+    Every solve reads one set of G's packed rows. Returns (row, reports)
+    with row the N x nN anchor row and one report per block: the winning
+    solve's factors, loss, trace and stop, with iterations, restarts,
+    fallbacks and wall time summed over all three solves, so the counts
+    cover every sweep the block ran.
     """
-    return _row_parallel(_row_design(observables), values, n, config)
+    return _row_parallel(_row_design(observables), values, n, config)()
 
 
 def _row_parallel(design: SensingDesign, values, n: int, config: SolverConfig):
     _check_row_values(design, values, n)
     dim = design.dim_n
-    row = np.empty((dim, n * dim), dtype=np.complex128)
-    reports = []
-    for k in range(n):
-        tries = []
-        for attempt in range(_BLOCK_INITS):
-            cfg = replace(config, seed=derive_seed(config.seed, 1, k, attempt),
-                          init=config.init if attempt == 0 else "random")
-            try:
-                tries.append(nesterov_als_solve(design, values[k], dim, dim, cfg))
-            except Exception as exc:
-                raise type(exc)(f"block {k}: {exc}") from exc
-        best = min(tries, key=lambda rep: rep.final_loss)
-        row[:, k * dim:(k + 1) * dim] = best.factors.product()
-        reports.append(replace(best,
-                               iterations=sum(rep.iterations for rep in tries),
-                               restarts=sum(rep.restarts for rep in tries),
-                               fallbacks=sum(rep.fallbacks for rep in tries),
-                               wall_time=sum(rep.wall_time for rep in tries),
-                               part_s=_sum_parts(tries)))
-    return row, reports
+    stats = _BlockStats(design)
+    blocks = [_make_problem(design, values[k], dim, dim, stats) for k in range(n)]
+
+    def run():
+        row = np.empty((dim, n * dim), dtype=np.complex128)
+        reports = []
+        for k, block in enumerate(blocks):
+            tries = []
+            for attempt in range(_BLOCK_INITS):
+                cfg = replace(config, seed=derive_seed(config.seed, 1, k, attempt),
+                              init=config.init if attempt == 0 else "random")
+                try:
+                    tries.append(_als(block.fresh(), cfg))
+                except Exception as exc:
+                    raise type(exc)(f"block {k}: {exc}") from exc
+            best = min(tries, key=lambda rep: rep.final_loss)
+            row[:, k * dim:(k + 1) * dim] = best.factors.product()
+            reports.append(replace(best,
+                                   iterations=sum(rep.iterations for rep in tries),
+                                   restarts=sum(rep.restarts for rep in tries),
+                                   fallbacks=sum(rep.fallbacks for rep in tries),
+                                   wall_time=sum(rep.wall_time for rep in tries),
+                                   part_s=_sum_parts(tries)))
+        return row, reports
+    return run
 
 
 def solve_first_row_joint(observables, values, n: int, config: SolverConfig):
@@ -773,14 +878,19 @@ def solve_first_row_joint(observables, values, n: int, config: SolverConfig):
     (n, M_O) data matrix. Returns (row, report) with row = U V^H, the
     N x nN anchor row.
     """
-    return _row_joint(_row_design(observables), values, n, config)
+    row, (report,) = _row_joint(_row_design(observables), values, n, config)()
+    return row, report
 
 
 def _row_joint(design: SensingDesign, values, n: int, config: SolverConfig):
     _check_row_values(design, values, n)
     dim = design.dim_n
-    report = nesterov_als_solve(design, values, dim, dim * n, config)
-    return report.factors.product(), report
+    prob = _make_problem(design, values, dim, dim * n)
+
+    def run():
+        report = _als(prob, config)
+        return report.factors.product(), [report]
+    return run
 
 
 def solve_first_row_subset(observables, values, n: int, subset_ratio: float,
@@ -792,11 +902,13 @@ def solve_first_row_subset(observables, values, n: int, subset_ratio: float,
     ceil(ratio * N) - 1 indices sampled without replacement; it is kept in
     ascending order, so ratio 1 reproduces the joint solve exactly. Blocks
     outside the subset are recovered by one right-factor solve of the
-    stacked problem with the shared left factor fixed; its fallback, if
-    any, is added to the report's count. Returns (row, report) with row the
-    N x nN anchor row.
+    stacked problem with the shared left factor fixed, on the same packed
+    rows as the subset's solve; its fallback, if any, is added to the
+    report's count. Returns (row, report) with row the N x nN anchor row.
     """
-    return _row_subset(_row_design(observables), values, n, subset_ratio, config)
+    row, (report,) = _row_subset(_row_design(observables), values, n, subset_ratio,
+                                 config)()
+    return row, report
 
 
 def _row_subset(design: SensingDesign, values, n: int, subset_ratio: float,
@@ -808,21 +920,53 @@ def _row_subset(design: SensingDesign, values, n: int, subset_ratio: float,
     p = min(n, max(1, math.ceil(subset_ratio * n)))
     rng = np.random.default_rng(derive_seed(config.seed, 2))
     chosen = [0] + sorted(rng.choice(np.arange(1, n), size=p - 1, replace=False).tolist())
-    report = nesterov_als_solve(design, values[chosen], dim, dim * p, config)
-    u = report.factors.left
-    v = np.empty((n, dim, config.rank), dtype=np.complex128)   # right factor by block
-    v[chosen] = report.factors.right.reshape(p, dim, -1)
     rest = [k for k in range(n) if k not in chosen]
-    if rest:
-        fill = _make_problem(design, values[rest], dim, dim * len(rest))
-        v[rest] = fill.solve_right(u).reshape(len(rest), dim, -1)
-        report.fallbacks += fill.fallbacks
-    return u @ v.reshape(n * dim, -1).conj().T, report
+    stats = _BlockStats(design)
+    prob = _make_problem(design, values[chosen], dim, dim * p, stats)
+    fill = _make_problem(design, values[rest], dim, dim * len(rest), stats) if rest else None
+
+    def run():
+        report = _als(prob, config)
+        u = report.factors.left
+        v = np.empty((n, dim, config.rank), dtype=np.complex128)   # right factor by block
+        v[chosen] = report.factors.right.reshape(p, dim, -1)
+        if fill is not None:
+            v[rest] = fill.solve_right(u).reshape(len(rest), dim, -1)
+            report.fallbacks += fill.fallbacks
+        return u @ v.reshape(n * dim, -1).conj().T, [report]
+    return run
+
+
+def set_up_strategy(strategy: str, design: SensingDesign, values, config: SolverConfig,
+                    subset_ratio: float = 1.0):
+    """The first of `solve_strategy`'s two steps: check the run and read
+    what its solves need of the design and its values (a blockwise
+    design's real coordinates and each problem's backprojections).
+
+    Returns the second step, `run`, a callable of no arguments that
+    returns what `solve_strategy` returns; it holds no reference to the
+    design. A caller that drops its own references to the design before
+    calling `run` frees the observable stack before the solves' Gram
+    build (CPython keeps a call's arguments alive until it returns).
+    """
+    if strategy not in STRATEGY_DESIGNS:
+        raise DimensionError(f"unknown strategy {strategy!r}")
+    if design.kind != STRATEGY_DESIGNS[strategy]:
+        raise DimensionError(f"{strategy} needs a {STRATEGY_DESIGNS[strategy]} design")
+    n = design.dim_n
+    if strategy == "als_n2":
+        return _full(design, values, config)
+    if strategy == "als_p":
+        return _row_parallel(design, values, n, config)
+    if strategy == "als_n":
+        return _row_joint(design, values, n, config)
+    return _row_subset(design, values, n, subset_ratio, config)
 
 
 def solve_strategy(strategy: str, design: SensingDesign, values, config: SolverConfig,
                    subset_ratio: float = 1.0):
-    """Run one recovery strategy on a design and its measured values.
+    """Run one recovery strategy on a design and its measured values:
+    `set_up_strategy`, then its run.
 
     values is laid out as `MeasurementSet.values`. Returns
     (estimate, reports): for `als_n2` the rank-r factors of the full
@@ -831,21 +975,7 @@ def solve_strategy(strategy: str, design: SensingDesign, values, config: SolverC
     (one per block for `als_p`, a single one otherwise). `subset_ratio` is
     read by `als_i` only.
     """
-    if strategy not in STRATEGY_DESIGNS:
-        raise DimensionError(f"unknown strategy {strategy!r}")
-    if design.kind != STRATEGY_DESIGNS[strategy]:
-        raise DimensionError(f"{strategy} needs a {STRATEGY_DESIGNS[strategy]} design")
-    n = design.dim_n
-    if strategy == "als_n2":
-        report = nesterov_als_solve(design, values, n * n, n * n, config)
-        return report.factors, [report]
-    if strategy == "als_p":
-        return _row_parallel(design, values, n, config)
-    if strategy == "als_n":
-        row, report = _row_joint(design, values, n, config)
-    else:
-        row, report = _row_subset(design, values, n, subset_ratio, config)
-    return row, [report]
+    return set_up_strategy(strategy, design, values, config, subset_ratio)()
 
 
 def _sum_parts(reports) -> dict:

@@ -1,4 +1,5 @@
 import json
+import logging
 import shutil
 import struct
 import tempfile
@@ -653,3 +654,78 @@ def test_mutated_manifest_exits_0_2_or_3(stored, kind, mutation):
             assert code == 2
         if code == 0 and not read:
             assert _outputs(out) == _outputs(stored / kind / argv[0])
+
+
+# every CMX1 file `solve` reads, by design kind
+_CMX_FILES = {"blockwise": ("values.cmx", "observables.cmx"),
+              "random_pairs": ("values.cmx", "observables.cmx", "states.cmx")}
+
+
+def _cmx_case():
+    # (kind, file, (field, value)): a new magic, rows or cols, or the file
+    # cut to value modulo its length
+    return st.sampled_from(sorted(_CMX_FILES)).flatmap(lambda kind: st.tuples(
+        st.just(kind), st.sampled_from(_CMX_FILES[kind]), st.one_of(
+            st.tuples(st.just("magic"), st.binary(min_size=4, max_size=4)),
+            st.tuples(st.sampled_from(["rows", "cols"]),
+                      st.one_of(st.integers(0, 40), st.integers(0, 2 ** 64 - 1))),
+            st.tuples(st.just("truncate"), st.integers(0, 2 ** 16)))))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(case=_cmx_case())
+@example(case=("blockwise", "values.cmx", ("magic", b"CMX1")))
+@example(case=("blockwise", "values.cmx", ("rows", 3)))
+@example(case=("random_pairs", "observables.cmx", ("cols", 30)))
+@example(case=("random_pairs", "states.cmx", ("truncate", 20)))
+def test_mutated_cmx_header_exits_2_or_leaves_outputs(stored, case):
+    # solve on a CMX1 file whose magic, rows or cols is replaced, or which
+    # is cut short, exits 2, or exits 0 with the unmutated run's outputs
+    # (a mutation that left the file as it was)
+    kind, name, (field, value) = case
+    with tempfile.TemporaryDirectory() as tmp:
+        folder, out = Path(tmp) / "in", Path(tmp) / "out"
+        shutil.copytree(stored / kind / "in", folder)
+        path = folder / "data" / name
+        blob = bytearray(path.read_bytes())
+        if field == "magic":
+            blob[:4] = value
+        elif field == "truncate":
+            blob = blob[:value % len(blob)]
+        else:
+            struct.pack_into("<Q", blob, 4 if field == "rows" else 12, value)
+        path.write_bytes(bytes(blob))
+        argv = _command(kind, "design.json", folder)
+        code = run_cli(*argv, "--out", str(out))
+        assert code in (0, 2)
+        if code == 0:
+            assert _outputs(out) == _outputs(stored / kind / "solve")
+
+
+def _results(out):
+    # results.json without its wall-clock section, and the figure recipe
+    payload = json.loads((out / "results.json").read_text())
+    del payload["timings"]
+    return payload, (out / "figure_recipe.json").read_bytes()
+
+
+def test_log_level_changes_no_output(tmp_path, capsys, caplog):
+    # at the default level the package logs nothing; at DEBUG run reports
+    # its sweep point and each sweep's loss, and writes the same results
+    config = {"task": "channel", "n": 3, "design": "blockwise", "strategy": "als_n",
+              "m_o": [12], "kraus_rank": 1, "sigma": 1e-3, "trials": 2, "master_seed": 4}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    quiet, loud = tmp_path / "quiet", tmp_path / "loud"
+    try:
+        assert run_cli("run", "--config", str(cfg_path), "--out", str(quiet)) == 0
+        assert capsys.readouterr().err == "" and caplog.records == []
+        assert run_cli("run", "--config", str(cfg_path), "--out", str(loud),
+                       "--log-level", "DEBUG") == 0
+    finally:
+        logging.getLogger("superop_sensing").setLevel(logging.NOTSET)
+    levels = [r.levelname for r in caplog.records]
+    assert levels.count("INFO") == 1 and levels.count("DEBUG") >= 2
+    assert _results(quiet) == _results(loud)
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["run", "--config", "c", "--log-level", "LOUD"])

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import logging
 import time
 import tracemalloc
 
@@ -15,7 +16,7 @@ from superop_sensing import harness
 from superop_sensing.errors import DimensionError, UndefinedMetricError
 from superop_sensing.harness import RUN_OPTIONS, read_csv_records
 from superop_sensing.serialize import load_json
-from superop_sensing.solvers import derive_seed, solve_strategy
+from superop_sensing.solvers import derive_seed, set_up_strategy, solve_strategy
 from superop_sensing.reshaping import ReshapedMatrix
 
 
@@ -193,11 +194,15 @@ def test_run_experiment_records_stop_and_final_loss(tmp_path, monkeypatch):
     seen = []
 
     def spy(strategy, design, values, cfg, ratio):
-        estimate, reports = solve_strategy(strategy, design, values, cfg, ratio)
-        seen.append((design, values, estimate, reports))
-        return estimate, reports
+        run = set_up_strategy(strategy, design, values, cfg, ratio)
 
-    monkeypatch.setattr(harness, "solve_strategy", spy)
+        def spied():
+            estimate, reports = run()
+            seen.append((design, values, estimate, reports))
+            return estimate, reports
+        return spied
+
+    monkeypatch.setattr(harness, "set_up_strategy", spy)
     stops = set()
     for strategy, solver in (("als_p", {"max_iter": 300}), ("als_p", {"max_iter": 4}),
                              ("als_n", {})):
@@ -225,7 +230,7 @@ def test_run_experiment_propagates_programming_errors(monkeypatch):
     def broken(*args, **kwargs):
         raise TypeError("broken strategy")
 
-    monkeypatch.setattr(harness, "solve_strategy", broken)
+    monkeypatch.setattr(harness, "set_up_strategy", broken)
     with pytest.raises(TypeError):
         run_experiment(_small_config(trials=1))
 
@@ -335,11 +340,12 @@ def test_trial_error_is_bitwise_the_public_score(overrides):
 
 
 def test_blockwise_trial_peak_memory():
-    # one als_n trial at N=16 holds at most the design, S and the packed
-    # rows while it solves (2.4 N^4 complex entries at M_O = 260) and the
-    # truth and one N x N^2 row block of the estimate while it scores (1.3
-    # N^4): under 3.5 N^4 at its peak (the truth drawn densely up front,
-    # the design held to the end and a difference temporary reach above 4)
+    # one als_n trial at N=16 holds at most the design and C while it sets
+    # up its solve, then C, S and the packed rows (1.9 N^4 complex entries
+    # at M_O = 260), and the truth and one N x N^2 row block of the
+    # estimate while it scores (1.3 N^4): under 3.5 N^4 at its peak (the
+    # truth drawn densely up front, the design held to the end and a
+    # difference temporary reach above 4)
     cfg = ExperimentConfig(task="lindbladian", n=16, n_jumps=2, design="blockwise",
                            strategy="als_n", sweep=[260], sigma=1e-3, master_seed=1)
     tracemalloc.start()
@@ -353,9 +359,9 @@ def test_blockwise_trial_peak_memory():
 
 
 def test_scoring_holds_no_dense_estimate():
-    # at N=20, M_O=120 the Gram build holds the design (M_O N^2 = 0.3 N^4
+    # at N=20, M_O=120 the Gram build holds C (M_O N^2 reals = 0.15 N^4
     # complex entries), S (N^4 reals, 0.5) and the packed rows (N^3 (N + 1)
-    # / 2, 0.525): with B and the gathers of S it peaks at 1.57 N^4. Scoring
+    # / 2, 0.525): with B and the gathers of S it peaks at 1.40 N^4. Scoring
     # holds the truth (N^4) and one N x N^2 row block of the estimate, with
     # the truth build's temporaries 1.2 N^4. A dense estimate beside the
     # truth alone is 2 N^4 (the trial peaked at 2.05 N^4 with one), so the
@@ -371,6 +377,50 @@ def test_scoring_holds_no_dense_estimate():
         tracemalloc.stop()
     assert not record.message
     assert peak < 1.8 * n ** 4 * 16
+
+
+def test_blockwise_solve_drops_the_design_before_the_gram_build(monkeypatch):
+    # at N=20 and M_O = N^2 the trial sets up its solve with the design
+    # (N^4 complex entries) and C (M_O N^2 reals, 0.5 N^4) alive, then drops
+    # the design; the Gram build holds C, S (0.5) and the packed rows
+    # (0.525), and with the data, gather buffers and B the solve peaks at
+    # 1.79 N^4. With the design held through the build it peaked at 2.31
+    # N^4, and the bound sits between
+    n = 20
+    run_experiment(_small_config(task="lindbladian", n=4, kraus_rank=0, n_jumps=1,
+                                 strategy="als_n", subset_ratio=1.0, trials=1))
+    peaks, reconstruct = [], harness.reconstruct_full
+    monkeypatch.setattr(harness, "reconstruct_full", lambda *args, **kwargs: peaks.append(
+        tracemalloc.get_traced_memory()[1]) or reconstruct(*args, **kwargs))
+    cfg = ExperimentConfig(task="lindbladian", n=n, n_jumps=2, design="blockwise",
+                           strategy="als_n", sweep=[n * n], sigma=1e-3, master_seed=1)
+    tracemalloc.start()
+    try:
+        record = run_experiment(cfg).points[0].records[0]
+    finally:
+        tracemalloc.stop()
+    assert not record.message and record.fallbacks == 0
+    assert peaks[0] < 2.0 * n ** 4 * 16
+
+
+def test_run_experiment_logs_each_point_and_sweep(caplog):
+    # one INFO line per sweep point, one DEBUG line per sweep with its loss;
+    # the records do not depend on the level
+    cfg = _small_config(sweep=[16, 20], trials=2, sigma=1e-3)
+    with caplog.at_level(logging.DEBUG, logger="superop_sensing"):
+        result = run_experiment(cfg)
+    info = [r for r in caplog.records if r.levelno == logging.INFO]
+    assert [r.name for r in info] == ["superop_sensing.harness"] * 2
+    assert "als_i m=20: 2 trials (0 failed)" in info[1].getMessage()
+    sweeps = [r for r in caplog.records if r.levelno == logging.DEBUG]
+    assert {r.name for r in sweeps} == {"superop_sensing.solvers"}
+    assert len(sweeps) == sum(r.iterations for p in result.points for r in p.records)
+    last = result.points[1].records[1]
+    assert sweeps[-1].getMessage().startswith(f"sweep {last.iterations}:")
+    quiet = run_experiment(cfg)
+    assert all((a.error, a.iterations, a.final_loss) == (b.error, b.iterations, b.final_loss)
+               for p, q in zip(result.points, quiet.points)
+               for a, b in zip(p.records, q.records))
 
 
 def test_trial_stage_times(tmp_path):

@@ -1,5 +1,7 @@
 import tracemalloc
+import weakref
 from dataclasses import fields, replace
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -736,7 +738,10 @@ def test_gram_matches_complex_product(design):
 def test_gram_build_holds_only_s_and_the_packed_rows():
     # the build fills the packed rows straight from S: at M_O = N^2 its peak
     # is S (N^4 float64) and the rows (N^3 (N + 1) / 2 complex), plus one
-    # x's gathers of S, O(N^3); a full complex G beside them would add N^4 complex
+    # set of gather buffers that every x reuses (3 N^3 reals and N^3 signs,
+    # 0.06 of S and the rows at N = 25) and numpy's ufunc buffers, 1.084 in
+    # all; fresh gathers per x reached 1.097, and a full complex G beside
+    # them would add N^4 complex
     n = 25
     design = build_blockwise_design(n, n * n, "random", seed=129)
     prob = _make_problem(design, np.zeros((1, n * n)), n, n)
@@ -747,7 +752,7 @@ def test_gram_build_holds_only_s_and_the_packed_rows():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak <= 1.15 * (8 * n ** 4 + 8 * n ** 3 * (n + 1))
+    assert peak <= 1.09 * (8 * n ** 4 + 8 * n ** 3 * (n + 1))
 
 
 @pytest.mark.parametrize("strategy", ["als_n2", "als_p", "als_n", "als_i"])
@@ -805,7 +810,7 @@ def test_sweeps_hold_only_the_packed_gram_rows(n, blocks, monkeypatch):
 
 @pytest.mark.parametrize("blocks", [1, 3])
 def test_stacked_loss_matches_batched_formula(blocks):
-    # the loss by one GEMM over the stacked design against the batched
+    # the loss by one real GEMM over the coordinates C against the batched
     # matmul over the conjugated observables
     n, r = 6, 2
     design = build_blockwise_design(n, 40, "random", seed=124)
@@ -817,3 +822,60 @@ def test_stacked_loss_matches_batched_formula(blocks):
     want = float(np.sum(np.abs(vt @ w.T - b) ** 2)) / (2 * b.size)
     got = _make_problem(design, b, n, n * blocks).loss(u, v)
     assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("strategy", ["als_p", "als_n", "als_i"])
+def test_set_up_holds_no_observable_stack(strategy):
+    # after set-up the run holds C and each problem's B, not the design: the
+    # stack goes with the caller's last reference, and no problem of the run
+    # holds a complex (M_O, N, N) array; the run's result is the one-step
+    # solve's, bit for bit
+    n, m = 4, 20
+    _, design, data = _channel_case(n, 2, seed=150, m_o=m, sigma=1e-3)
+    cfg = SolverConfig(rank=2, seed=23, max_iter=20)
+    want, _ = solve_strategy(strategy, design, data.values, cfg, 0.5)
+    stack = weakref.ref(design.observables)
+    run = solvers.set_up_strategy(strategy, design, data.values, cfg, 0.5)
+    del design
+    assert stack() is None
+    held = [a for cell in run.__closure__ for value in _problems(cell.cell_contents)
+            for a in [*vars(value).values(), *vars(value.stats).values()]
+            if isinstance(a, np.ndarray)]
+    assert held and not any(np.iscomplexobj(a) and a.size >= m * n * n for a in held)
+    got, _ = run()
+    assert np.array_equal(got, want)
+
+
+def _problems(value):
+    # the blockwise problems among a closure cell's contents
+    values = value if isinstance(value, list) else [value]
+    return [v for v in values if isinstance(v, solvers._StackedProblem)]
+
+
+@pytest.mark.parametrize("strategy", ["als_p", "als_i"])
+def test_packed_rows_built_once_per_run(strategy, monkeypatch):
+    # every solve of a run reads one set of G's packed rows: als_p's 3 N
+    # block solves (12 here) and als_i's subset and fill problems, which
+    # built them 12 and 2 times when each problem held its own
+    builds = []
+    build = solvers._BlockStats.gram_lower.func
+    counted = cached_property(lambda stats: builds.append(stats) or build(stats))
+    counted.__set_name__(solvers._BlockStats, "gram_lower")
+    monkeypatch.setattr(solvers._BlockStats, "gram_lower", counted)
+    _, design, data = _channel_case(4, 2, seed=151, m_o=20, sigma=1e-3)
+    solve_strategy(strategy, design, data.values, SolverConfig(rank=2, seed=24), 0.5)
+    assert len(builds) == 1
+
+
+@pytest.mark.parametrize("source, n, m", [
+    ("random", 2, 3), ("random", 3, 9), ("random", 5, 31), ("random", 8, 70),
+    ("random", 16, 20), ("pauli", 2, 9), ("pauli", 4, 30), ("pauli", 8, 50)])
+def test_observables_rebuilt_from_the_coordinates(source, n, m):
+    # the fallback rows read the stack rebuilt from C: equal in every value,
+    # and in every bit on random designs, whose two triangles agree in the
+    # signs of their zeros (Pauli products can hold -0.0 in one triangle only)
+    design = build_blockwise_design(n, m, source, seed=160 + n)
+    rebuilt = solvers._BlockStats(design).observables()
+    assert np.array_equal(rebuilt, design.observables)
+    if source == "random":
+        assert rebuilt.tobytes() == design.observables.tobytes()
