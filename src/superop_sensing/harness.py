@@ -11,9 +11,11 @@ the emitted JSON.
 Strategies: `als_n2` solves the full reshaped matrix from random pairs;
 `als_p`, `als_n`, `als_i` recover the anchor block row (independently,
 jointly, or on a subset) and complete the matrix deterministically.
+`als_n` is `als_i` at ratio 1. A config's design kind follows from its
+strategy, so `design` may be left out; a given one must match.
 
-Each config field has one rule in `_FIELDS`, checked by
-`models._check_fields`, the check `SolverConfig` and the stored manifests
+Each config field but `design`, which the strategy fixes, has one rule
+in `_FIELDS`, checked by `models._check_fields`, the check `SolverConfig` and the stored manifests
 also pass through. `RUN_OPTIONS` is the one table of the options only some
 runs read: each truth rank by its task (`kraus_rank` by channels,
 `n_jumps` by Lindbladians, `r_plus` and `r_minus` by Haar truths), the
@@ -42,15 +44,14 @@ The run fills G's packed lower rows (about half of the complex N^2 x N^2
 and drops `S`, so the sweeps hold C and the packed rows; the trial drops
 them when the run returns. The Gram build is a blockwise trial's peak:
 at N=25, M_O=640 3.05, 3.0 and 3.1 MiB for C, `S` and the rows, 10.2 MiB
-at the peak under tracemalloc (13.3 with the design held through the
-build); at N=64, M_O=1640 322 MiB (375). Completion keeps
+at the peak under tracemalloc; at N=64, M_O=1640 322 MiB. Completion keeps
 the estimate as its rank-r factors (`reconstruction.CompletedMatrix`),
 and an `als_n2` solve returns its factors too. Scoring builds the truth's
 dense matrix and subtracts the estimate from it in its buffer one row
 block of N rows at a time, each block the factors' full-width product,
 so that stage holds one N^2 x N^2 array and an N x N^2 block (1.05 N^4
-complex entries at N=64 under tracemalloc, 269 MiB, where the dense
-estimate beside the truth took 2.0 N^4). A hermitized estimate is the
+complex entries at N=64 under tracemalloc, 269 MiB, where a dense
+estimate beside the truth would take 2.0 N^4). A hermitized estimate is the
 exception: it is built dense (in place) and handed over row block by
 row block, as the columns of a sliced product are not bitwise those of
 the full one, so such a trial still holds two N^2 x N^2 arrays while it
@@ -153,8 +154,7 @@ def recovery_rate(errors, threshold: float) -> float:
 
 
 # ExperimentConfig's fields by the rules of `models._check_fields`
-_FIELDS = {"task": TASKS, "n": 1, "design": DESIGN_KINDS, "strategy": tuple(STRATEGY_DESIGNS),
-           "source": SOURCES, "kraus_rank": 0, "n_jumps": 0, "r_plus": 0, "r_minus": 0,
+_FIELDS = {"task": TASKS, "n": 1, "strategy": tuple(STRATEGY_DESIGNS), "source": SOURCES, "kraus_rank": 0, "n_jumps": 0, "r_plus": 0, "r_minus": 0,
            "sigma": "[0, inf)", "noise_mode": NOISE_MODES, "subset_ratio": "(0, 1]",
            "trials": 1, "master_seed": 0, "recovery_threshold": "(0, inf)",
            "row_index": 0, "hermitize": (False, True)}
@@ -192,14 +192,16 @@ class ExperimentConfig:
     """Knobs of one experiment; see module docstring for the pipeline.
 
     `rank`, set at construction, is the solver rank: `solver["rank"]` when
-    given, else the truth's rank.
+    given, else the truth's rank. `design` is set at construction to the
+    strategy's design kind (`solvers.STRATEGY_DESIGNS`); a given value
+    must be that kind.
     """
 
     task: str
     n: int
-    design: str
     strategy: str
     sweep: list                     # M values (random_pairs) or M_O values
+    design: str | None = None       # the strategy's design kind when not given
     source: str = "random"
     kraus_rank: int = 0             # channel
     n_jumps: int = 0                # lindbladian
@@ -219,9 +221,10 @@ class ExperimentConfig:
         vars(self).update(_check_fields(vars(self), _FIELDS))
         if self.row_index >= self.n:
             raise ValueError(f"row_index must be in [0, {self.n}), got {self.row_index}")
-        if self.design != STRATEGY_DESIGNS[self.strategy]:
-            raise ValueError(
-                f"{self.strategy} needs the {STRATEGY_DESIGNS[self.strategy]} design")
+        kind = STRATEGY_DESIGNS[self.strategy]
+        if self.design not in (None, kind):
+            raise ValueError(f"{self.strategy} needs the {kind} design, got {self.design!r}")
+        self.design = kind
         sweep = self.sweep if isinstance(self.sweep, (list, tuple)) else [self.sweep]
         if not sweep or not all(_is_int(v) and v >= 1 for v in sweep):
             raise ValueError(f"sweep must hold integers >= 1, got {self.sweep!r}")

@@ -131,7 +131,7 @@ q' of x' <= x, by `np.take` into buffers that every x reuses (3 N^3 reals
 and N^3 signs). S goes when the build returns, so the build holds C, S,
 the rows and those buffers. At N = 25, M_O = 640 its own peak is 6.6 MiB
 under tracemalloc, 1.08 times S (3.0 MiB) and the rows (3.1), beside C
-(3.05 MiB); fresh gathers of S per x took 1.10 times.
+(3.05 MiB).
 
 The observable stack is read only where C and B are taken from it, so a
 strategy runs in two steps (`set_up_strategy`): set-up takes C once per
@@ -147,11 +147,9 @@ place it can go, and `harness` and `cli solve` do so. The public solvers
 design or its observables as an argument, so their caller holds the
 stack through the solve, and C beside it. At N = 25, M_O = 640 the stack
 is 6.1 MiB, C 3.05, S 3.0 and the rows 3.1: set-up holds the stack and C,
-the build C, S and the rows, and a trial's traced peak, in the build,
-went from 13.3 MiB with the stack held through it to 10.2 MiB. At
-N = 64, M_O = 1640 the stack is 102.5 MiB, C 51.3, S 128 and the rows
-130: the build holds 309 MiB, where it held 360 with the stack in place
-of C, and a trial's peak resident memory went from 433 to 384 MiB.
+the build C, S and the rows, and a trial's traced peak, in the build, is
+10.2 MiB. At N = 64, M_O = 1640 the stack is 102.5 MiB, C 51.3, S 128
+and the rows 130, so the build holds 309 MiB.
 
 Validity, on both back ends: normal equations square the condition number.
 A Cholesky solve is used only when the factorization succeeds and its
@@ -181,13 +179,13 @@ below the diagonal, (1, 1) above it and (0, 1) on it, so the values are
 C W, taken over W's float64 view as an M_O x N^2 by N^2 x 2p real
 product. It costs 2 M_O N^2 p multiplies against about 8 M_O N^2 r for
 the stacked (M N) x N product of O with U and then conj(V): at N = 25
-(p = 25, r = 3) it runs at parity, 1.4 ms a call, and at N = 64 (r = 4)
-it took 0.8 s of a 4 s trial against 0.4 s. Its roundoff differs from the
-stacked form's: final losses moved by up to 6e-15 relative at N = 25 and
-3.5e-13 at N = 4, sigma = 1e-4, each the size of either form's own error
-against a long-double residual. Every loss of both back ends, from
-factors, from a matrix or from the pair rows, is one function of the
-predicted values, `_loss`.
+(p = 25, r = 3) the two run at parity, 1.4 ms a call, while at N = 64
+(r = 4) it takes 0.8 s of a 4 s trial where the stacked form takes 0.4 s.
+The two forms' roundoff differs, by up to 6e-15 relative in the final
+loss at N = 25 and 3.5e-13 at N = 4, sigma = 1e-4, each the size of
+either form's own error against a long-double residual. Every loss of
+both back ends, from factors, from a matrix or from the pair rows, is one
+function of the predicted values, `_loss`.
 
 The loss from the left solve, (||b||^2 - ||L^-1 h||^2) / 2M with L the
 Cholesky factor of the left normal matrix and h its right-hand side,
@@ -204,9 +202,15 @@ leaves every iterate unchanged bitwise: the design rows, C, S, G, B, the
 normal matrices and their Cholesky factors all scale by exact powers of
 two.
 
-`set_up_strategy` is the one table from strategy name to solver: `als_n2`
-solves the full matrix, `als_p`, `als_n` and `als_i` the anchor block row;
-`solve_strategy` runs both steps.
+One table, `_STRATEGIES`, maps each strategy name to the design kind it
+reads and its set-up; `STRATEGY_DESIGNS` is derived from it, and
+`set_up_strategy` looks a name up in it. `als_n2` solves the full matrix
+from random pairs. The others recover the anchor block row: `als_p` block
+by block, and `als_i` jointly on a subset of the blocks, then fills the
+rest by one right-factor solve with the subset's left factor. `als_n`,
+the joint solve of the whole row, is `als_i` at ratio 1: the subset is
+every block in order, so there is no fill and it runs the one joint
+solve. `solve_strategy` runs both steps.
 """
 
 from __future__ import annotations
@@ -250,9 +254,7 @@ _RESTART_FLOOR = float(np.finfo(np.float64).eps)
 
 _BLOCK_INITS = 3   # solves raced per als_p block
 
-# recovery strategy -> the design kind it reads
-STRATEGY_DESIGNS = {"als_n2": "random_pairs", "als_p": "blockwise",
-                    "als_n": "blockwise", "als_i": "blockwise"}
+
 def derive_seed(*parts) -> int:
     """Deterministic child seed from integer parts (master seed, indices...)."""
     return int(np.random.SeedSequence([int(p) for p in parts]).generate_state(1)[0])
@@ -792,28 +794,13 @@ def _als(prob, config: SolverConfig) -> SolveReport:
 # strategies
 
 
-# Each strategy is set up from (design, values), which checks them and
-# reads what its solves need of the design, and returns its run: a
-# callable of no arguments that returns (estimate, reports) and holds no
-# reference to the design. Each public first-row solver checks its
-# observables once, by building their design, and runs one set-up at once;
-# set_up_strategy hands its already-checked design to the same set-ups.
+# Each strategy is set up from (design, values, config, subset_ratio),
+# already checked by set_up_strategy, and reads what its solves need of
+# the design; it returns its run: a callable of no arguments that returns
+# (estimate, reports) and holds no reference to the design.
 
 
-def _row_design(observables) -> SensingDesign:
-    """The blockwise design of the shared observables."""
-    return SensingDesign("blockwise", np.shape(observables)[-1], observables)
-
-
-def _check_row_values(design: SensingDesign, values, n: int) -> None:
-    """Raise unless values is the (n, M_O) data matrix of an n-block anchor
-    row of the design."""
-    if np.shape(values) != (n, design.n_measurements):
-        raise DimensionError(f"values of shape {np.shape(values)}, expected "
-                             f"({n}, {design.n_measurements})")
-
-
-def _full(design: SensingDesign, values, config: SolverConfig):
+def _full(design: SensingDesign, values, config: SolverConfig, subset_ratio: float):
     d = design.dim_n ** 2
     prob = _make_problem(design, values, d, d)
 
@@ -823,32 +810,13 @@ def _full(design: SensingDesign, values, config: SolverConfig):
     return run
 
 
-def solve_first_row_parallel(observables, values, n: int, config: SolverConfig):
-    """Recover each anchor-row block independently (one solve per block).
-
-    observables is the (M_O, N, N) array of the design and values the
-    (n, M_O) data matrix, one row per column block. The per-block problems
-    run near the identifiability limit, where a single start can land in a
-    spurious basin, so each block races three accelerated solves (the
-    configured init plus random restarts) and keeps the lowest-loss result;
-    per-block seeds are derived from (config.seed, block index, attempt).
-    Every solve reads one set of G's packed rows. Returns (row, reports)
-    with row the N x nN anchor row and one report per block: the winning
-    solve's factors, loss, trace and stop, with iterations, restarts,
-    fallbacks and wall time summed over all three solves, so the counts
-    cover every sweep the block ran.
-    """
-    return _row_parallel(_row_design(observables), values, n, config)()
-
-
-def _row_parallel(design: SensingDesign, values, n: int, config: SolverConfig):
-    _check_row_values(design, values, n)
-    dim = design.dim_n
+def _row_parallel(design: SensingDesign, values, config: SolverConfig, subset_ratio: float):
+    n = design.dim_n
     stats = _BlockStats(design)
-    blocks = [_make_problem(design, values[k], dim, dim, stats) for k in range(n)]
+    blocks = [_make_problem(design, values[k], n, n, stats) for k in range(n)]
 
     def run():
-        row = np.empty((dim, n * dim), dtype=np.complex128)
+        row = np.empty((n, n * n), dtype=np.complex128)
         reports = []
         for k, block in enumerate(blocks):
             tries = []
@@ -860,7 +828,7 @@ def _row_parallel(design: SensingDesign, values, n: int, config: SolverConfig):
                 except Exception as exc:
                     raise type(exc)(f"block {k}: {exc}") from exc
             best = min(tries, key=lambda rep: rep.final_loss)
-            row[:, k * dim:(k + 1) * dim] = best.factors.product()
+            row[:, k * n:(k + 1) * n] = best.factors.product()
             reports.append(replace(best,
                                    iterations=sum(rep.iterations for rep in tries),
                                    restarts=sum(rep.restarts for rep in tries),
@@ -871,70 +839,36 @@ def _row_parallel(design: SensingDesign, values, n: int, config: SolverConfig):
     return run
 
 
-def solve_first_row_joint(observables, values, n: int, config: SolverConfig):
-    """Recover the whole anchor row at once with a shared left factor.
-
-    observables is the (M_O, N, N) array of the design and values the
-    (n, M_O) data matrix. Returns (row, report) with row = U V^H, the
-    N x nN anchor row.
-    """
-    row, (report,) = _row_joint(_row_design(observables), values, n, config)()
-    return row, report
-
-
-def _row_joint(design: SensingDesign, values, n: int, config: SolverConfig):
-    _check_row_values(design, values, n)
-    dim = design.dim_n
-    prob = _make_problem(design, values, dim, dim * n)
-
-    def run():
-        report = _als(prob, config)
-        return report.factors.product(), [report]
-    return run
-
-
-def solve_first_row_subset(observables, values, n: int, subset_ratio: float,
-                           config: SolverConfig):
-    """Joint solve on a random subset of the anchor row, then fill the rest.
-
-    observables and values are laid out as for solve_first_row_joint. The
-    subset always contains block 0 (the Hermitian diagonal block) plus
-    ceil(ratio * N) - 1 indices sampled without replacement; it is kept in
-    ascending order, so ratio 1 reproduces the joint solve exactly. Blocks
-    outside the subset are recovered by one right-factor solve of the
-    stacked problem with the shared left factor fixed, on the same packed
-    rows as the subset's solve; its fallback, if any, is added to the
-    report's count. Returns (row, report) with row the N x nN anchor row.
-    """
-    row, (report,) = _row_subset(_row_design(observables), values, n, subset_ratio,
-                                 config)()
-    return row, report
-
-
-def _row_subset(design: SensingDesign, values, n: int, subset_ratio: float,
-                config: SolverConfig):
-    if not 0 < subset_ratio <= 1:
-        raise DimensionError("subset_ratio must be in (0, 1]")
-    _check_row_values(design, values, n)
-    dim = design.dim_n
+def _row_subset(design: SensingDesign, values, config: SolverConfig, subset_ratio: float):
+    n = design.dim_n
     p = min(n, max(1, math.ceil(subset_ratio * n)))
     rng = np.random.default_rng(derive_seed(config.seed, 2))
     chosen = [0] + sorted(rng.choice(np.arange(1, n), size=p - 1, replace=False).tolist())
     rest = [k for k in range(n) if k not in chosen]
     stats = _BlockStats(design)
-    prob = _make_problem(design, values[chosen], dim, dim * p, stats)
-    fill = _make_problem(design, values[rest], dim, dim * len(rest), stats) if rest else None
+    prob = _make_problem(design, values[chosen], n, n * p, stats)
+    fill = _make_problem(design, values[rest], n, n * len(rest), stats) if rest else None
 
     def run():
         report = _als(prob, config)
         u = report.factors.left
-        v = np.empty((n, dim, config.rank), dtype=np.complex128)   # right factor by block
-        v[chosen] = report.factors.right.reshape(p, dim, -1)
+        v = np.empty((n, n, config.rank), dtype=np.complex128)   # right factor by block
+        v[chosen] = report.factors.right.reshape(p, n, -1)
         if fill is not None:
-            v[rest] = fill.solve_right(u).reshape(len(rest), dim, -1)
+            v[rest] = fill.solve_right(u).reshape(len(rest), n, -1)
+            # the fill's half-sweep joins the report's counts and times
             report.fallbacks += fill.fallbacks
-        return u @ v.reshape(n * dim, -1).conj().T, [report]
+            report.wall_time += sum(fill.part_s.values())
+            report.part_s = _sum_parts([report, fill])
+        return u @ v.reshape(n * n, -1).conj().T, [report]
     return run
+
+
+# recovery strategy -> (the design kind it reads, its set-up); als_n is
+# als_i at ratio 1
+_STRATEGIES = {"als_n2": ("random_pairs", _full), "als_p": ("blockwise", _row_parallel),
+               "als_n": ("blockwise", _row_subset), "als_i": ("blockwise", _row_subset)}
+STRATEGY_DESIGNS = {name: kind for name, (kind, _) in _STRATEGIES.items()}
 
 
 def set_up_strategy(strategy: str, design: SensingDesign, values, config: SolverConfig,
@@ -943,24 +877,27 @@ def set_up_strategy(strategy: str, design: SensingDesign, values, config: Solver
     what its solves need of the design and its values (a blockwise
     design's real coordinates and each problem's backprojections).
 
-    Returns the second step, `run`, a callable of no arguments that
-    returns what `solve_strategy` returns; it holds no reference to the
-    design. A caller that drops its own references to the design before
-    calling `run` frees the observable stack before the solves' Gram
-    build (CPython keeps a call's arguments alive until it returns).
+    A blockwise strategy needs values of shape (N, M_O), and subset_ratio
+    must be a real in (0, 1] whatever the strategy; every strategy but
+    `als_i` runs at ratio 1. Returns the second step, `run`, a callable of
+    no arguments that returns what `solve_strategy` returns; it holds no
+    reference to the design. A caller that drops its own references to the
+    design before calling `run` frees the observable stack before the
+    solves' Gram build (CPython keeps a call's arguments alive until it
+    returns).
     """
-    if strategy not in STRATEGY_DESIGNS:
+    if strategy not in _STRATEGIES:
         raise DimensionError(f"unknown strategy {strategy!r}")
-    if design.kind != STRATEGY_DESIGNS[strategy]:
-        raise DimensionError(f"{strategy} needs a {STRATEGY_DESIGNS[strategy]} design")
-    n = design.dim_n
-    if strategy == "als_n2":
-        return _full(design, values, config)
-    if strategy == "als_p":
-        return _row_parallel(design, values, n, config)
-    if strategy == "als_n":
-        return _row_joint(design, values, n, config)
-    return _row_subset(design, values, n, subset_ratio, config)
+    kind, set_up = _STRATEGIES[strategy]
+    if design.kind != kind:
+        raise DimensionError(f"{strategy} needs a {kind} design")
+    ratio = _check_fields({"subset_ratio": subset_ratio},
+                          {"subset_ratio": "(0, 1]"})["subset_ratio"]
+    values = np.asarray(values)
+    if kind == "blockwise" and values.shape != (design.dim_n, design.n_measurements):
+        raise DimensionError(f"values of shape {values.shape}, expected "
+                             f"({design.dim_n}, {design.n_measurements})")
+    return set_up(design, values, config, ratio if strategy == "als_i" else 1.0)
 
 
 def solve_strategy(strategy: str, design: SensingDesign, values, config: SolverConfig,
@@ -973,9 +910,71 @@ def solve_strategy(strategy: str, design: SensingDesign, values, config: SolverC
     N^2 x N^2 matrix (a FactorPair, whose `product()` is that matrix), the
     N x N^2 anchor row otherwise, and the list of solve reports behind it
     (one per block for `als_p`, a single one otherwise). `subset_ratio` is
-    read by `als_i` only.
+    read by `als_i` only; `als_n` is `als_i` at ratio 1.
     """
     return set_up_strategy(strategy, design, values, config, subset_ratio)()
+
+
+def _solve_row(strategy: str, observables, values, n: int, config: SolverConfig,
+               subset_ratio: float = 1.0):
+    """solve_strategy on the blockwise design of the shared observables,
+    whose N must be the row's number of blocks n."""
+    design = SensingDesign("blockwise", np.shape(observables)[-1], observables)
+    if n != design.dim_n:
+        raise DimensionError(f"the anchor row of an N = {design.dim_n} design has "
+                             f"{design.dim_n} blocks, got n = {n}")
+    return solve_strategy(strategy, design, values, config, subset_ratio)
+
+
+def solve_first_row_parallel(observables, values, n: int, config: SolverConfig):
+    """Recover each anchor-row block independently (one solve per block):
+    the `als_p` strategy.
+
+    observables is the (M_O, N, N) array of the design, n = N the number
+    of column blocks and values the (n, M_O) data matrix, one row per
+    column block. The per-block problems run near the identifiability
+    limit, where a single start can land in a spurious basin, so each
+    block races three accelerated solves (the configured init plus random
+    restarts) and keeps the lowest-loss result; per-block seeds are
+    derived from (config.seed, block index, attempt). Every solve reads
+    one set of G's packed rows. Returns (row, reports) with row the
+    N x nN anchor row and one report per block: the winning solve's
+    factors, loss, trace and stop, with iterations, restarts, fallbacks
+    and wall time summed over all three solves, so the counts cover every
+    sweep the block ran.
+    """
+    return _solve_row("als_p", observables, values, n, config)
+
+
+def solve_first_row_joint(observables, values, n: int, config: SolverConfig):
+    """Recover the whole anchor row at once with a shared left factor: the
+    `als_n` strategy, which is `solve_first_row_subset` at ratio 1.
+
+    observables is the (M_O, N, N) array of the design, n = N the number
+    of column blocks and values the (n, M_O) data matrix. Returns
+    (row, report) with row = U V^H, the N x nN anchor row.
+    """
+    row, (report,) = _solve_row("als_n", observables, values, n, config)
+    return row, report
+
+
+def solve_first_row_subset(observables, values, n: int, subset_ratio: float,
+                           config: SolverConfig):
+    """Joint solve on a random subset of the anchor row, then fill the
+    rest: the `als_i` strategy.
+
+    observables, values and n are laid out as for solve_first_row_joint,
+    and subset_ratio is a real in (0, 1]. The subset always contains block
+    0 (the Hermitian diagonal block) plus ceil(ratio * N) - 1 indices
+    sampled without replacement; it is kept in ascending order, so ratio 1
+    is the joint solve. Blocks outside the subset are recovered by one
+    right-factor solve of the stacked problem with the shared left factor
+    fixed, on the same packed rows as the subset's solve; its fallback, if
+    any, its seconds and its part times join the report's. Returns
+    (row, report) with row the N x nN anchor row.
+    """
+    row, (report,) = _solve_row("als_i", observables, values, n, config, subset_ratio)
+    return row, report
 
 
 def _sum_parts(reports) -> dict:

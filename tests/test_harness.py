@@ -134,6 +134,25 @@ def test_config_checks_every_field():
             ExperimentConfig(**{**base, f.name: object()})
 
 
+@pytest.mark.parametrize("strategy, kind, other", [
+    ("als_n2", "random_pairs", "blockwise"), ("als_p", "blockwise", "random_pairs"),
+    ("als_n", "blockwise", "random_pairs"), ("als_i", "blockwise", "random_pairs")])
+def test_config_derives_its_design_from_the_strategy(strategy, kind, other):
+    # design may be left out: it is the strategy's design kind, which the
+    # manifest still holds, so results.json is the same either way; a
+    # given design must be that kind
+    base = dict(task="channel", n=4, strategy=strategy, sweep=[16], kraus_rank=2)
+    derived = ExperimentConfig(**base)
+    assert derived.design == kind
+    assert derived == ExperimentConfig(**base, design=kind)
+    assert derived.manifest() == ExperimentConfig(**base, design=kind).manifest()
+    assert derived.manifest()["design"] == kind
+    assert ExperimentConfig.from_dict(base) == derived
+    for bad in (other, "Blockwise", True):
+        with pytest.raises(ValueError, match="design"):
+            ExperimentConfig(**base, design=bad)
+
+
 def _small_config(**overrides):
     base = dict(task="channel", n=4, design="blockwise", strategy="als_i",
                 source="random", sweep=[16], kraus_rank=2, sigma=0.0,

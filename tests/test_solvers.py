@@ -380,6 +380,46 @@ def test_subset_ratio_validation():
                                SolverConfig(rank=1, seed=0))
 
 
+@pytest.mark.parametrize("ratio", [True, "0.5", 0.0, 1.5, float("nan"), None])
+def test_subset_ratio_must_be_a_real_in_the_unit_interval(ratio):
+    # the one field rule of the config's subset_ratio: a bool is not a real
+    # (True was taken as 1), nor is a string, and both sides of (0, 1] hold
+    _, design, data = _channel_case(3, 1, seed=86, m_o=9)
+    cfg = SolverConfig(rank=1, seed=19, max_iter=3)
+    with pytest.raises(DimensionError, match="subset_ratio"):
+        solve_first_row_subset(design.observables, data.values, 3, ratio, cfg)
+    with pytest.raises(DimensionError, match="subset_ratio"):
+        solve_strategy("als_i", design, data.values, cfg, subset_ratio=ratio)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_first_row_solvers_need_one_block_per_row_of_n(n):
+    # an anchor row of an N = 3 design has 3 blocks: n != N is rejected,
+    # where a 2-block row would be solved and then refused by completion
+    _, design, _ = _channel_case(3, 1, seed=86, m_o=9)
+    values = complex_gaussian(n, 9, seed=87)
+    cfg = SolverConfig(rank=1, seed=19, max_iter=3)
+    for solve, extra in ((solve_first_row_parallel, ()), (solve_first_row_joint, ()),
+                         (solve_first_row_subset, (0.5,))):
+        with pytest.raises(DimensionError, match="blocks"):
+            solve(design.observables, values, n, *extra, cfg)
+
+
+def test_subset_report_counts_the_fill():
+    # als_i's report adds the fill's right half-sweep to the subset solve's
+    # parts and wall time, so the solve parts account for every half-sweep
+    _, design, data = _channel_case(4, 2, seed=152, m_o=20, sigma=1e-3)
+    run = solvers.set_up_strategy("als_i", design, data.values,
+                                  SolverConfig(rank=2, seed=25, max_iter=10), 0.5)
+    held = dict(zip(run.__code__.co_freevars, (c.cell_contents for c in run.__closure__)))
+    prob, fill = held["prob"], held["fill"]
+    _, (report,) = run()
+    assert fill.part_s["right"] > 0
+    assert report.part_s == {name: prob.part_s[name] + fill.part_s[name]
+                             for name in prob.part_s}
+    assert report.wall_time >= sum(report.part_s.values())
+
+
 def test_solve_strategy_checks_design_kind():
     k, design, data = _channel_case(3, 1, seed=86, m_o=9)
     cfg = SolverConfig(rank=1, seed=19)

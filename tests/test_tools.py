@@ -39,10 +39,13 @@ def test_side_summary_skips_failed_trials(ab_compare, failed_first):
 
 class _FakeHarness:
     """`run_experiment` stand-in: a trial allocates a 4 MiB array and
-    records a solve time of 1 s when traced, 0 s otherwise."""
+    records a solve time of 1 s when traced, 0 s otherwise; the timed
+    trials record the given final losses in turn, the warm-up and traced
+    trials 0.5."""
 
-    def __init__(self):
+    def __init__(self, final_losses=(0.5, 0.5, 0.5)):
         self.seeds = []
+        self.final_losses = [0.5, *final_losses, 0.5]
 
     def ExperimentConfig(self, trials, master_seed, **config):
         return SimpleNamespace(master_seed=master_seed)
@@ -51,7 +54,8 @@ class _FakeHarness:
         self.seeds.append(cfg.master_seed)
         np.ones(2 ** 19)
         record = SimpleNamespace(
-            error=1e-3, iterations=5, restarts=0, fallbacks=0, stop="converged",
+            error=1e-3, final_loss=self.final_losses[len(self.seeds) - 1],
+            iterations=5, restarts=0, fallbacks=0, stop="converged",
             stage_s={"solve": float(tracemalloc.is_tracing())}, solve_part_s={},
             message="")
         return SimpleNamespace(points=[SimpleNamespace(records=[record])])
@@ -70,6 +74,25 @@ def test_compare_reports_one_traced_peak_outside_the_medians(ab_compare, monkeyp
         assert 4 <= result[name]["traced_peak_mib"] < 5
         assert result[name]["stage_s_p50"] == {"solve": 0.0}
     assert not tracemalloc.is_tracing()
+    assert result["errors_identical"] and result["max_rel_error_diff"] == 0
+    assert result["final_losses_identical"] and result["max_rel_final_loss_diff"] == 0
+
+
+@pytest.mark.parametrize("change_losses, identical, diff", [
+    ((0.5, 0.5 + 2 ** -53, 0.5), False, 2 ** -52),
+    ((0.5, 0.75, 0.5), False, 0.5),
+    ((0.5, None, 0.5), True, 0.0)])
+def test_compare_reports_final_loss_agreement(ab_compare, monkeypatch, change_losses,
+                                              identical, diff):
+    # every trial both sides finished must agree bit for bit for a bitwise
+    # claim, and the largest relative difference is reported otherwise; a
+    # trial without a final loss on either side is not compared
+    workload = SimpleNamespace(config={}, warmup={})
+    monkeypatch.setitem(ab_compare.pipeline.WORKLOADS, "fake", workload)
+    result = ab_compare.compare(_FakeHarness(), _FakeHarness(change_losses), "fake",
+                                seed=3, n_trials=3)
+    assert result["final_losses_identical"] is identical
+    assert result["max_rel_final_loss_diff"] == diff
 
 
 def test_code_lines_counts_code_outside_comments_and_docstrings(monkeypatch):

@@ -22,10 +22,12 @@ time (`stage_s`) and the median of each part of the solve (`solve_part_s`:
 Gram build, right and left half-sweeps, losses; empty for a revision that
 does not record them), the ratio of the change's median trial time to the
 base's, the number of trials where the change was faster, whether
-iterations, restarts, fallbacks and stop agree on every trial, and the
-largest relative difference of the trial errors. After the timed trials
-each side runs one more, untimed trial under `tracemalloc` at the first
-timed trial's master seed, and reports its traced peak
+iterations, restarts, fallbacks and stop agree on every trial, and, over
+the trials both sides finished, whether the errors and the final losses
+are bitwise equal and their largest relative differences, so one run
+backs a bitwise claim. After the timed trials each side runs one more,
+untimed trial under `tracemalloc` at the first timed trial's master
+seed, and reports its traced peak
 (`traced_peak_mib`); that trial enters no median. This is supporting
 evidence; it does not replace the benchmark's alternating run pairs.
 """
@@ -36,6 +38,7 @@ import argparse
 import importlib
 import io
 import json
+import math
 import os
 import shutil
 import statistics
@@ -71,6 +74,7 @@ def trial(harness, config: dict, master_seed: int) -> dict:
     start = time.perf_counter()
     record = harness.run_experiment(cfg).points[0].records[0]
     return {"seconds": time.perf_counter() - start, "error": record.error,
+            "final_loss": record.final_loss,
             "counts": [record.iterations, record.restarts, record.fallbacks, record.stop],
             "stage_s": record.stage_s, "part_s": getattr(record, "solve_part_s", {}),
             "message": record.message}
@@ -100,6 +104,23 @@ def side_summary(trials: list) -> dict:
             "failed": len(trials) - len(passed)}
 
 
+def _common(pairs: list, key: str) -> list:
+    # the (base, change) values of key on the trials both sides finished
+    return [(b[key], c[key]) for b, c in pairs if None not in (b[key], c[key])]
+
+
+def identical(pairs: list, key: str) -> bool:
+    """Whether key is bitwise equal on every trial both sides finished."""
+    return all(float(b).hex() == float(c).hex() for b, c in _common(pairs, key))
+
+
+def max_rel_diff(pairs: list, key: str):
+    """The largest |change - base| / |base| of key over the trials both
+    sides finished (inf where only the base is 0); None if there are none."""
+    return max((abs(c - b) / abs(b) if b else (0.0 if c == b else math.inf)
+                for b, c in _common(pairs, key)), default=None)
+
+
 def compare(base, change, workload: str, seed: int, n_trials: int) -> dict:
     config = pipeline.WORKLOADS[workload].config
     warm = dict(config, **pipeline.WORKLOADS[workload].warmup)
@@ -122,9 +143,10 @@ def compare(base, change, workload: str, seed: int, n_trials: int) -> dict:
         "time_ratio": change_s / base_s if None not in (base_s, change_s) else None,
         "change_faster": sum(c["seconds"] < b["seconds"] for b, c in pairs),
         "counts_identical": all(b["counts"] == c["counts"] for b, c in pairs),
-        "max_rel_error_diff": max((abs(c["error"] - b["error"]) / abs(b["error"])
-                                   for b, c in pairs if None not in (b["error"], c["error"])),
-                                  default=None),
+        "errors_identical": identical(pairs, "error"),
+        "max_rel_error_diff": max_rel_diff(pairs, "error"),
+        "final_losses_identical": identical(pairs, "final_loss"),
+        "max_rel_final_loss_diff": max_rel_diff(pairs, "final_loss"),
         **summary,
     }
 
