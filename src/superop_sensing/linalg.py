@@ -135,16 +135,24 @@ def cholesky_solve(a, b):
     factorization; it is not an estimate of cond(G). Scaling A by 4 and B
     by 2 halves X exactly: every step scales by a power of two.
     """
+    return _cholesky_parts(a, b)[0]
+
+
+def _cholesky_parts(a, b):
+    """`cholesky_solve`'s X with Y = L^-1 B, its forward substitution, as
+    (X, Y), or (None, None) where it returns None. With A = G^H G and
+    B = G^H b, ||G X - b||^2 = ||b||^2 - ||Y||^2 (cf. Bjorck, "Numerical
+    Methods for Least Squares Problems")."""
     try:
         chol = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
-        return None
+        return None, None
     diag = chol.diagonal().real
     if not diag.max() <= _CHOLESKY_MAX_DIAG_RATIO * diag.min():   # NaN fails too
-        return None
+        return None, None
     y = _lower_solve(chol, b)
     np.conjugate(chol, out=chol)   # L^H reversed is conj(L) reversed, transposed
-    return _lower_solve(chol[::-1, ::-1].T, y[::-1])[::-1].copy()
+    return _lower_solve(chol[::-1, ::-1].T, y[::-1])[::-1].copy(), y
 
 
 def complex_gaussian(rows: int, cols: int, seed) -> np.ndarray:

@@ -127,11 +127,17 @@ G is one formula of S:
 G[x,y,x',y'] = S[p,p'] + s s' S[q,q'] + i (s S[q,p'] - s' S[p,q']).
 Only the packed rows are filled, x by x: the x + 1 rows (x, x'), viewed as
 [y, x', y'], from S's rows p and q of that x gathered at the columns p' and
-q' of x' <= x, by `np.take` into buffers that every x reuses (3 N^3 reals
-and N^3 signs). S goes when the build returns, so the build holds C, S,
-the rows and those buffers. At N = 25, M_O = 640 its own peak is 6.6 MiB
-under tracemalloc, 1.08 times S (3.0 MiB) and the rows (3.1), beside C
-(3.05 MiB).
+q' of x' <= x, by `np.take` into buffers that every x reuses (4 N^3 reals:
+S's two rows and the x's real and imaginary parts, each contiguous, with
+the x's own rows as scratch), then copied into those rows once. Every
+ufunc reads and writes whole contiguous operands: one that writes a
+strided view of the rows, casts, or broadcasts allocates a buffer of up
+to 64 KiB a call, so the signs go on y by y. The rows are bitwise those
+of writing each formula into the strided views. S goes when the build
+returns, so the build holds C, S, the rows and those buffers. At N = 25,
+M_O = 640 its own peak is 6.56 MiB under tracemalloc, 1.08 times S
+(3.0 MiB) and the rows (3.1), beside C (3.05 MiB); at N = 64 the fill
+takes 0.19-0.24 s, against 0.30-0.33 s through the strided views.
 
 The observable stack is read only where C and B are taken from it, so a
 strategy runs in two steps (`set_up_strategy`): set-up takes C once per
@@ -163,16 +169,16 @@ half-sweep of both back ends takes this step through one function,
 `_normal_solve`; a blockwise half-sweep builds its M rows only when it
 falls back.
 
-The loss stays the direct residual over all M data. On random pairs the
+On random pairs the loss is the direct residual over all M data. The
 left half-sweep has just built the rows h that map U to the data at the
 new V, and solved min ||h y - b|| for y = U, so the loss after a sweep is
 ||h y - b||^2 / 2M, read off those rows without a second assembly; the
 initial loss assembles the same left rows. The blockwise quadratic form
 ||b||^2 - 2 Re<B, X> + <X, G X> would also be independent of M, but it
 cancels down to roundoff at noiseless floors, where the restart test and
-the choice of the best iterate read it, so blockwise loss evaluates the
-residual directly, by one real GEMM over C, which the run holds in place
-of the stack at half its bytes: with X_k = U V_k^H,
+the choice of the best iterate read it. The blockwise direct loss is one
+real GEMM over C, which the run holds in place of the stack at half its
+bytes: with X_k = U V_k^H,
 <O_m, X_k> = sum_{a,x} conj(O_m[a,x]) X_k[a,x] = sum_j C_m[j] W_k[j],
 W_k = alpha X_k^T + beta X_k entry by entry, with (alpha, beta) = (i, -i)
 below the diagonal, (1, 1) above it and (0, 1) on it, so the values are
@@ -189,13 +195,48 @@ function of the predicted values, `_loss`.
 
 The loss from the left solve, (||b||^2 - ||L^-1 h||^2) / 2M with L the
 Cholesky factor of the left normal matrix and h its right-hand side,
-would skip that GEMM, but it resolves the loss only to one ulp of
-||b||^2 / 2M. On N = 4, M_O = 20, sigma = 1e-3, rank 2, plain ALS, it
+skips that GEMM: the left half-sweep has just solved L L^H u = h, and
+L^-1 h is the forward substitution of that solve, so the loss at its
+solution costs one vdot of N r entries, and ||b||^2 is taken once per
+problem. But it resolves the loss only to one ulp of ||b||^2 / 2M, and
+it is the very quadratic form above, so it cancels down to roundoff at
+noiseless floors. On N = 4, M_O = 20, sigma = 1e-3, rank 2, plain ALS, it
 differed from the direct loss by up to 1.75e-10 relative, and one ulp was
 7.1e-11 of the final loss, 70 times the 1e-12 relative rise that a
 plain ALS trace may show. Whether that trace stayed within it depended
 on how the two norms were summed: with vdot it did, with sum(|.|^2) it
-rose by one ulp. The direct loss has no such floor.
+rose by one ulp. So a blockwise sweep reads its loss off the left solve
+only under these rules; the direct loss has no such floor.
+
+1. Fallback. A left half-sweep that fell back to least squares has no
+   Cholesky factor, and its loss is the direct one.
+2. Floor. The value from the solve is used only at or above
+   10^6 eps ||b||^2 / M, 10^6 times the restart floor, where its
+   resolution, one ulp of ||b||^2 / 2M, is at most 5e-7 of it. Below,
+   the loss is direct, so the cancellation at noiseless floors never
+   reaches a decision, and noiseless solves keep their direct losses bit
+   for bit. Noisy losses sit above the restart floor by more than 1e7
+   (above), so above this one too.
+3. Replay. The problem keeps the value of its last left solve beside a
+   digest of the (u, v) that solve returned and took, not the arrays, and
+   `loss(u, v)` of that pair returns it; `sweep` reads its loss that way,
+   so a replay of the loop that calls `loss(u, v)` on the pair a left
+   half-sweep just returned gets the loop's bits. Every other pair, the
+   initial loss and `sensing_loss` are direct.
+4. Final loss. The emitted `final_loss` is the direct residual of the
+   returned factors, one pass over C at the end of the solve, so `als_p`'s
+   race and every report compare direct residuals.
+5. Decisions. The restart test and the best iterate (strict
+   f_new < best) read the loop's losses as before. ||b||^2, L^-1 h and the
+   floor scale by exact powers of two, so the scale invariance below
+   holds.
+
+The two losses agree to a few ulps of ||b||^2 / 2M: 27 at most over 600
+sweeps of 40 seeded noisy problems (N = 3 to 8), and `tests/test_solvers.py`
+holds them to 64. A solve's losses are then two direct passes, the initial
+and the final loss: on `lindblad-n25` (N = 25, M_O = 640, one BLAS thread)
+5.5 ms a trial against 39 ms with a direct loss every sweep, and at
+N = 64, M_O = 1640, 0.11 s against 0.83 s.
 
 On both back ends a common power-of-two rescaling of design and data
 leaves every iterate unchanged bitwise: the design rows, C, S, G, B, the
@@ -224,7 +265,8 @@ from functools import cached_property, wraps
 import numpy as np
 
 from .errors import DimensionError, DivergenceError
-from .linalg import cholesky_solve, complex_gaussian, least_squares, truncated_svd
+from .linalg import (_cholesky_parts, cholesky_solve, complex_gaussian, least_squares,
+                     truncated_svd)
 from .measurements import SensingDesign, pair_inner_products
 from .models import _check_fields
 
@@ -252,7 +294,16 @@ _DIVERGENCE_FACTOR = 1e6
 # ||b||^2 / M; below it the loss values being compared are roundoff
 _RESTART_FLOOR = float(np.finfo(np.float64).eps)
 
+# a blockwise sweep reads its loss off the left solve only at or above this
+# multiple of ||b||^2 / M (see the module docstring)
+_LEFT_LOSS_FLOOR = 1e6 * _RESTART_FLOOR
+
 _BLOCK_INITS = 3   # solves raced per als_p block
+
+# als_p keeps the first attempt whose final loss is within this relative
+# distance of the least, a few ulps: attempts that reach one basin differ
+# by roundoff, which should not pick the winner
+_TIE_RTOL = 4 * float(np.finfo(np.float64).eps)
 
 
 def derive_seed(*parts) -> int:
@@ -331,20 +382,27 @@ def _loss(values, b) -> float:
     return float(np.sum(np.abs(values - b) ** 2)) / (2 * b.size)
 
 
-def _normal_solve(prob, normal, rhs, b, rows):
+def _normal_solve(prob, normal, rhs, b, rows, forward=False):
     """Solve the normal equations normal y = rhs of the M-row system
-    rows() y = b by Cholesky.
+    rows() y = b by Cholesky: (y, None), or with forward set (y, L^-1 rhs),
+    L the Cholesky factor, the forward substitution of the solve.
 
     When `linalg.cholesky_solve` rejects them, solve rows() y = b by
-    least squares instead and count one fallback on prob; rows is called
-    only then, so a back end that never forms its M rows builds them only
-    for the fallback.
+    least squares instead, count one fallback on prob and return (y, None);
+    rows is called only then, so a back end that never forms its M rows
+    builds them only for the fallback.
     """
-    y = cholesky_solve(normal, rhs)
+    y, low = _cholesky_parts(normal, rhs) if forward else (cholesky_solve(normal, rhs), None)
     if y is None:
         prob.fallbacks += 1
-        y = least_squares(rows(), b)
-    return y
+        return least_squares(rows(), b), None
+    return y, low
+
+
+def _digest(*arrays) -> int:
+    """A hash of the arrays' dtypes, shapes and bits: knows them again
+    without holding them."""
+    return hash(tuple((a.dtype.str, a.shape, a.tobytes()) for a in map(np.asarray, arrays)))
 
 
 class _PairProblem:
@@ -447,7 +505,7 @@ class _PairProblem:
     def _solve_rows(self, g):
         # min ||g y - b|| through g^H g y = g^H b
         return _normal_solve(self, self._normal(g), (self.b.conj() @ g).conj(), self.b,
-                             lambda: g)
+                             lambda: g)[0]
 
     @_timed("right")
     def solve_right(self, u):
@@ -474,6 +532,10 @@ class _PairProblem:
     @_timed("loss")
     def loss(self, u, v):
         return self._rows_loss(self._rows_left(v), self._cols(u).reshape(-1))
+
+    def final_loss(self, u, v, loss):
+        # loss, read off the left rows at (u, v), is already their direct residual
+        return loss
 
     def loss_of(self, x):
         return _loss(pair_inner_products(self.rho, self.obs, x), self.b)
@@ -504,7 +566,7 @@ class _BlockStats:
         n, m = design.dim_n, design.n_measurements
         self.n, self.m = n, m
         idx = np.arange(n)
-        self.sign = np.sign(idx[:, None] - idx[None, :]).astype(np.int8)   # s(x, y)
+        self.sign = np.sign(idx[:, None] - idx[None, :]).astype(np.float64)   # s(x, y)
         lo, hi = np.minimum.outer(idx, idx), np.maximum.outer(idx, idx)
         self.p, self.q = lo * n + hi, hi * n + lo          # (x, y)'s (min, max), (max, min)
         # the loss's weights: <O_m, X> = C_m . W, W = alpha X^T + beta X
@@ -522,27 +584,38 @@ class _BlockStats:
         row (x, x') at x (x + 1) / 2 + x' with columns (y, y'). Each x fills
         its x + 1 rows by one formula of S = C^T C (see the module
         docstring), from S's rows and columns gathered into buffers that
-        every x reuses; S goes on return, and no full G is made."""
+        every x reuses, and copies them into its rows once; S goes on
+        return, and no full G is made."""
         n, p, q, sign = self.n, self.p, self.q, self.sign
         x, x_prime = np.tril_indices(n)
         s = self.coords.T @ self.coords                    # symmetric rank-k update
         rows = np.empty((len(x), n * n), dtype=np.complex128)
         sp, sq = np.empty((n, n * n)), np.empty((n, n * n))   # S's rows p and q of one x
-        cols, signs = np.empty(n ** 3), np.empty(n ** 3, dtype=np.int8)
+        parts = np.empty((2, n ** 3))                      # one x's real and imaginary parts
         for i in range(n):
             k = i + 1                                      # rows (i, x') with x' < k
-            g = rows[i * k // 2:i * k // 2 + k].reshape(k, n, n).transpose(1, 0, 2)
-            t, ss = cols[:n * k * n].reshape(n, k, n), signs[:n * k * n].reshape(n, k, n)
-            si, sk = sign[i, :, None, None], sign[:k]
+            block = rows[i * k // 2:i * k // 2 + k]
+            re, im = parts[:, :n * k * n].reshape(2, n, k, n)
+            # the block's own memory is the scratch t until the parts are copied in
+            t = block.view(np.float64).reshape(-1)[:n * k * n].reshape(n, k, n)
+            sk = sign[:k]
             np.take(s, p[i], axis=0, out=sp, mode="clip")
             np.take(s, q[i], axis=0, out=sq, mode="clip")
-            # [y, x', y']: S[p,p'] + s s' S[q,q'] + i (s S[q,p'] - s' S[p,q'])
-            np.multiply(si, sk, out=ss)
-            np.multiply(ss, np.take(sq, q[:k], axis=1, out=t, mode="clip"), out=g.real)
-            g.real += np.take(sp, p[:k], axis=1, out=t, mode="clip")
-            np.multiply(si, np.take(sq, p[:k], axis=1, out=t, mode="clip"), out=g.imag)
-            np.multiply(np.take(sp, q[:k], axis=1, out=t, mode="clip"), sk, out=t)
-            g.imag -= t
+            # [y, x', y']: S[p,p'] + s s' S[q,q'] + i (s S[q,p'] - s' S[p,q']); the
+            # signs go on y by y, as a ufunc that broadcasts allocates a buffer
+            for y in range(n):
+                sq[y] *= sign[i, y]
+            np.take(sq, q[:k], axis=1, out=re, mode="clip")
+            np.take(sp, q[:k], axis=1, out=t, mode="clip")
+            for y in range(n):
+                re[y] *= sk
+                t[y] *= sk
+            np.take(sq, p[:k], axis=1, out=im, mode="clip")
+            im -= t
+            re += np.take(sp, p[:k], axis=1, out=t, mode="clip")
+            g = block.reshape(k, n, n).transpose(1, 0, 2)
+            np.copyto(g.real, re)
+            np.copyto(g.imag, im)
         return x, x_prime, rows
 
     def observables(self):
@@ -569,7 +642,9 @@ class _StackedProblem:
     both half-sweeps read, and from B (see the module docstring), through
     the one fallback step `_normal_solve`; `fallbacks` counts the
     half-sweeps that assembled their M rows and went to least squares
-    instead. The loss is one real product over C. `part_s` adds up the
+    instead. A sweep's loss comes from its left solve where the module
+    docstring's rules allow, and is otherwise one real product over C, as
+    is every other loss. `part_s` adds up the
     seconds of the Gram build (the first problem of a design to read the
     rows pays for it), each half-sweep and each loss (the pair back end,
     with no Gram build, keeps the same account).
@@ -584,8 +659,10 @@ class _StackedProblem:
         self.b = b
         self.brow = brow
         self.m_total = self.b.size
+        self.b_sq = float(np.vdot(b, b).real)              # ||b||^2
         self.fallbacks = 0
         self.part_s = dict.fromkeys(_PARTS, 0.0)
+        self._left_loss = None   # (digest of (u, v), loss) of the last left solve
 
     @classmethod
     def of(cls, design: SensingDesign, b, n_blocks: int, stats: _BlockStats):
@@ -623,7 +700,7 @@ class _StackedProblem:
         # one right-hand side per block: sum_x B_k[x,a] conj(U[x,c])
         rhs = (self.brow.T @ u.conj()).reshape(self.n_blocks, n * r).T
         y = _normal_solve(self, normal, rhs, self.b.T, lambda: np.einsum(
-            "mxa,xc->mac", self.stats.observables().conj(), u).reshape(self.stats.m, -1))
+            "mxa,xc->mac", self.stats.observables().conj(), u).reshape(self.stats.m, -1))[0]
         return y.T.conj().reshape(self.d2, r)             # y is (N r, n_blocks)
 
     @_timed("left")
@@ -639,10 +716,18 @@ class _StackedProblem:
         gw[x * n + x_prime] = gram_lower @ w
         normal = _regroup(gw, (n, n, r, r))
         rhs = (self.brow @ v).reshape(-1)                  # sum_k B_k V_k
-        u = _normal_solve(self, normal, rhs, self.b.reshape(-1), lambda: np.einsum(
+        u, forward = _normal_solve(self, normal, rhs, self.b.reshape(-1), lambda: np.einsum(
             "mxy,kyc->kmxc", self.stats.observables(), self._split(v), optimize=True
-        ).conj().reshape(self.m_total, -1))
-        return u.reshape(n, r)
+        ).conj().reshape(self.m_total, -1), forward=True)
+        u = u.reshape(n, r)
+        # the loss at (u, v), ||b||^2 - ||L^-1 h||^2 over 2M, kept for `loss`
+        # unless the solve fell back or it is below the floor
+        self._left_loss = None
+        if forward is not None:
+            loss = (self.b_sq - float(np.vdot(forward, forward).real)) / (2 * self.m_total)
+            if loss >= _LEFT_LOSS_FLOOR * self.b_sq / self.m_total:
+                self._left_loss = (_digest(u, v), loss)
+        return u
 
     def sweep(self, u):
         v = self.solve_right(u)
@@ -651,6 +736,14 @@ class _StackedProblem:
 
     @_timed("loss")
     def loss(self, u, v):
+        # the last left solve's loss for the pair it returned and took, else direct
+        if self._left_loss is not None and self._left_loss[0] == _digest(u, v):
+            return self._left_loss[1]
+        return self.loss_of(u @ v.conj().T)
+
+    @_timed("loss")
+    def final_loss(self, u, v, loss):
+        # the direct residual, whatever the loop read
         return self.loss_of(u @ v.conj().T)
 
     def loss_of(self, x):
@@ -785,7 +878,7 @@ def _als(prob, config: SolverConfig) -> SolveReport:
         if converged:
             stop = "converged"
             break
-    return SolveReport(FactorPair(best[0], best[1]), best[2], iterations,
+    return SolveReport(FactorPair(best[0], best[1]), prob.final_loss(*best), iterations,
                        restarts, trace, time.perf_counter() - start, prob.fallbacks,
                        stop, dict(prob.part_s))
 
@@ -827,7 +920,7 @@ def _row_parallel(design: SensingDesign, values, config: SolverConfig, subset_ra
                     tries.append(_als(block.fresh(), cfg))
                 except Exception as exc:
                     raise type(exc)(f"block {k}: {exc}") from exc
-            best = min(tries, key=lambda rep: rep.final_loss)
+            best = _first_least(tries)
             row[:, k * n:(k + 1) * n] = best.factors.product()
             reports.append(replace(best,
                                    iterations=sum(rep.iterations for rep in tries),
@@ -837,6 +930,13 @@ def _row_parallel(design: SensingDesign, values, config: SolverConfig, subset_ra
                                    part_s=_sum_parts(tries)))
         return row, reports
     return run
+
+
+def _first_least(reports):
+    """The first of the reports whose final loss is within _TIE_RTOL of
+    the least."""
+    least = min(rep.final_loss for rep in reports)
+    return next(rep for rep in reports if rep.final_loss <= least * (1 + _TIE_RTOL))
 
 
 def _row_subset(design: SensingDesign, values, config: SolverConfig, subset_ratio: float):
@@ -919,6 +1019,9 @@ def _solve_row(strategy: str, observables, values, n: int, config: SolverConfig,
                subset_ratio: float = 1.0):
     """solve_strategy on the blockwise design of the shared observables,
     whose N must be the row's number of blocks n."""
+    if np.ndim(observables) != 3:
+        raise DimensionError(f"observables of shape {np.shape(observables)}, "
+                             "expected (M_O, N, N)")
     design = SensingDesign("blockwise", np.shape(observables)[-1], observables)
     if n != design.dim_n:
         raise DimensionError(f"the anchor row of an N = {design.dim_n} design has "
@@ -935,7 +1038,9 @@ def solve_first_row_parallel(observables, values, n: int, config: SolverConfig):
     column block. The per-block problems run near the identifiability
     limit, where a single start can land in a spurious basin, so each
     block races three accelerated solves (the configured init plus random
-    restarts) and keeps the lowest-loss result; per-block seeds are
+    restarts) and keeps the first whose final loss is within a few ulps
+    (`_TIE_RTOL`) of the least, so roundoff does not pick among attempts
+    that reached one basin; per-block seeds are
     derived from (config.seed, block index, attempt). Every solve reads
     one set of G's packed rows. Returns (row, reports) with row the
     N x nN anchor row and one report per block: the winning solve's

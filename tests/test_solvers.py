@@ -2,6 +2,7 @@ import tracemalloc
 import weakref
 from dataclasses import fields, replace
 from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -405,6 +406,18 @@ def test_first_row_solvers_need_one_block_per_row_of_n(n):
             solve(design.observables, values, n, *extra, cfg)
 
 
+@pytest.mark.parametrize("observables", [np.float64(1.0), np.ones((3, 3))])
+def test_first_row_solvers_need_a_stack_of_observables(observables):
+    # observables that are not an (M_O, N, N) stack raise DimensionError,
+    # not IndexError, whatever their number of dimensions
+    values = complex_gaussian(3, 9, seed=88)
+    cfg = SolverConfig(rank=1, seed=19, max_iter=3)
+    for solve, extra in ((solve_first_row_parallel, ()), (solve_first_row_joint, ()),
+                         (solve_first_row_subset, (0.5,))):
+        with pytest.raises(DimensionError, match="observables"):
+            solve(observables, values, 3, *extra, cfg)
+
+
 def test_subset_report_counts_the_fill():
     # als_i's report adds the fill's right half-sweep to the subset solve's
     # parts and wall time, so the solve parts account for every half-sweep
@@ -778,10 +791,10 @@ def test_gram_matches_complex_product(design):
 def test_gram_build_holds_only_s_and_the_packed_rows():
     # the build fills the packed rows straight from S: at M_O = N^2 its peak
     # is S (N^4 float64) and the rows (N^3 (N + 1) / 2 complex), plus one
-    # set of gather buffers that every x reuses (3 N^3 reals and N^3 signs,
-    # 0.06 of S and the rows at N = 25) and numpy's ufunc buffers, 1.084 in
-    # all; fresh gathers per x reached 1.097, and a full complex G beside
-    # them would add N^4 complex
+    # set of buffers that every x reuses (4 N^3 reals, 0.078 of S and the
+    # rows at N = 25), 1.080 in all; writing through the rows' strided views
+    # with numpy's ufunc buffers read 1.084, fresh gathers per x reached
+    # 1.097, and a full complex G beside them would add N^4 complex
     n = 25
     design = build_blockwise_design(n, n * n, "random", seed=129)
     prob = _make_problem(design, np.zeros((1, n * n)), n, n)
@@ -919,3 +932,117 @@ def test_observables_rebuilt_from_the_coordinates(source, n, m):
     assert np.array_equal(rebuilt, design.observables)
     if source == "random":
         assert rebuilt.tobytes() == design.observables.tobytes()
+
+
+# the sweep's loss from its left solve agrees with the direct residual of the
+# sweep's factors to this many ulps of ||b||^2 / 2M (27 at most over 600
+# sweeps of 40 seeded noisy problems, N = 3..8)
+_LEFT_LOSS_ULPS = 64
+
+
+@pytest.mark.parametrize("n, blocks, r, sigma", [(4, 4, 2, 1e-3), (6, 3, 2, 1e-2),
+                                                 (5, 1, 1, 1e-4), (8, 8, 3, 1e-3)])
+def test_sweep_loss_from_the_left_solve_matches_the_direct_loss(n, blocks, r, sigma):
+    # on noisy problems every sweep takes its loss from the left solve; loss
+    # of the pair the left solve returned (or a copy of it) gives the sweep's
+    # bits, and any other pair the direct loss
+    s = random_channel(n, r, seed=160 + n)
+    design = build_blockwise_design(n, 4 * n * r, "random", 0, seed=161 + n)
+    b = simulate_measurements(s, design, sigma, seed=162 + n).values[:blocks]
+    prob = _make_problem(design, b, n, n * blocks)
+    ulp = np.spacing(float(np.vdot(b, b).real) / (2 * b.size))
+    u = complex_gaussian(n, r, seed=163 + n)
+    for _ in range(8):
+        v, u, loss = prob.sweep(u)
+        assert prob._left_loss is not None
+        assert abs(loss - prob.loss_of(u @ v.conj().T)) <= _LEFT_LOSS_ULPS * ulp
+        assert prob.loss(u, v) == prob.loss(u.copy(), v.copy()) == loss
+        other = u * (1 + 2 ** -20)
+        assert prob.loss(other, v) == prob.loss_of(other @ v.conj().T)
+
+
+def _direct_only(design, b, d1, d2, cfg, monkeypatch):
+    # the same solve with every sweep's loss direct
+    with monkeypatch.context() as patch:
+        patch.setattr(solvers, "_LEFT_LOSS_FLOOR", np.inf)
+        return nesterov_als_solve(design, b, d1, d2, cfg)
+
+
+def test_noiseless_losses_below_the_floor_are_direct(monkeypatch):
+    # a noiseless solve falls from far above the floor to far below it; every
+    # loss of its trace below the floor is the direct one bit for bit, so the
+    # decisions, the factors and the final loss are too
+    _, design, data = _channel_case(4, 2, seed=164, m_o=16)
+    b = data.values
+    cfg = SolverConfig(rank=2, seed=26, max_iter=30)
+    rep = nesterov_als_solve(design, b, 4, 16, cfg)
+    direct = _direct_only(design, b, 4, 16, cfg, monkeypatch)
+    floor = solvers._LEFT_LOSS_FLOOR * float(np.vdot(b, b).real) / b.size
+    below = [i for i, loss in enumerate(rep.loss_trace) if loss < floor]
+    assert 0 < len(below) < len(rep.loss_trace) and rep.restarts > 0
+    assert [rep.loss_trace[i] for i in below] == [direct.loss_trace[i] for i in below]
+    assert rep.loss_trace != direct.loss_trace
+    assert (rep.iterations, rep.restarts) == (direct.iterations, direct.restarts)
+    assert np.array_equal(rep.factors.product(), direct.factors.product())
+    assert rep.final_loss == direct.final_loss
+
+
+def test_fallback_sweeps_take_the_direct_loss(monkeypatch):
+    # six observables, each measured twice with its own noise: every normal
+    # matrix is singular (6 < N r = 8), so every half-sweep falls back to
+    # least squares while the residual stays far above the floor; the trace
+    # is the direct one bit for bit
+    n, r = 4, 2
+    few = build_blockwise_design(n, 6, "random", 0, seed=165)
+    design = SensingDesign("blockwise", n, np.concatenate([few.observables] * 2))
+    b = simulate_measurements(random_channel(n, r, seed=166), design, 1e-2,
+                              seed=167).values[:1]
+    cfg = SolverConfig(rank=r, seed=27, max_iter=15)
+    rep = nesterov_als_solve(design, b, n, n, cfg)
+    assert rep.fallbacks == 2 * (rep.iterations + rep.restarts)
+    assert min(rep.loss_trace) > solvers._LEFT_LOSS_FLOOR * float(np.vdot(b, b).real) / b.size
+    direct = _direct_only(design, b, n, n, cfg, monkeypatch)
+    assert rep.loss_trace == direct.loss_trace
+    assert np.array_equal(rep.factors.product(), direct.factors.product())
+
+
+@pytest.mark.parametrize("strategy", ["als_n", "als_i", "als_p"])
+def test_final_loss_is_the_direct_residual(strategy):
+    # the emitted final loss is sensing_loss of the returned factors on the
+    # problem's own data, bit for bit, whatever the sweeps read
+    n, r = 5, 2
+    s = random_channel(n, r, seed=168)
+    design = build_blockwise_design(n, 40, "random", 0, seed=169)
+    values = simulate_measurements(s, design, 1e-3, seed=170).values
+    cfg = SolverConfig(rank=r, seed=28, max_iter=30)
+    row, reports = solve_strategy(strategy, design, values, cfg, 0.6)
+    if strategy == "als_p":
+        for k, rep in enumerate(reports):
+            assert rep.final_loss == sensing_loss(design, values[k], rep.factors.product())
+        return
+    (rep,) = reports
+    x = rep.factors.product()
+    # the solved blocks, in order: those of the row that the factors' product holds
+    chosen = [k for k in range(n) for j in range(x.shape[1] // n)
+              if np.allclose(row[:, k * n:(k + 1) * n], x[:, j * n:(j + 1) * n],
+                             rtol=1e-12, atol=0)]
+    assert len(chosen) == x.shape[1] // n == (n if strategy == "als_n" else 3)
+    assert rep.final_loss == sensing_loss(design, values[chosen], x)
+
+
+def test_race_keeps_the_first_attempt_within_a_few_ulps_of_the_least():
+    # attempts in one basin differ by roundoff: the first within _TIE_RTOL of
+    # the least loss wins, so summation order cannot pick the winner
+    def tries(*losses):
+        return [SimpleNamespace(final_loss=loss) for loss in losses]
+
+    least = 7.026804032535483e-07
+    # block 6 of an N = 25, M_O = 640 als_p trial (seed 2024): 3 ulps apart
+    race = tries(7.026804032535486e-07, least, 9e-07)
+    assert solvers._first_least(race) is race[0]
+    race = tries(2e-06, least * (1 + solvers._TIE_RTOL), least)
+    assert solvers._first_least(race) is race[1]
+    race = tries(least * (1 + 4 * solvers._TIE_RTOL), least, least)
+    assert solvers._first_least(race) is race[1]
+    race = tries(0.0, 0.0)
+    assert solvers._first_least(race) is race[0]

@@ -141,3 +141,25 @@ def test_large_n_point_runs_both_sides_in_fresh_processes(ab_compare, monkeypatc
         assert run["ru_maxrss_mib"] > 0
     assert result["errors_identical"]
     assert result["base"]["trial_s_p50"] > 0 and result["change"]["ru_maxrss_mib_max"] > 0
+
+
+def test_large_n_point_reports_a_child_that_exits_nonzero(monkeypatch):
+    # a child that exits non-zero (here it cannot import its package) is
+    # reported with its exit code and the last line of its stderr, and its
+    # side's summary counts it; a child that finishes ran under an address
+    # space limit below the host's physical memory
+    monkeypatch.syspath_prepend(_TOOLS)
+    large_n_point = importlib.import_module("large_n_point")
+    src = os.path.join(_TOOLS, "..", "src")
+    sides = {"base": (src, "no_such_package"), "change": (src, "superop_sensing")}
+    result = large_n_point.run_pairs(sides, 4, 24, seed=1, pairs=1)
+    failed, finished = result["runs"]
+    assert failed["side"] == "base" and failed["returncode"] != 0
+    assert failed["message"].startswith("ModuleNotFoundError")
+    assert finished["returncode"] == 0 and not finished["message"] and finished["error"] > 0
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") / 2 ** 20
+    assert 0 < finished["rlimit_as_mib"] <= large_n_point.ADDRESS_SPACE_SHARE * physical
+    assert result["base"] == {"trial_s_p50": None, "ru_maxrss_mib_max": None,
+                              "exited_nonzero": 1}
+    assert result["change"]["exited_nonzero"] == 0 and result["change"]["trial_s_p50"] > 0
+    assert not result["errors_identical"]

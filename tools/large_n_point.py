@@ -11,13 +11,20 @@ trial through `run_experiment` (N_J = 2, sigma = 1e-3, master seed
 `--seed`) in a fresh interpreter, so its `ru_maxrss` is that trial's peak
 resident memory plus the interpreter's. Pairs alternate which side runs
 first (odd pairs base first). BLAS runs on one thread, as in the benchmark.
+Each child limits its own address space (`RLIMIT_AS`) to a fraction,
+`ADDRESS_SPACE_SHARE`, of the host's physical memory, so a run that
+outgrows the host raises `MemoryError` in that child instead of starving
+the host. Run one point at a time.
 
-Prints one JSON object: every run in order, with its side, trial seconds,
-stage times (`stage_s`), solve parts (`solve_part_s`; empty for a
-revision that does not record them), `ru_maxrss` in MiB, error,
-iterations and restarts; then per side the median trial time and the
-largest `ru_maxrss`, and whether every run's error is the same bit for
-bit.
+Prints one JSON object: every run in order, with its side, its child's
+exit code (`returncode`), trial seconds, stage times (`stage_s`), solve
+parts (`solve_part_s`; empty for a revision that does not record them),
+`ru_maxrss` in MiB, the address-space limit in MiB, error, iterations and
+restarts; a child that exits non-zero gives only its exit code and the
+last line of its stderr as `message`. Then per side the median trial time
+and the largest `ru_maxrss` over the runs that finished (None if none
+did) and the number of runs that did not, and whether every run finished
+with the same error bit for bit.
 """
 
 from __future__ import annotations
@@ -34,14 +41,33 @@ import tempfile
 _ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 _BLAS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
+# a child's address-space limit as a share of the host's physical memory:
+# an N = 128 trial peaks at 4.7 GiB resident and ran under 6 GiB on 8 GB
+ADDRESS_SPACE_SHARE = 0.8
+
+
+def limit_address_space() -> int:
+    """Lower this process's RLIMIT_AS to ADDRESS_SPACE_SHARE of the host's
+    physical memory (never above the hard limit); the limit in bytes."""
+    import resource
+
+    limit = int(ADDRESS_SPACE_SHARE * os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    if hard != resource.RLIM_INFINITY:
+        limit = min(limit, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+    return limit
+
 
 def child(package: str, n: int, m_o: int, seed: int) -> dict:
-    """Run one trial with `package`'s harness in this process; its record
-    and this process's peak resident memory."""
+    """Run one trial with `package`'s harness in this process, under
+    `limit_address_space`; its record and this process's peak resident
+    memory."""
     import importlib
     import resource
     import time
 
+    limit = limit_address_space()
     harness = importlib.import_module(package + ".harness")
     cfg = harness.ExperimentConfig(task="lindbladian", n=n, n_jumps=2, design="blockwise",
                                    strategy="als_n", sweep=[m_o], sigma=1e-3,
@@ -52,6 +78,7 @@ def child(package: str, n: int, m_o: int, seed: int) -> dict:
     return {"trial_s": seconds, "stage_s": record.stage_s,
             "solve_part_s": getattr(record, "solve_part_s", {}),
             "ru_maxrss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+            "rlimit_as_mib": limit / 2 ** 20,
             "error": record.error, "iterations": record.iterations,
             "restarts": record.restarts, "message": record.message}
 
@@ -65,20 +92,28 @@ def run_pairs(sides: dict, n: int, m_o: int, seed: int, pairs: int) -> dict:
         for name in order:
             path, package = sides[name]
             env = dict(os.environ, PYTHONPATH=path, **dict.fromkeys(_BLAS, "1"))
-            out = subprocess.run(
+            proc = subprocess.run(
                 [sys.executable, os.path.abspath(__file__), "--child", package,
                  "--n", str(n), "--m-o", str(m_o), "--seed", str(seed)],
-                env=env, check=True, capture_output=True, text=True).stdout
-            runs.append(dict(json.loads(out), side=name, pair=i))
+                env=env, capture_output=True, text=True)
+            if proc.returncode == 0:
+                run = json.loads(proc.stdout)
+            else:
+                last = proc.stderr.strip().splitlines()[-1:] or [""]
+                run = {"message": last[0] or f"exit code {proc.returncode}"}
+            runs.append(dict(run, side=name, pair=i, returncode=proc.returncode))
+    finished = [r for r in runs if r["returncode"] == 0]
 
     def side(name):
-        mine = [r for r in runs if r["side"] == name]
-        return {"trial_s_p50": statistics.median(r["trial_s"] for r in mine),
-                "ru_maxrss_mib_max": max(r["ru_maxrss_mib"] for r in mine)}
+        mine = [r for r in finished if r["side"] == name]
+        return {"trial_s_p50": statistics.median(r["trial_s"] for r in mine) if mine else None,
+                "ru_maxrss_mib_max": max((r["ru_maxrss_mib"] for r in mine), default=None),
+                "exited_nonzero": sum(r["side"] == name for r in runs) - len(mine)}
 
     return {"n": n, "m_o": m_o, "seed": seed, "pairs": pairs, "runs": runs,
             "base": side("base"), "change": side("change"),
-            "errors_identical": len({repr(r["error"]) for r in runs}) == 1}
+            "errors_identical": (len(finished) == len(runs)
+                                 and len({repr(r["error"]) for r in runs}) == 1)}
 
 
 def main(argv=None) -> int:
