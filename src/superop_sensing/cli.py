@@ -187,8 +187,7 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_run(args) -> int:
-    with open(args.config) as fh:
-        config = harness.ExperimentConfig.from_dict(json.load(fh))
+    config = harness.ExperimentConfig.from_dict(serialize.load_json(args.config))
     if args.seed_explicit:
         config = replace(config, master_seed=args.seed)
     result = harness.run_experiment(config)
@@ -223,8 +222,8 @@ def _fields(value, what: str, rules: dict) -> dict:
 
 def _stored_points(payload: dict) -> tuple:
     """(strategy, points) of a stored results.json, each field `report`
-    reads checked: the strategy, and per point m, a recovery rate in
-    [0, 1] and a mean error in [0, inf) or null."""
+    reads checked: the strategy, and per point m, an integer >= 1, a
+    recovery rate in [0, 1] and a mean error in [0, inf) or null."""
     strategy = _fields(payload.get("config"), "config",
                        {"strategy": tuple(STRATEGY_DESIGNS)})["strategy"]
     points = payload.get("points")
@@ -232,6 +231,7 @@ def _stored_points(payload: dict) -> tuple:
             isinstance(p, dict) and {"m", "aggregates"} <= p.keys() for p in points):
         raise DimensionError("points must be a list of objects holding m and aggregates")
     for point in points:
+        _check_fields(point, {"m": 1})
         agg = point["aggregates"]
         rules = {"recovery_rate": "[0, 1]"}
         if not isinstance(agg, dict) or agg.get("mean_error", 0) is not None:
@@ -245,8 +245,9 @@ def cmd_report(args) -> int:
              for item in args.inputs]
     combined = []
     for path in paths:
+        payload = serialize.load_json(path)   # its errors name the file
         try:
-            strategy, points = _stored_points(serialize.load_json(path))
+            strategy, points = _stored_points(payload)
         except DimensionError as exc:
             raise DimensionError(f"{path}: {exc}") from exc
         for point in points:

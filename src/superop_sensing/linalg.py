@@ -116,13 +116,17 @@ def _lower_solve(low, b):
 
 
 def cholesky_solve(a, b):
-    """Solve A X = B for Hermitian positive-definite A, or return None.
+    """Solve A X = B for Hermitian positive-definite A: (X, Y), with
+    Y = L^-1 B, or (None, None).
 
     A is factored as L L^H (only its lower triangle is read) and X comes
     from two triangular solves, L Y = B and L^H X = Y; the second is the
     same forward substitution on L^H with rows and columns reversed, which
     is lower triangular and is read as a view of the factor conjugated in
-    place, so no second N x N matrix is made. None means "not valid": the
+    place, so no second N x N matrix is made. Y, the forward substitution,
+    is returned beside X: with A = G^H G and B = G^H b, the residual at X
+    is ||G X - b||^2 = ||b||^2 - ||Y||^2 (cf. Bjorck, "Numerical Methods
+    for Least Squares Problems"). (None, None) means "not valid": the
     factorization failed, or the ratio of the largest to the smallest
     diagonal entry of L exceeds _CHOLESKY_MAX_DIAG_RATIO = 1e4. When A is
     the normal matrix G^H G of a least-squares problem in G, that ratio is
@@ -133,16 +137,9 @@ def cholesky_solve(a, b):
     collinear systems, where the normal equations are meaningless, to the
     caller's minimum-norm fallback. The check costs nothing beyond the
     factorization; it is not an estimate of cond(G). Scaling A by 4 and B
-    by 2 halves X exactly: every step scales by a power of two.
+    by 2 halves X and keeps Y, exactly: every step scales by a power of
+    two.
     """
-    return _cholesky_parts(a, b)[0]
-
-
-def _cholesky_parts(a, b):
-    """`cholesky_solve`'s X with Y = L^-1 B, its forward substitution, as
-    (X, Y), or (None, None) where it returns None. With A = G^H G and
-    B = G^H b, ||G X - b||^2 = ||b||^2 - ||Y||^2 (cf. Bjorck, "Numerical
-    Methods for Least Squares Problems")."""
     try:
         chol = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:

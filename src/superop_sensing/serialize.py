@@ -56,10 +56,14 @@ def save_json(path: str, payload: dict) -> None:
 
 
 def load_json(path: str) -> dict:
-    """The JSON object stored at path; any other JSON value raises
-    DimensionError."""
+    """The JSON object stored at path; any other JSON value, text that is
+    not JSON, or JSON nested deeper than the parser's recursion limit
+    raises DimensionError naming the file."""
     with open(path) as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise DimensionError(f"{path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise DimensionError(f"{path}: need a JSON object, got {type(payload).__name__}")
     return payload

@@ -169,16 +169,28 @@ half-sweep of both back ends takes this step through one function,
 `_normal_solve`; a blockwise half-sweep builds its M rows only when it
 falls back.
 
-On random pairs the loss is the direct residual over all M data. The
-left half-sweep has just built the rows h that map U to the data at the
-new V, and solved min ||h y - b|| for y = U, so the loss after a sweep is
-||h y - b||^2 / 2M, read off those rows without a second assembly; the
-initial loss assembles the same left rows. The blockwise quadratic form
-||b||^2 - 2 Re<B, X> + <X, G X> would also be independent of M, but it
-cancels down to roundoff at noiseless floors, where the restart test and
-the choice of the best iterate read it. The blockwise direct loss is one
-real GEMM over C, which the run holds in place of the stack at half its
-bytes: with X_k = U V_k^H,
+Both back ends feed the ALS loop through one loss protocol, in their
+base `_Problem`, which holds the data b, ||b||^2 (taken once per
+problem), the fallback count and the part times. A back end supplies its
+two half-sweeps, a direct loss of factors and `loss_of` a matrix; its
+left half-sweep keeps the loss at the (u, v) it returns and takes, and
+the base's one `sweep` (right, left, then `loss` of the new pair), one
+`loss` and one `final_loss` read it under rules 3 and 4 below. Every
+loss of both back ends, from factors, from a matrix or from the pair
+rows, is one function of the predicted values, `_loss`.
+
+On random pairs the kept loss is the direct residual over all M data.
+The left half-sweep has just built the rows h that map U to the data at
+the new V, and solved min ||h y - b|| for y = U, so the loss at its
+solution is ||h y - b||^2 / 2M, read off those rows without a second
+assembly, after a fallback too. The pair direct loss assembles the left
+rows once more; a solve pays that once, for its final loss.
+
+The blockwise quadratic form ||b||^2 - 2 Re<B, X> + <X, G X> would be
+independent of M, but it cancels down to roundoff at noiseless floors,
+where the restart test and the choice of the best iterate read it. The
+blockwise direct loss is one real GEMM over C, which the run holds in
+place of the stack at half its bytes: with X_k = U V_k^H,
 <O_m, X_k> = sum_{a,x} conj(O_m[a,x]) X_k[a,x] = sum_j C_m[j] W_k[j],
 W_k = alpha X_k^T + beta X_k entry by entry, with (alpha, beta) = (i, -i)
 below the diagonal, (1, 1) above it and (0, 1) on it, so the values are
@@ -189,24 +201,24 @@ the stacked (M N) x N product of O with U and then conj(V): at N = 25
 (r = 4) it takes 0.8 s of a 4 s trial where the stacked form takes 0.4 s.
 The two forms' roundoff differs, by up to 6e-15 relative in the final
 loss at N = 25 and 3.5e-13 at N = 4, sigma = 1e-4, each the size of
-either form's own error against a long-double residual. Every loss of
-both back ends, from factors, from a matrix or from the pair rows, is one
-function of the predicted values, `_loss`.
+either form's own error against a long-double residual.
 
-The loss from the left solve, (||b||^2 - ||L^-1 h||^2) / 2M with L the
-Cholesky factor of the left normal matrix and h its right-hand side,
-skips that GEMM: the left half-sweep has just solved L L^H u = h, and
-L^-1 h is the forward substitution of that solve, so the loss at its
-solution costs one vdot of N r entries, and ||b||^2 is taken once per
-problem. But it resolves the loss only to one ulp of ||b||^2 / 2M, and
-it is the very quadratic form above, so it cancels down to roundoff at
-noiseless floors. On N = 4, M_O = 20, sigma = 1e-3, rank 2, plain ALS, it
+The blockwise kept loss is the one from the left solve,
+(||b||^2 - ||L^-1 h||^2) / 2M with L the Cholesky factor of the left
+normal matrix and h its right-hand side, which skips that GEMM: the
+left half-sweep has just solved L L^H u = h, and L^-1 h is the forward
+substitution of that solve, which `linalg.cholesky_solve` returns beside
+u, so the loss at its solution costs one vdot of N r entries. But it
+resolves the loss only to one ulp of ||b||^2 / 2M, and it is the very
+quadratic form above, so it cancels down to roundoff at noiseless
+floors. On N = 4, M_O = 20, sigma = 1e-3, rank 2, plain ALS, it
 differed from the direct loss by up to 1.75e-10 relative, and one ulp was
 7.1e-11 of the final loss, 70 times the 1e-12 relative rise that a
 plain ALS trace may show. Whether that trace stayed within it depended
 on how the two norms were summed: with vdot it did, with sum(|.|^2) it
 rose by one ulp. So a blockwise sweep reads its loss off the left solve
-only under these rules; the direct loss has no such floor.
+only under these rules; the direct loss has no such floor. Rules 3 to 5
+hold on both back ends.
 
 1. Fallback. A left half-sweep that fell back to least squares has no
    Cholesky factor, and its loss is the direct one.
@@ -221,11 +233,12 @@ only under these rules; the direct loss has no such floor.
    digest of the (u, v) that solve returned and took, not the arrays, and
    `loss(u, v)` of that pair returns it; `sweep` reads its loss that way,
    so a replay of the loop that calls `loss(u, v)` on the pair a left
-   half-sweep just returned gets the loop's bits. Every other pair, the
-   initial loss and `sensing_loss` are direct.
+   half-sweep just returned gets the loop's bits. Every other pair and
+   `sensing_loss` are direct.
 4. Final loss. The emitted `final_loss` is the direct residual of the
-   returned factors, one pass over C at the end of the solve, so `als_p`'s
-   race and every report compare direct residuals.
+   returned factors, one pass over C (on pairs, one assembly of the left
+   rows) at the end of the solve, so `als_p`'s race and every report
+   compare direct residuals.
 5. Decisions. The restart test and the best iterate (strict
    f_new < best) read the loop's losses as before. ||b||^2, L^-1 h and the
    floor scale by exact powers of two, so the scale invariance below
@@ -233,10 +246,18 @@ only under these rules; the direct loss has no such floor.
 
 The two losses agree to a few ulps of ||b||^2 / 2M: 27 at most over 600
 sweeps of 40 seeded noisy problems (N = 3 to 8), and `tests/test_solvers.py`
-holds them to 64. A solve's losses are then two direct passes, the initial
-and the final loss: on `lindblad-n25` (N = 25, M_O = 640, one BLAS thread)
-5.5 ms a trial against 39 ms with a direct loss every sweep, and at
-N = 64, M_O = 1640, 0.11 s against 0.83 s.
+holds them to 64. A noisy solve then makes one direct pass, its final
+loss: on `lindblad-n25` (N = 25, M_O = 640, one BLAS thread) its losses
+take 2.2 ms a trial, against 4.2 ms with a direct initial loss as well
+and 39 ms with a direct loss every sweep, and at N = 64, M_O = 1640,
+0.053 s against 0.11 and 0.83 s.
+
+The divergence guard takes no loss of its own. Every sweep ends on an
+exact left solve, whose loss is the least over every U at the new V,
+U = 0 among them, so no sweep's loss exceeds that of the zero estimate,
+||b||^2 / 2M, beyond roundoff. A sweep loss that is not finite, or above
+10^6 times that, raises `DivergenceError`. At b = 0 the scale is 0, and
+so is every exact solution and its loss.
 
 On both back ends a common power-of-two rescaling of design and data
 leaves every iterate unchanged bitwise: the design rows, C, S, G, B, the
@@ -265,8 +286,7 @@ from functools import cached_property, wraps
 import numpy as np
 
 from .errors import DimensionError, DivergenceError
-from .linalg import (_cholesky_parts, cholesky_solve, complex_gaussian, least_squares,
-                     truncated_svd)
+from .linalg import cholesky_solve, complex_gaussian, least_squares, truncated_svd
 from .measurements import SensingDesign, pair_inner_products
 from .models import _check_fields
 
@@ -382,21 +402,21 @@ def _loss(values, b) -> float:
     return float(np.sum(np.abs(values - b) ** 2)) / (2 * b.size)
 
 
-def _normal_solve(prob, normal, rhs, b, rows, forward=False):
+def _normal_solve(prob, normal, rhs, b, rows):
     """Solve the normal equations normal y = rhs of the M-row system
-    rows() y = b by Cholesky: (y, None), or with forward set (y, L^-1 rhs),
-    L the Cholesky factor, the forward substitution of the solve.
+    rows() y = b by Cholesky: (y, L^-1 rhs), L the Cholesky factor, whose
+    forward substitution the solve has made (`linalg.cholesky_solve`).
 
     When `linalg.cholesky_solve` rejects them, solve rows() y = b by
     least squares instead, count one fallback on prob and return (y, None);
     rows is called only then, so a back end that never forms its M rows
     builds them only for the fallback.
     """
-    y, low = _cholesky_parts(normal, rhs) if forward else (cholesky_solve(normal, rhs), None)
+    y, forward = cholesky_solve(normal, rhs)
     if y is None:
         prob.fallbacks += 1
         return least_squares(rows(), b), None
-    return y, low
+    return y, forward
 
 
 def _digest(*arrays) -> int:
@@ -405,7 +425,44 @@ def _digest(*arrays) -> int:
     return hash(tuple((a.dtype.str, a.shape, a.tobytes()) for a in map(np.asarray, arrays)))
 
 
-class _PairProblem:
+class _Problem:
+    """What the ALS loop reads of a back end: the data b (M values in all)
+    and ||b||^2, the fallback count, the part times, and one `sweep`,
+    `loss` and `final_loss` (see the module docstring). A back end
+    supplies `solve_right`, `solve_left`, `_direct_loss(u, v)` and
+    `loss_of(x)`; its `solve_left` keeps the loss at the pair it returns
+    and takes, or None, through `_keep`.
+    """
+
+    def __init__(self, b):
+        self.b = b
+        self.m_total = b.size
+        self.b_sq = float(np.vdot(b, b).real)              # ||b||^2
+        self.fallbacks = 0
+        self.part_s = dict.fromkeys(_PARTS, 0.0)
+        self._left_loss = None   # (digest of (u, v), loss) of the last left solve
+
+    def _keep(self, u, v, loss):
+        self._left_loss = None if loss is None else (_digest(u, v), loss)
+
+    def sweep(self, u):
+        v = self.solve_right(u)
+        u_new = self.solve_left(v)
+        return v, u_new, self.loss(u_new, v)
+
+    @_timed("loss")
+    def loss(self, u, v):
+        # the last left solve's loss for the pair it returned and took, else direct
+        if self._left_loss is not None and self._left_loss[0] == _digest(u, v):
+            return self._left_loss[1]
+        return self._direct_loss(u, v)
+
+    @_timed("loss")
+    def final_loss(self, u, v):
+        return self._direct_loss(u, v)
+
+
+class _PairProblem(_Problem):
     """Full reshaped-matrix sensing from (state, observable) pairs.
 
     Both half-sweeps assemble their M design rows with the one routine
@@ -420,20 +477,19 @@ class _PairProblem:
     F enters the rows as its columns viewed as N x N matrices,
     F[i + N j, c] -> [i, (c, j)], so the right rows have columns (a, c, b)
     and solve for conj(V), the left rows columns (x, c, y) and solve for U.
-    `sweep` reads the loss off the left rows it has just solved.
+    `solve_left` keeps the residual of the rows it has just solved as the
+    loss at its pair.
     """
 
     def __init__(self, design: SensingDesign, b):
+        b = np.asarray(b, dtype=np.complex128).reshape(-1)
+        if b.size != len(design.observables):
+            raise DimensionError(f"{b.size} data values for {len(design.observables)} pairs")
+        super().__init__(b)
         self.n = design.dim_n
         self.d1 = self.d2 = self.n * self.n
         self.rho = design.states
         self.obs = design.observables
-        self.b = np.asarray(b, dtype=np.complex128).reshape(-1)
-        if self.b.size != len(self.obs):
-            raise DimensionError(f"{self.b.size} data values for {len(self.obs)} pairs")
-        self.m_total = self.b.size
-        self.fallbacks = 0
-        self.part_s = dict.fromkeys(_PARTS, 0.0)
         self._work = None   # (rank, rows, scratch, normal matrix)
 
     def _workspace(self, r):
@@ -512,30 +568,19 @@ class _PairProblem:
         return self._uncols(self._solve_rows(self._rows_right(u)).conj(), u.shape[1])
 
     @_timed("left")
-    def _left(self, v):
-        # the left rows at v and their solution
-        h = self._rows_left(v)
-        return h, self._solve_rows(h)
-
     def solve_left(self, v):
-        return self._uncols(self._left(v)[1], v.shape[1])
-
-    def sweep(self, u):
-        v = self.solve_right(u)
-        h, y = self._left(v)
-        return v, self._uncols(y, v.shape[1]), self._rows_loss(h, y)
+        h = self._rows_left(v)
+        y = self._solve_rows(h)
+        u = self._uncols(y, v.shape[1])
+        self._keep(u, v, self._rows_loss(h, y))
+        return u
 
     @_timed("loss")
     def _rows_loss(self, h, y):
         return _loss(h @ y, self.b)
 
-    @_timed("loss")
-    def loss(self, u, v):
+    def _direct_loss(self, u, v):
         return self._rows_loss(self._rows_left(v), self._cols(u).reshape(-1))
-
-    def final_loss(self, u, v, loss):
-        # loss, read off the left rows at (u, v), is already their direct residual
-        return loss
 
     def loss_of(self, x):
         return _loss(pair_inner_products(self.rho, self.obs, x), self.b)
@@ -632,7 +677,7 @@ class _BlockStats:
         return obs
 
 
-class _StackedProblem:
+class _StackedProblem(_Problem):
     """Shared-observable sensing of stacked blocks with a common left factor.
 
     A view of one design's `_BlockStats` with one problem's data: the
@@ -642,27 +687,22 @@ class _StackedProblem:
     both half-sweeps read, and from B (see the module docstring), through
     the one fallback step `_normal_solve`; `fallbacks` counts the
     half-sweeps that assembled their M rows and went to least squares
-    instead. A sweep's loss comes from its left solve where the module
-    docstring's rules allow, and is otherwise one real product over C, as
-    is every other loss. `part_s` adds up the
-    seconds of the Gram build (the first problem of a design to read the
-    rows pays for it), each half-sweep and each loss (the pair back end,
-    with no Gram build, keeps the same account).
+    instead. `solve_left` keeps the loss from its Cholesky solve where the
+    module docstring's rules allow; the direct loss is one real product
+    over C. `part_s` adds up the seconds of the Gram build (the first
+    problem of a design to read the rows pays for it), each half-sweep and
+    each loss (the pair back end, with no Gram build, keeps the same
+    account).
     """
 
     def __init__(self, stats: _BlockStats, b, brow):
+        super().__init__(b)
         self.stats = stats
         self.n = stats.n
         self.n_blocks = len(b)
         self.d1 = self.n
         self.d2 = self.n * self.n_blocks
-        self.b = b
         self.brow = brow
-        self.m_total = self.b.size
-        self.b_sq = float(np.vdot(b, b).real)              # ||b||^2
-        self.fallbacks = 0
-        self.part_s = dict.fromkeys(_PARTS, 0.0)
-        self._left_loss = None   # (digest of (u, v), loss) of the last left solve
 
     @classmethod
     def of(cls, design: SensingDesign, b, n_blocks: int, stats: _BlockStats):
@@ -718,32 +758,19 @@ class _StackedProblem:
         rhs = (self.brow @ v).reshape(-1)                  # sum_k B_k V_k
         u, forward = _normal_solve(self, normal, rhs, self.b.reshape(-1), lambda: np.einsum(
             "mxy,kyc->kmxc", self.stats.observables(), self._split(v), optimize=True
-        ).conj().reshape(self.m_total, -1), forward=True)
+        ).conj().reshape(self.m_total, -1))
         u = u.reshape(n, r)
-        # the loss at (u, v), ||b||^2 - ||L^-1 h||^2 over 2M, kept for `loss`
-        # unless the solve fell back or it is below the floor
-        self._left_loss = None
+        # the loss at (u, v), ||b||^2 - ||L^-1 h||^2 over 2M, kept unless the
+        # solve fell back or it is below the floor
+        loss = None
         if forward is not None:
             loss = (self.b_sq - float(np.vdot(forward, forward).real)) / (2 * self.m_total)
-            if loss >= _LEFT_LOSS_FLOOR * self.b_sq / self.m_total:
-                self._left_loss = (_digest(u, v), loss)
+            if not loss >= _LEFT_LOSS_FLOOR * self.b_sq / self.m_total:   # NaN too
+                loss = None
+        self._keep(u, v, loss)
         return u
 
-    def sweep(self, u):
-        v = self.solve_right(u)
-        u_new = self.solve_left(v)
-        return v, u_new, self.loss(u_new, v)
-
-    @_timed("loss")
-    def loss(self, u, v):
-        # the last left solve's loss for the pair it returned and took, else direct
-        if self._left_loss is not None and self._left_loss[0] == _digest(u, v):
-            return self._left_loss[1]
-        return self.loss_of(u @ v.conj().T)
-
-    @_timed("loss")
-    def final_loss(self, u, v, loss):
-        # the direct residual, whatever the loop read
+    def _direct_loss(self, u, v):
         return self.loss_of(u @ v.conj().T)
 
     def loss_of(self, x):
@@ -795,21 +822,19 @@ def sensing_loss(design, b, x) -> float:
 # the ALS loop
 
 
-def _init_factors(prob, config: SolverConfig):
-    """Starting factors: balanced truncated SVD of the data backprojection
-    (the standard spectral start, robust against spurious basins) or iid
+def _init_left(prob, config: SolverConfig):
+    """The starting left factor, all a sweep reads: that of the balanced
+    truncated SVD of the data backprojection, U = left sqrt(s) (the
+    standard spectral start, robust against spurious basins), or iid
     complex Gaussians when config.init == "random"."""
-    rank = config.rank
     if config.init == "random":
-        rng = np.random.default_rng(config.seed)
-        return complex_gaussian(prob.d1, rank, rng), complex_gaussian(prob.d2, rank, rng)
-    svd = truncated_svd(prob.backprojection(), rank)
-    scale = np.sqrt(svd.singular_values)
-    return svd.left * scale, svd.right * scale
+        return complex_gaussian(prob.d1, config.rank, config.seed)
+    svd = truncated_svd(prob.backprojection(), config.rank)
+    return svd.left * np.sqrt(svd.singular_values)
 
 
-def _guard(loss: float, initial: float):
-    if not math.isfinite(loss) or loss > _DIVERGENCE_FACTOR * max(initial, 1e-300):
+def _guard(loss: float, scale: float):
+    if not math.isfinite(loss) or loss > _DIVERGENCE_FACTOR * max(scale, 1e-300):
         raise DivergenceError(f"loss diverged to {loss!r}")
 
 
@@ -817,8 +842,8 @@ def nesterov_als_solve(design, b, d1: int, d2: int,
                        config: SolverConfig) -> SolveReport:
     """ALS with factor-wise momentum extrapolation and loss-ratio restarts.
 
-    Factors are initialized once (see _init_factors) and a plain sweep
-    produces the second iterate. Each subsequent step extrapolates U by beta
+    U is initialized once (see _init_left) and a plain sweep produces the
+    second iterate. Each subsequent step extrapolates U by beta
     (default 0.5, chosen to cut beta = 1's overshoot; see the module
     docstring) times its last move, runs one sweep (`prob.sweep`, which
     reads U only), and, if the loss exceeds eta times the previous one,
@@ -828,8 +853,12 @@ def nesterov_als_solve(design, b, d1: int, d2: int,
     valid while the data's noise keeps the loss above it. Terminates
     when the relative change of X = U V^H falls below gamma (`stop` is
     "converged") or after max_iter sweeps ("max_iter"). Returns the best
-    iterate visited; the loss trace holds one value per sweep, each also
-    logged at DEBUG.
+    iterate visited, with the direct residual of it as the final loss; the
+    loss trace holds one value per sweep, each also logged at DEBUG. A
+    sweep's loss comes from the back end's one loss protocol (see the
+    module docstring), and one that is not finite or exceeds 10^6
+    ||b||^2 / 2M, 10^6 times the loss of the zero estimate, raises
+    DivergenceError; no loss is taken before the first sweep.
 
     beta = 0 is plain ALS: the extrapolated point is the current iterate,
     every step is one exact sweep and the loss trace is non-increasing up
@@ -844,19 +873,20 @@ def _als(prob, config: SolverConfig) -> SolveReport:
     if config.rank > min(prob.d1, prob.d2):
         raise DimensionError(f"rank {config.rank} exceeds min dimension "
                              f"{min(prob.d1, prob.d2)}")
-    u_prev, v_prev = _init_factors(prob, config)
-    initial = prob.loss(u_prev, v_prev)
+    u_prev = _init_left(prob, config)
+    # the loss of the zero estimate, which no exact left solve exceeds
+    scale = prob.b_sq / (2 * prob.m_total)
 
     v_curr, u_curr, f_curr = prob.sweep(u_prev)
     trace = [f_curr]
     _LOG.debug("sweep 1: loss %r", f_curr)
-    _guard(f_curr, initial)
+    _guard(f_curr, scale)
     best = (u_curr, v_curr, f_curr)
     x_curr = u_curr @ v_curr.conj().T
     restarts = 0
     iterations = 1
     stop = "max_iter"
-    floor = _RESTART_FLOOR * float(np.vdot(prob.b, prob.b).real) / prob.m_total
+    floor = _RESTART_FLOOR * prob.b_sq / prob.m_total
 
     for _ in range(1, config.max_iter):
         v_new, u_new, f_new = prob.sweep(u_curr + config.beta * (u_curr - u_prev))
@@ -868,7 +898,7 @@ def _als(prob, config: SolverConfig) -> SolveReport:
         trace.append(f_new)
         _LOG.debug("sweep %d: loss %r%s", iterations, f_new,
                    " after a restart" if restarted else "")
-        _guard(f_new, initial)
+        _guard(f_new, scale)
         if f_new < best[2]:
             best = (u_new, v_new, f_new)
         x_new = u_new @ v_new.conj().T
@@ -878,7 +908,7 @@ def _als(prob, config: SolverConfig) -> SolveReport:
         if converged:
             stop = "converged"
             break
-    return SolveReport(FactorPair(best[0], best[1]), prob.final_loss(*best), iterations,
+    return SolveReport(FactorPair(best[0], best[1]), prob.final_loss(*best[:2]), iterations,
                        restarts, trace, time.perf_counter() - start, prob.fallbacks,
                        stop, dict(prob.part_s))
 

@@ -189,11 +189,13 @@ def test_run_subcommand_and_report(tmp_path, capsys):
     3, None, [1], [{"m": 16}], [{"aggregates": {}}], [{"m": 16, "aggregates": 5}],
     [{"m": 16, "aggregates": {"mean_error": None, "recovery_rate": None}}],
     [{"m": 16, "aggregates": {"mean_error": "0.1", "recovery_rate": 1.0}}],
-    [{"m": 16, "aggregates": {"recovery_rate": 1.0}}]])
+    [{"m": 16, "aggregates": {"recovery_rate": 1.0}}],
+    [{"m": float("nan"), "aggregates": {"mean_error": 0.1, "recovery_rate": 1.0}}],
+    [{"m": "16", "aggregates": {"mean_error": 0.1, "recovery_rate": 1.0}}]])
 def test_report_exit_code_2_on_malformed_points(tmp_path, capsys, points):
     # a stored results.json whose points are not a list of objects holding
-    # m and aggregates, or whose aggregates break the field rules, is
-    # rejected by file name, not indexed
+    # m and aggregates, or whose m or aggregates break the field rules, is
+    # rejected by file name, not indexed (a NaN m was written to report.json)
     path = tmp_path / "results.json"
     path.write_text(json.dumps({"config": {"strategy": "als_n"}, "points": points}))
     assert run_cli("report", "--inputs", str(path)) == 2
@@ -208,6 +210,17 @@ def test_report_exit_code_2_on_malformed_config(tmp_path, capsys, config):
     path.write_text(json.dumps({"config": config, "points": []}))
     assert run_cli("report", "--inputs", str(path)) == 2
     assert str(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", '"config"', "3", '{"config": ', "",
+                                  "[" * 10 ** 5 + "]" * 10 ** 5], ids=range(6))
+def test_report_names_a_bad_file_once(tmp_path, capsys, text):
+    # a results.json that is not a JSON object, or not JSON, or nested past
+    # the parser's recursion limit, is rejected by its file name, given once
+    path = tmp_path / "results.json"
+    path.write_text(text)
+    assert run_cli("report", "--inputs", str(path)) == 2
+    assert capsys.readouterr().err.count(str(path)) == 1
 
 
 def test_report_reads_a_null_mean_error(tmp_path, capsys):
@@ -311,6 +324,13 @@ def test_run_exit_code_2_on_bad_config_value(tmp_path, capsys, override):
 def test_run_exit_code_2_on_config_not_an_object(tmp_path, payload):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(payload))
+    assert run_cli("run", "--config", str(cfg_path), "--out", str(tmp_path)) == 2
+
+
+def test_run_exit_code_2_on_config_nested_too_deep(tmp_path):
+    # past the JSON parser's recursion limit: rejected, not a RecursionError
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text("[" * 10 ** 5 + "]" * 10 ** 5)
     assert run_cli("run", "--config", str(cfg_path), "--out", str(tmp_path)) == 2
 
 
@@ -700,6 +720,91 @@ def test_mutated_cmx_header_exits_2_or_leaves_outputs(stored, case):
         assert code in (0, 2)
         if code == 0:
             assert _outputs(out) == _outputs(stored / kind / "solve")
+
+
+@pytest.fixture(scope="module")
+def stored_results(tmp_path_factory):
+    # results.json of an N=3 als_n run with two sweep points, and report's
+    # output on it
+    root = tmp_path_factory.mktemp("results")
+    config = {"task": "channel", "n": 3, "strategy": "als_n", "m_o": [10, 12],
+              "kraus_rank": 1, "sigma": 1e-3, "trials": 2, "master_seed": 5}
+    (root / "config.json").write_text(json.dumps(config))
+    assert run_cli("run", "--config", str(root / "config.json"), "--out", str(root)) == 0
+    assert run_cli("report", "--inputs", str(root), "--out", str(root / "report")) == 0
+    return root / "results.json", (root / "report" / "report.json").read_bytes()
+
+
+# the objects of results.json that report reads, by path from the top, and
+# their keys: the fields report reads, one it does not, and "extra" (new)
+_RESULTS_OBJECTS = {(): ("config", "points", "manifest_hash"),
+                    ("config",): ("strategy", "n", "extra"),
+                    ("points", 0): ("m", "aggregates", "records"),
+                    ("points", 1, "aggregates"): ("mean_error", "recovery_rate",
+                                                  "failed_trials", "extra")}
+_RESULTS_READ = {"config", "points", "strategy", "m", "aggregates", "mean_error",
+                 "recovery_rate"}
+
+
+def _results_mutation():
+    # (path, op, key, value): set or remove one key of one object, replace
+    # the object, or cut the file to value modulo its length
+    def of(path):
+        keys = st.sampled_from(_RESULTS_OBJECTS[path])
+        return st.one_of(st.tuples(st.just(path), st.just("set"), keys, _JSON_VALUES),
+                         st.tuples(st.just(path), st.just("remove"), keys, st.none()),
+                         st.tuples(st.just(path), st.just("replace"), st.none(),
+                                   st.one_of(_NON_OBJECTS, _JSON_VALUES)))
+    return st.one_of(st.sampled_from(sorted(_RESULTS_OBJECTS)).flatmap(of),
+                     st.tuples(st.none(), st.just("truncate"), st.none(),
+                               st.integers(0, 2 ** 16)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(mutation=_results_mutation())
+@example(mutation=((), "replace", None, [1]))
+@example(mutation=(("points", 1, "aggregates"), "set", "mean_error", 10 ** 30))
+@example(mutation=(("points", 1, "aggregates"), "set", "recovery_rate", True))
+@example(mutation=(("points", 0), "set", "m", float("nan")))
+@example(mutation=(None, "truncate", None, 7))
+def test_mutated_results_report_exits_0_or_2(stored_results, mutation):
+    # report on a results.json with one key set or removed, one object
+    # replaced, or the file cut short exits 0 or 2, never with a traceback:
+    # 2 for a cut file and a removed key that report reads; on exit 0 after
+    # a mutation of a key it neither reads nor copies, the unmutated report
+    path, op, key, value = mutation
+    source, report = stored_results
+    text = source.read_text()
+    with tempfile.TemporaryDirectory() as tmp:
+        target, out = Path(tmp) / "results.json", Path(tmp) / "out"
+        if op == "truncate":
+            target.write_text(text[:value % len(text)])
+        else:
+            payload = json.loads(text)
+            parent = payload
+            for step in path[:-1]:
+                parent = parent[step]
+            if op == "replace" and not path:
+                payload = value
+            elif op == "replace":
+                parent[path[-1]] = value
+            elif op == "remove":
+                (parent[path[-1]] if path else payload).pop(key, None)
+            else:
+                (parent[path[-1]] if path else payload)[key] = value
+            target.write_text(json.dumps(payload))
+        code = run_cli("report", "--inputs", str(target), "--out", str(out))
+        assert code in (0, 2)
+        if op == "truncate" and value % len(text) < len(text.rstrip()):
+            assert code == 2
+        if op == "remove" and key in _RESULTS_READ:
+            assert code == 2
+        if code == 0 and op in ("set", "remove") and key not in _RESULTS_READ and (
+                "aggregates" not in path):
+            entries = [json.loads(blob)["entries"] for blob in
+                       ((out / "report.json").read_bytes(), report)]
+            assert [[{**e, "path": None} for e in side] for side in entries] == [
+                [{**e, "path": None} for e in entries[1]]] * 2
 
 
 def _results(out):

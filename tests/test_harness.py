@@ -12,7 +12,7 @@ from superop_sensing import (CompletedMatrix, ExperimentConfig, FactorPair, buil
                              reconstruct_full, recovery_rate,
                              relative_frobenius_error, run_experiment, sensing_loss,
                              simulate_measurements)
-from superop_sensing import harness
+from superop_sensing import harness, solvers
 from superop_sensing.errors import DimensionError, UndefinedMetricError
 from superop_sensing.harness import RUN_OPTIONS, read_csv_records
 from superop_sensing.serialize import load_json
@@ -190,6 +190,20 @@ def test_run_experiment_records_infeasible_trials():
                for r in point.records)
     agg = point.aggregates(result.threshold)
     assert agg["recovery_rate"] == 0.0 and agg["failed_trials"] == 2
+
+
+def test_run_experiment_records_a_diverged_trial(monkeypatch):
+    # a sweep whose loss is NaN raises DivergenceError in the solve; the
+    # trial is a failed record with its message, and the run goes on
+    sweep = solvers._Problem.sweep
+    monkeypatch.setattr(solvers._Problem, "sweep",
+                        lambda prob, u: (*sweep(prob, u)[:2], float("nan")))
+    result = run_experiment(_small_config(sigma=1e-3, trials=2))
+    point = result.points[0]
+    assert [r.message for r in point.records] == ["DivergenceError: loss diverged to nan"] * 2
+    assert all(r.error is None and not r.recovered and r.final_loss is None
+               for r in point.records)
+    assert point.aggregates(result.threshold)["failed_trials"] == 2
 
 
 def test_run_experiment_records_fallbacks(tmp_path):

@@ -114,9 +114,9 @@ def test_least_squares_shape_mismatch():
 def test_cholesky_solve_normal_equations():
     a = complex_gaussian(20, 5, seed=19)
     b = complex_gaussian(20, 3, seed=20)
-    x = cholesky_solve(a.conj().T @ a, a.conj().T @ b)
+    x, _ = cholesky_solve(a.conj().T @ a, a.conj().T @ b)
     assert np.linalg.norm(x - least_squares(a, b)) <= 1e-12 * np.linalg.norm(x)
-    vec = cholesky_solve(a.conj().T @ a, a.conj().T @ b[:, 0])
+    vec, _ = cholesky_solve(a.conj().T @ a, a.conj().T @ b[:, 0])
     assert vec.shape == (5,) and np.allclose(vec, x[:, 0], rtol=0, atol=1e-14)
 
 
@@ -126,16 +126,42 @@ def test_cholesky_solve_matches_least_squares(n):
     a = complex_gaussian(3 * n, n, seed=n)
     b = complex_gaussian(3 * n, 4, seed=n + 1)
     normal = a.conj().T @ a
-    x = cholesky_solve(normal, a.conj().T @ b)
+    x, _ = cholesky_solve(normal, a.conj().T @ b)
     want = least_squares(a, b)
     assert x.shape == want.shape
     assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
-    vec = cholesky_solve(normal, a.conj().T @ b[:, 0])
+    vec, _ = cholesky_solve(normal, a.conj().T @ b[:, 0])
     assert vec.shape == (n,)
     assert np.linalg.norm(vec - want[:, 0]) <= 1e-12 * np.linalg.norm(want[:, 0])
     # powers of two pass through every step exactly
-    assert np.array_equal(cholesky_solve(4 * normal, 4 * (a.conj().T @ b)), x)
-    assert np.array_equal(cholesky_solve(4 * normal, 2 * (a.conj().T @ b)), x / 2)
+    assert np.array_equal(cholesky_solve(4 * normal, 4 * (a.conj().T @ b))[0], x)
+    assert np.array_equal(cholesky_solve(4 * normal, 2 * (a.conj().T @ b))[0], x / 2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 47, 48, 49, 97, 192])
+def test_cholesky_solve_returns_its_forward_substitution(n):
+    # Y solves L Y = B for the Cholesky factor L of A, one or many columns
+    a = complex_gaussian(3 * n, n, seed=n + 4)
+    normal = a.conj().T @ a
+    low = np.linalg.cholesky(normal)
+    for rhs in (complex_gaussian(n, 3, seed=n + 5), complex_gaussian(n, 1, seed=n + 6)[:, 0]):
+        x, y = cholesky_solve(normal, rhs)
+        assert y.shape == rhs.shape
+        assert np.linalg.norm(low @ y - rhs) <= 1e-13 * np.linalg.norm(rhs)
+        assert np.linalg.norm(low.conj().T @ x - y) <= 1e-13 * np.linalg.norm(y)
+
+
+@pytest.mark.parametrize("n", [1, 5, 49, 97])
+def test_cholesky_solve_forward_gives_the_residual(n):
+    # for A = G^H G and B = G^H b, ||G X - b||^2 = ||b||^2 - ||Y||^2 up to
+    # roundoff of ||b||^2, on a residual far from zero and one near it
+    g = complex_gaussian(3 * n, n, seed=n + 7)
+    for b in (complex_gaussian(3 * n, 1, seed=n + 8)[:, 0],
+              g @ complex_gaussian(n, 1, seed=n + 9)[:, 0] + 1e-6):
+        x, y = cholesky_solve(g.conj().T @ g, g.conj().T @ b)
+        b_sq = float(np.vdot(b, b).real)
+        residual = float(np.sum(np.abs(g @ x - b) ** 2))
+        assert abs(residual - (b_sq - float(np.vdot(y, y).real))) <= 1e-13 * b_sq
 
 
 @pytest.mark.parametrize("n", [3, 97])
@@ -147,7 +173,8 @@ def test_cholesky_solve_reads_only_the_lower_triangle(n):
     rhs = complex_gaussian(n, 2, seed=n + 3)
     upper_nan = normal.copy()
     upper_nan[np.triu_indices(n, 1)] = np.nan
-    assert cholesky_solve(upper_nan, rhs).tobytes() == cholesky_solve(normal, rhs).tobytes()
+    for got, want in zip(cholesky_solve(upper_nan, rhs), cholesky_solve(normal, rhs)):
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("a", [
@@ -157,7 +184,7 @@ def test_cholesky_solve_reads_only_the_lower_triangle(n):
     np.diag([1.0, np.nan, 1.0]),
 ])
 def test_cholesky_solve_rejects_invalid_systems(a):
-    assert cholesky_solve(a, np.ones(3)) is None
+    assert cholesky_solve(a, np.ones(3)) == (None, None)
 
 
 def test_complex_gaussian_deterministic_and_seed_sensitive():

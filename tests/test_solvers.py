@@ -13,7 +13,7 @@ from superop_sensing import (SensingDesign, SolverConfig, build_blockwise_design
                              pauli_basis, random_channel, sensing_loss,
                              simulate_measurements, solve_first_row_joint,
                              solve_first_row_parallel, solve_first_row_subset)
-from superop_sensing.errors import DimensionError
+from superop_sensing.errors import DimensionError, DivergenceError
 from superop_sensing import solvers
 from superop_sensing.linalg import cholesky_solve, least_squares
 from superop_sensing.measurements import pair_inner_products
@@ -836,7 +836,8 @@ def test_sweeps_hold_only_the_packed_gram_rows(n, blocks, monkeypatch):
     # after the first sweep the problem holds no N^4-entry array (M_O < N^2,
     # so not even the design has that many), and the right normal matrix
     # from the packed rows matches the full-G contraction
-    # sum_{x,x'} conj(U[x,c]) G[x,a,x',a'] U[x',c'] of the oracle
+    # sum_{x,x'} conj(U[x,c]) G[x,a,x',a'] U[x',c'] of the oracle; both
+    # half-sweeps solve through the one Cholesky function
     r = 2
     design = build_blockwise_design(n, n * n - 1, "random", 0, seed=126 + n)
     rng = np.random.default_rng(127 + n)
@@ -851,6 +852,7 @@ def test_sweeps_hold_only_the_packed_gram_rows(n, blocks, monkeypatch):
     monkeypatch.setattr(solvers, "cholesky_solve", recording)
     prob = _make_problem(design, b, n, n * blocks)
     prob.sweep(u)
+    assert len(normals) == 2
     held = [a for value in vars(prob).values()
             for a in (value if isinstance(value, tuple) else (value,))
             if isinstance(a, np.ndarray)]
@@ -1006,11 +1008,27 @@ def test_fallback_sweeps_take_the_direct_loss(monkeypatch):
     assert np.array_equal(rep.factors.product(), direct.factors.product())
 
 
-@pytest.mark.parametrize("strategy", ["als_n", "als_i", "als_p"])
+# the pair back end's final loss, the residual of its left rows, agrees with
+# sensing_loss of the same factors to this many ulps of ||b||^2 / 2M (0.004
+# at most over 40 seeded noisy solves, N = 3, 4, and 1 over 480 sweeps)
+_PAIR_LOSS_ULPS = 2
+
+
+@pytest.mark.parametrize("strategy", ["als_n", "als_i", "als_p", "als_n2"])
 def test_final_loss_is_the_direct_residual(strategy):
     # the emitted final loss is sensing_loss of the returned factors on the
-    # problem's own data, bit for bit, whatever the sweeps read
+    # problem's own data, bit for bit blockwise, whatever the sweeps read; on
+    # random pairs the two sum one residual in different orders
     n, r = 5, 2
+    if strategy == "als_n2":
+        design = build_random_design(3, 200, "random", seed=169)
+        values = simulate_measurements(random_channel(3, r, seed=168), design, 1e-3,
+                                       seed=170).values
+        _, (rep,) = solve_strategy(strategy, design, values, SolverConfig(rank=r, seed=28))
+        ulp = np.spacing(float(np.vdot(values, values).real) / (2 * values.size))
+        want = sensing_loss(design, values, rep.factors.product())
+        assert abs(rep.final_loss - want) <= _PAIR_LOSS_ULPS * ulp
+        return
     s = random_channel(n, r, seed=168)
     design = build_blockwise_design(n, 40, "random", 0, seed=169)
     values = simulate_measurements(s, design, 1e-3, seed=170).values
@@ -1028,6 +1046,67 @@ def test_final_loss_is_the_direct_residual(strategy):
                              rtol=1e-12, atol=0)]
     assert len(chosen) == x.shape[1] // n == (n if strategy == "als_n" else 3)
     assert rep.final_loss == sensing_loss(design, values[chosen], x)
+
+
+def test_noisy_joint_solve_makes_one_direct_loss_pass(monkeypatch):
+    # every sweep of a noisy als_n solve reads its loss off the left solve,
+    # and the divergence guard reads ||b||^2 / 2M, so the solve's one pass
+    # over C is its final loss
+    passes = []
+    loss_of = solvers._StackedProblem.loss_of
+    monkeypatch.setattr(solvers._StackedProblem, "loss_of",
+                        lambda prob, x: passes.append(x) or loss_of(prob, x))
+    _, design, data = _channel_case(5, 2, seed=171, m_o=40, sigma=1e-3)
+    _, (rep,) = solve_strategy("als_n", design, data.values,
+                               SolverConfig(rank=2, seed=29, max_iter=30))
+    assert rep.iterations > 2 and len(passes) == 1
+    assert rep.final_loss == loss_of(_make_problem(design, data.values, 5, 25), passes[0])
+
+
+def _reporting(monkeypatch, loss):
+    # every sweep of either back end reports `loss` as its loss
+    sweep = solvers._Problem.sweep
+    monkeypatch.setattr(solvers._Problem, "sweep", lambda prob, u: (*sweep(prob, u)[:2], loss))
+
+
+def _guard_cases():
+    # a noisy blockwise and a noisy random-pairs solve: (design, b, d1, d2)
+    _, design, data = _channel_case(3, 2, seed=172, m_o=12, sigma=1e-3)
+    pairs = build_random_design(3, 120, "random", seed=173)
+    values = simulate_measurements(random_channel(3, 2, seed=174), pairs, 1e-3,
+                                   seed=175).values
+    return [(design, data.values, 3, 9), (pairs, values, 9, 9)]
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["blockwise", "pairs"])
+def test_divergence_guard_reads_the_zero_estimate_loss(case, monkeypatch):
+    # ||b||^2 / 2M is the loss of X = 0, and no sweep of a solve exceeds it;
+    # a sweep loss that is NaN or above 10^6 times it raises DivergenceError,
+    # one at exactly 10^6 times it does not
+    design, b, d1, d2 = _guard_cases()[case]
+    cfg = SolverConfig(rank=2, seed=30, max_iter=8, init="random")
+    scale = float(np.vdot(b, b).real) / (2 * np.size(b))
+    assert sensing_loss(design, b, np.zeros((d1, d2))) == pytest.approx(scale, rel=1e-15)
+    assert max(nesterov_als_solve(design, b, d1, d2, cfg).loss_trace) <= scale
+    limit = solvers._DIVERGENCE_FACTOR * scale
+    _reporting(monkeypatch, limit)
+    assert nesterov_als_solve(design, b, d1, d2, cfg).loss_trace[0] == limit
+    for loss in (np.nextafter(limit, np.inf), np.nan):
+        _reporting(monkeypatch, loss)
+        with pytest.raises(DivergenceError, match="loss diverged to"):
+            nesterov_als_solve(design, b, d1, d2, cfg)
+
+
+@pytest.mark.parametrize("init", ["spectral", "random"])
+@pytest.mark.parametrize("case", [0, 1], ids=["blockwise", "pairs"])
+def test_zero_data_solve_in_two_sweeps(case, init):
+    # b = 0: the guard's scale is 0, every sweep's exact solution is 0, and
+    # the solve stops after its second sweep with loss 0
+    design, b, d1, d2 = _guard_cases()[case]
+    rep = nesterov_als_solve(design, np.zeros_like(b), d1, d2,
+                             SolverConfig(rank=2, seed=31, init=init))
+    assert (rep.final_loss, rep.iterations, rep.stop) == (0.0, 2, "converged")
+    assert rep.loss_trace == [0.0, 0.0]
 
 
 def test_race_keeps_the_first_attempt_within_a_few_ulps_of_the_least():
