@@ -46,16 +46,13 @@ them when the run returns. The Gram build is a blockwise trial's peak:
 at N=25, M_O=640 3.05, 3.0 and 3.1 MiB for C, `S` and the rows, 10.2 MiB
 at the peak under tracemalloc; at N=64, M_O=1640 322 MiB. Completion keeps
 the estimate as its rank-r factors (`reconstruction.CompletedMatrix`),
-and an `als_n2` solve returns its factors too. Scoring builds the truth's
+and an `als_n2` solve returns its factors too; a hermitized completion
+is the rank-2r pair of (K + K^H) / 2. Scoring builds the truth's
 dense matrix and subtracts the estimate from it in its buffer one row
 block of N rows at a time, each block the factors' full-width product,
 so that stage holds one N^2 x N^2 array and an N x N^2 block (1.05 N^4
 complex entries at N=64 under tracemalloc, 269 MiB, where a dense
-estimate beside the truth would take 2.0 N^4). A hermitized estimate is the
-exception: it is built dense (in place) and handed over row block by
-row block, as the columns of a sliced product are not bitwise those of
-the full one, so such a trial still holds two N^2 x N^2 arrays while it
-scores. An `als_n2` trial's peak is the pair workspace: with k = N^2 r,
+estimate beside the truth would take 2.0 N^4). An `als_n2` trial's peak is the pair workspace: with k = N^2 r,
 the M x k rows, a scratch array of 2 k^2 entries (the row assembly works
 2 k pairs at a time in it) and the k x k normal matrix, all complex (3.2,
 1.1 and 0.6 MiB at N=8, M=1100, r=3, beside the 2.1 MiB design).
@@ -120,13 +117,31 @@ def relative_frobenius_error(estimate, truth) -> float:
     or FactorPair values.
 
     Neither input is changed: the difference is taken in a copy of the
-    truth.
+    truth, and an estimate held as factors is subtracted from it one row
+    block of their product at a time, as a trial scores, so no dense
+    estimate is made. A truth of zero or non-finite norm raises
+    UndefinedMetricError.
     """
-    est = _as_matrix(estimate)
     ref = _as_matrix(truth)
-    if est.shape != ref.shape:
-        raise DimensionError(f"shape mismatch {est.shape} vs {ref.shape}")
-    return _error_in_place(ref.astype(np.result_type(est, ref)), [(..., est)])
+    factors = estimate.factors if isinstance(estimate, CompletedMatrix) else estimate
+    if isinstance(factors, FactorPair):
+        shape = (len(factors.left), len(factors.right))
+        dtype, blocks = np.result_type(factors.left, factors.right), _row_blocks(factors)
+    else:
+        est = _as_matrix(estimate)
+        shape, dtype, blocks = est.shape, est.dtype, [(..., est)]
+    if shape != ref.shape:
+        raise DimensionError(f"shape mismatch {shape} vs {ref.shape}")
+    return _error_in_place(ref.astype(np.result_type(dtype, ref)), blocks)
+
+
+def _row_blocks(factors: FactorPair):
+    """The (rows, the product's rows) pairs of a factor pair's d1 x d2
+    product, N = isqrt(d1) rows at a time, each bitwise those rows of the
+    whole product."""
+    n = max(1, math.isqrt(len(factors.left)))
+    for i in range(0, len(factors.left), n):
+        yield slice(i, i + n), factors.product(slice(i, i + n))
 
 
 def _error_in_place(truth: np.ndarray, row_blocks) -> float:
@@ -135,8 +150,8 @@ def _error_in_place(truth: np.ndarray, row_blocks) -> float:
     buffer, which is overwritten: ||K*|| first, then K* - K in place, block
     by block, whose norm is that of K - K* bit for bit."""
     denom = np.linalg.norm(truth)
-    if denom == 0:
-        raise UndefinedMetricError("reference matrix has zero norm")
+    if not 0 < denom < np.inf:                             # NaN fails too
+        raise UndefinedMetricError(f"reference matrix norm {denom} is not finite and positive")
     for rows, block in row_blocks:
         truth[rows] -= block
     return float(np.linalg.norm(truth) / denom)
@@ -351,15 +366,10 @@ def _run_trial(config: ExperimentConfig, point_idx: int, m: int, trial: int) -> 
     estimate, reports = run()
     del run                 # and what it read (C, G's packed rows) here
     stamp()
-    if config.strategy == "als_n2":
-        rows = estimate.product                    # the solve's FactorPair
-    else:
-        rows = reconstruct_full(estimate, config.rank, anchor=config.row_index,
-                                hermitize=config.hermitize).rows
+    factors = estimate if config.strategy == "als_n2" else reconstruct_full(
+        estimate, config.rank, anchor=config.row_index, hermitize=config.hermitize).factors
     stamp()
-    n = config.n
-    blocks = (slice(i, i + n) for i in range(0, n * n, n))
-    error = _error_in_place(truth_matrix(), ((blk, rows(blk)) for blk in blocks))
+    error = _error_in_place(truth_matrix(), _row_blocks(factors))
     stamp()
 
     stage_s = {name: end - start for name, start, end in zip(STAGES, marks, marks[1:])}

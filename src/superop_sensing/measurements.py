@@ -359,7 +359,9 @@ def empirical_rip_probe(design: SensingDesign, r: int, n_samples: int,
 
     Returns (c0, c1, c, delta) with c = (c0 + c1)/2 and
     delta = (c1 - c0)/(c1 + c0). A sampled, optimistic estimate: the true
-    restricted-isometry constant can only be worse.
+    restricted-isometry constant can only be worse. The matrices are
+    d x d, d = N^2 for a random-pairs design and N for a blockwise one, so
+    r must be in [1, d].
     """
     if n_samples < 1:
         raise DimensionError("n_samples must be >= 1")
@@ -369,6 +371,8 @@ def empirical_rip_probe(design: SensingDesign, r: int, n_samples: int,
     rng = np.random.default_rng(seed)
     n = design.dim_n
     d = n * n if design.kind == "random_pairs" else n
+    if not 1 <= r <= d:
+        raise DimensionError(f"rank {r} out of [1, {d}] for {d} x {d} matrices")
     if design.kind == "blockwise":
         obs_flat = design.observables.conj().reshape(m, -1)
     energies = np.empty(n_samples)

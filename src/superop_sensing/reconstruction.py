@@ -12,14 +12,13 @@ every row is a linear combination of the r basis rows.
 The completion is returned as those rank-r factors, K = L J^H with
 L = row^H proj (N^2 x r) and the anchor rows of L set to the SVD's left
 vectors times its singular values. No N^2 x N^2 array is made until a
-caller reads `.matrix` (hermitized in place when asked). A full-width row
-block L[blk] J^H is bitwise those rows of the whole product, and the
-product is bitwise the old dense completion, whose anchor rows were the
-SVD's own product (measured at N = 3, 4, 5, 16 and 25, and pinned by the
-tests), so `rows` hands a scorer the dense matrix one row block at a time
-without building it. Column-sliced products are not bitwise (at odd N
-they differed in 118 of 306 blocks), so a hermitized matrix, which mixes
-each row with a column, is read from its dense form.
+caller reads `.matrix`. A full-width row block L[blk] J^H is bitwise those
+rows of the whole product, and the product is bitwise the old dense
+completion, whose anchor rows were the SVD's own product (measured at
+N = 3, 4, 5, 16 and 25, and pinned by the tests), so `rows` hands a scorer
+the dense matrix one row block at a time without building it. A
+hermitized completion is a factor pair too: (K + K^H) / 2 is
+([L, J] / 2) [J, L]^H, of rank at most 2r, the halving exact.
 """
 
 from __future__ import annotations
@@ -38,30 +37,20 @@ __all__ = ["CompletedMatrix", "reconstruct_full"]
 
 @dataclass
 class CompletedMatrix:
-    """The completed N^2 x N^2 matrix as its rank-r factors, K = L J^H
-    (`factors.left` L, `factors.right` J), hermitized on reading when
-    `hermitize` is set."""
+    """The completed N^2 x N^2 matrix as its factors, K = L J^H
+    (`factors.left` L, `factors.right` J)."""
 
     dim_n: int
     factors: FactorPair
-    hermitize: bool = False
 
     def rows(self, rows: slice) -> np.ndarray:
-        """A full-width row block of `matrix`, bitwise: L[rows] J^H, or,
-        hermitized, rows of the dense matrix, which is then built and kept
-        (a column-sliced product is not bitwise the full one's columns)."""
-        if self.hermitize:
-            return self.matrix[rows]
+        """A full-width row block of `matrix`, bitwise: L[rows] J^H."""
         return self.factors.product(rows)
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """The dense N^2 x N^2 matrix, built on first read, then made
-        (K + K^H) / 2 in place when hermitized."""
-        out = self.factors.product()
-        if self.hermitize:
-            _hermitize(out, self.dim_n)
-        return out
+        """The dense N^2 x N^2 matrix, built on first read."""
+        return self.factors.product()
 
     def block(self, i: int, j: int) -> np.ndarray:
         """The (i, j)-th N x N sub-block of `matrix`, 0-based."""
@@ -78,10 +67,9 @@ def reconstruct_full(row, r: int, rtol: float | None = None,
     singular values above rtol * sigma_max (default rtol: max(N^2, r) *
     machine epsilon; a given rtol must be finite and nonnegative); otherwise
     an AssumptionViolationError reports the observed numerical rank.
-    Returns the completion's rank-r factors. hermitize=True has its dense
-    matrix averaged with its adjoint in place when read, bitwise
-    (K + K^H) / 2 without a second N^2 x N^2 array; that may break the
-    exact rank-r structure and is off by default.
+    Returns the completion's rank-r factors. hermitize=True returns those
+    of (K + K^H) / 2 instead, the rank-2r pair [L, J] / 2 and [J, L]; that
+    may break the exact rank-r structure and is off by default.
     """
     row = np.ascontiguousarray(row, dtype=np.complex128)
     if row.ndim != 2 or row.size == 0 or row.shape[1] != row.shape[0] ** 2:
@@ -112,23 +100,8 @@ def reconstruct_full(row, r: int, rtol: float | None = None,
     # block k of row^H is K_{k,a} = K_{a,k}^H; the anchor rows come from the SVD
     left = row.conj().T @ proj
     left[a] = svd.left * svd.singular_values
-    return CompletedMatrix(n, FactorPair(left, svd.right), hermitize)
+    if hermitize:                       # K + K^H = [L, J] [J, L]^H
+        return CompletedMatrix(n, FactorPair(np.hstack([left, svd.right]) / 2,
+                                             np.hstack([svd.right, left])))
+    return CompletedMatrix(n, FactorPair(left, svd.right))
 
-
-def _hermitize(out, n: int) -> None:
-    """out = (out + out^H) / 2 in place, bitwise that expression.
-
-    Each strip of n rows is averaged with the mirrored strip of n columns:
-    the diagonal block against its own adjoint, then the blocks right of it
-    and those below it, each from the other's values before either is
-    written. The temporaries are a few n x N^2 strips, so no N^2 x N^2 array
-    besides out is made.
-    """
-    for i in range(0, out.shape[0], n):
-        rows, cols = out[i:i + n, i + n:], out[i + n:, i:i + n]
-        diag = out[i:i + n, i:i + n]
-        diag[...] = (diag + diag.conj().T) / 2
-        right = (rows + cols.conj().T) / 2
-        cols += rows.conj().T
-        cols /= 2
-        rows[...] = right

@@ -790,16 +790,20 @@ class _StackedProblem(_Problem):
 
 def _make_problem(design: SensingDesign, b, d1: int, d2: int, stats=None):
     """The back end of a design: a random-pairs design senses the full
-    N^2 x N^2 matrix, a blockwise one the d2 // N blocks of an N x d2 row,
-    as a view of the design's statistics stats (made here if not given)."""
+    N^2 x N^2 matrix, a blockwise one the p = d2 / N blocks of an N x d2
+    row from p rows of M_O values (one row may be given flat), as a view of
+    the design's statistics stats (made here if not given)."""
     b = np.asarray(b, dtype=np.complex128)
     if not np.all(np.isfinite(b)):
         raise DimensionError("data values hold non-finite entries")
     if design.kind == "random_pairs":
         prob = _PairProblem(design, b)
     else:
-        prob = _StackedProblem.of(design, b, max(1, d2 // design.dim_n),
-                                  stats or _BlockStats(design))
+        n, m = design.dim_n, design.n_measurements
+        if d2 < n or d2 % n or b.shape[-1:] != (m,) or b.size != d2 // n * m:
+            raise DimensionError(f"blockwise data of shape {b.shape} are not d2 / N rows "
+                                 f"of {m} values for d2={d2}, N={n}")
+        prob = _StackedProblem.of(design, b, d2 // n, stats or _BlockStats(design))
     if (prob.d1, prob.d2) != (d1, d2):
         raise DimensionError(
             f"design implies dimensions ({prob.d1}, {prob.d2}), got ({d1}, {d2})")

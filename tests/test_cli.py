@@ -497,6 +497,14 @@ def test_rip_probe_subcommand(tmp_path, capsys):
     assert payload["c0"] <= payload["c1"]
 
 
+def test_rip_probe_exit_code_2_on_rank_above_the_block(tmp_path, capsys):
+    # blockwise at N=3 samples 3 x 3 matrices: rank 10 was sampled as 3
+    assert run_cli("rip-probe", "--n", "3", "--design", "blockwise", "--m", "12",
+                   "--rank", "10", "--samples", "5", "--out", str(tmp_path)) == 2
+    assert "rank 10" in capsys.readouterr().err
+    assert not (tmp_path / "rip_probe.json").exists()
+
+
 def test_rip_probe_rejects_row_index():
     # the probe reads no anchor row, so the option is gone
     with pytest.raises(SystemExit) as info:

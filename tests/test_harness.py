@@ -42,9 +42,44 @@ def test_relative_frobenius_error_zero_truth():
         relative_frobenius_error(np.eye(2), np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_relative_frobenius_error_non_finite_truth(value):
+    # the ratio is undefined, not NaN with a RuntimeWarning
+    truth = np.eye(2)
+    truth[1, 0] = value
+    for estimate in (np.eye(2), FactorPair(np.eye(2), np.eye(2))):
+        with pytest.raises(UndefinedMetricError):
+            relative_frobenius_error(estimate, truth)
+
+
+@pytest.mark.parametrize("hermitize", [False, True])
+def test_relative_frobenius_error_of_a_completion_holds_no_dense_estimate(hermitize):
+    # the estimate's factors are subtracted from the copy of the truth one
+    # row block at a time, bitwise the dense estimate's score: at N=16 the
+    # copy and one N x N^2 block, under 1.2 N^4 complex entries (2.00 with
+    # a dense estimate)
+    n = 16
+    truth = ground_truth("haar", n, 3, r_plus=2, r_minus=1)[1]
+    row = truth[:n] + 1e-4 * complex_gaussian(n, n * n, seed=4)
+    relative_frobenius_error(reconstruct_full(row, 3, hermitize=hermitize),
+                             truth)                               # warm-up
+    est = reconstruct_full(row, 3, hermitize=hermitize)
+    tracemalloc.start()
+    try:
+        err = relative_frobenius_error(est, truth)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2 * n ** 4 * 16
+    assert err == relative_frobenius_error(est.matrix, truth)
+    assert err == relative_frobenius_error(est.factors, truth)
+
+
 def test_relative_frobenius_error_shape_mismatch():
     with pytest.raises(DimensionError):
         relative_frobenius_error(np.eye(2), np.eye(3))
+    with pytest.raises(DimensionError):
+        relative_frobenius_error(FactorPair(np.eye(2), np.eye(3)[:, :2]), np.eye(2))
 
 
 def test_relative_frobenius_error_leaves_inputs_unchanged():

@@ -221,6 +221,17 @@ def test_rip_probe_single_measurement():
     assert probe.delta > 0.5
 
 
+@pytest.mark.parametrize("kind, d", [("blockwise", 3), ("random_pairs", 9)])
+def test_rip_probe_rank_in_range(kind, d):
+    # the probe samples d x d matrices, d = N^2 for pairs and N for
+    # blockwise, so a rank outside [1, d] is rejected, not sampled as d
+    design = build_design(kind, 3, 12, "random", 1)
+    assert 0 < empirical_rip_probe(design, d, 5).c0
+    for r in (0, d + 1):
+        with pytest.raises(DimensionError, match="rank"):
+            empirical_rip_probe(design, r, 5)
+
+
 def test_rip_probe_bounds_order():
     design = build_blockwise_design(4, 30, "random", 0, seed=2)
     probe = empirical_rip_probe(design, r=2, n_samples=300, seed=3)

@@ -78,18 +78,35 @@ def test_hermitize_flag():
     assert np.linalg.norm(est.matrix - est.matrix.conj().T) <= 1e-14
 
 
+def _hermitized_pin(est, plain, n):
+    # a hermitized completion is the pair [L, J] / 2, [J, L] of the plain
+    # one's factors L, J: its matrix and every row block are bitwise
+    # 1/2 [L, J][J, L]^H, and within 2 ulps of max|K|, 2 eps max|K|, of
+    # (K + K^H) / 2 (0.60-1.38 at N = 3, 4, 5, 16 and 25)
+    lj = np.hstack([plain.factors.left, plain.factors.right])
+    jl = np.hstack([plain.factors.right, plain.factors.left])
+    pinned = (lj @ jl.conj().T) / 2
+    assert est.factors.left.tobytes() == (lj / 2).tobytes()
+    assert est.factors.right.tobytes() == jl.tobytes()
+    assert est.matrix.tobytes() == pinned.tobytes()
+    blocks = [est.rows(slice(i, i + n)) for i in range(0, n * n, n)]
+    assert np.vstack(blocks).tobytes() == pinned.tobytes()
+    k = plain.matrix
+    ulp = np.finfo(np.float64).eps * np.abs(k).max()
+    assert np.abs(est.matrix - (k + k.conj().T) / 2).max() <= 2 * ulp
+
+
 @pytest.mark.parametrize("n", [3, 16])
 def test_hermitize_is_bitwise_the_average_with_the_adjoint(n):
     truth = haar_low_rank_hermitian(n, 2, 1, seed=n)
     noisy = _row(truth.matrix, n) + _noise(n, 1e-4, seed=30)
-    plain = reconstruct_full(noisy, 3).matrix
-    est = reconstruct_full(noisy, 3, hermitize=True).matrix
-    assert est.tobytes() == ((plain + plain.conj().T) / 2).tobytes()
+    plain = reconstruct_full(noisy, 3)
+    _hermitized_pin(reconstruct_full(noisy, 3, hermitize=True), plain, n)
 
 
 def test_hermitize_holds_no_second_full_matrix():
-    # the average is taken in place, a strip of N rows at a time: at N=16
-    # building the dense matrix peaks under 1.5 output matrices (three before)
+    # a hermitized completion is a rank-2r factor pair: at N=16 building
+    # its dense matrix peaks under 1.5 output matrices
     n = 16
     truth = haar_low_rank_hermitian(n, 2, 1, seed=31)
     noisy = _row(truth.matrix, n) + _noise(n, 1e-4, seed=32)
@@ -108,22 +125,24 @@ def test_hermitize_holds_no_second_full_matrix():
 def test_matrix_is_bitwise_the_one_product(n, hermitize):
     # .matrix, built from the factors, must be bitwise the dense completion
     # (row^H proj) J^H with the SVD's anchor rows, and each row block a
-    # scorer reads bitwise .matrix's rows, also at odd N
+    # scorer reads bitwise .matrix's rows, also at odd N; hermitized, both
+    # are bitwise 1/2 [L, J][J, L]^H of those factors
     r = min(n, 3)
     truth = haar_low_rank_hermitian(n, r - 1, 1, seed=40 + n)
     noisy = _row(truth.matrix, n, row=1) + _noise(n, 1e-4, seed=50 + n)
-    est = reconstruct_full(noisy, r, anchor=1, hermitize=hermitize)
-    blocks = [est.rows(slice(i, i + n)) for i in range(0, n * n, n)]
+    plain = reconstruct_full(noisy, r, anchor=1)
+    if hermitize:
+        _hermitized_pin(reconstruct_full(noisy, r, anchor=1, hermitize=True), plain, n)
+        return
+    blocks = [plain.rows(slice(i, i + n)) for i in range(0, n * n, n)]
     svd = truncated_svd(noisy, r)
     j_h = svd.right.conj().T
     proj = pseudo_inverse(j_h[:, n:2 * n], max(n * n, r) * np.finfo(np.float64).eps)
     dense = (noisy.conj().T @ proj) @ j_h
     dense[n:2 * n] = svd.reconstruct()
-    if hermitize:
-        dense = (dense + dense.conj().T) / 2
-    assert est.matrix.tobytes() == dense.tobytes()
+    assert plain.matrix.tobytes() == dense.tobytes()
     assert np.vstack(blocks).tobytes() == dense.tobytes()
-    assert est.block(2, 1).tobytes() == dense[2 * n:3 * n, n:2 * n].tobytes()
+    assert plain.block(2, 1).tobytes() == dense[2 * n:3 * n, n:2 * n].tobytes()
 
 
 def test_noise_stability_is_measured_not_asserted():

@@ -157,6 +157,21 @@ def test_als_rank_exceeds_dimensions():
         plain_als(design, data.values[0], 3, 3, SolverConfig(rank=4, seed=0))
 
 
+@pytest.mark.parametrize("values_rows, d2", [(3, 8), (3, 6), (2, 9), (3, 0), (1, 9)])
+def test_blockwise_dimensions_are_checked_at_the_boundary(values_rows, d2):
+    # d2 must be a positive multiple of N and the data hold d2 / N rows of
+    # M_O values; a reshape error from numpy was raised before
+    design = build_blockwise_design(3, 12, "random", 0, seed=7)
+    values = np.ones((3, 12), dtype=complex)[:values_rows]
+    with pytest.raises(DimensionError, match="blockwise"):
+        nesterov_als_solve(design, values, 3, d2, SolverConfig(rank=1))
+    with pytest.raises(DimensionError, match="blockwise"):
+        sensing_loss(design, values, np.zeros((3, d2)))
+    # the rows that fit, also one row given flat
+    assert sensing_loss(design, values, np.zeros((3, 3 * values_rows))) == 0.5
+    assert sensing_loss(design, values[0], np.zeros((3, 3))) == 0.5
+
+
 def test_nesterov_exact_recovery_matches_plain_on_complete_basis():
     truth = haar_low_rank_hermitian(2, 1, 1, seed=47)
     s = superop_from_reshaped(truth)

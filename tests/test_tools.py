@@ -163,3 +163,55 @@ def test_large_n_point_reports_a_child_that_exits_nonzero(monkeypatch):
                               "exited_nonzero": 1}
     assert result["change"]["exited_nonzero"] == 0 and result["change"]["trial_s_p50"] > 0
     assert not result["errors_identical"]
+
+
+@pytest.fixture
+def reference_hashes(ab_compare):
+    return importlib.import_module("reference_hashes")
+
+
+def test_reference_hashes_rev_compares_every_config(ab_compare, reference_hashes,
+                                                    monkeypatch, capsys):
+    # the base side is a copy of the checkout's package under the base name:
+    # one line per config, both hashes the checkout's own, every field equal
+    src = os.path.join(_TOOLS, "..", "src", "superop_sensing")
+
+    def export(rev, into):
+        shutil.copytree(src, os.path.join(into, ab_compare.BASE_PACKAGE))
+
+    monkeypatch.setattr(ab_compare, "export_package", export)
+    assert reference_hashes.main(["--rev", "HEAD"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == list(reference_hashes.CONFIGS)
+    for line, config in zip(lines, reference_hashes.CONFIGS.values()):
+        own = reference_hashes.payload_hash(
+            reference_hashes.payload(reference_hashes.harness, config))
+        assert line.split()[1:3] == [own, own]
+        assert line.split()[3] == "fields=equal"
+    # G's rank is infeasible, so no trial has an error on either side
+    assert lines[0].endswith("error=0.0 final_loss=0.0")
+    assert lines[6].endswith("error=None final_loss=None")
+
+
+def _payload(errors, final_losses, stops):
+    records = [{"trial": i, "error": e, "iterations": 5, "restarts": 0, "fallbacks": 0,
+                "stop": stop, "final_loss": f, "recovered": False, "message": ""}
+               for i, (e, f, stop) in enumerate(zip(errors, final_losses, stops))]
+    return {"points": [{"m": 10, "records": records}]}
+
+
+def test_reference_hashes_compare_line_reports_each_field(reference_hashes):
+    # counts compared field by field on every trial; errors and final losses
+    # by their largest relative difference
+    base = _payload([1e-3, 2 ** -9], [0.5, 0.25], ["converged"] * 2)
+    same = reference_hashes.compare_line("X", base, base)
+    h = reference_hashes.payload_hash(base)
+    assert same == f"X {h} {h} fields=equal error=0.0 final_loss=0.0"
+    change = _payload([1e-3, 2 ** -9 * (1 + 2 ** -50)], [0.5, 0.375],
+                      ["converged", "max_iter"])
+    line = reference_hashes.compare_line("X", base, change).split()
+    assert line[1] == h and line[2] != h
+    assert line[3:] == ["fields=differ", f"error={2 ** -50}", "final_loss=0.5"]
+    fewer = _payload([1e-3], [0.5], ["converged"])
+    assert reference_hashes.compare_line("X", base, fewer).split()[3] == "fields=differ"
+
