@@ -19,10 +19,9 @@ from .measurements import (MeasurementSet, RipProbe, SensingDesign,
                            empirical_rip_probe, pauli_basis, sample_pauli,
                            simulate_measurements, synth_state_combination)
 from .models import (Lindbladian, Superoperator, apply_superop, draw_truth,
-                     ground_truth, haar_low_rank_hermitian, lindblad_apply,
-                     lindblad_canonical, random_channel, random_density,
-                     random_lindbladian, random_observable, random_pairs,
-                     superop_from_reshaped)
+                     haar_low_rank_hermitian, lindblad_apply, lindblad_canonical,
+                     random_channel, random_density, random_lindbladian,
+                     random_observable, random_pairs, superop_from_reshaped)
 from .reconstruction import CompletedMatrix, reconstruct_full
 from .reshaping import (ReshapedMatrix, choi_reshape, hs_inner, kron, reshape_R,
                         superop_matrix, unvec, vec)

@@ -26,8 +26,9 @@ from .errors import NUMERICAL_ERRORS, DimensionError
 from .linalg import load_cmx, save_cmx
 from .measurements import (DESIGN_KINDS, NOISE_MODES, SOURCES, build_design,
                            empirical_rip_probe, simulate_measurements)
-from .models import TASKS, _check_fields, ground_truth
+from .models import TASKS, _check_fields, draw_truth
 from .reconstruction import reconstruct_full
+from .reshaping import choi_reshape
 from .solvers import STRATEGY_DESIGNS, SolverConfig, report_totals, set_up_strategy
 
 _CONFIG_ERRORS = (ValueError, KeyError, FileNotFoundError, json.JSONDecodeError)
@@ -121,9 +122,9 @@ def cmd_generate(args) -> int:
     extra = {"task": args.task, "seed": args.seed}
     if args.task == "lindbladian":
         extra["n_jumps"] = ranks["n_jumps"]
-    s, reshaped = ground_truth(args.task, args.n, args.seed, **ranks)
+    s = draw_truth(args.task, args.n, args.seed, **ranks)
     serialize.save_superoperator(args.out, s, extra)
-    save_cmx(os.path.join(args.out, "reshaped.cmx"), reshaped)
+    save_cmx(os.path.join(args.out, "reshaped.cmx"), choi_reshape(s).matrix)
     print(f"wrote superoperator (n={s.dim_n}, r_+={len(s.plus_ops)}, "
           f"r_-={len(s.minus_ops)}) to {args.out}")
     return 0

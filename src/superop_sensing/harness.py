@@ -32,8 +32,7 @@ losses).
 
 Memory: each N^2 x N^2 array of a trial lives only while something reads
 it. The truth is drawn in signed Kraus form (`models.draw_truth`) and its
-dense matrix is built at scoring, except a `haar` truth, which is the
-drawn matrix itself and is held from the start. A random design is
+dense matrix is built at scoring. A random design is
 drawn in chunks straight into its stack, so it exists once. The solve
 runs in two steps (`solvers.set_up_strategy`), and the design and data
 are dropped between them: a blockwise set-up takes the observables' real
@@ -72,11 +71,11 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .errors import NUMERICAL_ERRORS, DimensionError, UndefinedMetricError
-from .measurements import (DESIGN_KINDS, NOISE_MODES, SOURCES, build_design,
-                           simulate_measurements)
+from .measurements import (DESIGN_KINDS, NOISE_MODES, SOURCES, _qubits_for,
+                           build_design, simulate_measurements)
 from .models import TASKS, _check_fields, _is_int, draw_truth
 from .reconstruction import CompletedMatrix, reconstruct_full
-from .reshaping import ReshapedMatrix
+from .reshaping import ReshapedMatrix, choi_reshape
 from .serialize import save_json, write_text
 from .solvers import (STRATEGY_DESIGNS, FactorPair, SolverConfig, derive_seed,
                       report_totals, set_up_strategy)
@@ -162,14 +161,14 @@ def recovery_rate(errors, threshold: float) -> float:
     errors = list(errors)
     if not errors:
         raise UndefinedMetricError("empty error list")
-    if threshold <= 0:
-        raise UndefinedMetricError("threshold must be positive")
+    if not threshold > 0:                                  # NaN fails too
+        raise UndefinedMetricError(f"threshold must be positive, got {threshold}")
     hits = sum(1 for e in errors if e is not None and math.isfinite(e) and e < threshold)
     return hits / len(errors)
 
 
 # ExperimentConfig's fields by the rules of `models._check_fields`
-_FIELDS = {"task": TASKS, "n": 1, "strategy": tuple(STRATEGY_DESIGNS), "source": SOURCES, "kraus_rank": 0, "n_jumps": 0, "r_plus": 0, "r_minus": 0,
+_FIELDS = {"task": TASKS, "n": 2, "strategy": tuple(STRATEGY_DESIGNS), "source": SOURCES, "kraus_rank": 0, "n_jumps": 0, "r_plus": 0, "r_minus": 0,
            "sigma": "[0, inf)", "noise_mode": NOISE_MODES, "subset_ratio": "(0, 1]",
            "trials": 1, "master_seed": 0, "recovery_threshold": "(0, inf)",
            "row_index": 0, "hermitize": (False, True)}
@@ -209,7 +208,8 @@ class ExperimentConfig:
     `rank`, set at construction, is the solver rank: `solver["rank"]` when
     given, else the truth's rank. `design` is set at construction to the
     strategy's design kind (`solvers.STRATEGY_DESIGNS`); a given value
-    must be that kind.
+    must be that kind. No design exists for n = 1, or for the Pauli source
+    with n not a power of 2, so such a config is rejected.
     """
 
     task: str
@@ -234,6 +234,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         vars(self).update(_check_fields(vars(self), _FIELDS))
+        if self.source == "pauli":
+            _qubits_for(self.n)             # Pauli designs need n a power of 2
         if self.row_index >= self.n:
             raise ValueError(f"row_index must be in [0, {self.n}), got {self.row_index}")
         kind = STRATEGY_DESIGNS[self.strategy]
@@ -350,14 +352,13 @@ def _run_trial(config: ExperimentConfig, point_idx: int, m: int, trial: int) -> 
     seed = lambda role: derive_seed(config.master_seed, role, point_idx, trial)  # noqa: E731
     marks = [time.perf_counter()]
     stamp = lambda: marks.append(time.perf_counter())  # noqa: E731
-    truth_op, truth_matrix = draw_truth(config.task, config.n, seed(_ROLE_TRUTH),
-                                        config.kraus_rank, config.n_jumps,
-                                        config.r_plus, config.r_minus)
+    truth = draw_truth(config.task, config.n, seed(_ROLE_TRUTH), config.kraus_rank,
+                       config.n_jumps, config.r_plus, config.r_minus)
     stamp()
     design = build_design(config.design, config.n, m, config.source, seed(_ROLE_DESIGN),
                           config.row_index)
     stamp()
-    data = simulate_measurements(truth_op, design, config.sigma, config.noise_mode,
+    data = simulate_measurements(truth, design, config.sigma, config.noise_mode,
                                  seed(_ROLE_NOISE))
     stamp()
     run = set_up_strategy(config.strategy, design, data.values,
@@ -369,7 +370,7 @@ def _run_trial(config: ExperimentConfig, point_idx: int, m: int, trial: int) -> 
     factors = estimate if config.strategy == "als_n2" else reconstruct_full(
         estimate, config.rank, anchor=config.row_index, hermitize=config.hermitize).factors
     stamp()
-    error = _error_in_place(truth_matrix(), _row_blocks(factors))
+    error = _error_in_place(choi_reshape(truth).matrix, _row_blocks(factors))
     stamp()
 
     stage_s = {name: end - start for name, start, end in zip(STAGES, marks, marks[1:])}

@@ -74,13 +74,13 @@ def pseudo_inverse(a, rtol: float | None = None) -> np.ndarray:
     """Moore-Penrose pseudo-inverse with singular values below rtol*s_max dropped.
 
     Default rtol is max(a.shape) * machine epsilon, the usual numerical-rank
-    convention.
+    convention; a given rtol must be finite and nonnegative.
     """
     a = _as_matrix(a)
     if rtol is None:
         rtol = max(a.shape) * np.finfo(np.float64).eps
-    if rtol < 0:
-        raise DimensionError("rtol must be nonnegative")
+    elif not 0 <= rtol < np.inf:                           # NaN fails too
+        raise DimensionError(f"rtol must be finite and nonnegative, got {rtol}")
     return np.linalg.pinv(a, rcond=rtol)
 
 

@@ -6,10 +6,11 @@ A superoperator is kept in signed Kraus form,
 
 with the combined operator set orthogonal in the Hilbert-Schmidt inner
 product, so the reshaped matrix has rank r_+ + r_- with eigenvalue signs
-matching the split. A truth given as a few vectors (a Lindbladian's vec Q,
-vec I and vec J_k, a channel's Kraus operators) is split from a thin QR of
-those vectors and the eigendecomposition of a small core matrix, without
-forming its N^2 x N^2 reshaped matrix; only a reshaped matrix given densely
+matching the split. Every truth is given as a few vectors (a Lindbladian's
+vec Q, vec I and vec J_k, a channel's Kraus operators, a `haar` truth's
+Haar isometry) and is split from a thin QR of those vectors and the
+eigendecomposition of a small core matrix, without forming its N^2 x N^2
+reshaped matrix; only a reshaped matrix given densely
 (superop_from_reshaped) is eigendecomposed as such. Lindbladians are stored
 as (H, jump operators); their reshaped matrix generically has N_J + 1
 positive and one negative eigenvalue.
@@ -52,7 +53,6 @@ __all__ = [
     "haar_low_rank_hermitian",
     "haar_isometry",
     "draw_truth",
-    "ground_truth",
 ]
 
 TASKS = ("channel", "lindbladian", "haar")
@@ -385,12 +385,33 @@ def haar_isometry(dim: int, r: int, rng: np.random.Generator) -> np.ndarray:
 
 def haar_low_rank_hermitian(n: int, r_plus: int, r_minus: int, seed: int) -> ReshapedMatrix:
     """Random Hermitian N^2 x N^2 matrix with Haar eigenvectors and signature
-    (r_plus, r_minus).
+    (r_plus, r_minus): the reshaped matrix of `draw_truth`'s `haar` truth of
+    the same seed, bitwise."""
+    return choi_reshape(draw_truth("haar", n, seed, r_plus=r_plus, r_minus=r_minus))
 
-    Eigenvalue magnitudes are drawn as |N(0,1)| + 0.5, bounded away from zero
-    so the signature is numerically unambiguous; every N x N block then has
-    full rank r with probability one.
+
+def draw_truth(task: str, n: int, seed: int, kraus_rank: int = 0, n_jumps: int = 0,
+               r_plus: int = 0, r_minus: int = 0) -> Superoperator:
+    """Signed Kraus form of a drawn truth; `reshaping.choi_reshape` builds
+    its N^2 x N^2 reshaped matrix.
+
+    `channel` reads kraus_rank, `lindbladian` n_jumps, `haar` r_plus and
+    r_minus. A `haar` truth has Haar eigenvectors (the isometry P, N^2 x r)
+    and eigenvalues d = sign * (|N(0,1)| + 0.5), bounded away from zero so
+    the signature is numerically unambiguous and every N x N block of its
+    matrix has full rank r with probability one; it is split from P and
+    diag(d). A rank the N^2 x N^2 matrix cannot have (kraus_rank,
+    n_jumps + 2 or r_plus + r_minus above N^2) raises DimensionError.
     """
+    if task == "channel":
+        return random_channel(n, kraus_rank, seed)
+    if task == "lindbladian":
+        lindbladian = random_lindbladian(n, n_jumps, seed)
+        if n_jumps + 2 > n * n:
+            raise DimensionError(f"n_jumps + 2 = {n_jumps + 2} exceeds n**2 = {n * n}")
+        return lindblad_canonical(lindbladian)
+    if task != "haar":
+        raise DimensionError(f"unknown task {task!r}")
     _check_fields({"n": n}, {"n": 1})
     r = r_plus + r_minus
     if r < 1 or r > n * n:
@@ -399,42 +420,4 @@ def haar_low_rank_hermitian(n: int, r_plus: int, r_minus: int, seed: int) -> Res
     p = haar_isometry(n * n, r, rng)
     mags = np.abs(rng.standard_normal(r)) + 0.5
     signs = np.concatenate([np.ones(r_plus), -np.ones(r_minus)])
-    d = mags * signs
-    mat = (p * d) @ p.conj().T
-    return ReshapedMatrix(n, mat)
-
-
-def draw_truth(task: str, n: int, seed: int, kraus_rank: int = 0, n_jumps: int = 0,
-               r_plus: int = 0, r_minus: int = 0):
-    """(signed Kraus superoperator, dense) of a drawn truth, where dense()
-    returns its reshaped N^2 x N^2 matrix.
-
-    `channel` reads kraus_rank, `lindbladian` n_jumps, `haar` r_plus and
-    r_minus. A channel's or Lindbladian's matrix is built by choi_reshape on
-    each call, so a caller holds it only from the moment it needs it; a
-    `haar` truth is the drawn matrix, not its Kraus form reshaped, and
-    dense() returns that array itself, not a copy. A rank the N^2 x N^2
-    matrix cannot have (kraus_rank, n_jumps + 2 or r_plus + r_minus above
-    N^2) raises DimensionError.
-    """
-    if task == "channel":
-        s = random_channel(n, kraus_rank, seed)
-    elif task == "lindbladian":
-        lindbladian = random_lindbladian(n, n_jumps, seed)
-        if n_jumps + 2 > n * n:
-            raise DimensionError(f"n_jumps + 2 = {n_jumps + 2} exceeds n**2 = {n * n}")
-        s = lindblad_canonical(lindbladian)
-    elif task == "haar":
-        resh = haar_low_rank_hermitian(n, r_plus, r_minus, seed)
-        return superop_from_reshaped(resh), lambda: resh.matrix
-    else:
-        raise DimensionError(f"unknown task {task!r}")
-    return s, lambda: choi_reshape(s).matrix
-
-
-def ground_truth(task: str, n: int, seed: int, kraus_rank: int = 0, n_jumps: int = 0,
-                 r_plus: int = 0, r_minus: int = 0):
-    """(signed Kraus superoperator, reshaped N^2 x N^2 matrix) of a drawn
-    truth: `draw_truth`'s pair with its matrix built."""
-    s, dense = draw_truth(task, n, seed, kraus_rank, n_jumps, r_plus, r_minus)
-    return s, dense()
+    return _signed_kraus(n, p, np.diag(mags * signs), expected_rank=r)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from superop_sensing import (SolverConfig, choi_reshape, ground_truth, load_cmx, save_cmx,
+from superop_sensing import (SolverConfig, choi_reshape, draw_truth, load_cmx, save_cmx,
                              sensing_loss)
 from superop_sensing.cli import build_parser, main
 from superop_sensing.serialize import (load_design, load_measurements, load_superoperator,
@@ -117,7 +117,7 @@ def test_generate_defaults_each_read_truth_field(tmp_path):
         out = tmp_path / task
         assert run_cli("generate", "--task", task, "--n", "3", "--seed", "4",
                        "--out", str(out)) == 0
-        k = ground_truth(task, 3, 4, **ranks)[1]
+        k = choi_reshape(draw_truth(task, 3, 4, **ranks)).matrix
         assert load_cmx(out / "reshaped.cmx").tobytes() == k.tobytes()
 
 
@@ -318,6 +318,24 @@ def test_run_exit_code_2_on_bad_config_value(tmp_path, capsys, override):
     cfg_path.write_text(json.dumps(config))
     assert run_cli("run", "--config", str(cfg_path), "--out", str(tmp_path)) == 2
     assert next(iter(override)) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override, message", [
+    ({"n": 1}, "n must be an integer >= 2, got 1"),
+    ({"n": 3, "source": "pauli"}, "Pauli designs need n a power of 2, got 3"),
+    ({"n": 6, "source": "pauli", "strategy": "als_n2"},
+     "Pauli designs need n a power of 2, got 6")],
+    ids=["n=1", "pauli-n=3", "pauli-als_n2-n=6"])
+def test_run_exit_code_2_on_config_no_design_exists_for(tmp_path, capsys, override,
+                                                          message):
+    # no trial of these could run, so the config is rejected before any is
+    config = {"task": "channel", "n": 4, "strategy": "als_n", "sweep": [4],
+              "kraus_rank": 1, "trials": 2, **override}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    assert run_cli("run", "--config", str(cfg_path), "--out", str(tmp_path)) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "results.json").exists()
 
 
 @pytest.mark.parametrize("payload", [[1, 2], "config", 3])

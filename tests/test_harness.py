@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from superop_sensing import (CompletedMatrix, ExperimentConfig, FactorPair, build_design,
-                             complex_gaussian, emit_results, ground_truth,
+                             choi_reshape, complex_gaussian, draw_truth, emit_results,
                              reconstruct_full, recovery_rate,
                              relative_frobenius_error, run_experiment, sensing_loss,
                              simulate_measurements)
@@ -59,7 +59,7 @@ def test_relative_frobenius_error_of_a_completion_holds_no_dense_estimate(hermit
     # copy and one N x N^2 block, under 1.2 N^4 complex entries (2.00 with
     # a dense estimate)
     n = 16
-    truth = ground_truth("haar", n, 3, r_plus=2, r_minus=1)[1]
+    truth = choi_reshape(draw_truth("haar", n, 3, r_plus=2, r_minus=1)).matrix
     row = truth[:n] + 1e-4 * complex_gaussian(n, n * n, seed=4)
     relative_frobenius_error(reconstruct_full(row, 3, hermitize=hermitize),
                              truth)                               # warm-up
@@ -101,6 +101,8 @@ def test_recovery_rate():
     assert recovery_rate([1.0, 2.0], 1e-5) == 0.0
     with pytest.raises(UndefinedMetricError):
         recovery_rate([], 1e-5)
+    with pytest.raises(UndefinedMetricError, match="threshold must be positive"):
+        recovery_rate([1e-6], float("nan"))      # NaN would count no error as a hit
 
 
 def test_config_validation():
@@ -369,8 +371,9 @@ def _replayed_error(cfg):
     def seed(role):
         return derive_seed(cfg.master_seed, role, 0, 0)
 
-    op, truth = ground_truth(cfg.task, cfg.n, seed(harness._ROLE_TRUTH), cfg.kraus_rank,
-                             cfg.n_jumps, cfg.r_plus, cfg.r_minus)
+    op = draw_truth(cfg.task, cfg.n, seed(harness._ROLE_TRUTH), cfg.kraus_rank,
+                    cfg.n_jumps, cfg.r_plus, cfg.r_minus)
+    truth = choi_reshape(op).matrix
     design = build_design(cfg.design, cfg.n, cfg.sweep[0], cfg.source,
                           seed(harness._ROLE_DESIGN), cfg.row_index)
     data = simulate_measurements(op, design, cfg.sigma, cfg.noise_mode,

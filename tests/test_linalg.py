@@ -71,6 +71,13 @@ def test_pseudo_inverse_rank_one():
     assert np.allclose(a @ pseudo_inverse(a) @ a, a, atol=1e-12)
 
 
+@pytest.mark.parametrize("rtol", [float("nan"), float("inf"), -1.0])
+def test_pseudo_inverse_rejects_a_bad_rtol(rtol):
+    # NaN would otherwise drop every singular value and return zeros
+    with pytest.raises(DimensionError, match="rtol must be finite and nonnegative"):
+        pseudo_inverse(np.eye(2), rtol)
+
+
 @pytest.mark.parametrize("shape,rank", [((5, 8), 3), ((6, 6), 6), ((7, 4), 2)])
 def test_pseudo_inverse_penrose_conditions(shape, rank):
     a = (complex_gaussian(shape[0], rank, seed=11)

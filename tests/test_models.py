@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from superop_sensing import (Lindbladian, Superoperator, apply_superop,
-                             choi_reshape, complex_gaussian, draw_truth, ground_truth,
+from superop_sensing import (Lindbladian, ReshapedMatrix, Superoperator, apply_superop,
+                             choi_reshape, complex_gaussian, draw_truth,
                              haar_low_rank_hermitian, hs_inner, lindblad_apply,
                              lindblad_canonical, random_channel, random_density,
                              random_lindbladian, random_observable,
@@ -276,34 +278,62 @@ def test_superop_from_reshaped_roundtrip():
 @pytest.mark.parametrize("task, ranks", [
     ("channel", {"kraus_rank": 2}), ("lindbladian", {"n_jumps": 1}),
     ("haar", {"r_plus": 2, "r_minus": 1})])
-def test_draw_truth_builds_ground_truths_matrix(task, ranks):
-    s, dense = draw_truth(task, 3, 4, **ranks)
-    s_full, k = ground_truth(task, 3, 4, **ranks)
-    for a, b in zip(s.plus_ops + s.minus_ops, s_full.plus_ops + s_full.minus_ops):
+def test_draw_truth_returns_the_signed_kraus_form(task, ranks):
+    s = draw_truth(task, 3, 4, **ranks)
+    again = draw_truth(task, 3, 4, **ranks)
+    assert isinstance(s, Superoperator) and s.dim_n == 3
+    for a, b in zip(s.plus_ops + s.minus_ops, again.plus_ops + again.minus_ops,
+                    strict=True):
         assert a.tobytes() == b.tobytes()
-    assert dense().tobytes() == k.tobytes()
-    # a haar truth is its drawn matrix; the others are built on each call
-    assert (dense() is dense()) == (task == "haar")
+    # the haar helper is the reshaped matrix of the same draw
+    if task == "haar":
+        assert (haar_low_rank_hermitian(3, 2, 1, 4).matrix.tobytes()
+                == choi_reshape(s).matrix.tobytes())
 
 
 def test_ground_truth_tasks():
-    s, k = ground_truth("channel", 3, 4, kraus_rank=2)
-    assert s.rank == 2 and np.array_equal(k, choi_reshape(s).matrix)
-    s, k = ground_truth("lindbladian", 3, 5, n_jumps=1)
+    s = draw_truth("channel", 3, 4, kraus_rank=2)
+    assert s.rank == 2
+    s = draw_truth("lindbladian", 3, 5, n_jumps=1)
     assert (len(s.plus_ops), len(s.minus_ops)) == (2, 1)
-    # haar: the drawn matrix itself is the truth
-    s, k = ground_truth("haar", 3, 6, r_plus=2, r_minus=1)
-    assert np.array_equal(k, haar_low_rank_hermitian(3, 2, 1, 6).matrix)
-    assert np.allclose(choi_reshape(s).matrix, k, atol=1e-12)
+    s = draw_truth("haar", 3, 6, r_plus=2, r_minus=1)
+    assert (len(s.plus_ops), len(s.minus_ops)) == (2, 1)
     with pytest.raises(DimensionError):
-        ground_truth("nothing", 3, 0)
+        draw_truth("nothing", 3, 0)
     # a rank the 4 x 4 reshaped matrix of n = 2 cannot have
     for kwargs in ({"task": "channel", "kraus_rank": 5},
                    {"task": "lindbladian", "n_jumps": 3},
                    {"task": "haar", "r_plus": 3, "r_minus": 2}):
         with pytest.raises(DimensionError):
-            ground_truth(n=2, seed=0, **kwargs)
-    assert ground_truth("lindbladian", 2, 7, n_jumps=2)[0].rank == 4
+            draw_truth(n=2, seed=0, **kwargs)
+    assert draw_truth("lindbladian", 2, 7, n_jumps=2).rank == 4
+
+
+@pytest.mark.parametrize("r_plus, r_minus", [(2, 1), (3, 0), (1, 3)])
+def test_haar_split_matches_the_dense_reference(r_plus, r_minus):
+    # splitting the drawn isometry gives what eigendecomposing the truth's
+    # dense reshaped matrix gives: the same signature and the same matrix
+    s = draw_truth("haar", 4, 30 + r_plus, r_plus=r_plus, r_minus=r_minus)
+    k = choi_reshape(s).matrix
+    ref = superop_from_reshaped(ReshapedMatrix(4, k))
+    assert ((len(s.plus_ops), len(s.minus_ops))
+            == (len(ref.plus_ops), len(ref.minus_ops)) == (r_plus, r_minus))
+    k_ref = choi_reshape(ref).matrix
+    assert np.linalg.norm(k - k_ref) <= 1e-12 * np.linalg.norm(k_ref)
+
+
+def test_haar_draw_holds_no_dense_matrix():
+    # the draw splits the N^2 x r isometry: at N=16 it peaks under 0.1 N^4
+    # complex entries, where a dense N^2 x N^2 truth alone is 1.0
+    n = 16
+    draw_truth("haar", n, 3, r_plus=2, r_minus=1)                  # warm-up
+    tracemalloc.start()
+    try:
+        draw_truth("haar", n, 3, r_plus=2, r_minus=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * n ** 4 * 16
 
 
 def _one_draw(n, seed, m, k):
