@@ -22,11 +22,11 @@ import sys
 from dataclasses import fields, replace
 
 from . import harness, serialize
-from .errors import NUMERICAL_ERRORS, DimensionError
+from .errors import NUMERICAL_ERRORS, DimensionError, _check_fields
 from .linalg import load_cmx, save_cmx
 from .measurements import (DESIGN_KINDS, NOISE_MODES, SOURCES, build_design,
                            empirical_rip_probe, simulate_measurements)
-from .models import TASKS, _check_fields, draw_truth
+from .models import TASKS, draw_truth
 from .reconstruction import reconstruct_full
 from .reshaping import choi_reshape
 from .solvers import STRATEGY_DESIGNS, SolverConfig, report_totals, set_up_strategy
@@ -150,7 +150,7 @@ def cmd_solve(args) -> int:
     harness.check_run_options(args.strategy, subset_ratio=args.subset_ratio)
     ratio = 0.5 if args.subset_ratio is None else args.subset_ratio   # als_i's default
     run = set_up_strategy(args.strategy, design, data.values, cfg, ratio)
-    del design, data        # the run holds what it reads of them: the stack goes here
+    del design, data        # the run holds what it reads of them; the rest goes here
     estimate, reports = run()
     os.makedirs(args.out, exist_ok=True)
     if args.strategy == "als_n2":
@@ -215,7 +215,7 @@ def cmd_rip_probe(args) -> int:
 
 
 def _fields(value, what: str, rules: dict) -> dict:
-    """`models._check_fields` of a value that must be a JSON object."""
+    """`errors._check_fields` of a value that must be a JSON object."""
     if not isinstance(value, dict):
         raise DimensionError(f"{what} must be an object, got {value!r}")
     return _check_fields(value, rules)

@@ -15,8 +15,8 @@ jointly, or on a subset) and complete the matrix deterministically.
 strategy, so `design` may be left out; a given one must match.
 
 Each config field but `design`, which the strategy fixes, has one rule
-in `_FIELDS`, checked by `models._check_fields`, the check `SolverConfig` and the stored manifests
-also pass through. `RUN_OPTIONS` is the one table of the options only some
+in `_FIELDS`, checked by `errors._check_fields`, the check `SolverConfig`
+and the stored manifests also pass through. `RUN_OPTIONS` is the one table of the options only some
 runs read: each truth rank by its task (`kraus_rank` by channels,
 `n_jumps` by Lindbladians, `r_plus` and `r_minus` by Haar truths), the
 anchor row, the noise mode and hermitizing by blockwise runs, and the
@@ -32,18 +32,27 @@ losses).
 
 Memory: each N^2 x N^2 array of a trial lives only while something reads
 it. The truth is drawn in signed Kraus form (`models.draw_truth`) and its
-dense matrix is built at scoring. A random design is
-drawn in chunks straight into its stack, so it exists once. The solve
-runs in two steps (`solvers.set_up_strategy`), and the design and data
-are dropped between them: a blockwise set-up takes the observables' real
-coordinates C (M_O x N^2 reals, half the stack's bytes) and each
-problem's backprojections from the stack, and the run reads only those.
-The run fills G's packed lower rows (about half of the complex N^2 x N^2
-`G`, which is never made) straight from the real N^2 x N^2 `S = C^T C`
-and drops `S`, so the sweeps hold C and the packed rows; the trial drops
-them when the run returns. The Gram build is a blockwise trial's peak:
-at N=25, M_O=640 3.05, 3.0 and 3.1 MiB for C, `S` and the rows, 10.2 MiB
-at the peak under tracemalloc; at N=64, M_O=1640 322 MiB. Completion keeps
+dense matrix is built at scoring. A random pair design is drawn in
+chunks straight into its stacks, so it exists once; a blockwise design
+is drawn straight into its observables' real coordinates C (M_O x N^2
+reals, half the stack's bytes; see `measurements`), and no stack is
+made. The solve runs in two steps (`solvers.set_up_strategy`), and the
+design and data are dropped between them: a blockwise set-up makes each
+problem's backprojections from C, and the run reads only those and the
+design's C, which it shares. The run fills G's packed lower rows (about
+half of the complex N^2 x N^2 `G`, which is never made) from the real
+N^2 x N^2 `S = C^T C`, made in the rows' own buffer, so the build and
+the sweeps hold C and the packed rows; the trial drops them and the
+solve reports (their factors) when the run returns, and the row estimate
+once completion has read it, so no array made in the solve outlives it
+into scoring, where it could split the heap's freed space under the
+dense truth (at N=25 the process then keeps the freed pages and maps the
+truth afresh: `peak_rss_mib` of a 55 s `lindblad-n25` run read about
+54.1 MiB with the reports held and 52.0 without). At N=25,
+M_O=640 (C 3.05 MiB, the rows 3.1) the traced stage peaks are design
+3.84, simulate 4.30, set-up 4.32 and run 7.75 MiB, the trial's peak
+(score 6.88); at N=64, M_O=1640 they are 57.9, 71.6, 66.8 and 196 MiB,
+and scoring, 269 MiB, is the peak. Completion keeps
 the estimate as its rank-r factors (`reconstruction.CompletedMatrix`),
 and an `als_n2` solve returns its factors too; a hermitized completion
 is the rank-2r pair of (K + K^H) / 2. Scoring builds the truth's
@@ -70,10 +79,11 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .errors import NUMERICAL_ERRORS, DimensionError, UndefinedMetricError
+from .errors import (NUMERICAL_ERRORS, DimensionError, UndefinedMetricError, _check_fields,
+                     _is_int)
 from .measurements import (DESIGN_KINDS, NOISE_MODES, SOURCES, _qubits_for,
                            build_design, simulate_measurements)
-from .models import TASKS, _check_fields, _is_int, draw_truth
+from .models import TASKS, draw_truth
 from .reconstruction import CompletedMatrix, reconstruct_full
 from .reshaping import ReshapedMatrix, choi_reshape
 from .serialize import save_json, write_text
@@ -167,7 +177,7 @@ def recovery_rate(errors, threshold: float) -> float:
     return hits / len(errors)
 
 
-# ExperimentConfig's fields by the rules of `models._check_fields`
+# ExperimentConfig's fields by the rules of `errors._check_fields`
 _FIELDS = {"task": TASKS, "n": 2, "strategy": tuple(STRATEGY_DESIGNS), "source": SOURCES, "kraus_rank": 0, "n_jumps": 0, "r_plus": 0, "r_minus": 0,
            "sigma": "[0, inf)", "noise_mode": NOISE_MODES, "subset_ratio": "(0, 1]",
            "trials": 1, "master_seed": 0, "recovery_threshold": "(0, inf)",
@@ -363,18 +373,19 @@ def _run_trial(config: ExperimentConfig, point_idx: int, m: int, trial: int) -> 
     stamp()
     run = set_up_strategy(config.strategy, design, data.values,
                           config.solver_config(seed(_ROLE_SOLVER)), config.subset_ratio)
-    del design, data        # the run holds what it reads of them: the stack goes here
+    del design, data        # the run holds what it reads of them; the rest goes here
     estimate, reports = run()
-    del run                 # and what it read (C, G's packed rows) here
+    totals = report_totals(reports)
+    del run, reports        # what the run read (C, G's packed rows), and its factors
     stamp()
     factors = estimate if config.strategy == "als_n2" else reconstruct_full(
         estimate, config.rank, anchor=config.row_index, hermitize=config.hermitize).factors
+    del estimate            # a blockwise row estimate, read by completion alone
     stamp()
     error = _error_in_place(choi_reshape(truth).matrix, _row_blocks(factors))
     stamp()
 
     stage_s = {name: end - start for name, start, end in zip(STAGES, marks, marks[1:])}
-    totals = report_totals(reports)
     return TrialRecord(trial, error, stage_s["solve"] + stage_s["reconstruct"],
                        totals["iterations"], totals["restarts"],
                        error < config.recovery_threshold, fallbacks=totals["fallbacks"],

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, _check_fields
 
 __all__ = [
     "SvdResult",
@@ -64,7 +64,8 @@ def truncated_svd(a, k: int) -> SvdResult:
     Raises DimensionError unless 1 <= k <= min(a.shape).
     """
     a = _as_matrix(a)
-    if not 1 <= k <= min(a.shape):
+    _check_fields({"k": k}, {"k": 1})
+    if k > min(a.shape):
         raise DimensionError(f"k={k} out of range for shape {a.shape}")
     u, s, vh = np.linalg.svd(a, full_matrices=False)
     return SvdResult(u[:, :k].copy(), s[:k].copy(), vh[:k].conj().T.copy())
@@ -157,8 +158,7 @@ def complex_gaussian(rows: int, cols: int, seed) -> np.ndarray:
 
     `seed` may be an int or a numpy Generator (the latter is consumed).
     """
-    if rows < 1 or cols < 1:
-        raise DimensionError("rows and cols must be >= 1")
+    _check_fields({"rows": rows, "cols": cols}, {"rows": 1, "cols": 1})
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
     return z / np.sqrt(2.0)

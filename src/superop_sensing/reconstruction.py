@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import AssumptionViolationError, DimensionError
+from .errors import AssumptionViolationError, DimensionError, _check_fields
 from .linalg import pseudo_inverse, truncated_svd
 from .solvers import FactorPair
 
@@ -77,9 +77,10 @@ def reconstruct_full(row, r: int, rtol: float | None = None,
     if not np.all(np.isfinite(row)):
         raise DimensionError("row holds non-finite entries")
     n = row.shape[0]
-    if not 0 <= anchor < n:
+    _check_fields({"anchor": anchor, "r": r}, {"anchor": 0, "r": 1})
+    if anchor >= n:
         raise DimensionError(f"anchor {anchor} out of [0, {n})")
-    if not 1 <= r <= n:
+    if r > n:
         raise DimensionError(f"rank {r} out of range for block size {n}")
     if rtol is None:
         rtol = max(n * n, r) * np.finfo(np.float64).eps

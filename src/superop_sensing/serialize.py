@@ -15,10 +15,10 @@ import os
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, _check_fields
 from .linalg import load_cmx, save_cmx
 from .measurements import DESIGN_KINDS, NOISE_MODES, MeasurementSet, SensingDesign
-from .models import Superoperator, _check_fields
+from .models import Superoperator
 
 __all__ = [
     "write_text",
@@ -35,7 +35,7 @@ __all__ = [
 ]
 
 # the fields of each manifest that its loader reads, by the rules of
-# `models._check_fields`
+# `errors._check_fields`
 _SUPEROPERATOR = {"dim_n": 1, "r_plus": 0, "r_minus": 0}
 _DESIGN = {"kind": DESIGN_KINDS, "dim_n": 1, "count": 1, "row_index": 0}
 _MEASUREMENTS = {"kind": DESIGN_KINDS, "sigma": "[0, inf)", "seed": 0,
@@ -71,7 +71,7 @@ def load_json(path: str) -> dict:
 
 def _read_manifest(path: str, rules: dict) -> dict:
     """The manifest stored at path, whose fields that `rules` names are
-    checked by `models._check_fields`; a DimensionError names the file."""
+    checked by `errors._check_fields`; a DimensionError names the file."""
     manifest = load_json(path)
     try:
         _check_fields(manifest, rules)

@@ -94,7 +94,8 @@ grows with M.
 Both half-sweeps read G in one format: its rows (x, x') with x >= x',
 N (N + 1) / 2 of its N^2 rows, in one array of N^3 (N + 1) / 2 complex
 entries filled once per design straight from S (below). No full G is
-ever made, so the sweeps hold C (below), B and the packed rows.
+ever made, so the sweeps hold C (the design's own; below), B and the
+packed rows.
 
 The left normal matrix, with rows (x, c) and columns (x', c'), is formed
 on its lower triangle only: G W is computed on the packed rows, and the
@@ -116,14 +117,13 @@ against 0.84 and 45 ms for the contraction of the full G over x, then x';
 the other orientation, rows^T z, took the same at N = 25 but 62 ms at
 N = 64.
 
-G comes from the observables' real coordinates. An exactly Hermitian O_m
-(`SensingDesign` requires it) holds N^2 real numbers, C_m[x,y] =
-Re O_m[x,y] for x <= y and Im O_m[x,y] for x > y, so with s = s(x,y) the
-sign of x - y and p, q the flat indices of (min, max) and (max, min) of x
-and y, O_m[x,y] = C_m[p] + i s C_m[q] (s = 0 on the diagonal). S = C^T C
-over the M x N^2 real matrix C is one symmetric rank-k update, a quarter of
-the multiplies of the complex product flat^T conj(flat), and every entry of
-G is one formula of S:
+G comes from the observables' real coordinates C, the M x N^2 float64
+matrix a blockwise `SensingDesign` holds in place of its stack
+(`measurements`): O_m[x,y] = C_m[p] + i s C_m[q] with s = s(x,y) the sign
+of x - y and p, q the flat indices of (min, max) and (max, min) of x and
+y (s = 0 on the diagonal). S = C^T C is one symmetric rank-k update, a
+quarter of the multiplies of the complex product flat^T conj(flat) over
+the stack, and every entry of G is one formula of S:
 G[x,y,x',y'] = S[p,p'] + s s' S[q,q'] + i (s S[q,p'] - s' S[p,q']).
 Only the packed rows are filled, x by x: the x + 1 rows (x, x'), viewed as
 [y, x', y'], from S's rows p and q of that x gathered at the columns p' and
@@ -132,30 +132,47 @@ S's two rows and the x's real and imaginary parts, each contiguous, with
 the x's own rows as scratch), then copied into those rows once. Every
 ufunc reads and writes whole contiguous operands: one that writes a
 strided view of the rows, casts, or broadcasts allocates a buffer of up
-to 64 KiB a call, so the signs go on y by y. The rows are bitwise those
-of writing each formula into the strided views. S goes when the build
-returns, so the build holds C, S, the rows and those buffers. At N = 25,
-M_O = 640 its own peak is 6.56 MiB under tracemalloc, 1.08 times S
-(3.0 MiB) and the rows (3.1), beside C (3.05 MiB); at N = 64 the fill
-takes 0.19-0.24 s, against 0.30-0.33 s through the strided views.
+to 8192 elements an operand, so the signs go on y by y. The rows are bitwise
+those of writing each formula into the strided views.
 
-The observable stack is read only where C and B are taken from it, so a
-strategy runs in two steps (`set_up_strategy`): set-up takes C once per
-design (`_BlockStats`, which every problem on the design shares, with its
-packed rows) and each problem's B, with the stack alive; the run reads
-neither. B is each problem's own product b flat over the stack (flat its
-M_O x N^2 reshape), as a row of a product over more rows of b is not
-bitwise the product of that row alone. A caller that drops its design
-between the two steps frees the stack before the Gram build; CPython
-keeps a call's arguments alive until it returns, so that is the only
-place it can go, and `harness` and `cli solve` do so. The public solvers
-(`nesterov_als_solve`, `solve_first_row_*`, `sensing_loss`) take the
-design or its observables as an argument, so their caller holds the
-stack through the solve, and C beside it. At N = 25, M_O = 640 the stack
-is 6.1 MiB, C 3.05, S 3.0 and the rows 3.1: set-up holds the stack and C,
-the build C, S and the rows, and a trial's traced peak, in the build, is
-10.2 MiB. At N = 64, M_O = 1640 the stack is 102.5 MiB, C 51.3, S 128
-and the rows 130, so the build holds 309 MiB.
+S lives in the rows' own buffer, whose N^3 (N + 1) reals are (N + 1) / N
+of S's N^4: the syrk writes S into the buffer's last N^4 reals, and its
+rows are then moved, by cycles with one row of scratch, into the order
+of the fill step that reads each last. S's row (a, b) is read at the
+steps x = a and x = b, so last at max(a, b); the 2t + 1 rows of step t
+take the slots t^2 to (t + 1)^2 - 1, which start at real N^3 + t^2 N^2.
+Step x reads its rows of S first and then writes its own rows, up to real
+(x + 1)(x + 2) N^2, which is at most N^3 + (x + 1)^2 N^2, where the rows
+of later steps begin; so the fill overwrites only rows of S it is done
+with, and every bit of S and of the rows stays (pinned against a fill
+over a separate S by the tests). The build holds C, the rows and those
+buffers. At N = 25, M_O = 640 its own peak is 3.59 MiB under tracemalloc,
+1.004 times the rows (3.1 MiB) and the buffers (0.48), beside C
+(3.05 MiB), where S apart (3.0 MiB) made it 6.56; at N = 64, M_O = 1640
+it is 138 MiB, where S apart made it 266, at about the same time
+(0.85-0.94 s against 0.90-1.05 s for the whole Gram part of a trial).
+
+A strategy runs in two steps (`set_up_strategy`): set-up makes each
+problem's B from C and shares the design's C with `_BlockStats`, which
+every problem on the design shares, with its packed rows; the run reads
+no other part of the design. B_k = sum_m b_km O_m = T_k[p] + i s T_k[q]
+with T = b C, one real product C^T [Re b^T, Im b^T] per problem, half
+the multiplies of the complex product with the stack (B moved by at
+most 5.3e-16 relative, in norm, on four designs of N = 4 to 25). It is
+each problem's own product, as a row of a product over more rows of b
+is not bitwise the product of that row alone. `harness` and `cli solve`
+drop the design and data between the two steps, which frees the data;
+the public solvers (`nesterov_als_solve`, `solve_first_row_*`,
+`sensing_loss`) take the design or a stack as an argument, so their
+caller holds it through the solve (a stack given to `solve_first_row_*`
+beside the C taken from it). At N = 25, M_O = 640,
+C is 3.05 MiB, the rows 3.1, and a trial's traced stage peaks are design
+3.84, simulate 4.30, set-up 4.32 and run 7.75 MiB (score 6.88), where the
+observable stack (6.1 MiB) beside C and S beside the rows read 6.88,
+7.35, 10.20 and 10.18. At N = 64, M_O = 1640, C is 51.3 MiB and the rows
+130: the stages read 57.9, 71.6, 66.8 and 196 MiB and scoring's dense
+truth, 269 MiB, sets the trial's peak, where the stack (102.5 MiB) and S
+(128 MiB) made them 109, 123, 165 and 323.
 
 Validity, on both back ends: normal equations square the condition number.
 A Cholesky solve is used only when the factorization succeeds and its
@@ -189,14 +206,16 @@ rows once more; a solve pays that once, for its final loss.
 The blockwise quadratic form ||b||^2 - 2 Re<B, X> + <X, G X> would be
 independent of M, but it cancels down to roundoff at noiseless floors,
 where the restart test and the choice of the best iterate read it. The
-blockwise direct loss is one real GEMM over C, which the run holds in
-place of the stack at half its bytes: with X_k = U V_k^H,
+blockwise direct loss is one real GEMM over C: with X_k = U V_k^H,
 <O_m, X_k> = sum_{a,x} conj(O_m[a,x]) X_k[a,x] = sum_j C_m[j] W_k[j],
-W_k = alpha X_k^T + beta X_k entry by entry, with (alpha, beta) = (i, -i)
-below the diagonal, (1, 1) above it and (0, 1) on it, so the values are
-C W, taken over W's float64 view as an M_O x N^2 by N^2 x 2p real
-product. It costs 2 M_O N^2 p multiplies against about 8 M_O N^2 r for
-the stacked (M N) x N product of O with U and then conj(V): at N = 25
+W_k = alpha X_k^T + beta X_k entry by entry (`measurements._weights`),
+so the values are C W, taken over W's float64 view as an M_O x N^2 by
+N^2 x 2p real product. X and W are dropped as soon as they are read, and
+the residual is taken in the values' own buffer (`_loss`), bitwise as
+before, so at N = 25, M_O = 640 a direct loss holds 0.52 MiB beside the
+sweeps' data, where it held 1.09. It costs 2 M_O N^2 p multiplies
+against about 8 M_O N^2 r for the stacked (M N) x N product of O with U
+and then conj(V): at N = 25
 (p = 25, r = 3) the two run at parity, 1.4 ms a call, while at N = 64
 (r = 4) it takes 0.8 s of a 4 s trial where the stacked form takes 0.4 s.
 The two forms' roundoff differs, by up to 6e-15 relative in the final
@@ -285,10 +304,10 @@ from functools import cached_property, wraps
 
 import numpy as np
 
-from .errors import DimensionError, DivergenceError
+from .errors import DimensionError, DivergenceError, _check_fields
 from .linalg import cholesky_solve, complex_gaussian, least_squares, truncated_svd
-from .measurements import SensingDesign, pair_inner_products
-from .models import _check_fields
+from .measurements import (SensingDesign, _coord_index, _stack_of, _weights,
+                           pair_inner_products)
 
 __all__ = [
     "STRATEGY_DESIGNS",
@@ -342,7 +361,7 @@ class FactorPair:
         return self.left[rows] @ self.right.conj().T
 
 
-# SolverConfig's fields by the rules of `models._check_fields`
+# SolverConfig's fields by the rules of `errors._check_fields`
 _SOLVER_FIELDS = {"rank": 1, "max_iter": 1, "gamma": "(0, inf)", "eta": "(1, inf)",
                   "beta": "(-inf, inf)", "seed": 0, "init": ("spectral", "random")}
 
@@ -398,8 +417,14 @@ def _timed(part):
 
 
 def _loss(values, b) -> float:
-    """The sensing loss sum |values - b|^2 / 2M over the M data b."""
-    return float(np.sum(np.abs(values - b) ** 2)) / (2 * b.size)
+    """The sensing loss sum |values - b|^2 / 2M over the M data b. values,
+    a temporary of the caller's, is overwritten by the difference, and
+    the squared moduli go to one array in C order, the order of b and so
+    of the difference `values - b` would make, so the sum's bits are
+    those of that expression."""
+    np.subtract(values, b, out=values)
+    sq = np.abs(values, out=np.empty(values.shape))
+    return float(np.sum(np.square(sq, out=sq))) / (2 * b.size)
 
 
 def _normal_solve(prob, normal, rhs, b, rows):
@@ -600,28 +625,15 @@ def _regroup(t, shape):
 
 
 class _BlockStats:
-    """What the solves of one blockwise design read of it: the real
-    coordinates C of its observables (M_O x N^2 float64, taken once), and
+    """What the solves of one blockwise design read of it: the design's
+    real coordinates C (M_O x N^2 float64, the design's own array), and
     G's packed rows (x, x') with x >= x', built from C on first use and
     shared by every problem of the design (see the module docstring). It
-    holds no reference to the design, so the stack can go once the
-    problems are set up."""
+    holds no reference to the design."""
 
     def __init__(self, design: SensingDesign):
-        n, m = design.dim_n, design.n_measurements
-        self.n, self.m = n, m
-        idx = np.arange(n)
-        self.sign = np.sign(idx[:, None] - idx[None, :]).astype(np.float64)   # s(x, y)
-        lo, hi = np.minimum.outer(idx, idx), np.maximum.outer(idx, idx)
-        self.p, self.q = lo * n + hi, hi * n + lo          # (x, y)'s (min, max), (max, min)
-        # the loss's weights: <O_m, X> = C_m . W, W = alpha X^T + beta X
-        self.alpha = np.select([self.sign > 0, self.sign < 0], [1j, 1], 0)
-        self.beta = np.where(self.sign > 0, -1j, 1)
-        parts = design.observables.view(np.float64).reshape(m, n, n, 2)
-        coords = np.empty((m, n, n))
-        np.copyto(coords, parts[..., 0])                       # Re O on and above the diagonal,
-        np.copyto(coords, parts[..., 1], where=self.sign > 0)  # Im O below it
-        self.coords = coords.reshape(m, n * n)
+        self.n, self.m, self.coords = design.dim_n, design.n_measurements, design.coords
+        self.sign, self.p, self.q = _coord_index(self.n)   # s(x, y); (min, max), (max, min)
 
     @cached_property
     def gram_lower(self):
@@ -629,12 +641,14 @@ class _BlockStats:
         row (x, x') at x (x + 1) / 2 + x' with columns (y, y'). Each x fills
         its x + 1 rows by one formula of S = C^T C (see the module
         docstring), from S's rows and columns gathered into buffers that
-        every x reuses, and copies them into its rows once; S goes on
-        return, and no full G is made."""
+        every x reuses, and copies them into its rows once. S is made in
+        the tail of the rows' own buffer, its rows in the order the fill
+        reads them last, so the fill overwrites only rows of S it is done
+        with; no full G and no separate S is made."""
         n, p, q, sign = self.n, self.p, self.q, self.sign
         x, x_prime = np.tril_indices(n)
-        s = self.coords.T @ self.coords                    # symmetric rank-k update
         rows = np.empty((len(x), n * n), dtype=np.complex128)
+        s, slot = self._gram_in_tail(rows)                 # S's row j is s[slot[j]]
         sp, sq = np.empty((n, n * n)), np.empty((n, n * n))   # S's rows p and q of one x
         parts = np.empty((2, n ** 3))                      # one x's real and imaginary parts
         for i in range(n):
@@ -644,8 +658,8 @@ class _BlockStats:
             # the block's own memory is the scratch t until the parts are copied in
             t = block.view(np.float64).reshape(-1)[:n * k * n].reshape(n, k, n)
             sk = sign[:k]
-            np.take(s, p[i], axis=0, out=sp, mode="clip")
-            np.take(s, q[i], axis=0, out=sq, mode="clip")
+            np.take(s, slot[p[i]], axis=0, out=sp, mode="clip")
+            np.take(s, slot[q[i]], axis=0, out=sq, mode="clip")
             # [y, x', y']: S[p,p'] + s s' S[q,q'] + i (s S[q,p'] - s' S[p,q']); the
             # signs go on y by y, as a ufunc that broadcasts allocates a buffer
             for y in range(n):
@@ -663,18 +677,36 @@ class _BlockStats:
             np.copyto(g.imag, im)
         return x, x_prime, rows
 
+    def _gram_in_tail(self, rows):
+        """S = C^T C in the last N^4 reals of the rows' buffer, as (s, slot):
+        S's row (a, b), flat index j, is s[slot[j]], the rows in the order
+        of the fill step max(a, b) that reads them last. The syrk writes S
+        in flat order, then a permutation by cycles, one row of scratch
+        each, moves every row to its slot, so S keeps every bit."""
+        n2 = self.n * self.n
+        s = rows.view(np.float64).reshape(-1)[-n2 * n2:].reshape(n2, n2)
+        np.matmul(self.coords.T, self.coords, out=s)       # symmetric rank-k update
+        a, b = np.divmod(np.arange(n2), self.n)
+        order = np.lexsort((np.arange(n2), np.maximum(a, b)))   # slot -> flat index
+        slot = np.empty(n2, dtype=np.intp)
+        slot[order] = np.arange(n2)
+        scratch, done = np.empty(n2), np.zeros(n2, dtype=bool)
+        for start in range(n2):
+            if done[start] or order[start] == start:
+                continue
+            np.copyto(scratch, s[start])                   # slot start's row leaves first
+            here = start
+            while order[here] != start:                    # slot here takes row order[here]
+                np.copyto(s[here], s[order[here]])
+                done[here], here = True, order[here]
+            np.copyto(s[here], scratch)
+            done[here] = True
+        return s, slot
+
     def observables(self):
-        """The (M_O, N, N) stack rebuilt from C, O[x,y] = C[p] + i s C[q]:
-        equal to the design's in every value, and in every bit where the
-        design's two triangles agree in the signs of their zeros, as the
-        package's random observables do (its Pauli products do not). Made
-        only for a least-squares fallback's rows."""
-        obs = np.zeros((self.m, self.n, self.n), dtype=np.complex128)
-        obs.real = self.coords[:, self.p]
-        imag = self.coords[:, self.q]
-        np.copyto(obs.imag, imag, where=self.sign > 0)
-        np.copyto(obs.imag, np.negative(imag, out=imag), where=self.sign < 0)
-        return obs
+        """The (M_O, N, N) stack rebuilt from C, made only for a
+        least-squares fallback's rows."""
+        return _stack_of(self.coords, self.n)
 
 
 class _StackedProblem(_Problem):
@@ -705,13 +737,21 @@ class _StackedProblem(_Problem):
         self.brow = brow
 
     @classmethod
-    def of(cls, design: SensingDesign, b, n_blocks: int, stats: _BlockStats):
+    def of(cls, stats: _BlockStats, b, n_blocks: int):
         """The problem of data b on the design whose statistics are stats,
-        with [B_1, ..., B_p] from the design's stack: N x pN, column (k, y)."""
-        n, m = design.dim_n, design.n_measurements
+        with [B_1, ..., B_p] from its coordinates: N x pN, column (k, y).
+        B_k = sum_m b_km O_m = T_k[p] + i s T_k[q] with T = b C, taken as
+        the real product C^T [Re b^T, Im b^T], half the multiplies of the
+        complex product with the stack."""
+        n, m = stats.n, stats.m
         b = np.asarray(b, dtype=np.complex128).reshape(n_blocks, m)
-        bsum = (b @ design.observables.reshape(m, -1)).reshape(n_blocks, n, n)
-        return cls(stats, b, bsum.transpose(1, 0, 2).reshape(n, n_blocks * n))
+        t = stats.coords.T @ np.ascontiguousarray(b.T).view(np.float64)
+        t = t.view(np.complex128)                          # T^T, [(x, y), k]
+        bsum = t[stats.q]                                  # [x, y, k]
+        bsum *= 1j * stats.sign[..., None]
+        bsum += t[stats.p]
+        del t
+        return cls(stats, b, bsum.transpose(0, 2, 1).reshape(n, n_blocks * n))
 
     def fresh(self):
         """The same problem with counters of its own."""
@@ -774,15 +814,16 @@ class _StackedProblem(_Problem):
         return self.loss_of(u @ v.conj().T)
 
     def loss_of(self, x):
-        # value (k, m) = <O_m, X_k> = C_m . W_k, W_k = alpha X_k^T + beta X_k, one
-        # real product of C with W's float64 view (see the module docstring)
-        n, p, stats = self.n, self.n_blocks, self.stats
-        xs = np.asarray(x, dtype=np.complex128).reshape(n, p, n).transpose(0, 2, 1)  # [a,x,k]
-        w = np.empty((n, n, p), dtype=np.complex128)
-        np.multiply(stats.alpha[..., None], xs.transpose(1, 0, 2), out=w)
-        w += stats.beta[..., None] * xs
-        values = stats.coords @ w.reshape(n * n, p).view(np.float64)
-        return _loss(values.view(np.complex128).T, self.b)
+        # value (k, m) = <O_m, X_k> = C_m . W_k, one real product of C with W's
+        # float64 view (see the module docstring); x and W are dropped
+        # before the next array of their size is made, which frees x when
+        # the caller passed a temporary
+        xs = np.asarray(x, dtype=np.complex128).reshape(self.n, self.n_blocks, self.n)
+        w = _weights(xs.transpose(0, 2, 1))                # [a, x, k]
+        del x, xs
+        values = (self.stats.coords @ w.view(np.float64)).view(np.complex128)
+        del w
+        return _loss(values.T, self.b)
 
     def backprojection(self):
         return self.brow / self.stats.m
@@ -803,7 +844,7 @@ def _make_problem(design: SensingDesign, b, d1: int, d2: int, stats=None):
         if d2 < n or d2 % n or b.shape[-1:] != (m,) or b.size != d2 // n * m:
             raise DimensionError(f"blockwise data of shape {b.shape} are not d2 / N rows "
                                  f"of {m} values for d2={d2}, N={n}")
-        prob = _StackedProblem.of(design, b, d2 // n, stats or _BlockStats(design))
+        prob = _StackedProblem.of(stats or _BlockStats(design), b, d2 // n)
     if (prob.d1, prob.d2) != (d1, d2):
         raise DimensionError(
             f"design implies dimensions ({prob.d1}, {prob.d2}), got ({d1}, {d2})")
@@ -905,13 +946,17 @@ def _als(prob, config: SolverConfig) -> SolveReport:
         _guard(f_new, scale)
         if f_new < best[2]:
             best = (u_new, v_new, f_new)
-        x_new = u_new @ v_new.conj().T
-        converged = np.linalg.norm(x_new - x_curr) <= config.gamma * np.linalg.norm(x_curr)
+        x_prev, x_curr = x_curr, u_new @ v_new.conj().T
+        # x_prev is not read again, so the difference is taken in its buffer
+        tol = config.gamma * np.linalg.norm(x_prev)
+        converged = np.linalg.norm(np.subtract(x_curr, x_prev, out=x_prev)) <= tol
+        del x_prev
         u_prev = u_curr
-        u_curr, f_curr, x_curr = u_new, f_new, x_new
+        u_curr, f_curr = u_new, f_new
         if converged:
             stop = "converged"
             break
+    del x_curr                  # the final loss makes arrays of its size
     return SolveReport(FactorPair(best[0], best[1]), prob.final_loss(*best[:2]), iterations,
                        restarts, trace, time.perf_counter() - start, prob.fallbacks,
                        stop, dict(prob.part_s))

@@ -411,12 +411,14 @@ def test_trial_error_is_bitwise_the_public_score(overrides):
 
 
 def test_blockwise_trial_peak_memory():
-    # one als_n trial at N=16 holds at most the design and C while it sets
-    # up its solve, then C, S and the packed rows (1.9 N^4 complex entries
-    # at M_O = 260), and the truth and one N x N^2 row block of the
-    # estimate while it scores (1.3 N^4): under 3.5 N^4 at its peak (the
-    # truth drawn densely up front, the design held to the end and a
-    # difference temporary reach above 4)
+    # one als_n trial at N=16, M_O = 260 holds the design as C alone (0.51
+    # N^4 complex entries), which its run shares, then C and the packed rows
+    # (0.53 N^4) with S made in the rows' buffer, and the truth and one
+    # N x N^2 row block of the estimate while it scores: it peaked at
+    # 1.59 N^4, under 1.7 N^4 (with the observable stack beside C through
+    # set-up and S beside the rows it peaked at 1.83; the truth drawn
+    # densely up front, the design held to the end and a difference
+    # temporary reached above 4)
     cfg = ExperimentConfig(task="lindbladian", n=16, n_jumps=2, design="blockwise",
                            strategy="als_n", sweep=[260], sigma=1e-3, master_seed=1)
     tracemalloc.start()
@@ -426,7 +428,7 @@ def test_blockwise_trial_peak_memory():
     finally:
         tracemalloc.stop()
     assert not record.message
-    assert peak < 3.5 * 16 ** 4 * 16
+    assert peak < 1.7 * 16 ** 4 * 16
 
 
 def test_scoring_holds_no_dense_estimate():
@@ -451,12 +453,13 @@ def test_scoring_holds_no_dense_estimate():
 
 
 def test_blockwise_solve_drops_the_design_before_the_gram_build(monkeypatch):
-    # at N=20 and M_O = N^2 the trial sets up its solve with the design
-    # (N^4 complex entries) and C (M_O N^2 reals, 0.5 N^4) alive, then drops
-    # the design; the Gram build holds C, S (0.5) and the packed rows
-    # (0.525), and with the data, gather buffers and B the solve peaks at
-    # 1.79 N^4. With the design held through the build it peaked at 2.31
-    # N^4, and the bound sits between
+    # at N=20 and M_O = N^2 the design is its C (M_O N^2 reals, 0.5 N^4
+    # complex entries), which the run shares; the trial drops the design
+    # and the data after set-up, and the Gram build holds C and the packed
+    # rows (0.525), S made in their buffer, so with the gather buffers, the
+    # data and B the solve peaks at 1.41 N^4. With the observable stack
+    # beside C through set-up and S beside the rows it peaked at 1.75 N^4,
+    # and with the stack held through the build at 2.31
     n = 20
     run_experiment(_small_config(task="lindbladian", n=4, kraus_rank=0, n_jumps=1,
                                  strategy="als_n", subset_ratio=1.0, trials=1))
@@ -471,7 +474,7 @@ def test_blockwise_solve_drops_the_design_before_the_gram_build(monkeypatch):
     finally:
         tracemalloc.stop()
     assert not record.message and record.fallbacks == 0
-    assert peaks[0] < 2.0 * n ** 4 * 16
+    assert peaks[0] < 1.6 * n ** 4 * 16
 
 
 def test_run_experiment_logs_each_point_and_sweep(caplog):

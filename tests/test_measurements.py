@@ -342,6 +342,23 @@ def test_design_requires_exactly_hermitian_observables():
             SensingDesign("random_pairs", 3, bad, states=obs)
 
 
+def test_blockwise_coordinates_are_checked():
+    # C given in place of the stack must be finite and (M_O, N^2), and
+    # stands alone, for a blockwise design only
+    obs = build_blockwise_design(3, 6, "random", seed=42).observables
+    coords = SensingDesign("blockwise", 3, obs).coords
+    rebuilt = SensingDesign("blockwise", 3, coords=coords).observables
+    assert rebuilt.tobytes() == obs.tobytes()
+    bad = coords.copy()
+    bad[1, 4] = np.inf
+    for kind, kwargs in [("blockwise", {"coords": bad}),
+                         ("blockwise", {"coords": coords[:, :8]}),
+                         ("blockwise", {"coords": coords, "observables": obs}),
+                         ("random_pairs", {"coords": coords, "states": obs})]:
+        with pytest.raises(DimensionError):
+            SensingDesign(kind, 3, **kwargs)
+
+
 def _matvec_values(s, design, sigma, noise_mode, seed):
     # blockwise simulation one column block at a time, one matrix-vector
     # product per state over the conjugated design
@@ -388,8 +405,10 @@ def test_simulated_pair_values_are_bitwise_the_per_pair_form():
 
 
 def test_blockwise_design_holds_one_copy_of_the_design():
-    # drawn in chunks and checked for Hermitian symmetry in slices, so the
-    # design stage peaks at the design plus about one chunk of planes
+    # a random design is drawn in chunks straight into its real coordinates
+    # C, half the stack's bytes, so the design stage peaks at C plus about
+    # one chunk of planes (drawing the stack and taking C from it peaks at
+    # three times C)
     n, m_o = 25, 640
     build_blockwise_design(n, 8, "random", seed=49)             # warm-up
     tracemalloc.start()
@@ -399,4 +418,5 @@ def test_blockwise_design_holds_one_copy_of_the_design():
     finally:
         tracemalloc.stop()
     chunk = _STACK_CHUNK * 2 * n * n * 8
-    assert peak <= 1.1 * design.observables.nbytes + chunk
+    assert design.coords.nbytes == m_o * n * n * 8
+    assert peak <= 1.1 * design.coords.nbytes + chunk

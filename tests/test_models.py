@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from superop_sensing import (Lindbladian, ReshapedMatrix, Superoperator, apply_superop,
-                             choi_reshape, complex_gaussian, draw_truth,
+                             build_blockwise_design, build_random_design, choi_reshape,
+                             complex_gaussian, draw_truth, empirical_rip_probe,
                              haar_low_rank_hermitian, hs_inner, lindblad_apply,
                              lindblad_canonical, random_channel, random_density,
-                             random_lindbladian, random_observable,
-                             superop_from_reshaped, vec)
+                             random_lindbladian, random_observable, reconstruct_full,
+                             sample_pauli, superop_from_reshaped, truncated_svd, vec)
 from superop_sensing.errors import DegenerateSpectrumError, DimensionError
 from superop_sensing.models import _STACK_CHUNK, random_pairs
 
@@ -368,3 +369,32 @@ def test_chunked_draws_are_bitwise_one_draw(n):
     states, obs = random_pairs(n, m, 4)
     assert states.tobytes() == _densities_of(g_states).tobytes()
     assert obs.tobytes() == _observables_of(g_obs).tobytes()
+
+
+# the anchor row of a rank-2 N = 2 matrix
+_ROW = np.hstack([np.eye(2), np.eye(2)]).astype(complex)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: reconstruct_full(_ROW, 2.0),
+    lambda: reconstruct_full(_ROW, 2, anchor=1.0),
+    lambda: reconstruct_full(_ROW, True),
+    lambda: truncated_svd(np.eye(3), 2.0),
+    lambda: empirical_rip_probe(build_blockwise_design(3, 6, "random"), 2.0, 5),
+    lambda: empirical_rip_probe(build_blockwise_design(3, 6, "random"), 2, n_samples=2.5),
+    lambda: build_blockwise_design(3, 2.0, "random"),
+    lambda: build_random_design(3, 2.0, "random", seed=0),
+    lambda: complex_gaussian(2.0, 2, 0),
+    lambda: random_lindbladian(3, 1.5, 0),
+    lambda: random_channel(3, 2.0, 0),
+    lambda: sample_pauli(2, -1, True, 0)],
+    ids=["rank-float", "anchor-float", "rank-bool", "svd-k-float", "rip-rank-float",
+         "rip-samples-float", "blockwise-m-float", "pairs-m-float", "gaussian-rows-float",
+         "jumps-float", "kraus-rank-float", "pauli-count-negative"])
+def test_public_integer_arguments_are_checked(call):
+    # an integer argument of the public API that is a float, a bool or out
+    # of range raises DimensionError through `_check_fields`, not a
+    # TypeError or ValueError from deep inside numpy, and a bool rank does
+    # not run as 1
+    with pytest.raises(DimensionError):
+        call()

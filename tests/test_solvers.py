@@ -10,13 +10,14 @@ import pytest
 from superop_sensing import (SensingDesign, SolverConfig, build_blockwise_design,
                              build_random_design,
                              choi_reshape, complex_gaussian, nesterov_als_solve,
-                             pauli_basis, random_channel, sensing_loss,
+                             pauli_basis, random_channel, random_observable,
+                             sample_pauli, sensing_loss,
                              simulate_measurements, solve_first_row_joint,
                              solve_first_row_parallel, solve_first_row_subset)
 from superop_sensing.errors import DimensionError, DivergenceError
 from superop_sensing import solvers
 from superop_sensing.linalg import cholesky_solve, least_squares
-from superop_sensing.measurements import pair_inner_products
+from superop_sensing.measurements import _coord_index, pair_inner_products
 from superop_sensing.models import haar_low_rank_hermitian, superop_from_reshaped
 from superop_sensing.harness import RUN_OPTIONS, check_run_options
 from superop_sensing.solvers import (_RESTART_FLOOR, _make_problem, derive_seed,
@@ -468,9 +469,9 @@ def test_each_solve_checks_its_design_once(monkeypatch):
     k, design, data = _channel_case(3, 1, seed=86, m_o=9)
     cfg = SolverConfig(rank=1, seed=19, max_iter=3)
     checks = []
-    check = SensingDesign.__post_init__
-    monkeypatch.setattr(SensingDesign, "__post_init__",
-                        lambda self: checks.append(self) or check(self))
+    init = SensingDesign.__init__
+    monkeypatch.setattr(SensingDesign, "__init__", lambda self, *args, **kwargs:
+                        checks.append(self) or init(self, *args, **kwargs))
     for strategy in ("als_p", "als_n", "als_i"):
         solve_strategy(strategy, design, data.values, cfg, 0.5)
         assert checks == []
@@ -803,13 +804,60 @@ def test_gram_matches_complex_product(design):
     assert np.array_equal(rows2, 4 * rows)
 
 
-def test_gram_build_holds_only_s_and_the_packed_rows():
-    # the build fills the packed rows straight from S: at M_O = N^2 its peak
-    # is S (N^4 float64) and the rows (N^3 (N + 1) / 2 complex), plus one
-    # set of buffers that every x reuses (4 N^3 reals, 0.078 of S and the
-    # rows at N = 25), 1.080 in all; writing through the rows' strided views
-    # with numpy's ufunc buffers read 1.084, fresh gathers per x reached
-    # 1.097, and a full complex G beside them would add N^4 complex
+def _gram_rows_oracle(coords, n):
+    # the fill of G's packed rows from a separate S = C^T C, x by x, the
+    # build the in-buffer one must equal bit for bit
+    sign, p, q = _coord_index(n)
+    x, _ = np.tril_indices(n)
+    s = coords.T @ coords
+    rows = np.empty((len(x), n * n), dtype=np.complex128)
+    sp, sq = np.empty((n, n * n)), np.empty((n, n * n))
+    parts = np.empty((2, n ** 3))
+    for i in range(n):
+        k = i + 1
+        block = rows[i * k // 2:i * k // 2 + k]
+        re, im = parts[:, :n * k * n].reshape(2, n, k, n)
+        t = block.view(np.float64).reshape(-1)[:n * k * n].reshape(n, k, n)
+        sk = sign[:k]
+        np.take(s, p[i], axis=0, out=sp, mode="clip")
+        np.take(s, q[i], axis=0, out=sq, mode="clip")
+        for y in range(n):
+            sq[y] *= sign[i, y]
+        np.take(sq, q[:k], axis=1, out=re, mode="clip")
+        np.take(sp, q[:k], axis=1, out=t, mode="clip")
+        for y in range(n):
+            re[y] *= sk
+            t[y] *= sk
+        np.take(sq, p[:k], axis=1, out=im, mode="clip")
+        im -= t
+        re += np.take(sp, p[:k], axis=1, out=t, mode="clip")
+        g = block.reshape(k, n, n).transpose(1, 0, 2)
+        np.copyto(g.real, re)
+        np.copyto(g.imag, im)
+    return rows
+
+
+_IN_BUFFER_SIZES = (*range(2, 21), 25, 32, 33)
+
+
+@pytest.mark.parametrize("source, n, m", [
+    *(("random", n, m) for n in _IN_BUFFER_SIZES for m in (n, 3 * n + 7)),
+    *(("pauli", n, m) for n in (2, 4, 8, 16) for m in (n, 3 * n + 7))])
+def test_gram_rows_built_in_their_buffer_are_bitwise_the_fill_over_s(source, n, m):
+    # S made in the tail of the rows' buffer and moved into last-read order
+    # changes no bit of the rows: every size from 2 to 20 and three larger,
+    # M_O below and above N, and Pauli designs with their exact zeros
+    design = build_blockwise_design(n, m, source, seed=170 + n + m)
+    rows = solvers._BlockStats(design).gram_lower[2]
+    assert rows.tobytes() == _gram_rows_oracle(design.coords, n).tobytes()
+
+
+def test_gram_build_holds_only_the_packed_rows():
+    # S = C^T C is made in the rows' own buffer, so at M_O = N^2 the build's
+    # peak is the rows (N^3 (N + 1) / 2 complex) and one set of buffers that
+    # every x reuses (4 N^3 reals, 0.154 of the rows at N = 25), 1.004 of
+    # those; with S apart (N^4 float64) it was 1.84, and a full complex G
+    # beside them would add N^4 complex
     n = 25
     design = build_blockwise_design(n, n * n, "random", seed=129)
     prob = _make_problem(design, np.zeros((1, n * n)), n, n)
@@ -820,7 +868,7 @@ def test_gram_build_holds_only_s_and_the_packed_rows():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak <= 1.09 * (8 * n ** 4 + 8 * n ** 3 * (n + 1))
+    assert peak <= 1.01 * (8 * n ** 3 * (n + 1) + 4 * 8 * n ** 3)
 
 
 @pytest.mark.parametrize("strategy", ["als_n2", "als_p", "als_n", "als_i"])
@@ -896,22 +944,22 @@ def test_stacked_loss_matches_batched_formula(blocks):
 
 @pytest.mark.parametrize("strategy", ["als_p", "als_n", "als_i"])
 def test_set_up_holds_no_observable_stack(strategy):
-    # after set-up the run holds C and each problem's B, not the design: the
-    # stack goes with the caller's last reference, and no problem of the run
-    # holds a complex (M_O, N, N) array; the run's result is the one-step
-    # solve's, bit for bit
+    # after set-up the run holds the design's own C and each problem's B,
+    # not the design, and no problem of the run holds a complex (M_O, N, N)
+    # array; the run's result is the one-step solve's, bit for bit
     n, m = 4, 20
     _, design, data = _channel_case(n, 2, seed=150, m_o=m, sigma=1e-3)
     cfg = SolverConfig(rank=2, seed=23, max_iter=20)
     want, _ = solve_strategy(strategy, design, data.values, cfg, 0.5)
-    stack = weakref.ref(design.observables)
+    coords, kept = design.coords, weakref.ref(design)
     run = solvers.set_up_strategy(strategy, design, data.values, cfg, 0.5)
     del design
-    assert stack() is None
+    assert kept() is None
     held = [a for cell in run.__closure__ for value in _problems(cell.cell_contents)
             for a in [*vars(value).values(), *vars(value.stats).values()]
             if isinstance(a, np.ndarray)]
-    assert held and not any(np.iscomplexobj(a) and a.size >= m * n * n for a in held)
+    assert any(a is coords for a in held)
+    assert not any(np.iscomplexobj(a) and a.size >= m * n * n for a in held)
     got, _ = run()
     assert np.array_equal(got, want)
 
@@ -941,14 +989,22 @@ def test_packed_rows_built_once_per_run(strategy, monkeypatch):
     ("random", 2, 3), ("random", 3, 9), ("random", 5, 31), ("random", 8, 70),
     ("random", 16, 20), ("pauli", 2, 9), ("pauli", 4, 30), ("pauli", 8, 50)])
 def test_observables_rebuilt_from_the_coordinates(source, n, m):
-    # the fallback rows read the stack rebuilt from C: equal in every value,
-    # and in every bit on random designs, whose two triangles agree in the
-    # signs of their zeros (Pauli products can hold -0.0 in one triangle only)
+    # a blockwise design holds C alone and `observables`, like the fallback
+    # rows, reads the stack rebuilt from it: equal in every value to the
+    # stack drawn from the same generator, and in every bit on random
+    # designs, whose two triangles agree in the signs of their zeros (Pauli
+    # products can hold -0.0 in one triangle only); the design's statistics
+    # share its C
     design = build_blockwise_design(n, m, source, seed=160 + n)
-    rebuilt = solvers._BlockStats(design).observables()
-    assert np.array_equal(rebuilt, design.observables)
-    if source == "random":
-        assert rebuilt.tobytes() == design.observables.tobytes()
+    rng = np.random.default_rng(160 + n)
+    drawn = (random_observable(n, rng, m) if source == "random"
+             else sample_pauli(n.bit_length() - 1, m, True, rng.integers(2 ** 63)))
+    stats = solvers._BlockStats(design)
+    assert stats.coords is design.coords
+    for rebuilt in (design.observables, stats.observables()):
+        assert np.array_equal(rebuilt, drawn)
+        if source == "random":
+            assert rebuilt.tobytes() == drawn.tobytes()
 
 
 # the sweep's loss from its left solve agrees with the direct residual of the
