@@ -23,8 +23,8 @@ from .models import (Lindbladian, Superoperator, apply_superop, draw_truth,
                      random_channel, random_density, random_lindbladian,
                      random_observable, random_pairs, superop_from_reshaped)
 from .reconstruction import CompletedMatrix, reconstruct_full
-from .reshaping import (ReshapedMatrix, choi_reshape, hs_inner, kron, reshape_R,
-                        superop_matrix, unvec, vec)
+from .reshaping import (ReshapedMatrix, choi_factors, choi_reshape, hs_inner, kron,
+                        reshape_R, superop_matrix, unvec, vec)
 from .solvers import (FactorPair, SolveReport, SolverConfig,
                       nesterov_als_solve, sensing_loss, solve_first_row_joint,
                       solve_first_row_parallel, solve_first_row_subset,

@@ -31,12 +31,12 @@ its solve reports (`solve_part_s`: Gram build, right and left half-sweeps,
 losses).
 
 Memory: each N^2 x N^2 array of a trial lives only while something reads
-it. The truth is drawn in signed Kraus form (`models.draw_truth`) and its
-dense matrix is built at scoring. A random pair design is drawn in
-chunks straight into its stacks, so it exists once; a blockwise design
-is drawn straight into its observables' real coordinates C (M_O x N^2
-reals, half the stack's bytes; see `measurements`), and no stack is
-made. The solve runs in two steps (`solvers.set_up_strategy`), and the
+it. The truth is drawn in signed Kraus form (`models.draw_truth`) and
+scored as its factors (`reshaping.choi_factors`), so no dense truth is
+made. A random pair design is drawn in chunks straight into its
+stacks, so it exists once; a blockwise design is drawn straight into its
+observables' real coordinates C (M_O x N^2 reals, half the stack's
+bytes; see `measurements`), and no stack is made. The solve runs in two steps (`solvers.set_up_strategy`), and the
 design and data are dropped between them: a blockwise set-up makes each
 problem's backprojections from C, and the run reads only those and the
 design's C, which it shares. The run fills G's packed lower rows (about
@@ -44,26 +44,20 @@ half of the complex N^2 x N^2 `G`, which is never made) from the real
 N^2 x N^2 `S = C^T C`, made in the rows' own buffer, so the build and
 the sweeps hold C and the packed rows; the trial drops them and the
 solve reports (their factors) when the run returns, and the row estimate
-once completion has read it, so no array made in the solve outlives it
-into scoring, where it could split the heap's freed space under the
-dense truth (at N=25 the process then keeps the freed pages and maps the
-truth afresh: `peak_rss_mib` of a 55 s `lindblad-n25` run read about
-54.1 MiB with the reports held and 52.0 without). At N=25,
-M_O=640 (C 3.05 MiB, the rows 3.1) the traced stage peaks are design
-3.84, simulate 4.30, set-up 4.32 and run 7.75 MiB, the trial's peak
-(score 6.88); at N=64, M_O=1640 they are 57.9, 71.6, 66.8 and 196 MiB,
-and scoring, 269 MiB, is the peak. Completion keeps
+once completion has read it, so no array made in the solve outlives it.
+At N=25, M_O=640 (C 3.05 MiB, the rows 3.1) the traced stage peaks are
+design 3.84, simulate 4.30, set-up 4.32 and run 7.75 MiB; at N=64,
+M_O=1640 they are 57.9, 71.6, 66.8 and 196 MiB. Completion keeps
 the estimate as its rank-r factors (`reconstruction.CompletedMatrix`),
 and an `als_n2` solve returns its factors too; a hermitized completion
-is the rank-2r pair of (K + K^H) / 2. Scoring builds the truth's
-dense matrix and subtracts the estimate from it in its buffer one row
-block of N rows at a time, each block the factors' full-width product,
-so that stage holds one N^2 x N^2 array and an N x N^2 block (1.05 N^4
-complex entries at N=64 under tracemalloc, 269 MiB, where a dense
-estimate beside the truth would take 2.0 N^4). An `als_n2` trial's peak is the pair workspace: with k = N^2 r,
-the M x k rows, a scratch array of 2 k^2 entries (the row assembly works
-2 k pairs at a time in it) and the k x k normal matrix, all complex (3.2,
-1.1 and 0.6 MiB at N=8, M=1100, r=3, beside the 2.1 MiB design).
+is the rank-2r pair of (K + K^H) / 2. Scoring (`relative_frobenius_error`)
+reads both sides N rows at a time, each block their factors' full-width
+product, so it holds one N-row block of each side and their difference,
+and a blockwise trial peaks in its run. An `als_n2` trial's peak is the
+pair workspace: with k = N^2 r, the M x k rows, a scratch array of 2 k^2
+entries (the row assembly works 2 k pairs at a time in it) and the k x k
+normal matrix, all complex (3.2, 1.1 and 0.6 MiB at N=8, M=1100, r=3,
+beside the 2.1 MiB design).
 """
 
 from __future__ import annotations
@@ -81,14 +75,15 @@ import numpy as np
 
 from .errors import (NUMERICAL_ERRORS, DimensionError, UndefinedMetricError, _check_fields,
                      _is_int)
+from .linalg import FactorPair
 from .measurements import (DESIGN_KINDS, NOISE_MODES, SOURCES, _qubits_for,
                            build_design, simulate_measurements)
 from .models import TASKS, draw_truth
 from .reconstruction import CompletedMatrix, reconstruct_full
-from .reshaping import ReshapedMatrix, choi_reshape
+from .reshaping import ReshapedMatrix, choi_factors
 from .serialize import save_json, write_text
-from .solvers import (STRATEGY_DESIGNS, FactorPair, SolverConfig, derive_seed,
-                      report_totals, set_up_strategy)
+from .solvers import (STRATEGY_DESIGNS, SolverConfig, derive_seed, report_totals,
+                      set_up_strategy)
 
 __all__ = [
     "STAGES",
@@ -110,60 +105,45 @@ _LOG = logging.getLogger(__name__)   # a child of the package logger, "superop_s
 # seed-derivation roles
 _ROLE_TRUTH, _ROLE_DESIGN, _ROLE_NOISE, _ROLE_SOLVER = 0, 1, 2, 3
 
-# the timed stages of a trial, in order; "score" includes building the
-# truth's dense matrix and the estimate's row blocks from its factors
+# the timed stages of a trial, in order; "score" includes the truth's
+# factors and both sides' row blocks
 STAGES = ("truth", "design", "simulate", "solve", "reconstruct", "score")
 
 
-def _as_matrix(x) -> np.ndarray:
-    if isinstance(x, FactorPair):
-        return x.product()
-    return x.matrix if isinstance(x, (ReshapedMatrix, CompletedMatrix)) else np.asarray(x)
-
-
 def relative_frobenius_error(estimate, truth) -> float:
-    """||K - K*||_F / ||K*||_F for matrices, ReshapedMatrix, CompletedMatrix
-    or FactorPair values.
+    """||K - K*||_F / ||K*||_F of two d1 x d2 matrices, each given dense, as
+    a ReshapedMatrix, a CompletedMatrix or a FactorPair.
 
-    Neither input is changed: the difference is taken in a copy of the
-    truth, and an estimate held as factors is subtracted from it one row
-    block of their product at a time, as a trial scores, so no dense
-    estimate is made. A truth of zero or non-finite norm raises
-    UndefinedMetricError.
+    Both are read N = isqrt(d1) rows at a time, a factor pair's as those
+    rows of its product (bitwise the whole product's rows), and each block
+    adds ||K*_i||^2 and ||K*_i - K_i||^2 in row order. So the score holds
+    one block of each side and their difference, changes neither input,
+    and scores a dense operand bitwise as its factors. A truth of zero or
+    non-finite norm raises UndefinedMetricError.
     """
-    ref = _as_matrix(truth)
-    factors = estimate.factors if isinstance(estimate, CompletedMatrix) else estimate
-    if isinstance(factors, FactorPair):
-        shape = (len(factors.left), len(factors.right))
-        dtype, blocks = np.result_type(factors.left, factors.right), _row_blocks(factors)
-    else:
-        est = _as_matrix(estimate)
-        shape, dtype, blocks = est.shape, est.dtype, [(..., est)]
-    if shape != ref.shape:
-        raise DimensionError(f"shape mismatch {shape} vs {ref.shape}")
-    return _error_in_place(ref.astype(np.result_type(dtype, ref)), blocks)
+    (shape, est_rows), (ref_shape, ref_rows) = _row_reader(estimate), _row_reader(truth)
+    if shape != ref_shape or len(shape) != 2:
+        raise DimensionError(f"expected two matrices of one shape, got {shape} and {ref_shape}")
+    n, ref_sq, diff_sq = max(1, math.isqrt(shape[0])), 0.0, 0.0
+    for i in range(0, shape[0], n):
+        ref = ref_rows(slice(i, i + n))
+        diff = ref - est_rows(slice(i, i + n))
+        ref_sq += float(np.vdot(ref, ref).real)
+        diff_sq += float(np.vdot(diff, diff).real)
+    if not 0 < ref_sq < np.inf:                            # NaN fails too
+        raise UndefinedMetricError(f"reference matrix norm {math.sqrt(ref_sq)} "
+                                   f"is not finite and positive")
+    return math.sqrt(diff_sq) / math.sqrt(ref_sq)
 
 
-def _row_blocks(factors: FactorPair):
-    """The (rows, the product's rows) pairs of a factor pair's d1 x d2
-    product, N = isqrt(d1) rows at a time, each bitwise those rows of the
-    whole product."""
-    n = max(1, math.isqrt(len(factors.left)))
-    for i in range(0, len(factors.left), n):
-        yield slice(i, i + n), factors.product(slice(i, i + n))
-
-
-def _error_in_place(truth: np.ndarray, row_blocks) -> float:
-    """relative_frobenius_error of an estimate given as (rows, the
-    estimate's rows) pairs, with the difference taken in truth's own
-    buffer, which is overwritten: ||K*|| first, then K* - K in place, block
-    by block, whose norm is that of K - K* bit for bit."""
-    denom = np.linalg.norm(truth)
-    if not 0 < denom < np.inf:                             # NaN fails too
-        raise UndefinedMetricError(f"reference matrix norm {denom} is not finite and positive")
-    for rows, block in row_blocks:
-        truth[rows] -= block
-    return float(np.linalg.norm(truth) / denom)
+def _row_reader(x):
+    """(shape, rows -> those rows of the matrix) of a scoring operand."""
+    if isinstance(x, CompletedMatrix):
+        x = x.factors
+    if isinstance(x, FactorPair):
+        return (len(x.left), len(x.right)), x.product
+    x = np.asarray(x.matrix if isinstance(x, ReshapedMatrix) else x)
+    return x.shape, x.__getitem__
 
 
 def recovery_rate(errors, threshold: float) -> float:
@@ -382,7 +362,7 @@ def _run_trial(config: ExperimentConfig, point_idx: int, m: int, trial: int) -> 
         estimate, config.rank, anchor=config.row_index, hermitize=config.hermitize).factors
     del estimate            # a blockwise row estimate, read by completion alone
     stamp()
-    error = _error_in_place(choi_reshape(truth).matrix, _row_blocks(factors))
+    error = relative_frobenius_error(factors, choi_factors(truth))
     stamp()
 
     stage_s = {name: end - start for name, start, end in zip(STAGES, marks, marks[1:])}

@@ -3,7 +3,8 @@
 Thin wrappers around numpy's LAPACK bindings: an exact truncated SVD,
 Moore-Penrose pseudo-inverse, minimum-norm least squares, a checked
 Cholesky solve, and seeded complex Gaussian sampling, plus the CMX1 on-disk
-matrix format.
+matrix format and `FactorPair`, the low-rank form L R^H in which the
+package holds every N^2 x N^2 truth and estimate.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 from .errors import DimensionError, _check_fields
 
 __all__ = [
+    "FactorPair",
     "SvdResult",
     "truncated_svd",
     "pseudo_inverse",
@@ -34,6 +36,17 @@ _CHOLESKY_MAX_DIAG_RATIO = 1e4
 
 # largest triangular block _lower_solve hands to an LU solve
 _TRIANGULAR_LEAF = 48
+
+
+@dataclass
+class FactorPair:
+    left: np.ndarray    # d1 x r
+    right: np.ndarray   # d2 x r
+
+    def product(self, rows: slice = slice(None)) -> np.ndarray:
+        """left @ right^H, or only its rows `rows`: a full-width row block,
+        bitwise those rows of the whole product."""
+        return self.left[rows] @ self.right.conj().T
 
 
 @dataclass

@@ -15,8 +15,8 @@ vectors times its singular values. No N^2 x N^2 array is made until a
 caller reads `.matrix`. A full-width row block L[blk] J^H is bitwise those
 rows of the whole product, and the product is bitwise the old dense
 completion, whose anchor rows were the SVD's own product (measured at
-N = 3, 4, 5, 16 and 25, and pinned by the tests), so `rows` hands a scorer
-the dense matrix one row block at a time without building it. A
+N = 3, 4, 5, 16 and 25, and pinned by the tests), so a scorer reads the
+dense matrix one row block at a time without building it. A
 hermitized completion is a factor pair too: (K + K^H) / 2 is
 ([L, J] / 2) [J, L]^H, of rank at most 2r, the halving exact.
 """
@@ -29,8 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AssumptionViolationError, DimensionError, _check_fields
-from .linalg import pseudo_inverse, truncated_svd
-from .solvers import FactorPair
+from .linalg import FactorPair, pseudo_inverse, truncated_svd
 
 __all__ = ["CompletedMatrix", "reconstruct_full"]
 
@@ -42,10 +41,6 @@ class CompletedMatrix:
 
     dim_n: int
     factors: FactorPair
-
-    def rows(self, rows: slice) -> np.ndarray:
-        """A full-width row block of `matrix`, bitwise: L[rows] J^H."""
-        return self.factors.product(rows)
 
     @cached_property
     def matrix(self) -> np.ndarray:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
+from .linalg import FactorPair
 
 __all__ = [
     "ReshapedMatrix",
@@ -26,6 +27,7 @@ __all__ = [
     "kron",
     "reshape_R",
     "superop_matrix",
+    "choi_factors",
     "choi_reshape",
 ]
 
@@ -118,17 +120,12 @@ def superop_matrix(s) -> np.ndarray:
     return mat
 
 
-def choi_reshape(s) -> ReshapedMatrix:
-    """Reshaped (Choi-like) matrix of a signed-Kraus superoperator.
-
-    Built directly from the vectorized operators,
+def choi_factors(s) -> FactorPair:
+    """The reshaped (Choi-like) matrix of a signed-Kraus superoperator as
+    the factor pair (W s, W): W is the N^2 x k matrix of the vectorized
+    operators, s their signs, and the product (W s) W^H is
     sum vec(V_k)vec(V_k)^H - sum vec(U_k)vec(U_k)^H, which equals
-    reshape_R(superop_matrix(s)) without forming any Kronecker product:
-    with W the N^2 x k matrix of the vectors and s their signs, one product
-    (W s) W^H, whose output is its only N^2 x N^2 array. Hermitian to
-    roundoff: entries (i, j) and (j, i) sum the same products, but the
-    product kernel may round them differently.
-    """
+    reshape_R(superop_matrix(s)) without forming any Kronecker product."""
     n = s.dim_n
     ops = s.plus_ops + s.minus_ops
     w = np.empty((n * n, len(ops)), dtype=np.complex128)
@@ -136,7 +133,16 @@ def choi_reshape(s) -> ReshapedMatrix:
         _check_op(op, n)
         w[:, k] = vec(op)
     signs = np.repeat([1.0, -1.0], [len(s.plus_ops), len(s.minus_ops)])
-    return ReshapedMatrix(n, (w * signs) @ w.conj().T)
+    return FactorPair(w * signs, w)
+
+
+def choi_reshape(s) -> ReshapedMatrix:
+    """Reshaped (Choi-like) matrix of a signed-Kraus superoperator: the
+    product of `choi_factors(s)`, its only N^2 x N^2 array. Hermitian to
+    roundoff: entries (i, j) and (j, i) sum the same products, but the
+    product kernel may round them differently.
+    """
+    return ReshapedMatrix(s.dim_n, choi_factors(s).product())
 
 
 def _check_op(op, n: int) -> None:

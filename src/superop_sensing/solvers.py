@@ -167,12 +167,12 @@ the public solvers (`nesterov_als_solve`, `solve_first_row_*`,
 caller holds it through the solve (a stack given to `solve_first_row_*`
 beside the C taken from it). At N = 25, M_O = 640,
 C is 3.05 MiB, the rows 3.1, and a trial's traced stage peaks are design
-3.84, simulate 4.30, set-up 4.32 and run 7.75 MiB (score 6.88), where the
+3.84, simulate 4.30, set-up 4.32 and run 7.75 MiB, where the
 observable stack (6.1 MiB) beside C and S beside the rows read 6.88,
 7.35, 10.20 and 10.18. At N = 64, M_O = 1640, C is 51.3 MiB and the rows
-130: the stages read 57.9, 71.6, 66.8 and 196 MiB and scoring's dense
-truth, 269 MiB, sets the trial's peak, where the stack (102.5 MiB) and S
-(128 MiB) made them 109, 123, 165 and 323.
+130: the stages read 57.9, 71.6, 66.8 and 196 MiB, where the stack
+(102.5 MiB) and S (128 MiB) made them 109, 123, 165 and 323. Scoring
+holds N-row blocks only (`harness`), so the run sets a trial's peak.
 
 Validity, on both back ends: normal equations square the condition number.
 A Cholesky solve is used only when the factorization succeeds and its
@@ -305,7 +305,8 @@ from functools import cached_property, wraps
 import numpy as np
 
 from .errors import DimensionError, DivergenceError, _check_fields
-from .linalg import cholesky_solve, complex_gaussian, least_squares, truncated_svd
+from .linalg import (FactorPair, cholesky_solve, complex_gaussian, least_squares,
+                     truncated_svd)
 from .measurements import (SensingDesign, _coord_index, _stack_of, _weights,
                            pair_inner_products)
 
@@ -348,17 +349,6 @@ _TIE_RTOL = 4 * float(np.finfo(np.float64).eps)
 def derive_seed(*parts) -> int:
     """Deterministic child seed from integer parts (master seed, indices...)."""
     return int(np.random.SeedSequence([int(p) for p in parts]).generate_state(1)[0])
-
-
-@dataclass
-class FactorPair:
-    left: np.ndarray    # d1 x r
-    right: np.ndarray   # d2 x r
-
-    def product(self, rows: slice = slice(None)) -> np.ndarray:
-        """left @ right^H, or only its rows `rows`: a full-width row block,
-        bitwise those rows of the whole product."""
-        return self.left[rows] @ self.right.conj().T
 
 
 # SolverConfig's fields by the rules of `errors._check_fields`

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from superop_sensing import (CompletedMatrix, ExperimentConfig, FactorPair, build_design,
-                             choi_reshape, complex_gaussian, draw_truth, emit_results,
+                             choi_factors, choi_reshape, complex_gaussian, draw_truth, emit_results,
                              reconstruct_full, recovery_rate,
                              relative_frobenius_error, run_experiment, sensing_loss,
                              simulate_measurements)
@@ -54,10 +54,12 @@ def test_relative_frobenius_error_non_finite_truth(value):
 
 @pytest.mark.parametrize("hermitize", [False, True])
 def test_relative_frobenius_error_of_a_completion_holds_no_dense_estimate(hermitize):
-    # the estimate's factors are subtracted from the copy of the truth one
-    # row block at a time, bitwise the dense estimate's score: at N=16 the
-    # copy and one N x N^2 block, under 1.2 N^4 complex entries (2.00 with
-    # a dense estimate)
+    # both sides are read one N-row block at a time, the estimate's as rows
+    # of its factors' product, bitwise the dense estimate's score: at N=16,
+    # with the truth given dense, the score holds one block of each side,
+    # their difference and the last block's difference, under 4 N^3 = 0.25
+    # N^4 complex entries (0.19; 1.2 with the copy of the truth it took
+    # before, 2.00 with a dense estimate beside that)
     n = 16
     truth = choi_reshape(draw_truth("haar", n, 3, r_plus=2, r_minus=1)).matrix
     row = truth[:n] + 1e-4 * complex_gaussian(n, n * n, seed=4)
@@ -70,9 +72,52 @@ def test_relative_frobenius_error_of_a_completion_holds_no_dense_estimate(hermit
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.2 * n ** 4 * 16
+    assert peak < 0.25 * n ** 4 * 16
     assert err == relative_frobenius_error(est.matrix, truth)
     assert err == relative_frobenius_error(est.factors, truth)
+
+
+def test_scoring_two_factor_pairs_holds_only_row_blocks():
+    # a trial scores the estimate's factors against choi_factors(truth): at
+    # N=16 that holds the truth's factors and N-row blocks, under 0.5 N^4
+    # complex entries (0.27; the dense truth a trial built to score made it
+    # 1.14)
+    n = 16
+    op = draw_truth("haar", n, 3, r_plus=2, r_minus=1)
+    row = choi_factors(op).product(slice(0, n)) + 1e-4 * complex_gaussian(n, n * n, seed=4)
+    est = reconstruct_full(row, 3).factors
+    relative_frobenius_error(est, choi_factors(op))                # warm-up
+    tracemalloc.start()
+    try:
+        err = relative_frobenius_error(est, choi_factors(op))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * n ** 4 * 16
+    assert err == relative_frobenius_error(est.product(), choi_reshape(op))
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_dense_and_factor_forms_score_bitwise_equal(n):
+    # a trial scores factor pairs, the bench replay dense matrices, and the
+    # two must give one error bit for bit: an als_n2 pair against its
+    # product, and a completion, plain and hermitized, against its matrix,
+    # each against the truth given dense, reshaped and as choi_factors
+    op = draw_truth("channel", n, 5, kraus_rank=2)
+    truths = (choi_reshape(op).matrix, choi_reshape(op), choi_factors(op))
+    design = build_design("random_pairs", n, 20 * n * n, "random", 6)
+    data = simulate_measurements(op, design, 1e-3, seed=7)
+    pair, _ = solve_strategy("als_n2", design, data.values,
+                             solvers.SolverConfig(rank=2, max_iter=3, seed=8))
+    row = truths[0][:n] + 1e-3 * complex_gaussian(n, n * n, seed=9)
+    estimates = [(pair, pair.product())]
+    for hermitize in (False, True):
+        completion = reconstruct_full(row, 2, hermitize=hermitize)
+        estimates.append((completion, completion.factors, completion.matrix))
+    for forms in estimates:
+        errors = {relative_frobenius_error(est, truth).hex() for est in forms
+                  for truth in truths}
+        assert len(errors) == 1
 
 
 def test_relative_frobenius_error_shape_mismatch():
@@ -80,9 +125,14 @@ def test_relative_frobenius_error_shape_mismatch():
         relative_frobenius_error(np.eye(2), np.eye(3))
     with pytest.raises(DimensionError):
         relative_frobenius_error(FactorPair(np.eye(2), np.eye(3)[:, :2]), np.eye(2))
+    for value in (np.ones(4), np.float64(1.0)):         # read by rows, so matrices only
+        with pytest.raises(DimensionError):
+            relative_frobenius_error(value, value)
 
 
 def test_relative_frobenius_error_leaves_inputs_unchanged():
+    # the score sums the squares block by block, so it agrees with the dense
+    # formula to within 4 ulps (0.55-0.79 here), not bit for bit
     rng = np.random.default_rng(3)
     est, truth = complex_gaussian(9, 9, rng), complex_gaussian(9, 9, rng)
     pairs = [(est, truth), (est, truth.real), (est.real, truth),
@@ -91,7 +141,8 @@ def test_relative_frobenius_error_leaves_inputs_unchanged():
         a_bytes, b_bytes = (np.asarray(getattr(x, "matrix", x)).tobytes() for x in (a, b))
         err = relative_frobenius_error(a, b)
         x, y = (np.asarray(getattr(v, "matrix", v)) for v in (a, b))
-        assert err == np.linalg.norm(x - y) / np.linalg.norm(y)
+        oracle = np.linalg.norm(x - y) / np.linalg.norm(y)
+        assert abs(err - oracle) <= 4 * np.finfo(np.float64).eps * oracle
         assert (x.tobytes(), y.tobytes()) == (a_bytes, b_bytes)
 
 
@@ -399,11 +450,11 @@ def _replayed_error(cfg):
     ids=["als_n", "als_i-hermitize", "als_n2", "haar", "n5-als_n", "n5-als_i-hermitize",
          "n5-als_n2"])
 def test_trial_error_is_bitwise_the_public_score(overrides):
-    # the trial builds the truth's matrix only to score, and subtracts the
-    # estimate from it in its buffer one row block of the factors' product
-    # at a time; its error must still be relative_frobenius_error's of the
-    # dense estimate, bit for bit, also at odd N, where column-sliced
-    # products are not bitwise the full product's columns
+    # the trial scores the estimate's factors against the truth's
+    # (choi_factors), N rows of each product at a time; its error must
+    # still be relative_frobenius_error's of the dense estimate and truth,
+    # bit for bit, as the bench replay needs, also at odd N, where
+    # column-sliced products are not bitwise the full product's columns
     cfg = _small_config(sigma=1e-3, trials=1, **overrides)
     record = run_experiment(cfg).points[0].records[0]
     assert not record.message
@@ -413,11 +464,11 @@ def test_trial_error_is_bitwise_the_public_score(overrides):
 def test_blockwise_trial_peak_memory():
     # one als_n trial at N=16, M_O = 260 holds the design as C alone (0.51
     # N^4 complex entries), which its run shares, then C and the packed rows
-    # (0.53 N^4) with S made in the rows' buffer, and the truth and one
-    # N x N^2 row block of the estimate while it scores: it peaked at
-    # 1.59 N^4, under 1.7 N^4 (with the observable stack beside C through
-    # set-up and S beside the rows it peaked at 1.83; the truth drawn
-    # densely up front, the design held to the end and a difference
+    # (0.53 N^4) with S made in the rows' buffer, and one N-row block of
+    # each side and their difference while it scores: it peaked at 1.59
+    # N^4, in its run, under 1.7 N^4 (with the observable stack beside C
+    # through set-up and S beside the rows it peaked at 1.83; the truth
+    # drawn densely up front, the design held to the end and a difference
     # temporary reached above 4)
     cfg = ExperimentConfig(task="lindbladian", n=16, n_jumps=2, design="blockwise",
                            strategy="als_n", sweep=[260], sigma=1e-3, master_seed=1)
@@ -432,12 +483,12 @@ def test_blockwise_trial_peak_memory():
 
 
 def test_scoring_holds_no_dense_estimate():
-    # at N=20, M_O=120 the Gram build holds C (M_O N^2 reals = 0.15 N^4
-    # complex entries), S (N^4 reals, 0.5) and the packed rows (N^3 (N + 1)
-    # / 2, 0.525): with B and the gathers of S it peaks at 1.40 N^4. Scoring
-    # holds the truth (N^4) and one N x N^2 row block of the estimate, with
-    # the truth build's temporaries 1.2 N^4. A dense estimate beside the
-    # truth alone is 2 N^4 (the trial peaked at 2.05 N^4 with one), so the
+    # at N=20, M_O=120 the run holds C (M_O N^2 reals = 0.15 N^4 complex
+    # entries) and the packed rows (N^3 (N + 1) / 2, 0.525) with S made in
+    # their buffer: with B and the fill's buffers the trial peaks there, at
+    # 1.02 N^4. Scoring holds one N-row block of each side and their
+    # difference (0.15 N^4). The dense truth it built before made the
+    # trial peak 1.14 N^4, and a dense estimate beside that 2.05, so the
     # bound sits between
     n = 20
     cfg = ExperimentConfig(task="lindbladian", n=n, n_jumps=2, design="blockwise",
@@ -449,7 +500,7 @@ def test_scoring_holds_no_dense_estimate():
     finally:
         tracemalloc.stop()
     assert not record.message
-    assert peak < 1.8 * n ** 4 * 16
+    assert peak < 1.1 * n ** 4 * 16
 
 
 def test_blockwise_solve_drops_the_design_before_the_gram_build(monkeypatch):

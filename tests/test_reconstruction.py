@@ -89,7 +89,7 @@ def _hermitized_pin(est, plain, n):
     assert est.factors.left.tobytes() == (lj / 2).tobytes()
     assert est.factors.right.tobytes() == jl.tobytes()
     assert est.matrix.tobytes() == pinned.tobytes()
-    blocks = [est.rows(slice(i, i + n)) for i in range(0, n * n, n)]
+    blocks = [est.factors.product(slice(i, i + n)) for i in range(0, n * n, n)]
     assert np.vstack(blocks).tobytes() == pinned.tobytes()
     k = plain.matrix
     ulp = np.finfo(np.float64).eps * np.abs(k).max()
@@ -134,7 +134,7 @@ def test_matrix_is_bitwise_the_one_product(n, hermitize):
     if hermitize:
         _hermitized_pin(reconstruct_full(noisy, r, anchor=1, hermitize=True), plain, n)
         return
-    blocks = [plain.rows(slice(i, i + n)) for i in range(0, n * n, n)]
+    blocks = [plain.factors.product(slice(i, i + n)) for i in range(0, n * n, n)]
     svd = truncated_svd(noisy, r)
     j_h = svd.right.conj().T
     proj = pseudo_inverse(j_h[:, n:2 * n], max(n * n, r) * np.finfo(np.float64).eps)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from superop_sensing import (Superoperator, apply_superop, choi_reshape,
-                             complex_gaussian, hs_inner, kron, random_density,
+from superop_sensing import (Superoperator, apply_superop, choi_factors, choi_reshape,
+                             complex_gaussian, draw_truth, hs_inner, kron, random_density,
                              random_lindbladian, random_observable, reshape_R,
                              superop_matrix, unvec, vec)
 from superop_sensing.errors import DimensionError
@@ -197,3 +197,23 @@ def test_measurement_identity(n):
         lhs = hs_inner(apply_superop(s, rho), obs)
         rhs = hs_inner(np.kron(rho.conj(), obs), choi_reshape(s).matrix)
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+
+@pytest.mark.parametrize("task, ranks", [("channel", dict(kraus_rank=3)),
+                                         ("lindbladian", dict(n_jumps=2)),
+                                         ("haar", dict(r_plus=2, r_minus=1))])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 16, 25, 33])
+def test_choi_factors_row_blocks_are_bitwise_the_dense_rows(task, ranks, n):
+    # the truth is the pair (W s, W) of its vectorized signed Kraus
+    # operators; a scorer reads it N rows of the product at a time, and each
+    # block must be bitwise those rows of choi_reshape's dense matrix, also
+    # at odd N (compared as bytes of the float64 view, so signed zeros count)
+    s = draw_truth(task, n, n, **ranks)
+    pair, dense = choi_factors(s), choi_reshape(s).matrix
+    w = np.stack([vec(op) for op in s.plus_ops + s.minus_ops], axis=1)
+    signs = np.repeat([1.0, -1.0], [len(s.plus_ops), len(s.minus_ops)])
+    assert pair.left.tobytes() == (w * signs).tobytes() and pair.right.tobytes() == w.tobytes()
+    as_bytes = lambda a: a.view(np.float64).tobytes()  # noqa: E731
+    assert as_bytes(pair.product()) == as_bytes(dense)
+    for i in range(0, n * n, n):
+        assert as_bytes(pair.product(slice(i, i + n))) == as_bytes(dense[i:i + n])

@@ -143,6 +143,24 @@ def test_large_n_point_runs_both_sides_in_fresh_processes(ab_compare, monkeypatc
     assert result["base"]["trial_s_p50"] > 0 and result["change"]["ru_maxrss_mib_max"] > 0
 
 
+def test_large_n_point_runs_the_checkout_alone_without_rev(ab_compare, monkeypatch, capsys):
+    # without --rev only the checkout's side runs, once a pair, and no
+    # revision is exported
+    def export(rev, into):
+        raise AssertionError("exported a revision")
+
+    monkeypatch.setattr(ab_compare, "export_package", export)
+    large_n_point = importlib.import_module("large_n_point")
+    assert large_n_point.main(["--n", "4", "--m-o", "24", "--pairs", "2"]) == 0
+    result = json.loads(capsys.readouterr().out)
+    assert [(r["side"], r["pair"]) for r in result["runs"]] == [("change", 0), ("change", 1)]
+    assert "base" not in result and result["rev"] is None
+    for run in result["runs"]:
+        assert run["returncode"] == 0 and not run["message"] and run["error"] > 0
+    assert result["change"]["exited_nonzero"] == 0 and result["change"]["trial_s_p50"] > 0
+    assert result["errors_identical"]
+
+
 def test_large_n_point_reports_a_child_that_exits_nonzero(monkeypatch):
     # a child that exits non-zero (here it cannot import its package) is
     # reported with its exit code and the last line of its stderr, and its

@@ -1,16 +1,19 @@
-"""One large-N blockwise trial per fresh process, a git revision against the checkout.
+"""One large-N blockwise trial per fresh process, for the checkout alone or
+against a git revision.
 
 Run from the repository root:
 
     python3 tools/large_n_point.py --rev HEAD --n 64 --m-o 1640 --pairs 3
+    python3 tools/large_n_point.py --n 128 --m-o 3280 --pairs 1
 
-The package of revision `--rev` is exported as in `ab_compare`
-(`export_package`) and is the base side; the checkout's
-`src/superop_sensing` is the change. Each run is one `als_n` Lindbladian
+The checkout's `src/superop_sensing` is the change side. With `--rev`, the
+package of that revision is exported as in `ab_compare`
+(`export_package`) and is the base side; without it only the change side
+runs, once per pair. Each run is one `als_n` Lindbladian
 trial through `run_experiment` (N_J = 2, sigma = 1e-3, master seed
 `--seed`) in a fresh interpreter, so its `ru_maxrss` is that trial's peak
 resident memory plus the interpreter's. Pairs alternate which side runs
-first (odd pairs base first). BLAS runs on one thread, as in the benchmark.
+first (even pairs base first). BLAS runs on one thread, as in the benchmark.
 Each child limits its own address space (`RLIMIT_AS`) to a fraction,
 `ADDRESS_SPACE_SHARE`, of the host's physical memory, so a run that
 outgrows the host raises `MemoryError` in that child instead of starving
@@ -21,10 +24,10 @@ exit code (`returncode`), trial seconds, stage times (`stage_s`), solve
 parts (`solve_part_s`; empty for a revision that does not record them),
 `ru_maxrss` in MiB, the address-space limit in MiB, error, iterations and
 restarts; a child that exits non-zero gives only its exit code and the
-last line of its stderr as `message`. Then per side the median trial time
-and the largest `ru_maxrss` over the runs that finished (None if none
-did) and the number of runs that did not, and whether every run finished
-with the same error bit for bit.
+last line of its stderr as `message`. Then per side that ran the median
+trial time and the largest `ru_maxrss` over the runs that finished (None
+if none did) and the number of runs that did not, and whether every run
+finished with the same error bit for bit.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import shutil
 import statistics
 import subprocess
 import sys
@@ -42,7 +44,8 @@ _ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 _BLAS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # a child's address-space limit as a share of the host's physical memory:
-# an N = 128 trial peaks at 4.7 GiB resident and ran under 6 GiB on 8 GB
+# an N = 128 trial peaks at 2.6 GiB resident (4.7 when scoring built the
+# dense truth) and runs under 6 GiB on 8 GB
 ADDRESS_SPACE_SHARE = 0.8
 
 
@@ -84,12 +87,12 @@ def child(package: str, n: int, m_o: int, seed: int) -> dict:
 
 
 def run_pairs(sides: dict, n: int, m_o: int, seed: int, pairs: int) -> dict:
-    """Alternate fresh-process trials of the two sides, each given as
-    (import path, package name); the summary printed by `main`."""
+    """Alternate fresh-process trials of the sides, each given by name as
+    (import path, package name), the first named first in even pairs; the
+    summary printed by `main`."""
     runs = []
     for i in range(pairs):
-        order = ("base", "change") if i % 2 == 0 else ("change", "base")
-        for name in order:
+        for name in list(sides)[::1 if i % 2 == 0 else -1]:
             path, package = sides[name]
             env = dict(os.environ, PYTHONPATH=path, **dict.fromkeys(_BLAS, "1"))
             proc = subprocess.run(
@@ -111,14 +114,15 @@ def run_pairs(sides: dict, n: int, m_o: int, seed: int, pairs: int) -> dict:
                 "exited_nonzero": sum(r["side"] == name for r in runs) - len(mine)}
 
     return {"n": n, "m_o": m_o, "seed": seed, "pairs": pairs, "runs": runs,
-            "base": side("base"), "change": side("change"),
+            **{name: side(name) for name in sides},
             "errors_identical": (len(finished) == len(runs)
                                  and len({repr(r["error"]) for r in runs}) == 1)}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--rev", help="git revision of the base side")
+    parser.add_argument("--rev", help="git revision of the base side; without it "
+                        "only the checkout runs")
     parser.add_argument("--n", type=int, required=True)
     parser.add_argument("--m-o", type=int, required=True)
     parser.add_argument("--seed", type=int, default=1, help="master seed")
@@ -128,18 +132,16 @@ def main(argv=None) -> int:
     if args.child:
         print(json.dumps(child(args.child, args.n, args.m_o, args.seed)))
         return 0
-    if args.rev is None or args.pairs < 1:
-        parser.error("--rev is required and --pairs must be >= 1")
-    sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-    import ab_compare
-    tmp = tempfile.mkdtemp(prefix="large_n_point_")
-    try:
-        ab_compare.export_package(args.rev, tmp)
-        sides = {"base": (tmp, ab_compare.BASE_PACKAGE),
-                 "change": (os.path.join(_ROOT, "src"), "superop_sensing")}
+    if args.pairs < 1:
+        parser.error("--pairs must be >= 1")
+    sides = {"change": (os.path.join(_ROOT, "src"), "superop_sensing")}
+    with tempfile.TemporaryDirectory(prefix="large_n_point_") as tmp:
+        if args.rev is not None:
+            sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+            import ab_compare
+            ab_compare.export_package(args.rev, tmp)
+            sides = {"base": (tmp, ab_compare.BASE_PACKAGE), **sides}
         result = run_pairs(sides, args.n, args.m_o, args.seed, args.pairs)
-    finally:
-        shutil.rmtree(tmp)
     print(json.dumps(dict(result, rev=args.rev), indent=1))
     return 0
 
