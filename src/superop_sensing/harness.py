@@ -298,7 +298,7 @@ class TrialRecord:
     recovered: bool
     message: str = ""
     fallbacks: int = 0      # half-sweeps of the trial's solves that left Cholesky
-    stop: str = ""          # "converged" if every solve converged, else "max_iter"
+    stop: str = ""          # solvers.report_totals: "max_iter", "plateau" or "converged"
     final_loss: float | None = None   # mean of the solves' final losses
     stage_s: dict = field(default_factory=dict)   # STAGES -> seconds; empty if it raised
     solve_part_s: dict = field(default_factory=dict)   # summed SolveReport.part_s; likewise

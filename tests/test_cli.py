@@ -135,8 +135,9 @@ def test_solve_als_p_writes_per_block_traces(tmp_path):
     # solves of every block, the losing ones too
     assert sum(len(trace) for trace in report["loss_trace"]) < report["iterations"]
     assert report["fallbacks"] == 0
-    # one stop for the whole row, reduced as results.json reduces it
-    assert report["stop"] in ("converged", "max_iter")
+    # one stop for the whole row, reduced as results.json reduces it: no
+    # block ran out of sweeps and at least one stopped on a plateau
+    assert report["stop"] == "plateau"
     assert (solve_dir / "blocks.cmx").exists()
     assert not (solve_dir / "left.cmx").exists()
     assert not (solve_dir / "right.cmx").exists()

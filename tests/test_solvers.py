@@ -20,7 +20,8 @@ from superop_sensing.linalg import cholesky_solve, least_squares
 from superop_sensing.measurements import _coord_index, pair_inner_products
 from superop_sensing.models import haar_low_rank_hermitian, superop_from_reshaped
 from superop_sensing.harness import RUN_OPTIONS, check_run_options
-from superop_sensing.solvers import (_RESTART_FLOOR, _make_problem, derive_seed,
+from superop_sensing.solvers import (_PLATEAU_FLOOR, _PLATEAU_PATIENCE, _PLATEAU_RTOL,
+                                     _RESTART_FLOOR, _TIE_RTOL, _make_problem, derive_seed,
                                      report_totals, solve_strategy)
 
 
@@ -186,45 +187,151 @@ def test_nesterov_exact_recovery_matches_plain_on_complete_basis():
             <= 1e-8 * np.linalg.norm(truth.matrix[:2, :])
 
 
-def test_nesterov_restart_semantics_replay():
-    # replay the documented loop and require bitwise-equal factors
-    k, design, data = _channel_case(4, 2, seed=50, m_o=24, sigma=1e-3)
-    b = data.values
-    cfg = SolverConfig(rank=2, seed=12, max_iter=25, eta=1.0 + 1e-12,
-                       init="random")
-    rep = nesterov_als_solve(design, b, 4, 16, cfg)
-    assert rep.restarts > 0  # tiny eta forces the restart branch
-
-    prob = _make_problem(design, b, 4, 16)
+def _replay(prob, b, cfg, plateau=True):
+    """The documented loop written out from a random start: (best,
+    iterations, restarts, stop). Without plateau, only the ||dX|| rule and
+    max_iter stop it."""
     rng = np.random.default_rng(cfg.seed)
-    u_prev = complex_gaussian(4, 2, rng)
-    v_prev = complex_gaussian(16, 2, rng)
+    u_prev = complex_gaussian(prob.d1, cfg.rank, rng)
     v_curr = prob.solve_right(u_prev)
     u_curr = prob.solve_left(v_curr)
     f_curr = prob.loss(u_curr, v_curr)
     best = (u_curr, v_curr, f_curr)
     x_curr = u_curr @ v_curr.conj().T
-    floor = _RESTART_FLOOR * float(np.vdot(b, b).real) / b.size
+    b_sq = float(np.vdot(b, b).real)
+    floor = _RESTART_FLOOR * b_sq / b.size
+    plateau_floor = _PLATEAU_FLOOR * b_sq / b.size
+    iterations, restarts, calm, stop = 1, 0, 0, "max_iter"
     for _ in range(1, cfg.max_iter):
         u_ext = u_curr + cfg.beta * (u_curr - u_prev)
-        v_ext = v_curr + cfg.beta * (v_curr - v_prev)
         v_new = prob.solve_right(u_ext)
         u_new = prob.solve_left(v_new)
         f_new = prob.loss(u_new, v_new)
-        if f_curr > floor and f_new >= cfg.eta * f_curr:
+        restarted = f_curr > floor and f_new >= cfg.eta * f_curr
+        if restarted:
+            restarts += 1
             v_new = prob.solve_right(u_curr)
             u_new = prob.solve_left(v_new)
             f_new = prob.loss(u_new, v_new)
-        if f_new < best[2]:
+        iterations += 1
+        if f_new < best[2] * (1 - _TIE_RTOL):
             best = (u_new, v_new, f_new)
         x_new = u_new @ v_new.conj().T
         done = np.linalg.norm(x_new - x_curr) <= cfg.gamma * np.linalg.norm(x_curr)
-        u_prev, v_prev = u_curr, v_curr
-        u_curr, v_curr, f_curr, x_curr = u_new, v_new, f_new, x_new
+        if (not restarted and f_curr > plateau_floor
+                and 0 <= f_curr - f_new <= _PLATEAU_RTOL * f_new):
+            calm += 1
+        else:
+            calm = 0
+        u_prev = u_curr
+        u_curr, f_curr, x_curr = u_new, f_new, x_new
         if done:
+            stop = "converged"
             break
+        if plateau and calm == _PLATEAU_PATIENCE:
+            stop = "plateau"
+            break
+    return best, iterations, restarts, stop
+
+
+def test_nesterov_restart_semantics_replay():
+    # replay the documented loop and require bitwise-equal factors; the
+    # solve restarts before it stops on a plateau
+    k, design, data = _channel_case(4, 2, seed=50, m_o=24, sigma=1e-3)
+    b = data.values
+    cfg = SolverConfig(rank=2, seed=11, max_iter=25, eta=1.0 + 1e-12,
+                       init="random")
+    rep = nesterov_als_solve(design, b, 4, 16, cfg)
+    assert rep.restarts > 0  # tiny eta forces the restart branch
+    assert rep.stop == "plateau"
+    best, iterations, restarts, stop = _replay(_make_problem(design, b, 4, 16), b, cfg)
+    assert (rep.iterations, rep.restarts, rep.stop) == (iterations, restarts, stop)
     assert np.array_equal(rep.factors.left, best[0])
     assert np.array_equal(rep.factors.right, best[1])
+
+
+def test_noiseless_solve_is_the_dx_only_loop():
+    # at sigma = 0 the loss falls below the plateau floor, so no plateau
+    # stop fires: the solve is bitwise the loop without one
+    k, design, data = _channel_case(4, 2, seed=51, m_o=24)
+    b = data.values
+    cfg = SolverConfig(rank=2, seed=13, max_iter=60, init="random")
+    rep = nesterov_als_solve(design, b, 4, 16, cfg)
+    assert rep.stop == "converged"
+    best, iterations, restarts, stop = _replay(_make_problem(design, b, 4, 16), b, cfg,
+                                               plateau=False)
+    assert (rep.iterations, rep.restarts, rep.stop) == (iterations, restarts, stop)
+    assert np.array_equal(rep.factors.left, best[0])
+    assert np.array_equal(rep.factors.right, best[1])
+
+
+def test_noisy_solve_stops_on_a_plateau_before_the_dx_rule(monkeypatch):
+    # two calm sweeps end a noisy solve in fewer sweeps than ||dX|| <= gamma ||X||
+    # would, at the same error to 1e-3 relative
+    k, design, data = _channel_case(4, 2, seed=60, m_o=24, sigma=1e-3)
+    cfg = SolverConfig(rank=2, seed=60)
+    row, rep = solve_first_row_joint(design.observables, data.values, 4, cfg)
+    monkeypatch.setattr(solvers, "_PLATEAU_PATIENCE", cfg.max_iter + 1)
+    dx_row, dx_rep = solve_first_row_joint(design.observables, data.values, 4, cfg)
+    assert (rep.stop, dx_rep.stop) == ("plateau", "converged")
+    assert _sweeps(rep) < _sweeps(dx_rep)
+    error, dx_error = (np.linalg.norm(x - k[:4]) / np.linalg.norm(k[:4])
+                       for x in (row, dx_row))
+    assert error == pytest.approx(dx_error, rel=1e-3, abs=0)
+
+
+class _ScriptedProblem:
+    """What `_als` reads of a problem, with scripted sweep losses: sweep k
+    returns the k-th loss and factors filled with k, so ||dX|| never falls
+    to gamma, and the final loss of a pair is that of its sweep."""
+
+    def __init__(self, losses):
+        self.d1 = self.d2 = 2
+        self.b_sq, self.m_total = 1.0, 1        # the plateau gate is 1e6 eps
+        self.fallbacks, self.part_s = 0, dict.fromkeys(solvers._PARTS, 0.0)
+        self.losses, self.sweeps = losses, 0
+
+    def sweep(self, u):
+        self.sweeps += 1
+        factor = np.full((2, 1), float(self.sweeps))
+        return factor, factor, self.losses[self.sweeps - 1]
+
+    def final_loss(self, u, v):
+        return self.losses[int(u[0, 0]) - 1]
+
+
+@pytest.mark.parametrize("losses, outcome", [
+    ([1.0] * 6, (3, 0, "plateau")),                      # two calm sweeps in a row
+    ([(1 - _PLATEAU_RTOL / 2) ** k for k in range(6)], (3, 0, "plateau")),
+    ([(1 - 2 * _PLATEAU_RTOL) ** k for k in range(6)], (6, 0, "max_iter")),  # falls by > tau
+    ([1.0 + 1e-9 * k for k in range(6)], (6, 0, "max_iter")),        # a rise is not calm
+    ([1e-11] * 6, (6, 0, "max_iter")),                    # below the gate
+    # the restarted third step is not calm, so the stop comes two sweeps later
+    ([1.0, 1.0, 2.0, 1.0, 1.0, 1.0, 1.0], (5, 1, "plateau"))])
+def test_plateau_rule_on_scripted_losses(losses, outcome):
+    rep = solvers._als(_ScriptedProblem(losses),
+                       SolverConfig(rank=1, max_iter=6, init="random"))
+    assert (rep.iterations, rep.restarts, rep.stop) == outcome
+
+
+@pytest.mark.parametrize("second, best", [(1 - 2 ** -52, 1), (1 - 2 ** -49, 2)])
+def test_best_iterate_needs_a_fall_beyond_the_tie_tolerance(second, best):
+    # a sweep within 4 eps of the best loss does not replace it
+    rep = solvers._als(_ScriptedProblem([1.0, second, second]),
+                       SolverConfig(rank=1, max_iter=3, init="random"))
+    assert rep.factors.left[0, 0] == best
+    assert rep.final_loss == [1.0, second][best - 1]
+
+
+@pytest.mark.parametrize("stops, total", [
+    (["converged", "converged"], "converged"), (["converged", "plateau"], "plateau"),
+    (["plateau", "max_iter"], "max_iter"), (["max_iter", "converged"], "max_iter")])
+def test_report_totals_stop_precedence(stops, total):
+    # "max_iter" if any solve ran out, else "plateau" if any plateaued
+    reports = [SimpleNamespace(iterations=1, restarts=0, fallbacks=0, wall_time=0.0,
+                               part_s=dict.fromkeys(solvers._PARTS, 0.0), final_loss=1.0,
+                               stop=stop) for stop in stops]
+    assert report_totals(reports)["stop"] == total
 
 
 def _sweeps(rep):

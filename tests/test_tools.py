@@ -25,16 +25,29 @@ def ab_compare(monkeypatch):
 def test_side_summary_skips_failed_trials(ab_compare, failed_first):
     # a failed trial records no stage or part times; medians are over the
     # trials that passed, and the failed one is counted
-    passed = {"seconds": 2.0, "error": 1e-3, "counts": [5, 0, 0, "tol"],
+    passed = {"seconds": 2.0, "error": 1e-3, "counts": [5, 0, 0, "plateau"],
               "stage_s": {"solve": 1.5}, "part_s": {"gram": 0.5}, "message": ""}
-    failed = {"seconds": 9.0, "error": None, "counts": [0, 0, 0, None],
+    failed = {"seconds": 9.0, "error": None, "counts": [0, 0, 0, ""],
               "stage_s": {}, "part_s": {}, "message": "DivergenceError: loss grew"}
     trials = [failed, passed] if failed_first else [passed, failed]
     assert ab_compare.side_summary(trials) == {
-        "trial_s_p50": 2.0, "stage_s_p50": {"solve": 1.5}, "part_s_p50": {"gram": 0.5},
-        "failed": 1}
+        "trial_s_p50": 2.0, "iterations_p50": 5, "stops": {"plateau": 1},
+        "stage_s_p50": {"solve": 1.5}, "part_s_p50": {"gram": 0.5}, "failed": 1}
     assert ab_compare.side_summary([failed]) == {
-        "trial_s_p50": None, "stage_s_p50": {}, "part_s_p50": {}, "failed": 1}
+        "trial_s_p50": None, "iterations_p50": None, "stops": {}, "stage_s_p50": {},
+        "part_s_p50": {}, "failed": 1}
+
+
+def test_side_summary_reports_median_iterations_and_a_tally_of_stops(ab_compare):
+    # a change of the stop rule shows as fewer iterations and other stops
+    def passed(iterations, stop):
+        return {"seconds": 1.0, "error": 1e-3, "counts": [iterations, 0, 0, stop],
+                "stage_s": {}, "part_s": {}, "message": ""}
+
+    summary = ab_compare.side_summary([passed(15, "converged"), passed(9, "plateau"),
+                                       passed(8, "plateau")])
+    assert summary["iterations_p50"] == 9
+    assert summary["stops"] == {"converged": 1, "plateau": 2}
 
 
 class _FakeHarness:
@@ -73,6 +86,7 @@ def test_compare_reports_one_traced_peak_outside_the_medians(ab_compare, monkeyp
         assert fake.seeds == [ab_compare.pipeline.WARMUP_MASTER_SEED, *seeds, seeds[0]]
         assert 4 <= result[name]["traced_peak_mib"] < 5
         assert result[name]["stage_s_p50"] == {"solve": 0.0}
+        assert (result[name]["iterations_p50"], result[name]["stops"]) == (5, {"converged": 3})
     assert not tracemalloc.is_tracing()
     assert result["errors_identical"] and result["max_rel_error_diff"] == 0
     assert result["final_losses_identical"] and result["max_rel_final_loss_diff"] == 0

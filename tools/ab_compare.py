@@ -17,10 +17,12 @@ process. BLAS runs on one thread, set before numpy loads, as in the
 benchmark.
 
 Prints one JSON object: per side the number of failed trials and, over
-the trials that passed, the median trial time, the median of each stage
-time (`stage_s`) and the median of each part of the solve (`solve_part_s`:
-Gram build, right and left half-sweeps, losses; empty for a revision that
-does not record them), the ratio of the change's median trial time to the
+the trials that passed, the median trial time, the median iterations, a
+tally of the `stop` values (so a change of the stop rule shows its sweep
+cut), the median of each stage time (`stage_s`) and the median of each
+part of the solve (`solve_part_s`: Gram build, right and left
+half-sweeps, losses; empty for a revision that does not record them), the
+ratio of the change's median trial time to the
 base's, the number of trials where the change was faster, whether
 iterations, restarts, fallbacks and stop agree on every trial, and, over
 the trials both sides finished, whether the errors and the final losses
@@ -35,6 +37,7 @@ evidence; it does not replace the benchmark's alternating run pairs.
 from __future__ import annotations
 
 import argparse
+import collections
 import importlib
 import io
 import json
@@ -91,15 +94,21 @@ def traced_peak_mib(harness, config: dict, master_seed: int) -> float:
 
 
 def side_summary(trials: list) -> dict:
-    """Medians over the trials that passed (a failed trial records no
-    stage or part times); None when none passed."""
+    """Medians and the tally of stops over the trials that passed (a failed
+    trial records no stage or part times); a median is None when none
+    passed."""
     passed = [t for t in trials if not t["message"]]
 
     def p50(key):
         return {name: statistics.median(t[key][name] for t in passed)
                 for name in (passed[0][key] if passed else ())}
 
-    return {"trial_s_p50": statistics.median(t["seconds"] for t in passed) if passed else None,
+    def median(values):
+        return statistics.median(values) if passed else None
+
+    return {"trial_s_p50": median(t["seconds"] for t in passed),
+            "iterations_p50": median(t["counts"][0] for t in passed),
+            "stops": dict(sorted(collections.Counter(t["counts"][3] for t in passed).items())),
             "stage_s_p50": p50("stage_s"), "part_s_p50": p50("part_s"),
             "failed": len(trials) - len(passed)}
 
